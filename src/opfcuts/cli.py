@@ -54,8 +54,6 @@ def _build_parser():
     ps.add_argument("--perturb-sigma", type=float, default=0.0,
                     help="load perturbation, fraction of each bus P demand")
     ps.add_argument("--csv", action="store_true", help="CSV report output")
-    ps.add_argument("--lp-backend", default="highs")
-    ps.add_argument("--seed", type=int, default=0)
 
     pc = sub.add_parser("cliques", help="report the 3/4/5-clique census")
     pc.add_argument("case", help="MATPOWER .m case file")
@@ -76,9 +74,7 @@ def _cmd_solve(args) -> int:
                              mu_frac=0.0, sigma_frac=args.perturb_sigma)
     config = RunConfig(time_limit=args.time_limit,
                        hierarchy_round=args.rstar,
-                       max_clique_size=args.max_clique,
-                       lp_backend=args.lp_backend,
-                       seed=args.seed)
+                       max_clique_size=args.max_clique)
     warm = None
     if args.warm:
         model = build_m0(case)

@@ -24,8 +24,6 @@ FILE_HEADER = {"fmt": "cutpool", "v": 1}
 @dataclass
 class CutPool:
     cuts: dict = field(default_factory=dict)   # content_hash -> LinearCut
-    added_per_round: list = field(default_factory=list)
-    dropped_per_round: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.cuts)

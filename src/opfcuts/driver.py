@@ -15,14 +15,14 @@ import csv as csv_mod
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import cut_manager, separation
 from .case_io import CaseData
 from .cut_manager import CutPool, admit, age_and_drop
 from .errors import ModelError
 from .hermitian import eigen
-from .lp_backend import get_backend
+from .lp_backend import ScipyHighsBackend
 from .network import (PairGraph, branch_admittance, chordal_cliques,
                       enumerate_three_cycles)
 from .relaxation import build_m0
@@ -45,9 +45,7 @@ class RunConfig:
     psd_tol: float = separation.PSD_TOL
     density_cap: int = separation.DENSITY_CAP
     feasibility_tol: float = 1e-6
-    lp_backend: str = "highs"
     c_nonneg: bool = False
-    seed: int = 0
     max_rounds: int | None = None
 
     def __post_init__(self):
@@ -107,9 +105,8 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     adm = {idx: branch_admittance(br)
            for idx, br in enumerate(case.branches) if br.status}
     cliques = enumerate_three_cycles(pairs)
-    backend = get_backend(config.lp_backend,
-                          feasibility_tol=config.feasibility_tol,
-                          optimality_tol=config.feasibility_tol)
+    backend = ScipyHighsBackend(feasibility_tol=config.feasibility_tol,
+                                optimality_tol=config.feasibility_tol)
     model = build_m0(case, adm=adm, pairs=pairs, backend=backend,
                      c_nonneg=config.c_nonneg)
 
@@ -120,8 +117,8 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         for h, cut in sorted(warm.cuts.items()):
             if h in pool.cuts or not model.has_variables(cut.terms):
                 continue
-            cut.age = 0
-            pool.cuts[h] = cut
+            # a copy, so aging in this run never touches the caller's pool
+            pool.cuts[h] = replace(cut, age=0)
             model.add_cut_row(h, cut.terms, cut.rhs)
 
     stall = 0
@@ -186,8 +183,6 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         report.rounds[-1].cuts_added = len(admitted)
         report.rounds[-1].cuts_dropped = len(dropped)
-        pool.added_per_round.append(len(admitted))
-        pool.dropped_per_round.append(len(dropped))
 
         just_escalated = False
         if not escalated and round_idx + 1 >= config.hierarchy_round:
@@ -257,10 +252,6 @@ def _separate(model, cliques, config: RunConfig, round_idx: int):
         if cut is not None:
             candidates.append(cut)
 
-    # hook for i2-family separators; intentionally inert
-    for extra in _EXTRA_SEPARATORS:
-        candidates.extend(extra(model, round_idx))
-
     for clique in cliques.cliques:
         x0 = model.clique_matrix(clique)
         dec = eigen(x0)
@@ -278,15 +269,6 @@ def _separate(model, cliques, config: RunConfig, round_idx: int):
             if pcut is not None:
                 candidates.append(pcut)
     return candidates
-
-
-_EXTRA_SEPARATORS: list = []
-
-
-def register_separator(fn):
-    """Register an additional separator fn(model, round) -> list of cuts."""
-    _EXTRA_SEPARATORS.append(fn)
-    return fn
 
 
 def _final_eig_ratio(model, cliques) -> float:

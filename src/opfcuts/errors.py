@@ -17,10 +17,6 @@ class SingularBranchError(OpfCutsError):
     """Raised for a branch with zero series impedance."""
 
 
-class NumericalError(OpfCutsError):
-    """Raised when an iterative numerical kernel fails to converge."""
-
-
 class ModelError(OpfCutsError):
     """Raised on internal relaxation-model invariant violations."""
 

@@ -1,23 +1,17 @@
-"""Small dense Hermitian kernel: realification, Jacobi eigensolver, PSD tools.
+"""Small dense Hermitian kernel: eigendecomposition, PSD tools, realification.
 
-The eigendecomposition route goes through the 2n x 2n real symmetric
-realification and a cyclic Jacobi sweep, then pairs the doubled spectrum back
-into n complex eigenvectors.  All tolerances scale with max(1, trace) or the
-Frobenius norm so they remain meaningful on per-unit data.
+Eigenpairs come straight from LAPACK's Hermitian solver on the complex
+matrix.  The 2n x 2n real realification L(X) and its inverse map from W are
+kept as references for the structural checks.  All tolerances scale with
+max(1, trace) or the Frobenius norm so they remain meaningful on per-unit
+data.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NumericalError
-
-JACOBI_SWEEP_CAP = 40
-JACOBI_OFFDIAG_TOL = 1e-12
-PAIR_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,15 +38,6 @@ class HermitianMatrix:
 
     def fro_norm(self) -> float:
         return float(np.linalg.norm(self.mat))
-
-    def __add__(self, other):
-        return HermitianMatrix(self.mat + other.mat)
-
-    def __sub__(self, other):
-        return HermitianMatrix(self.mat - other.mat)
-
-    def scale(self, a: float):
-        return HermitianMatrix(a * self.mat)
 
 
 @dataclass(frozen=True)
@@ -82,85 +67,11 @@ def realify(x) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def jacobi_eigh(a: np.ndarray, sweep_cap: int = JACOBI_SWEEP_CAP,
-                tol: float = JACOBI_OFFDIAG_TOL):
-    """Cyclic Jacobi for real symmetric matrices.
-
-    Returns (eigenvalues desc, eigenvector columns).  Raises NumericalError
-    with the residual off-diagonal norm if the sweep cap is hit.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if not np.array_equal(a, a.T):
-        a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    fro = np.linalg.norm(a)
-    threshold = tol * max(fro, 1e-300)
-
-    def offdiag_norm():
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(sweep_cap):
-        if offdiag_norm() <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        resid = offdiag_norm()
-        if resid > threshold:
-            raise NumericalError(
-                "Jacobi did not converge in %d sweeps; off-diagonal "
-                "residual %.3e (threshold %.3e)" % (sweep_cap, resid, threshold))
-
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], v[:, order]
-
-
 def eigen(x: HermitianMatrix) -> EigenDecomposition:
-    """Eigendecomposition via Jacobi on L(X) with doubled-spectrum pairing.
-
-    Every eigenvalue of L(X) appears twice; one real representative (x, y)
-    per pair is mapped to the complex eigenvector q = x + jy, keeping only
-    representatives that are complex-orthogonal to those already selected.
-    """
-    n = x.n
-    if n > 64:
-        raise ValueError("kernel is for small matrices (n <= 64)")
-    lam, vecs = jacobi_eigh(realify(x))
-    kept_vals = []
-    kept_vecs = []
-    for i in range(2 * n):
-        if len(kept_vals) == n:
-            break
-        q = vecs[:n, i] + 1j * vecs[n:, i]
-        for kq in kept_vecs:
-            q = q - np.vdot(kq, q) * kq
-        norm = np.linalg.norm(q)
-        if norm > 1e-6:  # duplicate representatives project to ~zero
-            kept_vals.append(lam[i])
-            kept_vecs.append(q / norm)
-    if len(kept_vals) != n:
-        raise NumericalError("eigenpair pairing failed: kept %d of %d"
-                             % (len(kept_vals), n))
-    return EigenDecomposition(eigenvalues=np.array(kept_vals),
-                              eigenvectors=np.column_stack(kept_vecs))
+    """Eigendecomposition of X by LAPACK, eigenvalues nonincreasing."""
+    vals, vecs = np.linalg.eigh(x.mat)
+    return EigenDecomposition(eigenvalues=vals[::-1],
+                              eigenvectors=vecs[:, ::-1])
 
 
 def psd_status(x: HermitianMatrix, tol: float):
@@ -225,5 +136,5 @@ def rank_of(x, tol: float) -> int:
         if np.iscomplexobj(a) or not np.allclose(a, a.T, atol=0.0):
             vals = np.linalg.svd(a, compute_uv=False)
         else:
-            vals = np.abs(jacobi_eigh(a)[0])
+            vals = np.abs(np.linalg.eigvalsh(a))
     return int(np.count_nonzero(vals > tol * scale))

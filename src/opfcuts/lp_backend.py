@@ -1,8 +1,9 @@
 """LP solver abstraction with incremental row edits.
 
-The algorithm only ever talks to this interface; a concrete adapter backed by
-scipy's HiGHS ships by default.  Backends without true incremental support
-rebuild the matrices on every solve, which is transparent for correctness.
+The relaxation model only ever talks to this interface; the one adapter,
+backed by scipy's HiGHS, is built by the driver.  Backends without true
+incremental support rebuild the matrices on every solve, which is transparent
+for correctness.
 """
 
 from __future__ import annotations
@@ -189,14 +190,3 @@ class ScipyHighsBackend(LpBackend):
         absorbed[clipped] = 0.0
         return bound + float(absorbed.sum()), dual_inf
 
-
-_BACKENDS = {"highs": ScipyHighsBackend}
-
-
-def get_backend(name: str, **kwargs) -> LpBackend:
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise LpBackendError("unknown LP backend %r (have: %s)"
-                             % (name, ", ".join(sorted(_BACKENDS))))
-    return cls(**kwargs)

@@ -27,7 +27,7 @@ import numpy as np
 from .case_io import CaseData
 from .errors import ModelError
 from .hermitian import HermitianMatrix
-from .lp_backend import LpBackend, LpSolveResult, get_backend
+from .lp_backend import LpBackend, LpSolveResult, ScipyHighsBackend
 from .network import BranchAdmittance, PairGraph, branch_admittance, canonical_pair
 
 INF = math.inf
@@ -49,7 +49,6 @@ class RelaxationModel:
         self.pairs = pairs
         self.backend = backend
         self.c_nonneg = c_nonneg
-        self.round = 0
         self.last_result: LpSolveResult | None = None
         self._solution: np.ndarray | None = None
 
@@ -265,9 +264,6 @@ class RelaxationModel:
             raise ModelError("no solution available")
         return float(self._solution[self.var_index[key]])
 
-    def row_value(self, terms: dict) -> float:
-        return sum(w * self.value(k) for k, w in terms.items())
-
     def clique_matrix(self, clique) -> HermitianMatrix:
         """Assemble X_i(y) from the current solution for a bus tuple."""
         n = len(clique)
@@ -301,6 +297,6 @@ def build_m0(case: CaseData, adm=None, pairs=None, backend=None,
         adm = {idx: branch_admittance(br)
                for idx, br in enumerate(case.branches) if br.status}
     if backend is None:
-        backend = get_backend("highs", feasibility_tol=feasibility_tol,
-                              optimality_tol=feasibility_tol)
+        backend = ScipyHighsBackend(feasibility_tol=feasibility_tol,
+                                    optimality_tol=feasibility_tol)
     return RelaxationModel(case, adm, pairs, backend, c_nonneg=c_nonneg)

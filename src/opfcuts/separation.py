@@ -71,14 +71,6 @@ class LinearCut:
         return (self.rhs - self.value_at(values)) / self.inf_norm
 
 
-@dataclass
-class SeparationReport:
-    cuts: list
-    max_violation: float = 0.0
-    clique_eigs: dict = field(default_factory=dict)  # clique -> (l1, l2, lmin)
-    psd_cliques: int = 0
-
-
 def _matrix_cut_terms(a: np.ndarray, clique) -> dict:
     """Coefficient map for <A, X> >= 0 over a clique's variables."""
     n = len(clique)

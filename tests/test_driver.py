@@ -81,6 +81,16 @@ def test_warm_start_first_round_bound(case14, cold_report):
     assert warm.rounds[0].objective >= cold.rounds[0].objective - 1e-9
 
 
+def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
+    given = cold_report.pool
+    before = {h: (id(cut), cut.age) for h, cut in given.cuts.items()}
+    pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
+    warm = cutplane(pert, RunConfig(max_rounds=4), warm=given)
+    assert {h: (id(cut), cut.age) for h, cut in given.cuts.items()} == before
+    assert not {id(c) for c in given.cuts.values()} \
+        & {id(c) for c in warm.pool.cuts.values()}
+
+
 def test_report_table_text(cold_report):
     text = report_table([cold_report])
     lines = text.splitlines()

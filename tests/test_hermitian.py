@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from opfcuts.hermitian import (HermitianMatrix, eigen, jacobi_eigh,
-                               psd_project, psd_status, rank_of, realify,
-                               w_to_x)
+from opfcuts.hermitian import (HermitianMatrix, eigen, psd_project,
+                               psd_status, rank_of, realify, w_to_x)
 
 
 def _random_hermitian(rng, n):
@@ -86,12 +85,12 @@ def test_psd_status_gram_matrices():
         assert psd_status(HermitianMatrix(v.conj().T @ v), 1e-8)[0] == "psd"
 
 
-def test_psd_status_agrees_with_realified_jacobi():
+def test_psd_status_agrees_with_realified_spectrum():
     rng = np.random.default_rng(8)
     for _ in range(100):
         x = _random_hermitian(rng, int(rng.integers(2, 6)))
-        vals, _ = jacobi_eigh(realify(x))
-        direct_psd = vals[-1] >= -1e-8 * max(1.0, x.trace())
+        vals = np.linalg.eigvalsh(realify(x))
+        direct_psd = vals[0] >= -1e-8 * max(1.0, x.trace())
         assert (psd_status(x, 1e-8)[0] == "psd") == direct_psd
 
 

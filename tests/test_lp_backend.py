@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opfcuts.errors import LpBackendError
-from opfcuts.lp_backend import ScipyHighsBackend, get_backend
+from opfcuts.lp_backend import ScipyHighsBackend
 
 
 def _loaded(lower=0.0, upper=10.0):
@@ -71,12 +71,6 @@ def test_solve_before_load():
 def test_empty_model_rejected():
     with pytest.raises(LpBackendError):
         ScipyHighsBackend().load([], [], [], [])
-
-
-def test_get_backend():
-    assert isinstance(get_backend("highs"), ScipyHighsBackend)
-    with pytest.raises(LpBackendError):
-        get_backend("bogus")
 
 
 def test_deterministic_repeat():
