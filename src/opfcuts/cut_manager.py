@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CutFileError
-from .separation import LinearCut
+from .separation import VIOLATION_THRESHOLD, LinearCut
 
 T_AGE = 5
 EPS_SLACK = 1e-5
@@ -46,7 +46,8 @@ def _cosine(a: LinearCut, b: LinearCut) -> float:
     return dot / math.sqrt(na * nb)
 
 
-def admit(pool: CutPool, candidates, violation_threshold: float = EPS_SLACK,
+def admit(pool: CutPool, candidates,
+          violation_threshold: float = VIOLATION_THRESHOLD,
           cosine_bound: float = COSINE_BOUND, k_add: int = K_ADD):
     """Filter candidates into the pool; returns the admitted list.
 
@@ -151,8 +152,13 @@ def load_cuts(stream, model) -> tuple[CutPool, int]:
         try:
             rec = json.loads(line)
             terms = {_key_from_json(k): float(w) for k, w in rec["terms"]}
-            cut = LinearCut(terms=terms, rhs=float(rec["rhs"]),
-                            kind=rec["kind"],
+            rhs = float(rec["rhs"])
+            # a cut needs a nonzero coefficient to be normalized and finite
+            # numbers for the LP; json accepts NaN and Infinity
+            if not any(terms.values()) or not all(
+                    map(math.isfinite, [rhs, *terms.values()])):
+                raise ValueError("no finite nonzero cut")
+            cut = LinearCut(terms=terms, rhs=rhs, kind=rec["kind"],
                             provenance=_key_from_json(rec["support"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             raise CutFileError(

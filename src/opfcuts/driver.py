@@ -13,44 +13,37 @@ from __future__ import annotations
 
 import csv as csv_mod
 import io
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
 
-from . import cut_manager, separation
+from . import separation
 from .case_io import CaseData
 from .cut_manager import CutPool, admit, age_and_drop
 from .errors import ModelError
 from .hermitian import eigen
-from .lp_backend import ScipyHighsBackend
-from .network import (PairGraph, branch_admittance, chordal_cliques,
-                      enumerate_three_cycles)
+from .lp_backend import FEASIBILITY_TOL
+from .network import chordal_cliques, enumerate_three_cycles
 from .relaxation import build_m0
 
+log = logging.getLogger("opfcuts.driver")
+
 EIG_RATIO_FLOOR = 1e-12
+STALL_LIMIT = 5       # rounds without sufficient improvement
+IMPROVE_TOL = 1e-5    # relative objective improvement
 
 
 @dataclass
 class RunConfig:
     time_limit: float = 1200.0
-    stall_limit: int = 5            # rounds without sufficient improvement
-    improve_tol: float = 1e-5       # relative objective improvement
     hierarchy_round: int = 5        # round after which cliques escalate
     max_clique_size: int = 5
-    t_age: int = cut_manager.T_AGE
-    eps_slack: float = cut_manager.EPS_SLACK
-    violation_threshold: float = separation.VIOLATION_THRESHOLD
-    cosine_bound: float = cut_manager.COSINE_BOUND
-    k_add: int = cut_manager.K_ADD
-    psd_tol: float = separation.PSD_TOL
-    density_cap: int = separation.DENSITY_CAP
-    feasibility_tol: float = 1e-6
-    c_nonneg: bool = False
     max_rounds: int | None = None
 
     def __post_init__(self):
-        if self.time_limit < 0 or self.stall_limit < 1 or self.improve_tol <= 0:
-            raise ValueError("nonpositive run limits")
+        if self.time_limit < 0:
+            raise ValueError("negative time limit")
         if self.hierarchy_round < 1:
             raise ValueError("hierarchy_round must be >= 1")
         if self.max_clique_size not in (3, 4, 5):
@@ -101,14 +94,8 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     config = config or RunConfig()
     t_start = time.perf_counter()
 
-    pairs = PairGraph.from_case(case)
-    adm = {idx: branch_admittance(br)
-           for idx, br in enumerate(case.branches) if br.status}
-    cliques = enumerate_three_cycles(pairs)
-    backend = ScipyHighsBackend(feasibility_tol=config.feasibility_tol,
-                                optimality_tol=config.feasibility_tol)
-    model = build_m0(case, adm=adm, pairs=pairs, backend=backend,
-                     c_nonneg=config.c_nonneg)
+    model = build_m0(case)
+    cliques = enumerate_three_cycles(model.pairs)
 
     pool = CutPool()
     report = RunReport(case_name=case.name, warm_started=warm is not None,
@@ -137,57 +124,52 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             break
         z = res.objective
         round_idx = len(report.rounds)
-        trusted = res.primal_residual <= 10.0 * config.feasibility_tol
+        trusted = res.primal_residual <= 10.0 * FEASIBILITY_TOL
         # the primal objective of a mis-solved LP can overshoot the true
         # minimum, so the round is credited with the certified dual bound
         if res.dual_infeasibility is not None and math.isfinite(res.dual_bound) \
-                and res.dual_infeasibility <= 10.0 * config.feasibility_tol:
+                and res.dual_infeasibility <= 10.0 * FEASIBILITY_TOL:
             bound = res.dual_bound
         else:
             bound = z if trusted else -math.inf
-        report.rounds.append(RoundStats(
+        stats = RoundStats(
             index=round_idx, objective=z, cuts_added=0, cuts_dropped=0,
             wall_time=time.perf_counter() - t_start, trusted=trusted,
-            bound=bound))
+            bound=bound)
+        report.rounds.append(stats)
 
         if time.perf_counter() - t_start >= config.time_limit:
             termination = "time"
-            break
-        if stall >= config.stall_limit:
+        elif stall >= STALL_LIMIT:
             termination = "stall"
-            break
-        if config.max_rounds is not None and round_idx + 1 >= config.max_rounds:
+        elif config.max_rounds is not None \
+                and round_idx + 1 >= config.max_rounds:
             termination = "rounds"
+        if termination is not None:
+            _log_round(stats, pool, model)
             break
 
-        candidates = _separate(model, cliques, config, round_idx)
-        admitted = admit(pool, candidates,
-                         violation_threshold=config.violation_threshold,
-                         cosine_bound=config.cosine_bound,
-                         k_add=config.k_add)
+        candidates = _separate(model, cliques, round_idx)
+        admitted = admit(pool, candidates)
         for cut in admitted:
             model.add_cut_row(cut.content_hash, cut.terms, cut.rhs)
 
-        new_hashes = {c.content_hash for c in admitted}
-        slacks = {}
-        for h, cut in pool.cuts.items():
-            if h in new_hashes:
-                slacks[h] = 0.0  # newly violated cuts are tight by definition
-            else:
-                slacks[h] = -cut.normalized_violation(
-                    _value_view(model, cut.terms))
-        dropped = age_and_drop(pool, slacks, t_age=config.t_age,
-                               eps_slack=config.eps_slack)
+        # cuts admitted this round are not in the solved LP and have no
+        # slack there; age_and_drop counts a missing slack as tight
+        slacks = {h: res.row_slack[h] / cut.inf_norm
+                  for h, cut in pool.cuts.items() if h in res.row_slack}
+        dropped = age_and_drop(pool, slacks)
         for cut in dropped:
             model.remove_cut_row(cut.content_hash)
 
-        report.rounds[-1].cuts_added = len(admitted)
-        report.rounds[-1].cuts_dropped = len(dropped)
+        stats.cuts_added = len(admitted)
+        stats.cuts_dropped = len(dropped)
+        _log_round(stats, pool, model)
 
         just_escalated = False
         if not escalated and round_idx + 1 >= config.hierarchy_round:
-            extra = chordal_cliques(pairs, config.max_clique_size)
-            model.extend_pairs(pairs.auxiliary_pairs)
+            extra = chordal_cliques(model.pairs, config.max_clique_size)
+            model.extend_pairs(model.pairs.auxiliary_pairs)
             cliques = cliques.merged_with(extra)
             escalated = True
             just_escalated = True
@@ -196,7 +178,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             termination = "no_cuts"
             break
 
-        improved = (z - z_prev) >= config.improve_tol * abs(z_prev) \
+        improved = (z - z_prev) >= IMPROVE_TOL * abs(z_prev) \
             if math.isfinite(z_prev) else True
         stall = 0 if improved else stall + 1
         z_prev = z
@@ -214,11 +196,14 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     return report
 
 
-def _value_view(model, terms):
-    return {k: model.value(k) for k in terms}
+def _log_round(stats: RoundStats, pool: CutPool, model):
+    log.info("round %d: objective %.6f, bound %.6f, added %d, dropped %d, "
+             "pool %d, LP rows %d", stats.index, stats.objective, stats.bound,
+             stats.cuts_added, stats.cuts_dropped, len(pool),
+             len(model.backend.eq_rows) + len(model.backend.rows))
 
 
-def _separate(model, cliques, config: RunConfig, round_idx: int):
+def _separate(model, cliques, round_idx: int):
     case = model.case
     candidates = []
 
@@ -229,7 +214,7 @@ def _separate(model, cliques, config: RunConfig, round_idx: int):
         cut = separation.jabr_cut(
             model.value(("v2", pair[0])), model.value(("v2", pair[1])),
             model.value(ckey), model.value(("s",) + pair), pair,
-            birth_round=round_idx, tol=config.psd_tol)
+            birth_round=round_idx)
         if cut is not None:
             candidates.append(cut)
 
@@ -255,17 +240,15 @@ def _separate(model, cliques, config: RunConfig, round_idx: int):
     for clique in cliques.cliques:
         x0 = model.clique_matrix(clique)
         dec = eigen(x0)
-        cut = separation.eigen_cut(
-            x0, clique, birth_round=round_idx, tol=config.psd_tol,
-            density_cap=config.density_cap, decomposition=dec)
+        cut = separation.eigen_cut(x0, clique, birth_round=round_idx,
+                                   decomposition=dec)
         if cut is not None:
             candidates.append(cut)
         neg = sum(1 for lam in dec.eigenvalues
-                  if lam < -config.psd_tol * max(1.0, x0.trace()))
+                  if lam < -separation.PSD_TOL * max(1.0, x0.trace()))
         if neg == 2:  # single-negative case is collinear with the eigen-cut
-            pcut = separation.projection_cut(
-                x0, clique, birth_round=round_idx, tol=config.psd_tol,
-                density_cap=config.density_cap, decomposition=dec)
+            pcut = separation.projection_cut(x0, clique, birth_round=round_idx,
+                                             decomposition=dec)
             if pcut is not None:
                 candidates.append(pcut)
     return candidates

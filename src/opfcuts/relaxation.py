@@ -15,20 +15,24 @@ where bkey = (from_bus, to_bus, parallel_index) and gkey = (bus, index among
 the bus's generators).  The base model contains only variable bounds, the
 linear flow-definition and balance equalities, and the initial cost epigraph
 supports; everything nonlinear is enforced by dynamically separated cuts.
+
+`RelaxationModel` keeps only the symbolic maps (`var_index`, `branch_keys`,
+`gen_keys`) and the pair graph.  Every column and row it builds, and every
+cut row it adds or removes, is written straight into its
+`ScipyHighsBackend`, which is the only holder of the LP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .case_io import CaseData
 from .errors import ModelError
 from .hermitian import HermitianMatrix
-from .lp_backend import LpBackend, LpSolveResult, ScipyHighsBackend
-from .network import BranchAdmittance, PairGraph, branch_admittance, canonical_pair
+from .lp_backend import LpSolveResult, ScipyHighsBackend
+from .network import PairGraph, branch_admittance, canonical_pair
 
 INF = math.inf
 
@@ -41,26 +45,16 @@ def _quadratic_tangent(cost, p_hat):
 class RelaxationModel:
     """Dynamic LP relaxation: base rows are immutable, cut rows come and go."""
 
-    def __init__(self, case: CaseData, adm: dict[int, BranchAdmittance],
-                 pairs: PairGraph, backend: LpBackend,
-                 c_nonneg: bool = False):
+    def __init__(self, case: CaseData):
         self.case = case
-        self.adm = adm
-        self.pairs = pairs
-        self.backend = backend
-        self.c_nonneg = c_nonneg
+        self.pairs = PairGraph.from_case(case)
+        self.backend = ScipyHighsBackend()
         self.last_result: LpSolveResult | None = None
         self._solution: np.ndarray | None = None
 
         self.branch_keys: dict[int, tuple] = {}
         self.gen_keys: dict[int, tuple] = {}
         self.var_index: dict[tuple, int] = {}
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.objective: list[float] = []
-        self.eq_rows: list[tuple] = []       # (cols, coeffs, rhs)
-        self.base_rows: dict = {}            # row_id -> (cols, coeffs, rhs), >=
-        self.cut_rows: dict = {}             # row_id -> (cols, coeffs, rhs), >=
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -68,11 +62,8 @@ class RelaxationModel:
     def _add_var(self, key, lb, ub, obj=0.0) -> int:
         if key in self.var_index:
             raise ModelError("duplicate variable %r" % (key,))
-        idx = len(self.lower)
+        idx = self.backend.add_column(lb, ub, obj)
         self.var_index[key] = idx
-        self.lower.append(lb)
-        self.upper.append(ub)
-        self.objective.append(obj)
         return idx
 
     def _pair_bound(self, pair):
@@ -81,13 +72,11 @@ class RelaxationModel:
 
     def _add_pair_vars(self, pair):
         bound = self._pair_bound(pair)
-        c_lb = 0.0 if self.c_nonneg else -bound
-        self._add_var(("c",) + pair, c_lb, bound)
+        self._add_var(("c",) + pair, -bound, bound)
         self._add_var(("s",) + pair, -bound, bound)
 
     def _build(self):
         case = self.case
-        bus_map = case.bus_by_id()
 
         for b in case.buses:
             self._add_var(("v2", b.id), b.v_min ** 2, b.v_max ** 2)
@@ -123,7 +112,7 @@ class RelaxationModel:
         # flow definitions: linear equalities over (v2, c, s)
         for idx, bkey in self.branch_keys.items():
             br = case.branches[idx]
-            a = self.adm[idx]
+            a = branch_admittance(br)
             pair = canonical_pair(br.from_bus, br.to_bus)
             orient = 1.0 if br.from_bus < br.to_bus else -1.0
             vi = self.var_index
@@ -142,7 +131,7 @@ class RelaxationModel:
             for flow_key, terms in rows:
                 cols = [vi[flow_key]] + [c for c, _ in terms]
                 coeffs = [1.0] + [w for _, w in terms]
-                self.eq_rows.append((cols, coeffs, 0.0))
+                self.backend.add_eq_row(cols, coeffs, 0.0)
 
         # power balance with bus shunts
         touching: dict[int, list] = {b.id: [] for b in case.buses}
@@ -164,7 +153,7 @@ class RelaxationModel:
             for gkey in gens_at[b.id]:
                 p_cols.append(vi[("Pg", gkey)])
                 p_coeffs.append(-1.0)
-            self.eq_rows.append((p_cols, p_coeffs, -b.p_load))
+            self.backend.add_eq_row(p_cols, p_coeffs, -b.p_load)
 
             q_cols = [vi[("Q", bk, d)] for bk, d in touching[b.id]]
             q_coeffs = [1.0] * len(q_cols)
@@ -174,7 +163,7 @@ class RelaxationModel:
             for gkey in gens_at[b.id]:
                 q_cols.append(vi[("Qg", gkey)])
                 q_coeffs.append(-1.0)
-            self.eq_rows.append((q_cols, q_coeffs, -b.q_load))
+            self.backend.add_eq_row(q_cols, q_coeffs, -b.q_load)
 
         # initial epigraph supports
         n_base = 0
@@ -193,35 +182,21 @@ class RelaxationModel:
             else:
                 supports = g.cost.segment_supports()
             for slope, intercept in supports:
-                self.base_rows[("base", n_base)] = (
-                    [t_i, p_i], [1.0, -slope], intercept)
+                self.backend.add_rows({("base", n_base): (
+                    [t_i, p_i], [1.0, -slope], intercept)})
                 n_base += 1
-
-        self._load_backend()
-
-    def _load_backend(self):
-        self.backend.load(self.objective, self.lower, self.upper, self.eq_rows)
-        self.backend.add_rows(self.base_rows)
-        if self.cut_rows:
-            self.backend.add_rows(self.cut_rows)
 
     # -- dynamic edits ----------------------------------------------------
 
     def extend_pairs(self, new_pairs):
-        """Add (c, s) variables for newly registered auxiliary pairs.
+        """Append (c, s) columns for newly registered auxiliary pairs.
 
-        Existing column indices are preserved; the backend is reloaded with
-        all active rows intact.
+        Existing column indices and every row of the LP are kept as they are.
         """
-        added = False
         for pair in sorted(new_pairs):
             pair = canonical_pair(*pair)
-            if ("c",) + pair in self.var_index:
-                continue
-            self._add_pair_vars(pair)
-            added = True
-        if added:
-            self._load_backend()
+            if ("c",) + pair not in self.var_index:
+                self._add_pair_vars(pair)
 
     def columns_for(self, terms: dict):
         """Map a symbolic coefficient map to (cols, coeffs); ModelError if unknown."""
@@ -238,17 +213,14 @@ class RelaxationModel:
         return all(key in self.var_index for key in terms)
 
     def add_cut_row(self, row_id, terms: dict, rhs: float):
-        if row_id in self.cut_rows:
+        if row_id in self.backend.rows:
             raise ModelError("duplicate cut row %r" % (row_id,))
         cols, coeffs = self.columns_for(terms)
-        row = (cols, coeffs, float(rhs))
-        self.cut_rows[row_id] = row
-        self.backend.add_rows({row_id: row})
+        self.backend.add_rows({row_id: (cols, coeffs, float(rhs))})
 
     def remove_cut_row(self, row_id):
-        if row_id not in self.cut_rows:
+        if row_id not in self.backend.rows:
             raise ModelError("unknown cut row %r" % (row_id,))
-        del self.cut_rows[row_id]
         self.backend.remove_rows([row_id])
 
     # -- solving and solution access --------------------------------------
@@ -288,15 +260,6 @@ class RelaxationModel:
         return HermitianMatrix(x)
 
 
-def build_m0(case: CaseData, adm=None, pairs=None, backend=None,
-             c_nonneg: bool = False, feasibility_tol: float = 1e-6) -> RelaxationModel:
+def build_m0(case: CaseData) -> RelaxationModel:
     """Build the base linearly constrained relaxation for a validated case."""
-    if pairs is None:
-        pairs = PairGraph.from_case(case)
-    if adm is None:
-        adm = {idx: branch_admittance(br)
-               for idx, br in enumerate(case.branches) if br.status}
-    if backend is None:
-        backend = ScipyHighsBackend(feasibility_tol=feasibility_tol,
-                                    optimality_tol=feasibility_tol)
-    return RelaxationModel(case, adm, pairs, backend, c_nonneg=c_nonneg)
+    return RelaxationModel(case)

@@ -1,3 +1,5 @@
+import pytest
+
 from opfcuts.cli import EXIT_DATA, EXIT_FAIL, EXIT_OK, main
 
 
@@ -41,3 +43,21 @@ def test_bad_cut_file(case14_path, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("garbage\n")
     assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("terms, rhs", [
+    ("[]", "0.0"),                        # no coefficients
+    ('[[["v2", 1], 0.0]]', "0.0"),        # all coefficients zero
+    ('[[["v2", 1], 1.0]]', "NaN"),
+    ('[[["v2", 1], 1.0]]', "Infinity"),
+    ('[[["v2", 1], NaN]]', "0.0"),
+    ('[[["v2", 1], -Infinity]]', "0.0"),
+], ids=["empty", "zero", "nan-rhs", "inf-rhs", "nan-coeff", "inf-coeff"])
+def test_malformed_cut_record_exits_2(case14_path, tmp_path, capsys,
+                                      terms, rhs):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"fmt": "cutpool", "v": 1}\n'
+                    '{"kind": "eigen", "support": [1], "terms": %s, '
+                    '"rhs": %s}\n' % (terms, rhs))
+    assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_DATA
+    assert "malformed cut record 1" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -10,8 +11,6 @@ from opfcuts.errors import ModelError
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(time_limit=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(stall_limit=0)
     with pytest.raises(ValueError):
         RunConfig(hierarchy_round=0)
     with pytest.raises(ValueError):
@@ -47,6 +46,20 @@ def test_best_bound_is_max_over_rounds(cold_report):
     for st in cold_report.rounds:
         if st.trusted:
             assert st.bound == pytest.approx(st.objective, abs=1e-5)
+
+
+def test_one_log_line_per_round(case14, caplog):
+    with caplog.at_level(logging.INFO, logger="opfcuts.driver"):
+        report = cutplane(case14, RunConfig(max_rounds=3))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "opfcuts.driver"]
+    assert len(lines) == report.num_rounds == 3
+    for st, line in zip(report.rounds, lines):
+        assert line.startswith("round %d: objective %.6f, bound %.6f, "
+                               "added %d, dropped %d, pool "
+                               % (st.index, st.objective, st.bound,
+                                  st.cuts_added, st.cuts_dropped))
+        assert "LP rows" in line
 
 
 def test_rounds_to_reach(cold_report):

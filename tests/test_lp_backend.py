@@ -5,10 +5,17 @@ from opfcuts.errors import LpBackendError
 from opfcuts.lp_backend import ScipyHighsBackend
 
 
-def _loaded(lower=0.0, upper=10.0):
+def _backend(objective, lower, upper, eq_rows=()):
     be = ScipyHighsBackend()
-    be.load([1.0], [lower], [upper], [])
+    for c, lo, up in zip(objective, lower, upper):
+        be.add_column(lo, up, c)
+    for row in eq_rows:
+        be.add_eq_row(*row)
     return be
+
+
+def _loaded(lower=0.0, upper=10.0):
+    return _backend([1.0], [lower], [upper])
 
 
 def test_minimize_with_single_row():
@@ -25,7 +32,9 @@ def test_tighten_then_relax():
     be = _loaded()
     be.add_rows({"r1": ([0], [1.0], 1.0)})
     be.add_rows({"r2": ([0], [1.0], 2.0)})
-    assert be.solve().objective == pytest.approx(2.0)
+    res = be.solve()
+    assert res.objective == pytest.approx(2.0)
+    assert res.row_slack == pytest.approx({"r1": 1.0, "r2": 0.0})
     be.remove_rows(["r2"])
     assert be.solve().objective == pytest.approx(1.0)
 
@@ -40,8 +49,8 @@ def test_infeasible():
 
 
 def test_equality_rows():
-    be = ScipyHighsBackend()
-    be.load([1.0, 1.0], [0.0, 0.0], [5.0, 5.0], [([0, 1], [1.0, 1.0], 3.0)])
+    be = _backend([1.0, 1.0], [0.0, 0.0], [5.0, 5.0],
+                  [([0, 1], [1.0, 1.0], 3.0)])
     res = be.solve()
     assert res.objective == pytest.approx(3.0)
 
@@ -53,7 +62,7 @@ def test_many_row_edits_idempotent():
     be.add_rows({rid: ([0], [1.0], 0.001 * i) for i, rid in enumerate(ids)})
     assert be.solve().objective == pytest.approx(0.999)
     be.remove_rows(ids)
-    assert be.row_ids == set()
+    assert be.rows == {}
     assert be.solve().objective == pytest.approx(base)
 
 
@@ -63,14 +72,9 @@ def test_unknown_row_id():
         be.remove_rows(["nope"])
 
 
-def test_solve_before_load():
-    with pytest.raises(LpBackendError):
-        ScipyHighsBackend().solve()
-
-
 def test_empty_model_rejected():
     with pytest.raises(LpBackendError):
-        ScipyHighsBackend().load([], [], [], [])
+        ScipyHighsBackend().solve()
 
 
 def test_deterministic_repeat():
@@ -80,8 +84,7 @@ def test_deterministic_repeat():
     lo, up = -np.ones(n), np.ones(n)
 
     def run():
-        be = ScipyHighsBackend()
-        be.load(c, lo, up, [(list(range(n)), [1.0] * n, 0.5)])
+        be = _backend(c, lo, up, [(list(range(n)), [1.0] * n, 0.5)])
         be.add_rows({"r%d" % i:
                      (list(range(n)), list(rng2.standard_normal(n)), -1.0)
                      for i, rng2 in ((j, np.random.default_rng(j))
@@ -98,9 +101,8 @@ def test_dual_bound_matches_objective_on_clean_lp():
     rng = np.random.default_rng(31)
     for _ in range(20):
         n = 8
-        be = ScipyHighsBackend()
-        be.load(rng.standard_normal(n), -np.ones(n), np.ones(n),
-                [(list(range(n)), list(rng.standard_normal(n)), 0.1)])
+        be = _backend(rng.standard_normal(n), -np.ones(n), np.ones(n),
+                      [(list(range(n)), list(rng.standard_normal(n)), 0.1)])
         be.add_rows({"r": (list(range(n)), list(rng.standard_normal(n)), -2.0)})
         res = be.solve()
         if res.status != "optimal":
@@ -112,9 +114,8 @@ def test_dual_bound_matches_objective_on_clean_lp():
 
 def test_dual_bound_with_free_variable():
     """Free columns with nonzero reduced cost lower the certificate safely."""
-    be = ScipyHighsBackend()
-    be.load([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
-            [([1], [1.0], 0.0)])
+    be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
+                  [([1], [1.0], 0.0)])
     be.add_rows({"r": ([0], [1.0], 2.0)})
     res = be.solve()
     assert res.status == "optimal"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opfcuts.case_io import Branch, Bus, CaseData, CostFunction, Generator, parse_case
+from opfcuts.driver import RunConfig, cutplane
 from opfcuts.errors import ModelError
 from opfcuts.network import branch_admittance, canonical_pair
 from opfcuts.relaxation import build_m0
@@ -48,7 +49,7 @@ def test_zero_load_zero_cost():
 
 
 def _solved_with(model, values):
-    model._solution = np.zeros(len(model.lower))
+    model._solution = np.zeros(len(model.backend.objective))
     for key, val in values.items():
         model._solution[model.var_index[key]] = val
     return model
@@ -186,27 +187,35 @@ def test_m0_soundness_random_grids():
     rng = np.random.default_rng(12)
     for _ in range(25):
         model, vals = _random_case_and_point(rng, int(rng.integers(2, 5)))
-        x = np.zeros(len(model.lower))
+        lp = model.backend
+        x = np.zeros(len(lp.objective))
         for key, val in vals.items():
             x[model.var_index[key]] = val
-        for cols, coeffs, rhs in model.eq_rows:
+        for cols, coeffs, rhs in lp.eq_rows:
             resid = sum(w * x[j] for j, w in zip(cols, coeffs)) - rhs
             assert abs(resid) < 1e-9
         for key, idx in model.var_index.items():
-            assert model.lower[idx] - 1e-9 <= x[idx] <= model.upper[idx] + 1e-9
-        for cols, coeffs, rhs in model.base_rows.values():
+            assert lp.lower[idx] - 1e-9 <= x[idx] <= lp.upper[idx] + 1e-9
+        assert lp.rows  # the cost epigraph supports
+        for cols, coeffs, rhs in lp.rows.values():
             assert sum(w * x[j] for j, w in zip(cols, coeffs)) >= rhs - 1e-9
 
 
 def test_extend_pairs_preserves_columns(case14):
     model = build_m0(case14)
     before = dict(model.var_index)
+    # t is minimized and only bounded below, so this row binds at the optimum
+    t_key = ("t", model.gen_keys[0])
+    model.add_cut_row("r1", {t_key: 1.0}, 100.0)
     model.extend_pairs([(4, 6), (6, 9)])
     for key, idx in before.items():
         assert model.var_index[key] == idx
     assert ("c", 4, 6) in model.var_index
+    assert "r1" in model.backend.rows
     res = model.solve()
     assert res.status == "optimal"
+    assert res.row_slack["r1"] == pytest.approx(0.0, abs=1e-9)
+    assert model.value(t_key) == pytest.approx(100.0)
 
 
 def test_add_remove_cut_row(case14):
@@ -220,3 +229,19 @@ def test_add_remove_cut_row(case14):
     assert again == pytest.approx(base, abs=1e-6)
     with pytest.raises(ModelError):
         model.remove_cut_row("r1")
+
+
+def test_row_slack_matches_cut_violation(case14):
+    """The LP's row slack, normalized, is the cut's own slack at the primal."""
+    pool = cutplane(case14, RunConfig(max_rounds=4)).pool
+    model = build_m0(case14)
+    cuts = [c for c in pool.active() if model.has_variables(c.terms)]
+    assert cuts
+    for cut in cuts:
+        model.add_cut_row(cut.content_hash, cut.terms, cut.rhs)
+    res = model.solve()
+    assert res.status == "optimal"
+    for cut in cuts:
+        values = {k: model.value(k) for k in cut.terms}
+        assert res.row_slack[cut.content_hash] / cut.inf_norm \
+            == pytest.approx(-cut.normalized_violation(values), abs=1e-9)
