@@ -2,11 +2,11 @@
 
 Each round solves the LP master, separates Jabr / limit / cost tangents and
 clique PSD cuts, admits and ages cuts, and tracks a stall counter on relative
-objective improvement.  After the hierarchy round the clique set is augmented once with
-chordal cliques.  Every
-round's LP optimum is a valid ACOPF lower bound, so the best bound is the
-maximum over rounds (dropping cuts can make the per-round objective
-non-monotone).
+objective improvement.  After the hierarchy round the clique set is augmented
+once with chordal cliques.  Each round is credited the bound the LP backend
+certifies from its duals (-inf when it certifies none; the LP objective is
+never credited), so the best bound is the maximum over rounds (dropping cuts
+can make the per-round objective non-monotone).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .case_io import CaseData
 from .cut_manager import CutPool, admit, age_and_drop
 from .errors import ModelError
 from .hermitian import eigen
-from .lp_backend import FEASIBILITY_TOL
 from .network import chordal_cliques, enumerate_three_cycles
 from .relaxation import build_m0
 
@@ -57,7 +56,6 @@ class RoundStats:
     cuts_added: int
     cuts_dropped: int
     wall_time: float
-    trusted: bool = True     # primal verified feasible
     bound: float = -math.inf  # certified lower bound credited to this round
 
 
@@ -72,7 +70,6 @@ class RunReport:
     dual_inf: float | None = None
     termination: str = ""
     total_time: float = 0.0
-    active_cuts: int = 0
     warm_started: bool = False
     pool: CutPool | None = None
 
@@ -81,9 +78,9 @@ class RunReport:
         return len(self.rounds)
 
     def rounds_to_reach(self, bound: float):
-        """1-based round index whose objective first reaches `bound`, or None."""
+        """1-based round index whose certified bound first reaches `bound`."""
         for st in self.rounds:
-            if st.objective >= bound:
+            if st.bound >= bound:
                 return st.index + 1
         return None
 
@@ -124,18 +121,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             break
         z = res.objective
         round_idx = len(report.rounds)
-        trusted = res.primal_residual <= 10.0 * FEASIBILITY_TOL
-        # the primal objective of a mis-solved LP can overshoot the true
-        # minimum, so the round is credited with the certified dual bound
-        if res.dual_infeasibility is not None and math.isfinite(res.dual_bound) \
-                and res.dual_infeasibility <= 10.0 * FEASIBILITY_TOL:
-            bound = res.dual_bound
-        else:
-            bound = z if trusted else -math.inf
+        # the backend decides what the round proves; z is never a bound
         stats = RoundStats(
             index=round_idx, objective=z, cuts_added=0, cuts_dropped=0,
-            wall_time=time.perf_counter() - t_start, trusted=trusted,
-            bound=bound)
+            wall_time=time.perf_counter() - t_start, bound=res.dual_bound)
         report.rounds.append(stats)
 
         if time.perf_counter() - t_start >= config.time_limit:
@@ -146,10 +135,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
                 and round_idx + 1 >= config.max_rounds:
             termination = "rounds"
         if termination is not None:
-            _log_round(stats, pool, model)
+            _log_round(stats, res, pool, model)
             break
 
-        candidates = _separate(model, cliques, round_idx)
+        candidates = _separate(model, cliques)
         admitted = admit(pool, candidates)
         for cut in admitted:
             model.add_cut_row(cut.content_hash, cut.terms, cut.rhs)
@@ -164,7 +153,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         stats.cuts_added = len(admitted)
         stats.cuts_dropped = len(dropped)
-        _log_round(stats, pool, model)
+        _log_round(stats, res, pool, model)
 
         just_escalated = False
         if not escalated and round_idx + 1 >= config.hierarchy_round:
@@ -187,7 +176,6 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     report.best_bound = max((st.bound for st in report.rounds),
                             default=-math.inf)
     report.total_time = time.perf_counter() - t_start
-    report.active_cuts = len(pool)
     report.final_clique_counts = cliques.sizes()
     report.dual_inf = model.last_result.dual_infeasibility \
         if model.last_result else None
@@ -196,14 +184,16 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     return report
 
 
-def _log_round(stats: RoundStats, pool: CutPool, model):
-    log.info("round %d: objective %.6f, bound %.6f, added %d, dropped %d, "
-             "pool %d, LP rows %d", stats.index, stats.objective, stats.bound,
-             stats.cuts_added, stats.cuts_dropped, len(pool),
+def _log_round(stats: RoundStats, res, pool: CutPool, model):
+    log.info("round %d: objective %.6f, bound %.6f, dual_inf %.2e, "
+             "residual %.2e, added %d, dropped %d, pool %d, LP rows %d",
+             stats.index, stats.objective, stats.bound,
+             res.dual_infeasibility, res.primal_residual, stats.cuts_added,
+             stats.cuts_dropped, len(pool),
              len(model.backend.eq_rows) + len(model.backend.rows))
 
 
-def _separate(model, cliques, round_idx: int):
+def _separate(model, cliques):
     case = model.case
     candidates = []
 
@@ -213,8 +203,7 @@ def _separate(model, cliques, round_idx: int):
             continue
         cut = separation.jabr_cut(
             model.value(("v2", pair[0])), model.value(("v2", pair[1])),
-            model.value(ckey), model.value(("s",) + pair), pair,
-            birth_round=round_idx)
+            model.value(ckey), model.value(("s",) + pair), pair)
         if cut is not None:
             candidates.append(cut)
 
@@ -225,7 +214,7 @@ def _separate(model, cliques, round_idx: int):
         for d in ("f", "t"):
             cut = separation.limit_cut(
                 model.value(("P", bkey, d)), model.value(("Q", bkey, d)),
-                u, (bkey, d), birth_round=round_idx)
+                u, (bkey, d))
             if cut is not None:
                 candidates.append(cut)
 
@@ -233,22 +222,20 @@ def _separate(model, cliques, round_idx: int):
         gen = case.generators[idx]
         cut = separation.cost_cut(
             model.value(("Pg", gkey)), model.value(("t", gkey)),
-            gen, gkey, birth_round=round_idx)
+            gen, gkey)
         if cut is not None:
             candidates.append(cut)
 
     for clique in cliques.cliques:
         x0 = model.clique_matrix(clique)
         dec = eigen(x0)
-        cut = separation.eigen_cut(x0, clique, birth_round=round_idx,
-                                   decomposition=dec)
+        cut = separation.eigen_cut(x0, clique, decomposition=dec)
         if cut is not None:
             candidates.append(cut)
         neg = sum(1 for lam in dec.eigenvalues
                   if lam < -separation.PSD_TOL * max(1.0, x0.trace()))
         if neg == 2:  # single-negative case is collinear with the eigen-cut
-            pcut = separation.projection_cut(x0, clique, birth_round=round_idx,
-                                             decomposition=dec)
+            pcut = separation.projection_cut(x0, clique, decomposition=dec)
             if pcut is not None:
                 candidates.append(pcut)
     return candidates
@@ -259,10 +246,7 @@ def _final_eig_ratio(model, cliques) -> float:
     if model.last_result is None or model.last_result.primal is None:
         return ratio
     for clique in cliques.cliques:
-        try:
-            dec = eigen(model.clique_matrix(clique))
-        except ModelError:
-            continue
+        dec = eigen(model.clique_matrix(clique))
         l1 = dec.eigenvalues[0]
         l2 = max(dec.eigenvalues[1], EIG_RATIO_FLOOR)
         ratio = min(ratio, l1 / l2)
@@ -283,7 +267,7 @@ def _report_row(r: RunReport):
         "%.2e" % r.dual_inf if r.dual_inf is not None else "-",
         "%.1f" % r.eig_ratio if math.isfinite(r.eig_ratio) else "inf",
         "%.2f" % r.total_time,
-        str(r.active_cuts),
+        str(len(r.pool)),
         r.termination,
     )
 

@@ -22,11 +22,7 @@ class ModelError(OpfCutsError):
 
 
 class LpBackendError(OpfCutsError):
-    """Raised when the LP backend fails; carries the backend's own code."""
-
-    def __init__(self, message, backend_code=None):
-        super().__init__(message)
-        self.backend_code = backend_code
+    """Raised when the LP backend fails."""
 
 
 class CutFileError(OpfCutsError):

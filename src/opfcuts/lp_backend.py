@@ -5,6 +5,11 @@ the equality rows in build order, and the `>=` rows keyed by row id.  The
 relaxation model writes into it and never keeps a copy.  Each solve hands
 HiGHS the rows in a fixed order (equalities as built, `>=` rows sorted by
 the `repr` of their id), so a solve is deterministic given the rows.
+
+The backend alone decides what a solve proves: `LpSolveResult.dual_bound`
+is the weak-duality bound of the returned multipliers, or -inf when they
+need a reduced-cost repair above `CERTIFY_TOL`.  The primal objective and
+the primal residual are reported but never certify anything.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from scipy.sparse import csr_matrix
 from .errors import LpBackendError
 
 FEASIBILITY_TOL = 1e-6   # HiGHS primal and dual feasibility tolerance
+CERTIFY_TOL = 10.0 * FEASIBILITY_TOL  # largest reduced-cost repair credited
 
 
 @dataclass
@@ -27,7 +33,7 @@ class LpSolveResult:
     primal: np.ndarray | None
     dual_infeasibility: float | None
     primal_residual: float = 0.0  # worst row/bound violation of the primal
-    dual_bound: float = -np.inf   # certified lower bound from the duals
+    dual_bound: float = -np.inf   # certified lower bound, or -inf for none
     row_slack: dict = field(default_factory=dict)  # >= row id -> a.x - b
 
 
@@ -105,16 +111,15 @@ class ScipyHighsBackend:
         status = {0: "optimal", 1: "limit", 2: "infeasible",
                   3: "unbounded"}.get(res.status)
         if status is None:
-            raise LpBackendError("HiGHS error: %s" % res.message,
-                                 backend_code=res.status)
+            raise LpBackendError("HiGHS error: %s" % res.message)
         primal = np.asarray(res.x) if res.x is not None else None
         dual_bound, dual_inf = _safe_dual_bound(
             res, objective, lower, upper, a_ub, b_ub, a_eq, b_eq)
         residual = 0.0
         row_slack = {}
         if primal is not None:
-            # trust-but-verify: on ill-conditioned instances HiGHS can report
-            # an infeasible point as optimal, which would fake a bound
+            # observed only: on ill-conditioned instances HiGHS can report
+            # an infeasible point as optimal; the bound never rests on it
             if a_eq is not None:
                 residual = float(np.abs(a_eq @ primal - b_eq).max())
             if a_ub is not None:
@@ -138,12 +143,13 @@ def _safe_dual_bound(res, objective, lower, upper, a_ub, b_ub, a_eq, b_eq):
     """Lower bound certified by the returned duals, and the repair size.
 
     HiGHS can declare an ill-conditioned LP optimal while its primal
-    objective exceeds the true minimum, so the primal value alone is not
-    a safe bound.  Weak duality rescues the round: for any y_ub <= 0 the
+    objective exceeds the true minimum, so the primal value is never a
+    bound.  Weak duality rescues the round: for any y_ub <= 0 the
     Lagrangian bound  y'b + sum_j min_{l_j <= x_j <= u_j} rc_j x_j  is
     valid, where rc = c - A' y.  Reduced costs on unbounded coordinates
-    cannot be absorbed and are clipped, with their magnitude reported as
-    the dual infeasibility.
+    cannot be absorbed and are clipped; their magnitude is the dual
+    infeasibility.  A repair above `CERTIFY_TOL` certifies nothing, and
+    the bound is -inf.
     """
     if res.status != 0:
         return -np.inf, None
@@ -165,5 +171,7 @@ def _safe_dual_bound(res, objective, lower, upper, a_ub, b_ub, a_eq, b_eq):
                              rc[neg] * upper[neg], np.nan)
     clipped = np.isnan(absorbed)
     dual_inf = float(np.abs(rc[clipped]).max()) if clipped.any() else 0.0
+    if dual_inf > CERTIFY_TOL:
+        return -np.inf, dual_inf
     absorbed[clipped] = 0.0
     return bound + float(absorbed.sum()), dual_inf

@@ -101,7 +101,6 @@ def canonical_pair(a: int, b: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class CliqueSet:
     cliques: tuple[tuple[int, ...], ...]
-    origins: tuple[str, ...]  # "three_cycle" | "chordal", aligned with cliques
 
     def sizes(self):
         """Counts of 3-, 4-, 5-cliques as a tuple (n3, n4, n5)."""
@@ -112,15 +111,7 @@ class CliqueSet:
         return (n[3], n[4], n[5])
 
     def merged_with(self, other: "CliqueSet") -> "CliqueSet":
-        seen = set(self.cliques)
-        cliques = list(self.cliques)
-        origins = list(self.origins)
-        for c, o in zip(other.cliques, other.origins):
-            if c not in seen:
-                seen.add(c)
-                cliques.append(c)
-                origins.append(o)
-        return CliqueSet(tuple(cliques), tuple(origins))
+        return CliqueSet(tuple(dict.fromkeys(self.cliques + other.cliques)))
 
 
 def enumerate_three_cycles(g: PairGraph) -> CliqueSet:
@@ -132,7 +123,7 @@ def enumerate_three_cycles(g: PairGraph) -> CliqueSet:
             if c > b:
                 triangles.append((a, b, c))
     triangles.sort()
-    return CliqueSet(tuple(triangles), ("three_cycle",) * len(triangles))
+    return CliqueSet(tuple(triangles))
 
 
 def _min_degree_fill(adj: dict[int, set[int]]):
@@ -227,4 +218,4 @@ def chordal_cliques(g: PairGraph, max_size: int) -> CliqueSet:
         else:
             cliques.extend(_greedy_edge_cover(c, max_size))
     cliques = sorted(set(cliques))
-    return CliqueSet(tuple(cliques), ("chordal",) * len(cliques))
+    return CliqueSet(tuple(cliques))

@@ -33,7 +33,6 @@ class LinearCut:
     rhs: float
     kind: str                # eigen | projection | jabr | limit | cost_tangent
     provenance: tuple        # clique / pair / branch / generator identifier
-    birth_round: int = 0
     violation_at_birth: float = 0.0
     age: int = 0
     _hash: int | None = field(default=None, repr=False)
@@ -91,9 +90,8 @@ def _matrix_cut_terms(a: np.ndarray, clique) -> dict:
     return terms
 
 
-def eigen_cut(x0: HermitianMatrix, clique, birth_round: int = 0,
-              tol: float = PSD_TOL, density_cap: int = DENSITY_CAP,
-              decomposition=None):
+def eigen_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
+              density_cap: int = DENSITY_CAP, decomposition=None):
     """Most-negative-eigenvector cut; None when x0 is PSD within tolerance."""
     dec = decomposition if decomposition is not None else eigen(x0)
     lam_min = dec.eigenvalues[-1]
@@ -105,13 +103,13 @@ def eigen_cut(x0: HermitianMatrix, clique, birth_round: int = 0,
     if len(terms) > density_cap:
         return None
     return LinearCut(terms=terms, rhs=0.0, kind="eigen",
-                     provenance=tuple(clique), birth_round=birth_round,
+                     provenance=tuple(clique),
                      violation_at_birth=float(-lam_min))
 
 
-def projection_cut(x0: HermitianMatrix, clique, birth_round: int = 0,
-                   tol: float = PSD_TOL, density_cap: int = DENSITY_CAP,
-                   max_negative: int = 2, decomposition=None):
+def projection_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
+                   density_cap: int = DENSITY_CAP, max_negative: int = 2,
+                   decomposition=None):
     """Maximum-distance cut from the PSD projection of x0.
 
     Emitted when the negative eigenvalue count is between 1 and
@@ -132,17 +130,16 @@ def projection_cut(x0: HermitianMatrix, clique, birth_round: int = 0,
         return None
     violation = float(sum(lam * lam for lam, _ in neg))
     return LinearCut(terms=terms, rhs=0.0, kind="projection",
-                     provenance=tuple(clique), birth_round=birth_round,
-                     violation_at_birth=violation)
+                     provenance=tuple(clique), violation_at_birth=violation)
 
 
 def jabr_cut(v2_k: float, v2_m: float, c: float, s: float, pair,
-             birth_round: int = 0, tol: float = PSD_TOL):
+             tol: float = PSD_TOL):
     """Eigen-cut of the 2x2 pair matrix; separates c^2 + s^2 <= v2_k v2_m."""
     pair = canonical_pair(*pair)
     x0 = HermitianMatrix(np.array([[v2_k, c + 1j * s],
                                    [c - 1j * s, v2_m]]))
-    cut = eigen_cut(x0, pair, birth_round=birth_round, tol=tol)
+    cut = eigen_cut(x0, pair, tol=tol)
     if cut is None:
         return None
     cut.kind = "jabr"
@@ -151,7 +148,7 @@ def jabr_cut(v2_k: float, v2_m: float, c: float, s: float, pair,
 
 
 def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir,
-              birth_round: int = 0, tol: float = 1e-8):
+              tol: float = 1e-8):
     """Tangent to the thermal circle at the projection of (p_hat, q_hat)."""
     if not math.isfinite(u):
         raise ValueError("limit_cut needs a finite thermal limit")
@@ -163,12 +160,10 @@ def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir,
     terms = {("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat}
     violation = (norm - u)  # euclidean excess beyond the circle
     return LinearCut(terms=terms, rhs=-u * norm, kind="limit",
-                     provenance=(bkey, d), birth_round=birth_round,
-                     violation_at_birth=violation)
+                     provenance=(bkey, d), violation_at_birth=violation)
 
 
-def cost_cut(p_hat: float, t_hat: float, gen, gkey, birth_round: int = 0,
-             tol: float = 1e-9):
+def cost_cut(p_hat: float, t_hat: float, gen, gkey, tol: float = 1e-9):
     """Epigraph tangent for a quadratic cost; None for linear/pwl costs."""
     cost = gen.cost
     if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
@@ -179,5 +174,4 @@ def cost_cut(p_hat: float, t_hat: float, gen, gkey, birth_round: int = 0,
     slope = cost.derivative(p_hat)
     terms = {("t", gkey): 1.0, ("Pg", gkey): -slope}
     return LinearCut(terms=terms, rhs=f - slope * p_hat, kind="cost_tangent",
-                     provenance=(gkey,), birth_round=birth_round,
-                     violation_at_birth=f - t_hat)
+                     provenance=(gkey,), violation_at_birth=f - t_hat)

@@ -53,13 +53,13 @@ def _random_complex(rng, n: int, rank: int) -> np.ndarray:
     return (u * sigma) @ v.conj().T
 
 
-def check_psd_transfer(trials: int = DEFAULT_TRIALS, dim: int | None = None,
-                   seed: int = 0) -> TheoryCheckResult:
+def check_psd_transfer(trials: int = DEFAULT_TRIALS,
+                       seed: int = 0) -> TheoryCheckResult:
     """PSD W of order 2n maps to a PSD X^W of order n."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        n = dim if dim is not None else int(rng.integers(2, 7))
+        n = int(rng.integers(2, 7))
         w = _random_psd(rng, 2 * n)
         x = w_to_x(w)
         lam_min = eigen(x).eigenvalues[-1]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from opfcuts import lp_backend
 from opfcuts.errors import LpBackendError
-from opfcuts.lp_backend import ScipyHighsBackend
+from opfcuts.lp_backend import CERTIFY_TOL, ScipyHighsBackend
 
 
 def _backend(objective, lower, upper, eq_rows=()):
@@ -120,3 +121,27 @@ def test_dual_bound_with_free_variable():
     res = be.solve()
     assert res.status == "optimal"
     assert res.dual_bound <= res.objective + 1e-9
+
+
+@pytest.mark.parametrize("shift", [1e-6, 1e-3])
+def test_dual_bound_certified_only_within_tolerance(monkeypatch, shift):
+    """A reduced-cost repair above CERTIFY_TOL certifies no bound."""
+    def shifted(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.eqlin.marginals = res.eqlin.marginals + shift
+        return res
+
+    linprog = lp_backend.linprog
+    monkeypatch.setattr(lp_backend, "linprog", shifted)
+    # the free column absorbs no reduced cost, so the shift is clipped
+    be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
+                  [([1], [1.0], 0.0)])
+    be.add_rows({"r": ([0], [1.0], 2.0)})
+    res = be.solve()
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(2.0)
+    assert res.dual_infeasibility == pytest.approx(shift)
+    if shift <= CERTIFY_TOL:
+        assert res.dual_bound == pytest.approx(2.0, abs=1e-5)
+    else:
+        assert res.dual_bound == -np.inf
