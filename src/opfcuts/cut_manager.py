@@ -33,7 +33,8 @@ class CutPool:
 
 
 def _cosine(a: LinearCut, b: LinearCut) -> float:
-    keys = set(a.terms) | set(b.terms)
+    # a fixed summation order: set order varies with PYTHONHASHSEED
+    keys = sorted(a.terms.keys() | b.terms.keys(), key=repr)
     dot = na = nb = 0.0
     for k in keys:
         x = a.terms.get(k, 0.0)
@@ -133,7 +134,8 @@ def save_cuts(pool: CutPool, stream):
 def load_cuts(stream, model) -> tuple[CutPool, int]:
     """Read a cut file; returns (pool, skipped count).
 
-    Cuts referencing variables absent from `model` are skipped; ages reset.
+    Cuts naming a variable `model` neither has nor can add (see
+    `RelaxationModel.has_variables`) are skipped; ages reset.
     """
     pool = CutPool()
     skipped = 0

@@ -2,11 +2,12 @@
 
 Each round solves the LP master, separates Jabr / limit / cost tangents and
 clique PSD cuts, admits and ages cuts, and tracks a stall counter on relative
-objective improvement.  After the hierarchy round the clique set is augmented
-once with chordal cliques.  Each round is credited the bound the LP backend
-certifies from its duals (-inf when it certifies none; the LP objective is
-never credited), so the best bound is the maximum over rounds (dropping cuts
-can make the per-round objective non-monotone).
+objective improvement.  The clique set is augmented once with chordal
+cliques, after the first round that admits no cut or the hierarchy round;
+a later round that admits nothing ends the run.  Each round is credited the
+bound the LP backend certifies from its duals (-inf when it certifies none;
+the LP objective is never credited), so the best bound is the maximum over
+rounds (dropping cuts can make the per-round objective non-monotone).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ IMPROVE_TOL = 1e-5    # relative objective improvement
 @dataclass
 class RunConfig:
     time_limit: float = 1200.0
-    hierarchy_round: int = 5        # round after which cliques escalate
+    hierarchy_round: int = 5        # latest round after which cliques escalate
     max_clique_size: int = 5
     max_rounds: int | None = None
 
@@ -99,8 +100,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
                        clique_counts=cliques.sizes())
     if warm is not None:
         for h, cut in sorted(warm.cuts.items()):
-            if h in pool.cuts or not model.has_variables(cut.terms):
+            if not model.has_variables(cut.terms):
                 continue
+            model.extend_pairs({key[1:] for key in cut.terms
+                                if key[0] in ("c", "s")})
             # a copy, so aging in this run never touches the caller's pool
             pool.cuts[h] = replace(cut, age=0)
             model.add_cut_row(h, cut.terms, cut.rhs)
@@ -155,15 +158,15 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         stats.cuts_dropped = len(dropped)
         _log_round(stats, res, pool, model)
 
-        just_escalated = False
-        if not escalated and round_idx + 1 >= config.hierarchy_round:
+        if not escalated and (not admitted
+                              or round_idx + 1 >= config.hierarchy_round):
             extra = chordal_cliques(model.pairs, config.max_clique_size)
-            model.extend_pairs(model.pairs.auxiliary_pairs)
+            # the pairs of the chordal cliques are the edges plus the fill
+            model.extend_pairs({(a, b) for c in extra.cliques
+                                for i, a in enumerate(c) for b in c[i + 1:]})
             cliques = cliques.merged_with(extra)
             escalated = True
-            just_escalated = True
-
-        if not admitted and not just_escalated and escalated:
+        elif not admitted:
             termination = "no_cuts"
             break
 
@@ -197,13 +200,10 @@ def _separate(model, cliques):
     case = model.case
     candidates = []
 
-    for pair in model.pairs.all_pairs():
-        ckey = ("c",) + pair
-        if ckey not in model.var_index:
-            continue
+    for pair in model.cs_pairs():
         cut = separation.jabr_cut(
             model.value(("v2", pair[0])), model.value(("v2", pair[1])),
-            model.value(ckey), model.value(("s",) + pair), pair)
+            model.value(("c",) + pair), model.value(("s",) + pair), pair)
         if cut is not None:
             candidates.append(cut)
 
@@ -232,8 +232,7 @@ def _separate(model, cliques):
         cut = separation.eigen_cut(x0, clique, decomposition=dec)
         if cut is not None:
             candidates.append(cut)
-        neg = sum(1 for lam in dec.eigenvalues
-                  if lam < -separation.PSD_TOL * max(1.0, x0.trace()))
+        neg = len(dec.negative_pairs(x0.psd_cutoff(separation.PSD_TOL)))
         if neg == 2:  # single-negative case is collinear with the eigen-cut
             pcut = separation.projection_cut(x0, clique, decomposition=dec)
             if pcut is not None:

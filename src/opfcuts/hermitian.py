@@ -39,6 +39,10 @@ class HermitianMatrix:
     def fro_norm(self) -> float:
         return float(np.linalg.norm(self.mat))
 
+    def psd_cutoff(self, tol: float) -> float:
+        """Eigenvalues below -tol * max(1, trace) count as negative."""
+        return -tol * max(1.0, self.trace())
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -77,13 +81,12 @@ def eigen(x: HermitianMatrix) -> EigenDecomposition:
 def psd_status(x: HermitianMatrix, tol: float):
     """('psd', []) or ('indefinite', [(lambda, q), ...]) per Lemma-style test.
 
-    PSD iff lambda_min >= -tol * max(1, trace).
+    PSD iff lambda_min >= x.psd_cutoff(tol).
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     dec = eigen(x)
-    cutoff = -tol * max(1.0, x.trace())
-    neg = dec.negative_pairs(cutoff)
+    neg = dec.negative_pairs(x.psd_cutoff(tol))
     if neg:
         return "indefinite", neg
     return "psd", []

@@ -1,14 +1,14 @@
 """Branch admittances, the bus-pair graph, 3-cycles, and chordal cliques.
 
 The pair graph collapses parallel branches onto one canonical (low, high)
-edge; chords introduced by the chordal extension are registered as auxiliary
-pairs so the relaxation can give them (c, s) variables.
+edge.  It is never modified: the chordal extension only returns cliques, and
+the relaxation gives their chord pairs (c, s) variables.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .case_io import Branch, CaseData
 from .errors import SingularBranchError
@@ -58,7 +58,6 @@ class PairGraph:
 
     vertices: tuple[int, ...]
     pair_branches: dict[tuple[int, int], list[int]]  # pair -> branch indices
-    auxiliary_pairs: set[tuple[int, int]] = field(default_factory=set)
 
     @classmethod
     def from_case(cls, case: CaseData) -> "PairGraph":
@@ -75,21 +74,12 @@ class PairGraph:
     def edges(self):
         return sorted(self.pair_branches)
 
-    def all_pairs(self):
-        """Edges plus registered auxiliary (chord) pairs, sorted."""
-        return sorted(set(self.pair_branches) | self.auxiliary_pairs)
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for (a, b) in self.pair_branches:
             adj[a].add(b)
             adj[b].add(a)
         return adj
-
-    def register_auxiliary(self, pair: tuple[int, int]):
-        pair = canonical_pair(*pair)
-        if pair not in self.pair_branches:
-            self.auxiliary_pairs.add(pair)
 
 
 def canonical_pair(a: int, b: int) -> tuple[int, int]:
@@ -127,13 +117,12 @@ def enumerate_three_cycles(g: PairGraph) -> CliqueSet:
 
 
 def _min_degree_fill(adj: dict[int, set[int]]):
-    """Minimum-degree elimination; returns (ordering, fill edges, clique per vertex).
+    """Minimum-degree elimination; returns (ordering, clique per vertex).
 
     Ties break on lowest vertex id for determinism.
     """
     work = {v: set(nbrs) for v, nbrs in adj.items()}
     order = []
-    fill = set()
     elim_clique = {}
     remaining = set(work)
     while remaining:
@@ -142,16 +131,15 @@ def _min_degree_fill(adj: dict[int, set[int]]):
         elim_clique[v] = frozenset({v} | nbrs)
         for a in nbrs:
             for b in nbrs:
-                if a < b and b not in work[a]:
+                if a < b and b not in work[a]:  # a fill-in edge
                     work[a].add(b)
                     work[b].add(a)
-                    fill.add((a, b))
         for a in nbrs:
             work[a].discard(v)
         del work[v]
         remaining.discard(v)
         order.append(v)
-    return order, fill, elim_clique
+    return order, elim_clique
 
 
 def _maximal_cliques(order, elim_clique):
@@ -200,15 +188,13 @@ def _greedy_edge_cover(clique, max_size):
 def chordal_cliques(g: PairGraph, max_size: int) -> CliqueSet:
     """Cliques of a minimum-degree chordal extension, capped at `max_size`.
 
-    Fill-in pairs are registered on `g` as auxiliary pairs.  Maximal cliques
-    larger than max_size are replaced by a greedy family of size-max_size
-    subsets covering every pair of the big clique.
+    `g` is not modified.  Maximal cliques larger than max_size are replaced
+    by a greedy family of size-max_size subsets covering every pair of the
+    big clique, so every fill-in pair lies in some returned clique.
     """
     if max_size not in (3, 4, 5):
         raise ValueError("max_size must be 3, 4 or 5")
-    order, fill, elim_clique = _min_degree_fill(g.adjacency())
-    for pair in sorted(fill):
-        g.register_auxiliary(pair)
+    order, elim_clique = _min_degree_fill(g.adjacency())
     cliques = []
     for c in _maximal_cliques(order, elim_clique):
         if len(c) < 3:

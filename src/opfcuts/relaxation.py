@@ -17,9 +17,10 @@ linear flow-definition and balance equalities, and the initial cost epigraph
 supports; everything nonlinear is enforced by dynamically separated cuts.
 
 `RelaxationModel` keeps only the symbolic maps (`var_index`, `branch_keys`,
-`gen_keys`) and the pair graph.  Every column and row it builds, and every
-cut row it adds or removes, is written straight into its
-`ScipyHighsBackend`, which is the only holder of the LP.
+`gen_keys`) and the branch pair graph.  Every column and row it builds, and
+every cut row it adds or removes, is written straight into its
+`ScipyHighsBackend`, which is the only holder of the LP.  The (c, s) columns
+are the one record of which bus pairs exist; `extend_pairs` adds to them.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class RelaxationModel:
 
         for b in case.buses:
             self._add_var(("v2", b.id), b.v_min ** 2, b.v_max ** 2)
-        for pair in self.pairs.all_pairs():
+        for pair in self.pairs.edges:
             self._add_pair_vars(pair)
 
         par_count: dict[tuple, int] = {}
@@ -189,7 +190,7 @@ class RelaxationModel:
     # -- dynamic edits ----------------------------------------------------
 
     def extend_pairs(self, new_pairs):
-        """Append (c, s) columns for newly registered auxiliary pairs.
+        """Append (c, s) columns, in sorted order, for pairs not yet present.
 
         Existing column indices and every row of the LP are kept as they are.
         """
@@ -209,8 +210,17 @@ class RelaxationModel:
             coeffs.append(float(w))
         return cols, coeffs
 
+    def cs_pairs(self):
+        """Every pair with (c, s) columns, sorted."""
+        return sorted(key[1:] for key in self.var_index if key[0] == "c")
+
     def has_variables(self, terms: dict) -> bool:
-        return all(key in self.var_index for key in terms)
+        """Every key is a column or a canonical (c|s, a, b) pair of buses."""
+        bus = self.case.bus_by_id()
+        return all(key in self.var_index or (
+            isinstance(key, tuple) and len(key) == 3 and key[0] in ("c", "s")
+            and key[1] in bus and key[2] in bus and key[1] < key[2])
+            for key in terms)
 
     def add_cut_row(self, row_id, terms: dict, rhs: float):
         if row_id in self.backend.rows:

@@ -95,7 +95,7 @@ def eigen_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
     """Most-negative-eigenvector cut; None when x0 is PSD within tolerance."""
     dec = decomposition if decomposition is not None else eigen(x0)
     lam_min = dec.eigenvalues[-1]
-    if lam_min >= -tol * max(1.0, x0.trace()):
+    if lam_min >= x0.psd_cutoff(tol):
         return None
     q = dec.eigenvectors[:, -1]
     a = np.outer(q, q.conj())
@@ -117,9 +117,7 @@ def projection_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
     with the eigen-cut.
     """
     dec = decomposition if decomposition is not None else eigen(x0)
-    cutoff = -tol * max(1.0, x0.trace())
-    neg = [(lam, dec.eigenvectors[:, i])
-           for i, lam in enumerate(dec.eigenvalues) if lam < cutoff]
+    neg = dec.negative_pairs(x0.psd_cutoff(tol))
     if not neg or len(neg) > max_negative:
         return None
     a = np.zeros((x0.n, x0.n), dtype=complex)

@@ -1,10 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import opfcuts
 from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
                                  save_cuts)
 from opfcuts.errors import CutFileError
+from opfcuts.relaxation import build_m0
 from opfcuts.separation import LinearCut
 
 
@@ -141,3 +146,48 @@ def test_load_malformed_record_reports_position():
             '{"kind": "eigen"}\n')
     with pytest.raises(CutFileError, match="record 2"):
         load_cuts(io.StringIO(text), _FakeModel([("v2", 1)]))
+
+
+def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
+    """A cut on a pair with no branch loads; one on an unknown bus does not."""
+    model = build_m0(case14)
+    assert any(key[1:] not in model.pairs.pair_branches
+               for cut in cold_report.pool.active()
+               for key in cut.terms if key[0] in ("c", "s"))
+    buf = io.StringIO()
+    save_cuts(cold_report.pool, buf)
+    buf.write('{"kind": "eigen", "support": [1, 999], '
+              '"terms": [[["v2", 1], 1.0], [["c", 1, 999], -1.0]], '
+              '"rhs": 0.0}\n')
+    buf.seek(0)
+    again, skipped = load_cuts(buf, model)
+    assert skipped == 1
+    assert set(again.cuts) == set(cold_report.pool.cuts)
+
+
+_COSINES = """
+import random
+from opfcuts.cut_manager import _cosine
+from opfcuts.separation import LinearCut
+
+rng = random.Random(0)
+clique = (1, 2, 3, 4, 5)
+keys = [("v2", b) for b in clique] + [
+    (k, a, b) for k in "cs" for i, a in enumerate(clique)
+    for b in clique[i + 1:]]
+def cut():
+    return LinearCut({k: rng.uniform(-1, 1) for k in keys}, 0.0, "eigen",
+                     clique)
+print(" ".join(_cosine(cut(), cut()).hex() for _ in range(200)))
+"""
+
+
+def test_cosine_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(opfcuts.__file__))
+    out = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out.append(subprocess.run([sys.executable, "-c", _COSINES], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout)
+    assert out[0] == out[1]

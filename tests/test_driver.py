@@ -132,6 +132,19 @@ def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
         & {id(c) for c in warm.pool.cuts.values()}
 
 
+def test_empty_round_escalates_at_once(case14, cold_report):
+    """An idle warm round escalates before the hierarchy round."""
+    warm = cutplane(case14, RunConfig(max_rounds=2), warm=cold_report.pool)
+    assert warm.final_clique_counts == cold_report.final_clique_counts
+
+
+def test_warm_start_from_own_pool_reaches_cold_bound(case14, cold_report):
+    warm = cutplane(case14, RunConfig(), warm=cold_report.pool)
+    assert len(warm.pool) >= len(cold_report.pool)
+    assert warm.num_rounds <= 3
+    assert warm.best_bound == pytest.approx(cold_report.best_bound, rel=1e-5)
+
+
 def test_report_table_text(cold_report):
     text = report_table([cold_report])
     lines = text.splitlines()

@@ -93,23 +93,28 @@ def test_three_cycles_case14(case14):
 
 
 def test_chordal_four_cycle():
-    g = _graph([(1, 2), (2, 3), (3, 4), (1, 4)])
+    edges = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    g = _graph(edges)
     cs = chordal_cliques(g, 3)
     assert len(cs.cliques) == 2
     assert all(len(c) == 3 for c in cs.cliques)
-    assert len(g.auxiliary_pairs) == 1
-    chord = next(iter(g.auxiliary_pairs))
+    assert g == _graph(edges)  # the graph is not modified
     covered = {frozenset(p) for c in cs.cliques
                for p in itertools.combinations(c, 2)}
-    for edge in [(1, 2), (2, 3), (3, 4), (1, 4), chord]:
+    for edge in edges:
         assert frozenset(edge) in covered
+    # the one pair the cliques add is a chord of the cycle
+    chords = covered - {frozenset(e) for e in edges}
+    assert len(chords) == 1
+    assert chords <= {frozenset((1, 3)), frozenset((2, 4))}
 
 
 def test_chordal_tree_empty():
-    g = _graph([(1, 2), (2, 3), (3, 4)])
+    edges = [(1, 2), (2, 3), (3, 4)]
+    g = _graph(edges)
     cs = chordal_cliques(g, 5)
     assert cs.cliques == ()
-    assert not g.auxiliary_pairs
+    assert g == _graph(edges)
 
 
 def test_chordal_k6_edge_cover():
@@ -138,7 +143,7 @@ def test_parallel_branches_one_edge():
                               CostFunction("polynomial", (0, 1, 0))),),
     )
     g = PairGraph.from_case(case)
-    assert g.all_pairs() == [(1, 2)]
+    assert g.edges == [(1, 2)]
     assert len(g.pair_branches[(1, 2)]) == 2
 
 

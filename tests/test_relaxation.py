@@ -163,7 +163,7 @@ def _random_case_and_point(rng, n_bus):
     for b, v in volts.items():
         vals[("v2", b)] = abs(v) ** 2
     model = build_m0(case)
-    for pair in model.pairs.all_pairs():
+    for pair in model.cs_pairs():
         w = volts[pair[0]] * volts[pair[1]].conjugate()
         vals[("c",) + pair] = w.real
         vals[("s",) + pair] = w.imag
