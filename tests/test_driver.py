@@ -1,6 +1,10 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from opfcuts import lp_backend
@@ -50,20 +54,39 @@ def test_best_bound_is_max_over_rounds(cold_report):
 def test_perturbed_duals_credit_no_bound(case14, cold_report, monkeypatch):
     # duals that need a reduced-cost repair above the certification
     # tolerance prove nothing, however feasible the primal point looks
-    def perturbed(*args, **kwargs):
-        res = linprog(*args, **kwargs)
-        if res.status == 0:
-            res.eqlin.marginals = res.eqlin.marginals + 1e-3
-        return res
+    # (only optimal solves hand their duals to the certificate)
+    def perturbed(*args):
+        *rows, ge, y = args
+        return certify(*rows, ge, np.where(ge, y, y + 1e-3))
 
-    linprog = lp_backend.linprog
-    monkeypatch.setattr(lp_backend, "linprog", perturbed)
+    certify = lp_backend._safe_dual_bound
+    monkeypatch.setattr(lp_backend, "_safe_dual_bound", perturbed)
     report = cutplane(case14, RunConfig())
     assert report.best_bound == -math.inf
     assert [st.bound for st in report.rounds] \
         == [-math.inf] * cold_report.num_rounds
     assert [st.objective for st in report.rounds] \
         == [st.objective for st in cold_report.rounds]
+
+
+_COLD_RUN = """
+from opfcuts.case_io import parse_case_file
+from opfcuts.driver import RunConfig, cutplane
+report = cutplane(parse_case_file(%r), RunConfig())
+print(report.best_bound.hex(), report.num_rounds)
+"""
+
+
+def test_cold_run_independent_of_hash_seed(case14_path):
+    # HiGHS sees the rows in insertion order, so no set order may leak in
+    src = os.path.dirname(os.path.dirname(lp_backend.__file__))
+    out = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out.append(subprocess.run(
+            [sys.executable, "-c", _COLD_RUN % case14_path], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert out[0] == out[1]
 
 
 def test_one_log_line_per_round(case14, caplog, monkeypatch):
