@@ -33,12 +33,10 @@ class CutPool:
 
 
 def _cosine(a: LinearCut, b: LinearCut) -> float:
-    # a fixed summation order: set order varies with PYTHONHASHSEED
-    keys = sorted(a.terms.keys() | b.terms.keys(), key=repr)
+    # only called on cuts with the same keys in the same (canonical) order;
+    # a plain loop, as sum() compensates rounding from Python 3.12 on
     dot = na = nb = 0.0
-    for k in keys:
-        x = a.terms.get(k, 0.0)
-        y = b.terms.get(k, 0.0)
+    for x, y in zip(a.terms.values(), b.terms.values()):
         dot += x * y
         na += x * x
         nb += y * y
@@ -47,9 +45,8 @@ def _cosine(a: LinearCut, b: LinearCut) -> float:
     return dot / math.sqrt(na * nb)
 
 
-def admit(pool: CutPool, candidates,
-          violation_threshold: float = VIOLATION_THRESHOLD,
-          cosine_bound: float = COSINE_BOUND, k_add: int = K_ADD):
+def admit(pool: CutPool, candidates, cosine_bound: float = COSINE_BOUND,
+          k_add: int = K_ADD):
     """Filter candidates into the pool; returns the admitted list.
 
     Rejects duplicates by hash, near-parallel cuts on the same variable
@@ -61,19 +58,19 @@ def admit(pool: CutPool, candidates,
     parallel to the stale one it should replace, so nothing gets admitted
     while a real violation persists.  Aging retires the stale copy instead.
     """
-    by_support: dict[frozenset, list] = {}
+    by_support: dict[tuple, list] = {}
     admitted = []
     per_group: dict[tuple, int] = {}
     ordered = sorted(candidates, key=lambda c: -c.violation_at_birth)
     for cut in ordered:
-        if cut.violation_at_birth / cut.inf_norm < violation_threshold:
+        if cut.violation_at_birth / cut.inf_norm < VIOLATION_THRESHOLD:
             continue
         if cut.content_hash in pool.cuts:
             continue
         group = cut.provenance
         if per_group.get(group, 0) >= k_add:
             continue
-        support = frozenset(cut.terms)
+        support = tuple(cut.terms)
         if any(abs(_cosine(cut, other)) > cosine_bound
                for other in by_support.get(support, [])):
             continue
@@ -84,8 +81,7 @@ def admit(pool: CutPool, candidates,
     return admitted
 
 
-def age_and_drop(pool: CutPool, slacks: dict, t_age: int = T_AGE,
-                 eps_slack: float = EPS_SLACK):
+def age_and_drop(pool: CutPool, slacks: dict, t_age: int = T_AGE):
     """Reset age on tight cuts, age the rest, drop old consistently-slack ones.
 
     `slacks` maps content hash to the cut's normalized slack at the current
@@ -94,7 +90,7 @@ def age_and_drop(pool: CutPool, slacks: dict, t_age: int = T_AGE,
     dropped = []
     for h, cut in list(pool.cuts.items()):
         slack = slacks.get(h, 0.0)
-        if slack < eps_slack:
+        if slack < EPS_SLACK:
             cut.age = 0
             continue
         cut.age += 1
@@ -124,8 +120,7 @@ def save_cuts(pool: CutPool, stream):
         rec = {
             "kind": cut.kind,
             "support": _key_to_json(cut.provenance),
-            "terms": [[_key_to_json(k), w] for k, w in
-                      sorted(cut.terms.items(), key=lambda kv: repr(kv[0]))],
+            "terms": [[_key_to_json(k), w] for k, w in cut.terms.items()],
             "rhs": cut.rhs,
         }
         stream.write(json.dumps(rec) + "\n")

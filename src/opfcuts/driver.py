@@ -8,16 +8,19 @@ a later round that admits nothing ends the run.  Each round is credited the
 bound the LP backend certifies from its duals (-inf when it certifies none;
 the LP objective is never credited), so the best bound is the maximum over
 rounds (dropping cuts can make the per-round objective non-monotone).
+From round 1 on, each LP solve gets what is left of the time limit; a solve
+that runs out of it ends the run with `time`, like the check between rounds.
 """
 
 from __future__ import annotations
 
+import copy
 import csv as csv_mod
 import io
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import separation
 from .case_io import CaseData
@@ -104,8 +107,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
                 continue
             model.extend_pairs({key[1:] for key in cut.terms
                                 if key[0] in ("c", "s")})
-            # a copy, so aging in this run never touches the caller's pool
-            pool.cuts[h] = replace(cut, age=0)
+            # a copy, so aging in this run never touches the caller's pool;
+            # copy.copy skips __post_init__: the cut is canonical already
+            pool.cuts[h] = cut = copy.copy(cut)
+            cut.age = 0
             model.add_cut_row(h, cut.terms, cut.rhs)
 
     stall = 0
@@ -114,13 +119,17 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     termination = None
 
     while True:
+        if report.rounds:  # round 0 runs unlimited, so a run has a round
+            model.backend.time_limit = max(
+                0.0, config.time_limit - (time.perf_counter() - t_start))
         res = model.solve()
         if res.status == "infeasible":
             raise ModelError(
                 "master LP infeasible; the base relaxation is feasible for "
                 "any feasible ACOPF instance, so the case data is suspect")
         if res.status != "optimal":
-            termination = "backend_" + res.status
+            termination = "time" if res.status == "limit" and report.rounds \
+                else "backend_" + res.status
             break
         z = res.objective
         round_idx = len(report.rounds)

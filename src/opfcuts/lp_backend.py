@@ -12,6 +12,10 @@ model kept, presolve off.  A `>=` row enters as the row bounds [rhs, +inf].
 scipy before 1.15 ships no HiGHS bindings (`scipy.optimize._highspy._core`);
 there each solve builds the LP afresh and calls `scipy.optimize.linprog`.
 
+`time_limit`, when set, bounds the seconds HiGHS may spend in the next
+solve; the driver sets it to what is left of the run's time limit, and a
+solve stopped by it returns the status `limit`.
+
 The backend alone decides what a solve proves: `LpSolveResult.dual_bound`
 is the weak-duality bound of the returned multipliers over the unscaled
 rows the backend handed HiGHS, or -inf when they need a reduced-cost repair
@@ -54,8 +58,8 @@ class LpSolveResult:
 class ScipyHighsBackend:
     """One HiGHS model, edited in place; deterministic given the edits."""
 
-    def __init__(self, time_limit: float | None = None):
-        self.time_limit = time_limit
+    def __init__(self):
+        self.time_limit: float | None = None  # seconds for the next solve
         self.objective: list[float] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
@@ -104,8 +108,11 @@ class ScipyHighsBackend:
             return self._solve_linprog()
         highs = self._sync()
         if self.time_limit is not None:
-            _check(highs.setOptionValue("time_limit",
-                                        float(self.time_limit)), "time_limit")
+            # HiGHS compares its limit with the run time summed over every
+            # run() of the model, so the budget starts from that sum
+            _check(highs.setOptionValue(
+                "time_limit", highs.getRunTime() + self.time_limit),
+                "time_limit")
         _check(highs.run(), "solve")
         model_status = highs.getModelStatus()
         kind = _highs.HighsModelStatus

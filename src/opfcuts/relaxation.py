@@ -199,17 +199,6 @@ class RelaxationModel:
             if ("c",) + pair not in self.var_index:
                 self._add_pair_vars(pair)
 
-    def columns_for(self, terms: dict):
-        """Map a symbolic coefficient map to (cols, coeffs); ModelError if unknown."""
-        cols, coeffs = [], []
-        for key, w in sorted(terms.items(), key=lambda kv: repr(kv[0])):
-            idx = self.var_index.get(key)
-            if idx is None:
-                raise ModelError("unknown variable %r" % (key,))
-            cols.append(idx)
-            coeffs.append(float(w))
-        return cols, coeffs
-
     def cs_pairs(self):
         """Every pair with (c, s) columns, sorted."""
         return sorted(key[1:] for key in self.var_index if key[0] == "c")
@@ -225,7 +214,13 @@ class RelaxationModel:
     def add_cut_row(self, row_id, terms: dict, rhs: float):
         if row_id in self.backend.rows:
             raise ModelError("duplicate cut row %r" % (row_id,))
-        cols, coeffs = self.columns_for(terms)
+        cols, coeffs = [], []
+        for key, w in terms.items():
+            idx = self.var_index.get(key)
+            if idx is None:
+                raise ModelError("unknown variable %r" % (key,))
+            cols.append(idx)
+            coeffs.append(float(w))
         self.backend.add_rows({row_id: (cols, coeffs, float(rhs))})
 
     def remove_cut_row(self, row_id):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,12 @@ HASH_DIGITS = 12
 
 @dataclass
 class LinearCut:
-    """Sparse >= inequality over symbolic model variables."""
+    """Sparse >= inequality over symbolic model variables.
+
+    Canonical from birth: `terms` is kept in `repr` order of its keys, the
+    one term order the content hash, the LP row, admission and the cut file
+    all read, and `inf_norm` is computed once.
+    """
 
     terms: dict              # variable key -> coefficient
     rhs: float
@@ -35,32 +41,23 @@ class LinearCut:
     provenance: tuple        # clique / pair / branch / generator identifier
     violation_at_birth: float = 0.0
     age: int = 0
-    _hash: int | None = field(default=None, repr=False)
+    inf_norm: float = field(init=False)
 
-    @property
-    def inf_norm(self) -> float:
-        return max(abs(w) for w in self.terms.values())
+    def __post_init__(self):
+        self.terms = {k: self.terms[k] for k in sorted(self.terms, key=repr)}
+        self.inf_norm = max(map(abs, self.terms.values()))
 
-    def normalized_items(self):
-        """(key, coeff) pairs scaled to unit infinity norm, sorted, quantized."""
-        scale = self.inf_norm
-        items = [(key, round(w / scale, HASH_DIGITS))
-                 for key, w in self.terms.items()]
-        items.sort(key=lambda kv: repr(kv[0]))
-        return items, round(self.rhs / scale, HASH_DIGITS)
-
-    @property
+    @cached_property
     def content_hash(self) -> int:
-        if self._hash is None:
-            items, rhs = self.normalized_items()
-            h = hashlib.blake2b(digest_size=8)
-            h.update(self.kind.encode())
-            for key, w in items:
-                h.update(repr(key).encode())
-                h.update(struct.pack("<d", w))
-            h.update(struct.pack("<d", rhs))
-            self._hash = int.from_bytes(h.digest(), "little")
-        return self._hash
+        """Hash of kind, terms and rhs scaled to unit infinity norm."""
+        scale = self.inf_norm
+        h = hashlib.blake2b(digest_size=8)
+        h.update(self.kind.encode())
+        for key, w in self.terms.items():
+            h.update(repr(key).encode())
+            h.update(struct.pack("<d", round(w / scale, HASH_DIGITS)))
+        h.update(struct.pack("<d", round(self.rhs / scale, HASH_DIGITS)))
+        return int.from_bytes(h.digest(), "little")
 
     def value_at(self, values: dict) -> float:
         return sum(w * values[k] for k, w in self.terms.items())
@@ -90,12 +87,12 @@ def _matrix_cut_terms(a: np.ndarray, clique) -> dict:
     return terms
 
 
-def eigen_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
-              density_cap: int = DENSITY_CAP, decomposition=None):
+def eigen_cut(x0: HermitianMatrix, clique, density_cap: int = DENSITY_CAP,
+              decomposition=None):
     """Most-negative-eigenvector cut; None when x0 is PSD within tolerance."""
     dec = decomposition if decomposition is not None else eigen(x0)
     lam_min = dec.eigenvalues[-1]
-    if lam_min >= x0.psd_cutoff(tol):
+    if lam_min >= x0.psd_cutoff(PSD_TOL):
         return None
     q = dec.eigenvectors[:, -1]
     a = np.outer(q, q.conj())
@@ -107,7 +104,7 @@ def eigen_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
                      violation_at_birth=float(-lam_min))
 
 
-def projection_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
+def projection_cut(x0: HermitianMatrix, clique,
                    density_cap: int = DENSITY_CAP, max_negative: int = 2,
                    decomposition=None):
     """Maximum-distance cut from the PSD projection of x0.
@@ -117,7 +114,7 @@ def projection_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
     with the eigen-cut.
     """
     dec = decomposition if decomposition is not None else eigen(x0)
-    neg = dec.negative_pairs(x0.psd_cutoff(tol))
+    neg = dec.negative_pairs(x0.psd_cutoff(PSD_TOL))
     if not neg or len(neg) > max_negative:
         return None
     a = np.zeros((x0.n, x0.n), dtype=complex)
@@ -131,27 +128,21 @@ def projection_cut(x0: HermitianMatrix, clique, tol: float = PSD_TOL,
                      provenance=tuple(clique), violation_at_birth=violation)
 
 
-def jabr_cut(v2_k: float, v2_m: float, c: float, s: float, pair,
-             tol: float = PSD_TOL):
+def jabr_cut(v2_k: float, v2_m: float, c: float, s: float, pair):
     """Eigen-cut of the 2x2 pair matrix; separates c^2 + s^2 <= v2_k v2_m."""
     pair = canonical_pair(*pair)
     x0 = HermitianMatrix(np.array([[v2_k, c + 1j * s],
                                    [c - 1j * s, v2_m]]))
-    cut = eigen_cut(x0, pair, tol=tol)
-    if cut is None:
-        return None
-    cut.kind = "jabr"
-    cut._hash = None
-    return cut
+    cut = eigen_cut(x0, pair)
+    return None if cut is None else replace(cut, kind="jabr")
 
 
-def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir,
-              tol: float = 1e-8):
+def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir):
     """Tangent to the thermal circle at the projection of (p_hat, q_hat)."""
     if not math.isfinite(u):
         raise ValueError("limit_cut needs a finite thermal limit")
     norm2 = p_hat * p_hat + q_hat * q_hat
-    if norm2 <= u * u * (1.0 + tol) or norm2 == 0.0:
+    if norm2 <= u * u * (1.0 + 1e-8) or norm2 == 0.0:
         return None
     norm = math.sqrt(norm2)
     bkey, d = branch_dir
@@ -161,13 +152,13 @@ def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir,
                      provenance=(bkey, d), violation_at_birth=violation)
 
 
-def cost_cut(p_hat: float, t_hat: float, gen, gkey, tol: float = 1e-9):
+def cost_cut(p_hat: float, t_hat: float, gen, gkey):
     """Epigraph tangent for a quadratic cost; None for linear/pwl costs."""
     cost = gen.cost
     if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
         return None  # exact supports installed at model build
     f = cost.value(p_hat)
-    if t_hat >= f - tol:
+    if t_hat >= f - 1e-9:
         return None
     slope = cost.derivative(p_hat)
     terms = {("t", gkey): 1.0, ("Pg", gkey): -slope}

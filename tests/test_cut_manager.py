@@ -120,6 +120,24 @@ def test_save_load_round_trip():
     assert all(c.age == 0 for c in again.active())
 
 
+def test_term_order_is_canonical():
+    """Insertion order changes neither the term order, the hash nor the file."""
+    items = [(("v2", 2), 1.0), (("c", 1, 2), -0.5), (("s", 1, 2), 0.25),
+             (("v2", 1), 4.0)]
+    cuts = [_cut(items, rhs=0.1), _cut(items[::-1], rhs=0.1)]
+    texts = []
+    for cut in cuts:
+        assert list(cut.terms) == sorted(cut.terms, key=repr)
+        pool = CutPool()
+        admit(pool, [cut])
+        buf = io.StringIO()
+        save_cuts(pool, buf)
+        texts.append(buf.getvalue())
+    assert list(cuts[0].terms) == list(cuts[1].terms)
+    assert cuts[0].content_hash == cuts[1].content_hash
+    assert texts[0] == texts[1]
+
+
 def test_load_skips_unknown_variables():
     pool = CutPool()
     admit(pool, [_cut({("v2", 1): 1.0}),

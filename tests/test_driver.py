@@ -29,6 +29,30 @@ def test_time_limit_zero_single_round(case14):
     assert report.best_bound >= 0.0
 
 
+# round 2's bound on case14 is still 0; by round 5 it is positive
+@pytest.mark.parametrize("stop", [3, 6])
+def test_backend_time_limit_ends_run_with_best_bound(case14, cold_report,
+                                                     monkeypatch, stop):
+    """An LP solve stopped by the budget ends the run with `time`."""
+    limits = []
+    solve = lp_backend.ScipyHighsBackend.solve
+
+    def limited(self):
+        limits.append(self.time_limit)
+        if len(limits) == stop:
+            return lp_backend.LpSolveResult("limit", None, None, None)
+        return solve(self)
+
+    monkeypatch.setattr(lp_backend.ScipyHighsBackend, "solve", limited)
+    report = cutplane(case14, RunConfig())
+    assert report.termination == "time"
+    assert report.num_rounds == stop - 1
+    assert report.best_bound == max(st.bound
+                                    for st in cold_report.rounds[:stop - 1])
+    assert limits[0] is None
+    assert all(0.0 <= t < math.inf for t in limits[1:])
+
+
 def test_max_rounds(case14):
     report = cutplane(case14, RunConfig(max_rounds=3))
     assert report.num_rounds == 3

@@ -185,6 +185,21 @@ def test_content_hash_scale_invariant():
     assert a.content_hash != d.content_hash
 
 
+def test_content_hash_golden_values():
+    """Saved pools and row order rest on these hashes; they must not move."""
+    cut = LinearCut({("s", 1, 2): 0.25, ("v2", 2): 1.0, ("c", 1, 2): -2.0,
+                     ("v2", 1): 4.0}, 0.5, "eigen", (1, 2))
+    assert cut.content_hash == 11199671962411321844
+    assert jabr_cut(1.0, 1.0, 1.2, 0.3, (4, 9)).content_hash \
+        == 11573129386543259869
+
+
+def test_jabr_hash_equals_direct_jabr_cut():
+    cut = jabr_cut(1.0, 1.0, 1.2, 0.3, (4, 9))
+    direct = LinearCut(dict(cut.terms), cut.rhs, "jabr", cut.provenance)
+    assert cut.content_hash == direct.content_hash
+
+
 def test_normalized_violation():
     cut = LinearCut({("v2", 1): 2.0}, 1.0, "eigen", (1,))
     assert cut.normalized_violation({("v2", 1): 0.0}) == pytest.approx(0.5)
