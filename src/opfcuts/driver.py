@@ -9,7 +9,13 @@ bound the LP backend certifies from its duals (-inf when it certifies none;
 the LP objective is never credited), so the best bound is the maximum over
 rounds (dropping cuts can make the per-round objective non-monotone).
 From round 1 on, each LP solve gets what is left of the time limit; a solve
-that runs out of it ends the run with `time`, like the check between rounds.
+that runs out of it ends the run with `time`, like the check between rounds,
+and the report's dual infeasibility and eigenvalue ratio then come from the
+last optimal solve.
+
+Separation and the final eigenvalue ratio read the PSD matrices as stacks
+from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
+size, each with one `eigen` call.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import separation
 from .case_io import CaseData
@@ -117,6 +125,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     z_prev = -math.inf
     escalated = False
     termination = None
+    last = None  # the last optimal solve and the cliques of its round
 
     while True:
         if report.rounds:  # round 0 runs unlimited, so a run has a round
@@ -131,6 +140,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             termination = "time" if res.status == "limit" and report.rounds \
                 else "backend_" + res.status
             break
+        last = (res, cliques)
         z = res.objective
         round_idx = len(report.rounds)
         # the backend decides what the round proves; z is never a bound
@@ -189,9 +199,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
                             default=-math.inf)
     report.total_time = time.perf_counter() - t_start
     report.final_clique_counts = cliques.sizes()
-    report.dual_inf = model.last_result.dual_infeasibility \
-        if model.last_result else None
-    report.eig_ratio = _final_eig_ratio(model, cliques)
+    if last is not None:
+        res, solved = last
+        report.dual_inf = res.dual_infeasibility
+        report.eig_ratio = _final_eig_ratio(model, solved)
     report.pool = pool
     return report
 
@@ -207,14 +218,9 @@ def _log_round(stats: RoundStats, res, pool: CutPool, model):
 
 def _separate(model, cliques):
     case = model.case
-    candidates = []
-
-    for pair in model.cs_pairs():
-        cut = separation.jabr_cut(
-            model.value(("v2", pair[0])), model.value(("v2", pair[1])),
-            model.value(("c",) + pair), model.value(("s",) + pair), pair)
-        if cut is not None:
-            candidates.append(cut)
+    pairs = model.cs_pairs()
+    candidates = separation.jabr_cut(model.clique_matrix(pairs), pairs) \
+        if pairs else []
 
     for idx, bkey in model.branch_keys.items():
         u = case.branches[idx].rate_a
@@ -235,29 +241,17 @@ def _separate(model, cliques):
         if cut is not None:
             candidates.append(cut)
 
-    for clique in cliques.cliques:
-        x0 = model.clique_matrix(clique)
-        dec = eigen(x0)
-        cut = separation.eigen_cut(x0, clique, decomposition=dec)
-        if cut is not None:
-            candidates.append(cut)
-        neg = len(dec.negative_pairs(x0.psd_cutoff(separation.PSD_TOL)))
-        if neg == 2:  # single-negative case is collinear with the eigen-cut
-            pcut = separation.projection_cut(x0, clique, decomposition=dec)
-            if pcut is not None:
-                candidates.append(pcut)
+    for group in cliques.by_size:
+        candidates += separation.clique_cuts(model.clique_matrix(group), group)
     return candidates
 
 
 def _final_eig_ratio(model, cliques) -> float:
     ratio = math.inf
-    if model.last_result is None or model.last_result.primal is None:
-        return ratio
-    for clique in cliques.cliques:
-        dec = eigen(model.clique_matrix(clique))
-        l1 = dec.eigenvalues[0]
-        l2 = max(dec.eigenvalues[1], EIG_RATIO_FLOOR)
-        ratio = min(ratio, l1 / l2)
+    for group in cliques.by_size:
+        vals = eigen(model.clique_matrix(group)).eigenvalues
+        ratio = min(ratio, float(np.min(
+            vals[:, 0] / np.maximum(vals[:, 1], EIG_RATIO_FLOOR))))
     return ratio
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 from .case_io import Branch, CaseData
 from .errors import SingularBranchError
@@ -99,6 +100,13 @@ class CliqueSet:
             if len(c) in n:
                 n[len(c)] += 1
         return (n[3], n[4], n[5])
+
+    @cached_property
+    def by_size(self) -> tuple:
+        """The cliques grouped by size, sizes ascending, each in set order."""
+        sizes = sorted({len(c) for c in self.cliques})
+        return tuple(tuple(c for c in self.cliques if len(c) == n)
+                     for n in sizes)
 
     def merged_with(self, other: "CliqueSet") -> "CliqueSet":
         return CliqueSet(tuple(dict.fromkeys(self.cliques + other.cliques)))

@@ -21,6 +21,8 @@ supports; everything nonlinear is enforced by dynamically separated cuts.
 every cut row it adds or removes, is written straight into its
 `ScipyHighsBackend`, which is the only holder of the LP.  The (c, s) columns
 are the one record of which bus pairs exist; `extend_pairs` adds to them.
+`clique_matrix` gathers the matrices of the pairs, or of the cliques of one
+size, as one stack, by index arrays cached per list of bus tuples.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .case_io import CaseData
 from .errors import ModelError
-from .hermitian import HermitianMatrix
 from .lp_backend import LpSolveResult, ScipyHighsBackend
 from .network import PairGraph, branch_admittance, canonical_pair
 
@@ -50,8 +51,8 @@ class RelaxationModel:
         self.case = case
         self.pairs = PairGraph.from_case(case)
         self.backend = ScipyHighsBackend()
-        self.last_result: LpSolveResult | None = None
         self._solution: np.ndarray | None = None
+        self._gathers: dict = {}  # bus-tuple list -> clique_matrix indices
 
         self.branch_keys: dict[int, tuple] = {}
         self.gen_keys: dict[int, tuple] = {}
@@ -231,9 +232,10 @@ class RelaxationModel:
     # -- solving and solution access --------------------------------------
 
     def solve(self) -> LpSolveResult:
+        """Solve the LP; a solve without a primal keeps the last one."""
         res = self.backend.solve()
-        self.last_result = res
-        self._solution = res.primal
+        if res.primal is not None:
+            self._solution = res.primal
         return res
 
     def value(self, key) -> float:
@@ -241,28 +243,35 @@ class RelaxationModel:
             raise ModelError("no solution available")
         return float(self._solution[self.var_index[key]])
 
-    def clique_matrix(self, clique) -> HermitianMatrix:
-        """Assemble X_i(y) from the current solution for a bus tuple."""
-        n = len(clique)
-        x = np.zeros((n, n), dtype=complex)
-        for i, a in enumerate(clique):
-            x[i, i] = self.value(("v2", a))
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = clique[i], clique[j]
-                pair = canonical_pair(a, b)
-                ckey, skey = ("c",) + pair, ("s",) + pair
-                if ckey not in self.var_index:
-                    raise ModelError(
-                        "clique %r references pair %r with no variables"
-                        % (clique, pair))
-                c = self.value(ckey)
-                s = self.value(skey)
-                if a > b:  # clique-local order opposes canonical orientation
-                    s = -s
-                x[i, j] = complex(c, s)
-                x[j, i] = complex(c, -s)
-        return HermitianMatrix(x)
+    def clique_matrix(self, cliques) -> np.ndarray:
+        """Hermitian stack (M, n, n) of X_i(y) over M bus tuples of size n:
+        v2 on the diagonal, c + js off it, s signed by the tuple's order."""
+        if self._solution is None:
+            raise ModelError("no solution available")
+        cliques = tuple(cliques)
+        if cliques not in self._gathers:
+            self._gathers[cliques] = self._gather_index(cliques)
+        re_idx, im_idx, im_sign = self._gathers[cliques]
+        y = self._solution
+        x = np.empty(re_idx.shape, dtype=complex)
+        x.real, x.imag = y[re_idx], y[im_idx] * im_sign
+        return x
+
+    def _gather_index(self, cliques):
+        """Per tuple and entry (a, b): the column of the real part, and the
+        column and sign of the imaginary part."""
+        def column(kind, a, b):
+            key = ("v2", a) if a == b else (kind,) + canonical_pair(a, b)
+            if key not in self.var_index:
+                raise ModelError("clique variable %r does not exist" % (key,))
+            return self.var_index[key]
+
+        entries = [(a, b) for c in cliques for a in c for b in c]
+        re_idx = [column("c", a, b) for a, b in entries]
+        im_idx = [column("s", a, b) for a, b in entries]
+        sign = [0.0 if a == b else 1.0 if a < b else -1.0 for a, b in entries]
+        shape = (len(cliques),) + (len(cliques[0]),) * 2
+        return tuple(np.reshape(v, shape) for v in (re_idx, im_idx, sign))
 
 
 def build_m0(case: CaseData) -> RelaxationModel:

@@ -5,6 +5,10 @@ Matrix cuts <A, X> >= 0 are mapped onto model variables as
     sum_k A_kk v2[k] + sum_{k<m} 2 (Re A_km c[k,m] + Im A_km s[k,m]) >= 0
 
 with the s coefficient sign adjusted to the canonical pair orientation.
+Coefficients are Python floats from birth, so a cut hashes like its copy
+read back from a cut file.  `jabr_cut` and `clique_cuts` take a stack of
+matrices of one size and make one `eigen` call for it; only the matrices
+below their PSD cutoff go on to build cuts.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, eigen
+from .hermitian import (EigenDecomposition, HermitianMatrix, eigen,
+                        psd_cutoff)
 from .network import canonical_pair
 
 PSD_TOL = 1e-8           # relative to max(1, trace)
@@ -68,22 +73,22 @@ class LinearCut:
 
 
 def _matrix_cut_terms(a: np.ndarray, clique) -> dict:
-    """Coefficient map for <A, X> >= 0 over a clique's variables."""
+    """Coefficient map, in Python floats, for <A, X> >= 0 over a clique."""
+    a = a.tolist()
     n = len(clique)
     terms = {}
     for i in range(n):
-        coeff = float(a[i, i].real)
-        if coeff != 0.0:
-            terms[("v2", clique[i])] = terms.get(("v2", clique[i]), 0.0) + coeff
+        if a[i][i].real != 0.0:
+            terms[("v2", clique[i])] = a[i][i].real
     for i in range(n):
         for j in range(i + 1, n):
             pair = canonical_pair(clique[i], clique[j])
             sign = 1.0 if clique[i] < clique[j] else -1.0
-            re, im = 2.0 * a[i, j].real, 2.0 * a[i, j].imag
+            re, im = 2.0 * a[i][j].real, 2.0 * a[i][j].imag
             if re != 0.0:
-                terms[("c",) + pair] = terms.get(("c",) + pair, 0.0) + re
+                terms[("c",) + pair] = re
             if im != 0.0:
-                terms[("s",) + pair] = terms.get(("s",) + pair, 0.0) + sign * im
+                terms[("s",) + pair] = sign * im
     return terms
 
 
@@ -92,7 +97,7 @@ def eigen_cut(x0: HermitianMatrix, clique, density_cap: int = DENSITY_CAP,
     """Most-negative-eigenvector cut; None when x0 is PSD within tolerance."""
     dec = decomposition if decomposition is not None else eigen(x0)
     lam_min = dec.eigenvalues[-1]
-    if lam_min >= x0.psd_cutoff(PSD_TOL):
+    if lam_min >= psd_cutoff(x0.mat, PSD_TOL):
         return None
     q = dec.eigenvectors[:, -1]
     a = np.outer(q, q.conj())
@@ -114,7 +119,7 @@ def projection_cut(x0: HermitianMatrix, clique,
     with the eigen-cut.
     """
     dec = decomposition if decomposition is not None else eigen(x0)
-    neg = dec.negative_pairs(x0.psd_cutoff(PSD_TOL))
+    neg = dec.negative_pairs(psd_cutoff(x0.mat, PSD_TOL))
     if not neg or len(neg) > max_negative:
         return None
     a = np.zeros((x0.n, x0.n), dtype=complex)
@@ -128,13 +133,46 @@ def projection_cut(x0: HermitianMatrix, clique,
                      provenance=tuple(clique), violation_at_birth=violation)
 
 
-def jabr_cut(v2_k: float, v2_m: float, c: float, s: float, pair):
-    """Eigen-cut of the 2x2 pair matrix; separates c^2 + s^2 <= v2_k v2_m."""
-    pair = canonical_pair(*pair)
-    x0 = HermitianMatrix(np.array([[v2_k, c + 1j * s],
-                                   [c - 1j * s, v2_m]]))
-    cut = eigen_cut(x0, pair)
-    return None if cut is None else replace(cut, kind="jabr")
+def clique_cuts(x: np.ndarray, cliques) -> list:
+    """Eigen-cuts, and projection cuts, of a stack (M, n, n) of cliques.
+
+    A matrix with two negative eigenvalues gets a projection cut after its
+    eigen-cut; with one, that cut would be collinear with the eigen-cut.
+    """
+    dec = eigen(x)
+    neg = (dec.eigenvalues < psd_cutoff(x, PSD_TOL)[:, None]).sum(axis=1)
+    cuts = []
+    for m in np.flatnonzero(neg).tolist():
+        x0, clique = HermitianMatrix(x[m]), cliques[m]
+        dec_m = EigenDecomposition(dec.eigenvalues[m], dec.eigenvectors[m])
+        cuts.append(eigen_cut(x0, clique, decomposition=dec_m))
+        if neg[m] == 2:
+            cuts.append(projection_cut(x0, clique, decomposition=dec_m))
+    return [cut for cut in cuts if cut is not None]
+
+
+def jabr_cut(x: np.ndarray, pairs) -> list:
+    """Eigen-cuts of pair matrices; each separates c^2 + s^2 <= v2_k v2_m.
+
+    `x` stacks the matrices (P, 2, 2) of `pairs`, s in canonical orientation.
+    With q the eigenvector of lambda_min, a cut's coefficients |q_0|^2,
+    |q_1|^2, 2 Re q_0 conj(q_1) and 2 Im q_0 conj(q_1) are `eigen_cut`'s.
+    """
+    dec = eigen(x)
+    lam = dec.eigenvalues[:, -1]
+    hit = np.flatnonzero(lam < psd_cutoff(x, PSD_TOL))
+    q0, q1 = dec.eigenvectors[hit, 0, -1], dec.eigenvectors[hit, 1, -1]
+    a01 = q0 * q1.conj()
+    columns = ((q0 * q0.conj()).real, (q1 * q1.conj()).real,
+               2.0 * a01.real, 2.0 * a01.imag)
+    cuts = []
+    for i, lam_i, *coeffs in zip(hit.tolist(), lam[hit].tolist(),
+                                 *(col.tolist() for col in columns)):
+        a, b = canonical_pair(*pairs[i])
+        keys = (("v2", a), ("v2", b), ("c", a, b), ("s", a, b))
+        terms = {k: w for k, w in zip(keys, coeffs) if w != 0.0}
+        cuts.append(LinearCut(terms, 0.0, "jabr", (a, b), -lam_i))
+    return cuts
 
 
 def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir):

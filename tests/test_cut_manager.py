@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import opfcuts
 from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
                                  save_cuts)
 from opfcuts.errors import CutFileError
+from opfcuts.hermitian import HermitianMatrix
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import LinearCut
+from opfcuts.separation import LinearCut, eigen_cut
 
 
 def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
@@ -136,6 +138,24 @@ def test_term_order_is_canonical():
     assert list(cuts[0].terms) == list(cuts[1].terms)
     assert cuts[0].content_hash == cuts[1].content_hash
     assert texts[0] == texts[1]
+
+
+def test_born_cut_hashes_like_its_reloaded_copy(case14):
+    """Seed 8078 gives a coefficient that numpy's round and Python's
+    round(x, 12) round apart; a cut born with numpy floats would hash apart
+    from its copy read back from the cut file."""
+    rng = np.random.default_rng(8078)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    cut = eigen_cut(HermitianMatrix(a + a.conj().T), (9, 4, 7))
+    assert all(type(w) is float for w in cut.terms.values())
+    assert any(round(np.float64(w / cut.inf_norm), 12)
+               != round(w / cut.inf_norm, 12) for w in cut.terms.values())
+    buf = io.StringIO()
+    save_cuts(CutPool({cut.content_hash: cut}), buf)
+    buf.seek(0)
+    loaded, skipped = load_cuts(buf, build_m0(case14))
+    assert skipped == 0
+    assert list(loaded.cuts) == [cut.content_hash]
 
 
 def test_load_skips_unknown_variables():

@@ -49,6 +49,9 @@ def test_backend_time_limit_ends_run_with_best_bound(case14, cold_report,
     assert report.num_rounds == stop - 1
     assert report.best_bound == max(st.bound
                                     for st in cold_report.rounds[:stop - 1])
+    # read from the last optimal solve, not from the stopped one
+    assert report.dual_inf is not None
+    assert math.isfinite(report.eig_ratio)
     assert limits[0] is None
     assert all(0.0 <= t < math.inf for t in limits[1:])
 
@@ -159,6 +162,27 @@ mpc.gencost = [
 """
     with pytest.raises(ModelError):
         cutplane(parse_case(text), RunConfig(time_limit=5.0))
+
+
+def test_case_without_pairs_runs():
+    """One bus and no branch: no pair matrix to separate, a bound all the
+    same (10 $/MWh on 50 MW, 525 with the quadratic term)."""
+    text = """
+mpc.baseMVA = 100;
+mpc.bus = [
+    1 3 50 10 0 0 1 1 0 0 1 1.1 0.9;
+];
+mpc.gen = [
+    1 0 0 100 -100 1 100 1 200 0;
+];
+mpc.branch = [];
+mpc.gencost = [
+    2 0 0 3 0.01 10 0;
+];
+"""
+    report = cutplane(parse_case(text), RunConfig(time_limit=5.0))
+    assert report.best_bound == pytest.approx(525.0)
+    assert report.eig_ratio == math.inf
 
 
 def test_warm_start_first_round_bound(case14, cold_report):

@@ -85,8 +85,8 @@ def test_clique_matrix_rank_one_point():
         vals[("c",) + p] = 1.0
         vals[("s",) + p] = 0.0
     _solved_with(model, vals)
-    x = model.clique_matrix((1, 2, 3))
-    assert np.allclose(x.mat, np.ones((3, 3)))
+    x = model.clique_matrix([(1, 2, 3)])[0]
+    assert np.allclose(x, np.ones((3, 3)))
 
 
 def test_clique_matrix_indefinite_point():
@@ -96,8 +96,8 @@ def test_clique_matrix_indefinite_point():
         vals[("c",) + p] = c
         vals[("s",) + p] = 0.0
     _solved_with(model, vals)
-    x = model.clique_matrix((1, 2, 3))
-    assert np.linalg.eigvalsh(x.mat)[0] < -0.5
+    x = model.clique_matrix([(1, 2, 3)])[0]
+    assert np.linalg.eigvalsh(x)[0] < -0.5
 
 
 def test_clique_matrix_orientation():
@@ -107,8 +107,7 @@ def test_clique_matrix_orientation():
         vals[("c",) + p] = 0.9
         vals[("s",) + p] = 0.1
     _solved_with(model, vals)
-    fwd = model.clique_matrix((1, 2, 3)).mat
-    rev = model.clique_matrix((3, 2, 1)).mat
+    fwd, rev = model.clique_matrix([(1, 2, 3), (3, 2, 1)])
     assert np.allclose(rev, fwd[::-1, ::-1].conj().T)
     assert np.allclose(rev, rev.conj().T)
 
@@ -118,7 +117,7 @@ def test_clique_matrix_unknown_pair(case14):
     model.solve()
     # (1, 4) is not a branch pair and has no c/s columns
     with pytest.raises(ModelError):
-        model.clique_matrix((1, 2, 4))
+        model.clique_matrix([(1, 2, 4)])
 
 
 def _random_case_and_point(rng, n_bus):

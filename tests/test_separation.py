@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from opfcuts.case_io import CostFunction, Generator
-from opfcuts.hermitian import HermitianMatrix
+from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff
 from opfcuts.network import canonical_pair
-from opfcuts.separation import (LinearCut, cost_cut, eigen_cut, jabr_cut,
-                                limit_cut, projection_cut)
+from opfcuts.separation import (PSD_TOL, LinearCut, clique_cuts, cost_cut,
+                                eigen_cut, jabr_cut, limit_cut,
+                                projection_cut)
+
+
+def _jabr(v2_k, v2_m, c, s, pair):
+    """jabr_cut on the one-pair stack of [[v2_k, c + js], [c - js, v2_m]]."""
+    x = HermitianMatrix(np.array([[v2_k, c + 1j * s], [c - 1j * s, v2_m]]))
+    return jabr_cut(x.mat[None], [pair])
 
 
 def _values_for(x0, clique):
@@ -113,15 +120,75 @@ def test_density_cap():
 
 
 def test_jabr_cut_examples():
-    cut = jabr_cut(1.0, 1.0, 1.2, 0.0, (4, 9))
+    [cut] = _jabr(1.0, 1.0, 1.2, 0.0, (4, 9))
     assert cut.kind == "jabr"
     assert cut.violation_at_birth == pytest.approx(0.2)
     assert cut.provenance == (4, 9)
-    assert jabr_cut(1.0, 1.0, 0.5, 0.5, (4, 9)) is None
-    scut = jabr_cut(1.0, 1.0, 0.0, 1.2, (9, 4))
+    assert _jabr(1.0, 1.0, 0.5, 0.5, (4, 9)) == []
+    [scut] = _jabr(1.0, 1.0, 0.0, 1.2, (9, 4))
     assert scut is not None
     assert scut.violation_at_birth == pytest.approx(0.2)
     assert ("s", 4, 9) in scut.terms
+
+
+def _with_negatives(rng, n, neg):
+    """Random Hermitian n x n matrix with `neg` negative eigenvalues."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a)
+    lam = np.concatenate([rng.uniform(0.2, 2.0, n - neg),
+                          -rng.uniform(0.05, 1.0, neg)])
+    return HermitianMatrix(q @ np.diag(lam) @ q.conj().T).mat
+
+
+def _assert_same_cut(got, want):
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(w) is float for w in got.terms.values())
+    assert (got.kind, got.provenance, got.rhs, got.violation_at_birth) \
+        == (want.kind, want.provenance, want.rhs, want.violation_at_birth)
+    assert got.content_hash == want.content_hash
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_clique_cuts_match_per_matrix_cuts(n):
+    """One stacked eigensolve gives each clique its one-matrix cuts."""
+    rng = np.random.default_rng(40 + n)
+    negs = [k % (min(n, 3) + 1) for k in range(24)]  # PSD, 1, 2 (, 3)
+    x = np.array([_with_negatives(rng, n, k) for k in negs])
+    # buses in random order, so most tuples oppose canonical orientation
+    cliques = [tuple(rng.permutation(np.arange(1, 40))[:n].tolist())
+               for _ in negs]
+    want = []
+    for m, clique in enumerate(cliques):
+        x0 = HermitianMatrix(x[m])
+        want.append(eigen_cut(x0, clique))
+        if len(eigen(x0).negative_pairs(psd_cutoff(x0.mat, PSD_TOL))) == 2:
+            want.append(projection_cut(x0, clique))
+    want = [cut for cut in want if cut is not None]
+    got = clique_cuts(x, cliques)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_cut(g, w)
+    # the density cap rejects every dense 4- or 5-clique cut (16, 25 terms)
+    assert got or n > 3
+
+
+def test_jabr_cut_matches_pair_eigen_cuts():
+    """The closed-form pair coefficients equal the 2x2 eigen-cut's."""
+    rng = np.random.default_rng(50)
+    negs = [k % 3 for k in range(30)]
+    x = np.array([_with_negatives(rng, 2, k) for k in negs])
+    pairs = [tuple(sorted(rng.choice(np.arange(1, 30), 2, replace=False)
+                          .tolist())) for _ in negs]
+    want = []
+    for m, pair in enumerate(pairs):
+        ref = eigen_cut(HermitianMatrix(x[m]), pair)
+        if ref is not None:
+            want.append(LinearCut(dict(ref.terms), ref.rhs, "jabr",
+                                  ref.provenance, ref.violation_at_birth))
+    got = jabr_cut(x, pairs)
+    assert len(got) == len(want) == sum(k > 0 for k in negs)
+    for g, w in zip(got, want):
+        _assert_same_cut(g, w)
 
 
 def test_limit_cut_examples():
@@ -190,12 +257,12 @@ def test_content_hash_golden_values():
     cut = LinearCut({("s", 1, 2): 0.25, ("v2", 2): 1.0, ("c", 1, 2): -2.0,
                      ("v2", 1): 4.0}, 0.5, "eigen", (1, 2))
     assert cut.content_hash == 11199671962411321844
-    assert jabr_cut(1.0, 1.0, 1.2, 0.3, (4, 9)).content_hash \
+    assert _jabr(1.0, 1.0, 1.2, 0.3, (4, 9))[0].content_hash \
         == 11573129386543259869
 
 
 def test_jabr_hash_equals_direct_jabr_cut():
-    cut = jabr_cut(1.0, 1.0, 1.2, 0.3, (4, 9))
+    [cut] = _jabr(1.0, 1.0, 1.2, 0.3, (4, 9))
     direct = LinearCut(dict(cut.terms), cut.rhs, "jabr", cut.provenance)
     assert cut.content_hash == direct.content_hash
 
