@@ -18,10 +18,7 @@ from .driver import RunConfig, cutplane, report_table
 from .errors import (CaseParseError, CaseValidationError, CutFileError,
                      LpBackendError, ModelError)
 from .network import PairGraph, chordal_cliques, enumerate_three_cycles
-from .relaxation import build_m0
 from .theory import run_all
-
-log = logging.getLogger("opfcuts")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -77,12 +74,9 @@ def _cmd_solve(args) -> int:
                        max_clique_size=args.max_clique)
     warm = None
     if args.warm:
-        model = build_m0(case)
+        # cutplane builds the model once and skips the cuts it lacks
         with open(args.warm) as fh:
-            warm, skipped = load_cuts(fh, model)
-        if skipped:
-            log.info("warm start: skipped %d cuts with unknown variables",
-                     skipped)
+            warm, _ = load_cuts(fh)
     report = cutplane(case, config, warm=warm)
     if args.save_cuts and report.pool is not None:
         with open(args.save_cuts, "w") as fh:

@@ -84,13 +84,12 @@ def admit(pool: CutPool, candidates, cosine_bound: float = COSINE_BOUND,
 def age_and_drop(pool: CutPool, slacks: dict, t_age: int = T_AGE):
     """Reset age on tight cuts, age the rest, drop old consistently-slack ones.
 
-    `slacks` maps content hash to the cut's normalized slack at the current
-    solution.  Returns the list of dropped cuts.
+    `slacks` maps content hash to the slack a.x - b of the cut's LP row
+    (missing: tight), here normalized.  Returns the list of dropped cuts.
     """
     dropped = []
     for h, cut in list(pool.cuts.items()):
-        slack = slacks.get(h, 0.0)
-        if slack < EPS_SLACK:
+        if slacks.get(h, 0.0) / cut.inf_norm < EPS_SLACK:
             cut.age = 0
             continue
         cut.age += 1
@@ -126,11 +125,12 @@ def save_cuts(pool: CutPool, stream):
         stream.write(json.dumps(rec) + "\n")
 
 
-def load_cuts(stream, model) -> tuple[CutPool, int]:
+def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     """Read a cut file; returns (pool, skipped count).
 
     Cuts naming a variable `model` neither has nor can add (see
-    `RelaxationModel.has_variables`) are skipped; ages reset.
+    `RelaxationModel.has_variables`) are skipped; ages reset.  Without a
+    model every well-formed cut is kept; `cutplane` skips what it lacks.
     """
     pool = CutPool()
     skipped = 0
@@ -161,7 +161,7 @@ def load_cuts(stream, model) -> tuple[CutPool, int]:
             raise CutFileError(
                 "malformed cut record %d (last good record %d)"
                 % (num, num - 1), record=num)
-        if not model.has_variables(cut.terms):
+        if model is not None and not model.has_variables(cut.terms):
             skipped += 1
             continue
         pool.cuts[cut.content_hash] = cut

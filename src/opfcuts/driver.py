@@ -110,8 +110,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     report = RunReport(case_name=case.name, warm_started=warm is not None,
                        clique_counts=cliques.sizes())
     if warm is not None:
+        skipped = 0
         for h, cut in sorted(warm.cuts.items()):
             if not model.has_variables(cut.terms):
+                skipped += 1
                 continue
             model.extend_pairs({key[1:] for key in cut.terms
                                 if key[0] in ("c", "s")})
@@ -120,6 +122,9 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             pool.cuts[h] = cut = copy.copy(cut)
             cut.age = 0
             model.add_cut_row(h, cut.terms, cut.rhs)
+        if skipped:
+            log.info("warm start: skipped %d cuts with unknown variables",
+                     skipped)
 
     stall = 0
     z_prev = -math.inf
@@ -167,9 +172,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         # cuts admitted this round are not in the solved LP and have no
         # slack there; age_and_drop counts a missing slack as tight
-        slacks = {h: res.row_slack[h] / cut.inf_norm
-                  for h, cut in pool.cuts.items() if h in res.row_slack}
-        dropped = age_and_drop(pool, slacks)
+        dropped = age_and_drop(pool, res.row_slack)
         for cut in dropped:
             model.remove_cut_row(cut.content_hash)
 
@@ -213,7 +216,7 @@ def _log_round(stats: RoundStats, res, pool: CutPool, model):
              stats.index, stats.objective, stats.bound,
              res.dual_infeasibility, res.primal_residual, stats.cuts_added,
              stats.cuts_dropped, len(pool),
-             len(model.backend.eq_rows) + len(model.backend.rows))
+             len(model.backend.rhs))
 
 
 def _separate(model, cliques):

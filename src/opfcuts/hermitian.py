@@ -45,8 +45,9 @@ class HermitianMatrix:
 
 def psd_cutoff(mats, tol: float):
     """Eigenvalues below -tol * max(1, trace) count as negative, per matrix
-    of `mats`: a HermitianMatrix's array or a stack (M, n, n).  The trace is
-    summed as complex, as `ndarray.trace` sums it."""
+    of `mats`: a HermitianMatrix, an (n, n) array or a stack (M, n, n).  The
+    trace is summed as complex, as `ndarray.trace` sums it."""
+    mats = mats.mat if isinstance(mats, HermitianMatrix) else mats
     return -tol * np.maximum(1.0, mats.diagonal(0, -2, -1).sum(-1).real)
 
 

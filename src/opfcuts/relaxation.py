@@ -215,14 +215,12 @@ class RelaxationModel:
     def add_cut_row(self, row_id, terms: dict, rhs: float):
         if row_id in self.backend.rows:
             raise ModelError("duplicate cut row %r" % (row_id,))
-        cols, coeffs = [], []
-        for key, w in terms.items():
-            idx = self.var_index.get(key)
-            if idx is None:
-                raise ModelError("unknown variable %r" % (key,))
-            cols.append(idx)
-            coeffs.append(float(w))
-        self.backend.add_rows({row_id: (cols, coeffs, float(rhs))})
+        try:
+            cols = [self.var_index[key] for key in terms]
+        except KeyError as exc:
+            raise ModelError("unknown variable %r" % (exc.args[0],)) from None
+        self.backend.add_rows({row_id: (cols, list(terms.values()),
+                                        float(rhs))})
 
     def remove_cut_row(self, row_id):
         if row_id not in self.backend.rows:

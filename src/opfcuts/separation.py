@@ -8,7 +8,7 @@ with the s coefficient sign adjusted to the canonical pair orientation.
 Coefficients are Python floats from birth, so a cut hashes like its copy
 read back from a cut file.  `jabr_cut` and `clique_cuts` take a stack of
 matrices of one size and make one `eigen` call for it; only the matrices
-below their PSD cutoff go on to build cuts.
+below their PSD cutoff build cuts, from the stack's eigenpairs and cutoff.
 """
 
 from __future__ import annotations
@@ -21,14 +21,26 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import (EigenDecomposition, HermitianMatrix, eigen,
-                        psd_cutoff)
+from .hermitian import EigenDecomposition, eigen, psd_cutoff
 from .network import canonical_pair
 
 PSD_TOL = 1e-8           # relative to max(1, trace)
 VIOLATION_THRESHOLD = 1e-5
-DENSITY_CAP = 15         # cuts touching more variables are rejected
 HASH_DIGITS = 12
+
+_pack = struct.Struct("<d").pack
+
+
+class _KeyBytes(dict):
+    """repr(key).encode() per variable key, made once; UTF-8 keeps code
+    point order, so sorting by these bytes is sorting by `repr`."""
+
+    def __missing__(self, key):
+        self[key] = value = repr(key).encode()
+        return value
+
+
+_KEY_BYTES = _KeyBytes()
 
 
 @dataclass
@@ -49,20 +61,20 @@ class LinearCut:
     inf_norm: float = field(init=False)
 
     def __post_init__(self):
-        self.terms = {k: self.terms[k] for k in sorted(self.terms, key=repr)}
+        self.terms = {k: self.terms[k]
+                      for k in sorted(self.terms, key=_KEY_BYTES.__getitem__)}
         self.inf_norm = max(map(abs, self.terms.values()))
 
     @cached_property
     def content_hash(self) -> int:
         """Hash of kind, terms and rhs scaled to unit infinity norm."""
         scale = self.inf_norm
-        h = hashlib.blake2b(digest_size=8)
-        h.update(self.kind.encode())
+        parts = [self.kind.encode()]
         for key, w in self.terms.items():
-            h.update(repr(key).encode())
-            h.update(struct.pack("<d", round(w / scale, HASH_DIGITS)))
-        h.update(struct.pack("<d", round(self.rhs / scale, HASH_DIGITS)))
-        return int.from_bytes(h.digest(), "little")
+            parts += (_KEY_BYTES[key], _pack(round(w / scale, HASH_DIGITS)))
+        parts.append(_pack(round(self.rhs / scale, HASH_DIGITS)))
+        digest = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
+        return int.from_bytes(digest, "little")
 
     def value_at(self, values: dict) -> float:
         return sum(w * values[k] for k, w in self.terms.items())
@@ -92,42 +104,38 @@ def _matrix_cut_terms(a: np.ndarray, clique) -> dict:
     return terms
 
 
-def eigen_cut(x0: HermitianMatrix, clique, density_cap: int = DENSITY_CAP,
-              decomposition=None):
-    """Most-negative-eigenvector cut; None when x0 is PSD within tolerance."""
-    dec = decomposition if decomposition is not None else eigen(x0)
+def eigen_cut(x0, clique, decomposition=None, cutoff=None):
+    """Most-negative-eigenvector cut of x0, a HermitianMatrix or Hermitian
+    array, whose eigenpairs and PSD cutoff a caller may pass; None if PSD."""
+    dec = decomposition or eigen(x0)
     lam_min = dec.eigenvalues[-1]
-    if lam_min >= psd_cutoff(x0.mat, PSD_TOL):
+    if lam_min >= (psd_cutoff(x0, PSD_TOL) if cutoff is None else cutoff):
         return None
     q = dec.eigenvectors[:, -1]
-    a = np.outer(q, q.conj())
-    terms = _matrix_cut_terms(a, clique)
-    if len(terms) > density_cap:
-        return None
+    terms = _matrix_cut_terms(np.outer(q, q.conj()), clique)
     return LinearCut(terms=terms, rhs=0.0, kind="eigen",
                      provenance=tuple(clique),
                      violation_at_birth=float(-lam_min))
 
 
-def projection_cut(x0: HermitianMatrix, clique,
-                   density_cap: int = DENSITY_CAP, max_negative: int = 2,
-                   decomposition=None):
+def projection_cut(x0, clique, max_negative: int = 2, decomposition=None,
+                   cutoff=None):
     """Maximum-distance cut from the PSD projection of x0.
 
     Emitted when the negative eigenvalue count is between 1 and
     `max_negative`; with a single negative eigenvalue the cut is collinear
     with the eigen-cut.
     """
-    dec = decomposition if decomposition is not None else eigen(x0)
-    neg = dec.negative_pairs(psd_cutoff(x0.mat, PSD_TOL))
+    dec = decomposition or eigen(x0)
+    neg = dec.negative_pairs(
+        psd_cutoff(x0, PSD_TOL) if cutoff is None else cutoff)
     if not neg or len(neg) > max_negative:
         return None
-    a = np.zeros((x0.n, x0.n), dtype=complex)
+    n = len(dec.eigenvalues)
+    a = np.zeros((n, n), dtype=complex)
     for lam, q in neg:
         a += (-lam) * np.outer(q, q.conj())
     terms = _matrix_cut_terms(a, clique)
-    if len(terms) > density_cap:
-        return None
     violation = float(sum(lam * lam for lam, _ in neg))
     return LinearCut(terms=terms, rhs=0.0, kind="projection",
                      provenance=tuple(clique), violation_at_birth=violation)
@@ -140,15 +148,16 @@ def clique_cuts(x: np.ndarray, cliques) -> list:
     eigen-cut; with one, that cut would be collinear with the eigen-cut.
     """
     dec = eigen(x)
-    neg = (dec.eigenvalues < psd_cutoff(x, PSD_TOL)[:, None]).sum(axis=1)
+    cutoff = psd_cutoff(x, PSD_TOL)
+    neg = (dec.eigenvalues < cutoff[:, None]).sum(axis=1)
     cuts = []
     for m in np.flatnonzero(neg).tolist():
-        x0, clique = HermitianMatrix(x[m]), cliques[m]
         dec_m = EigenDecomposition(dec.eigenvalues[m], dec.eigenvectors[m])
-        cuts.append(eigen_cut(x0, clique, decomposition=dec_m))
+        cuts.append(eigen_cut(x[m], cliques[m], dec_m, cutoff[m]))
         if neg[m] == 2:
-            cuts.append(projection_cut(x0, clique, decomposition=dec_m))
-    return [cut for cut in cuts if cut is not None]
+            cuts.append(projection_cut(x[m], cliques[m], decomposition=dec_m,
+                                       cutoff=cutoff[m]))
+    return cuts
 
 
 def jabr_cut(x: np.ndarray, pairs) -> list:

@@ -17,6 +17,8 @@ from opfcuts.separation import eigen_cut, projection_cut
 from opfcuts.theory import (check_permuted_jabr, check_rank_lemma,
                             check_psd_transfer)
 
+# the upper edge of the accepted case14 bound band, not an AC value:
+# case14 has an AC-feasible point at 8081.5263
 REF_BOUND = 8081.18
 BAND_LO = 8074.70
 BAND_HI = REF_BOUND + 1e-3
@@ -53,7 +55,8 @@ def test_criterion_03_bound_validity(cold_report, capsys):
     worst = max(st.objective for st in cold_report.rounds)
     ok = worst <= REF_BOUND * (1.0 + 1e-6)
     _report(capsys, 3, ok,
-            "max per-round objective %.4f vs AC value %.2f" % (worst, REF_BOUND))
+            "max per-round objective %.4f vs band upper edge %.2f"
+            % (worst, REF_BOUND))
 
 
 def test_criterion_04_psd_transfer_suite(capsys):
@@ -108,10 +111,10 @@ def test_criterion_06_cut_identities(capsys):
         clique = tuple(range(1, n + 1))
         xh = HermitianMatrix(x)
         vals = _clique_values(x, clique)
-        ecut = eigen_cut(xh, clique, density_cap=100)
+        ecut = eigen_cut(xh, clique)
         worst = max(worst, abs(ecut.violation_at_birth + lam[0]),
                     abs((ecut.rhs - ecut.value_at(vals)) + lam[0]))
-        pcut = projection_cut(xh, clique, density_cap=100, max_negative=n)
+        pcut = projection_cut(xh, clique, max_negative=n)
         neg = lam[lam < -1e-8 * max(1.0, float(np.trace(x).real))]
         expect = float((neg * neg).sum())
         worst = max(worst, abs(pcut.violation_at_birth - expect))

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from opfcuts.cli import EXIT_DATA, EXIT_FAIL, EXIT_OK, main
@@ -37,6 +39,19 @@ def test_roundtrip_save_load_cuts(case14_path, tmp_path, capsys):
     assert main(["solve", case14_path, "--save-cuts", str(path)]) == EXIT_OK
     assert path.exists()
     assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_OK
+
+
+def test_warm_start_logs_skipped_cuts(case14_path, tmp_path, caplog):
+    """A cut on an unknown bus is skipped by the run, which says so."""
+    path = tmp_path / "pool.jsonl"
+    assert main(["solve", case14_path, "--save-cuts", str(path)]) == EXIT_OK
+    with open(path, "a") as fh:
+        fh.write('{"kind": "eigen", "support": [1, 999], '
+                 '"terms": [[["v2", 1], 1.0], [["c", 1, 999], -1.0]], '
+                 '"rhs": 0.0}\n')
+    with caplog.at_level(logging.INFO, logger="opfcuts"):
+        assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_OK
+    assert "warm start: skipped 1 cuts with unknown variables" in caplog.text
 
 
 def test_bad_cut_file(case14_path, tmp_path):

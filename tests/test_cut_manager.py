@@ -170,6 +170,18 @@ def test_load_skips_unknown_variables():
     assert len(again) == 1
 
 
+def test_load_without_model_keeps_every_cut():
+    pool = CutPool()
+    admit(pool, [_cut({("v2", 1): 1.0}),
+                 _cut({("v2", 99): 1.0}, prov=(99,))])
+    buf = io.StringIO()
+    save_cuts(pool, buf)
+    buf.seek(0)
+    again, skipped = load_cuts(buf)
+    assert skipped == 0
+    assert set(again.cuts) == set(pool.cuts)
+
+
 def test_load_bad_header():
     with pytest.raises(CutFileError):
         load_cuts(io.StringIO("not json\n"), _FakeModel([]))

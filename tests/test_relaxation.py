@@ -190,14 +190,16 @@ def test_m0_soundness_random_grids():
         x = np.zeros(len(lp.objective))
         for key, val in vals.items():
             x[model.var_index[key]] = val
-        for cols, coeffs, rhs in lp.eq_rows:
-            resid = sum(w * x[j] for j, w in zip(cols, coeffs)) - rhs
-            assert abs(resid) < 1e-9
+        model.solve()  # moves the queued rows into the row store
+        excess = np.array([
+            sum(w * x[j] for j, w in zip(lp.cols[lp.row_of == i],
+                                         lp.vals[lp.row_of == i])) - rhs
+            for i, rhs in enumerate(lp.rhs)])
+        assert np.all(np.abs(excess[~lp.ge]) < 1e-9)
         for key, idx in model.var_index.items():
             assert lp.lower[idx] - 1e-9 <= x[idx] <= lp.upper[idx] + 1e-9
-        assert lp.rows  # the cost epigraph supports
-        for cols, coeffs, rhs in lp.rows.values():
-            assert sum(w * x[j] for j, w in zip(cols, coeffs)) >= rhs - 1e-9
+        assert lp.rows and lp.ge.any()  # the cost epigraph supports
+        assert np.all(excess[lp.ge] >= -1e-9)
 
 
 def test_extend_pairs_preserves_columns(case14):

@@ -100,7 +100,7 @@ def test_violation_identity_random():
         x = a + a.conj().T
         lam = np.linalg.eigvalsh(x)
         clique = tuple(sorted(rng.choice(np.arange(1, 30), n, replace=False)))
-        cut = eigen_cut(HermitianMatrix(x), clique, density_cap=100)
+        cut = eigen_cut(HermitianMatrix(x), clique)
         if lam[0] >= -1e-8 * max(1.0, float(np.trace(x).real)):
             assert cut is None
             continue
@@ -109,14 +109,18 @@ def test_violation_identity_random():
         assert cut.rhs - cut.value_at(vals) == pytest.approx(-lam[0], rel=1e-8)
 
 
-def test_density_cap():
+@pytest.mark.parametrize("n", [4, 5])
+def test_dense_clique_cuts(n):
+    """A violated 4- or 5-clique yields its dense eigen cut: n^2 terms."""
     rng = np.random.default_rng(23)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x0 = HermitianMatrix(-np.outer(v, v.conj()))
-    clique = (1, 2, 3, 4, 5)
-    assert eigen_cut(x0, clique) is None
-    assert eigen_cut(x0, clique, density_cap=25) is not None
-    assert projection_cut(x0, clique, max_negative=2) is None
+    clique = tuple(range(1, n + 1))
+    cut = eigen_cut(x0, clique)
+    assert cut is not None and len(cut.terms) == n * n
+    [got] = clique_cuts(x0.mat[None], [clique])
+    _assert_same_cut(got, cut)
+    assert projection_cut(x0, clique, max_negative=2) is not None
 
 
 def test_jabr_cut_examples():
@@ -168,8 +172,7 @@ def test_clique_cuts_match_per_matrix_cuts(n):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _assert_same_cut(g, w)
-    # the density cap rejects every dense 4- or 5-clique cut (16, 25 terms)
-    assert got or n > 3
+    assert got
 
 
 def test_jabr_cut_matches_pair_eigen_cuts():
