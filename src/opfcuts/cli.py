@@ -66,12 +66,16 @@ def _build_parser():
 
 def _cmd_solve(args) -> int:
     case = parse_case_file(args.case)
-    if args.perturb_seed is not None or args.perturb_sigma:
-        case = perturb_loads(case, seed=args.perturb_seed or 0,
-                             mu_frac=0.0, sigma_frac=args.perturb_sigma)
-    config = RunConfig(time_limit=args.time_limit,
-                       hierarchy_round=args.rstar,
-                       max_clique_size=args.max_clique)
+    try:  # out-of-range option values
+        if args.perturb_seed is not None or args.perturb_sigma:
+            case = perturb_loads(case, seed=args.perturb_seed or 0,
+                                 mu_frac=0.0, sigma_frac=args.perturb_sigma)
+        config = RunConfig(time_limit=args.time_limit,
+                           hierarchy_round=args.rstar,
+                           max_clique_size=args.max_clique)
+    except ValueError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_DATA
     warm = None
     if args.warm:
         # cutplane builds the model once and skips the cuts it lacks

@@ -45,13 +45,12 @@ def _cosine(a: LinearCut, b: LinearCut) -> float:
     return dot / math.sqrt(na * nb)
 
 
-def admit(pool: CutPool, candidates, cosine_bound: float = COSINE_BOUND,
-          k_add: int = K_ADD):
+def admit(pool: CutPool, candidates):
     """Filter candidates into the pool; returns the admitted list.
 
     Rejects duplicates by hash, near-parallel cuts on the same variable
     support, and sub-threshold violations; admits by decreasing violation,
-    at most `k_add` per provenance group per call.
+    at most `K_ADD` per provenance group per call.
 
     The parallelism check runs only within the current batch.  Checking
     against the whole pool can deadlock the loop: a refined cut is almost
@@ -68,10 +67,10 @@ def admit(pool: CutPool, candidates, cosine_bound: float = COSINE_BOUND,
         if cut.content_hash in pool.cuts:
             continue
         group = cut.provenance
-        if per_group.get(group, 0) >= k_add:
+        if per_group.get(group, 0) >= K_ADD:
             continue
         support = tuple(cut.terms)
-        if any(abs(_cosine(cut, other)) > cosine_bound
+        if any(abs(_cosine(cut, other)) > COSINE_BOUND
                for other in by_support.get(support, [])):
             continue
         pool.cuts[cut.content_hash] = cut
@@ -81,7 +80,7 @@ def admit(pool: CutPool, candidates, cosine_bound: float = COSINE_BOUND,
     return admitted
 
 
-def age_and_drop(pool: CutPool, slacks: dict, t_age: int = T_AGE):
+def age_and_drop(pool: CutPool, slacks: dict):
     """Reset age on tight cuts, age the rest, drop old consistently-slack ones.
 
     `slacks` maps content hash to the slack a.x - b of the cut's LP row
@@ -93,7 +92,7 @@ def age_and_drop(pool: CutPool, slacks: dict, t_age: int = T_AGE):
             cut.age = 0
             continue
         cut.age += 1
-        if cut.age >= t_age:
+        if cut.age >= T_AGE:
             dropped.append(cut)
             del pool.cuts[h]
     return dropped

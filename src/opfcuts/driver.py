@@ -53,8 +53,9 @@ class RunConfig:
     max_rounds: int | None = None
 
     def __post_init__(self):
-        if self.time_limit < 0:
-            raise ValueError("negative time limit")
+        if not self.time_limit >= 0:  # NaN too
+            raise ValueError("time limit must be >= 0, got %r"
+                             % self.time_limit)
         if self.hierarchy_round < 1:
             raise ValueError("hierarchy_round must be >= 1")
         if self.max_clique_size not in (3, 4, 5):

@@ -3,8 +3,13 @@
 `ScipyHighsBackend` holds the whole LP: the columns (objective and bounds)
 and one flat row store in HiGHS row order.  Entry k is `vals[k]` in row
 `row_of[k]`, column `cols[k]`; row i reads a.x >= rhs[i] where `ge[i]`,
-a.x = rhs[i] elsewhere; `rows` maps the id of each `>=` row to its row.
-The relaxation model writes into it and never keeps a copy.
+a.x = rhs[i] elsewhere.  The relaxation model writes into it and never
+keeps a copy.
+
+Every row enters through one call, `add_row(row_id, cols, coeffs, rhs, ge)`.
+A row with an id (a cut) can be removed by `remove_rows`, and its slack
+a.x - rhs is reported in `LpSolveResult.row_slack`; `rows` maps each id to
+its row.  A row with id None (a base row) stays for the model's life.
 
 HiGHS sees one persistent model, created at the first `solve()`.  Row
 edits are queued; `solve()` appends the queued rows to the store, compacts
@@ -55,7 +60,7 @@ class LpSolveResult:
     dual_infeasibility: float | None
     primal_residual: float = 0.0  # worst row/bound violation of the primal
     dual_bound: float = -np.inf   # certified lower bound, or -inf for none
-    row_slack: dict = field(default_factory=dict)  # >= row id -> a.x - b
+    row_slack: dict = field(default_factory=dict)  # row id -> a.x - b
 
 
 class ScipyHighsBackend:
@@ -71,7 +76,7 @@ class ScipyHighsBackend:
         self.row_of = np.zeros(0, np.intp)
         self.rhs = np.zeros(0)
         self.ge = np.zeros(0, bool)
-        self.rows: dict = {}   # >= row id -> its row, queued rows included
+        self.rows: dict = {}   # row id -> its row, queued rows included
         self._queue: list = []  # rows (cols, coeffs, rhs, ge) not yet stored
         self._dead: list = []   # rows removed since the last solve
         self._highs = None     # the persistent model, made at the first solve
@@ -84,19 +89,16 @@ class ScipyHighsBackend:
         self.upper.append(upper)
         return len(self.objective) - 1
 
-    def add_eq_row(self, cols, coeffs, rhs: float):
-        self._queue.append((cols, coeffs, rhs, False))
+    def add_row(self, row_id, cols, coeffs, rhs: float, ge: bool = True):
+        """Queue the row a.x >= rhs, or a.x = rhs when not `ge`.
 
-    def add_rows(self, rows):
-        """rows: dict row_id -> (cols, coeffs, rhs) with sense >=.
-
-        An id already present is replaced: its old row is removed first.
+        A row with an id can be removed by it; a row with id None stays.
         """
-        for row_id, (cols, coeffs, rhs) in rows.items():
+        if row_id is not None:
             if row_id in self.rows:
-                self.remove_rows([row_id])
+                raise LpBackendError("duplicate row id %r" % (row_id,))
             self.rows[row_id] = len(self.rhs) + len(self._queue)
-            self._queue.append((cols, coeffs, rhs, True))
+        self._queue.append((cols, coeffs, rhs, ge))
 
     def remove_rows(self, row_ids):
         for row_id in row_ids:
@@ -251,7 +253,8 @@ class ScipyHighsBackend:
             # an infeasible point as optimal; the bound never rests on it
             excess = np.bincount(self.row_of, self.vals * primal[self.cols],
                                  len(b)) - b
-            row_slack = dict(zip(self.rows, excess[ge].tolist()))
+            row_slack = dict(zip(self.rows, excess[
+                list(self.rows.values())].tolist()))
             residual = max(float(np.abs(excess[~ge]).max(initial=0.0)),
                            float((-excess[ge]).max(initial=0.0)),
                            float((lower - primal).max(initial=0.0)),

@@ -125,12 +125,10 @@ def enumerate_three_cycles(g: PairGraph) -> CliqueSet:
 
 
 def _min_degree_fill(adj: dict[int, set[int]]):
-    """Minimum-degree elimination; returns (ordering, clique per vertex).
-
-    Ties break on lowest vertex id for determinism.
+    """Minimum-degree elimination; returns the clique of each vertex, in
+    elimination order.  Ties break on lowest vertex id for determinism.
     """
     work = {v: set(nbrs) for v, nbrs in adj.items()}
-    order = []
     elim_clique = {}
     remaining = set(work)
     while remaining:
@@ -146,26 +144,15 @@ def _min_degree_fill(adj: dict[int, set[int]]):
             work[a].discard(v)
         del work[v]
         remaining.discard(v)
-        order.append(v)
-    return order, elim_clique
+    return elim_clique
 
 
-def _maximal_cliques(order, elim_clique):
-    """Maximal cliques of the chordal extension (Fulkerson-Gross)."""
-    cliques = []
-    seen = []
-    for v in order:
-        c = elim_clique[v]
-        if not any(c <= other for other in seen):
-            cliques.append(tuple(sorted(c)))
-        seen.append(c)
-    # a clique can still be dominated by a later one
-    out = []
-    for c in cliques:
-        cs = set(c)
-        if not any(cs < set(d) for d in cliques if d != c):
-            out.append(c)
-    return sorted(set(out))
+def _maximal_cliques(elim_clique):
+    """Maximal cliques of the chordal extension (Fulkerson-Gross): the
+    distinct elimination cliques that no other one strictly contains."""
+    distinct = set(elim_clique.values())
+    return sorted(tuple(sorted(c)) for c in distinct
+                  if not any(c < other for other in distinct))
 
 
 def _greedy_edge_cover(clique, max_size):
@@ -202,9 +189,8 @@ def chordal_cliques(g: PairGraph, max_size: int) -> CliqueSet:
     """
     if max_size not in (3, 4, 5):
         raise ValueError("max_size must be 3, 4 or 5")
-    order, elim_clique = _min_degree_fill(g.adjacency())
     cliques = []
-    for c in _maximal_cliques(order, elim_clique):
+    for c in _maximal_cliques(_min_degree_fill(g.adjacency())):
         if len(c) < 3:
             continue
         if len(c) <= max_size:

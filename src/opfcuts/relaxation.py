@@ -17,9 +17,12 @@ linear flow-definition and balance equalities, and the initial cost epigraph
 supports; everything nonlinear is enforced by dynamically separated cuts.
 
 `RelaxationModel` keeps only the symbolic maps (`var_index`, `branch_keys`,
-`gen_keys`) and the branch pair graph.  Every column and row it builds, and
-every cut row it adds or removes, is written straight into its
-`ScipyHighsBackend`, which is the only holder of the LP.  The (c, s) columns
+`gen_keys`) and the branch pair graph.  Every column it builds is written
+straight into its `ScipyHighsBackend`, which is the only holder of the LP.
+Every row, base or cut, is a dict {key: coeff} that one method, `_add_row`,
+maps to columns, leaving zero coefficients out, and queues with the
+backend's one `add_row`.  Base rows carry no id and stay; cut rows carry the
+cut's id, by which `remove_cut_row` deletes them.  The (c, s) columns
 are the one record of which bus pairs exist; `extend_pairs` adds to them.
 `clique_matrix` gathers the matrices of the pairs, or of the cliques of one
 size, as one stack, by index arrays cached per list of bus tuples.
@@ -111,29 +114,26 @@ class RelaxationModel:
             self._add_var(("Qg", gkey), g.q_min, g.q_max)
             self._add_var(("t", gkey), -INF, INF, obj=1.0)
 
-        # flow definitions: linear equalities over (v2, c, s)
+        # flow definitions: each flow equals a linear map of (v2, c, s)
         for idx, bkey in self.branch_keys.items():
             br = case.branches[idx]
             a = branch_admittance(br)
             pair = canonical_pair(br.from_bus, br.to_bus)
             orient = 1.0 if br.from_bus < br.to_bus else -1.0
-            vi = self.var_index
-            c_i, s_i = vi[("c",) + pair], vi[("s",) + pair]
-            v2f, v2t = vi[("v2", br.from_bus)], vi[("v2", br.to_bus)]
-            rows = [
-                (("P", bkey, "f"), [(v2f, -a.g_kk), (c_i, -a.g_km),
-                                    (s_i, -a.b_km * orient)]),
-                (("P", bkey, "t"), [(v2t, -a.g_mm), (c_i, -a.g_mk),
-                                    (s_i, a.b_mk * orient)]),
-                (("Q", bkey, "f"), [(v2f, a.b_kk), (c_i, a.b_km),
-                                    (s_i, -a.g_km * orient)]),
-                (("Q", bkey, "t"), [(v2t, a.b_mm), (c_i, a.b_mk),
-                                    (s_i, a.g_mk * orient)]),
-            ]
-            for flow_key, terms in rows:
-                cols = [vi[flow_key]] + [c for c, _ in terms]
-                coeffs = [1.0] + [w for _, w in terms]
-                self.backend.add_eq_row(cols, coeffs, 0.0)
+            c, s = ("c",) + pair, ("s",) + pair
+            v2f, v2t = ("v2", br.from_bus), ("v2", br.to_bus)
+            flows = {
+                ("P", bkey, "f"): {v2f: -a.g_kk, c: -a.g_km,
+                                   s: -a.b_km * orient},
+                ("P", bkey, "t"): {v2t: -a.g_mm, c: -a.g_mk,
+                                   s: a.b_mk * orient},
+                ("Q", bkey, "f"): {v2f: a.b_kk, c: a.b_km,
+                                   s: -a.g_km * orient},
+                ("Q", bkey, "t"): {v2t: a.b_mm, c: a.b_mk,
+                                   s: a.g_mk * orient},
+            }
+            for flow, terms in flows.items():
+                self._add_row(None, {flow: 1.0, **terms}, 0.0, ge=False)
 
         # power balance with bus shunts
         touching: dict[int, list] = {b.id: [] for b in case.buses}
@@ -146,33 +146,16 @@ class RelaxationModel:
             gens_at[case.generators[idx].bus].append(gkey)
 
         for b in case.buses:
-            vi = self.var_index
-            p_cols = [vi[("P", bk, d)] for bk, d in touching[b.id]]
-            p_coeffs = [1.0] * len(p_cols)
-            if b.shunt_g:
-                p_cols.append(vi[("v2", b.id)])
-                p_coeffs.append(b.shunt_g)
-            for gkey in gens_at[b.id]:
-                p_cols.append(vi[("Pg", gkey)])
-                p_coeffs.append(-1.0)
-            self.backend.add_eq_row(p_cols, p_coeffs, -b.p_load)
-
-            q_cols = [vi[("Q", bk, d)] for bk, d in touching[b.id]]
-            q_coeffs = [1.0] * len(q_cols)
-            if b.shunt_b:
-                q_cols.append(vi[("v2", b.id)])
-                q_coeffs.append(-b.shunt_b)
-            for gkey in gens_at[b.id]:
-                q_cols.append(vi[("Qg", gkey)])
-                q_coeffs.append(-1.0)
-            self.backend.add_eq_row(q_cols, q_coeffs, -b.q_load)
+            for flow, gen, shunt, load in (("P", "Pg", b.shunt_g, b.p_load),
+                                           ("Q", "Qg", -b.shunt_b, b.q_load)):
+                terms = {(flow, bk, d): 1.0 for bk, d in touching[b.id]}
+                terms[("v2", b.id)] = shunt
+                terms.update({(gen, gkey): -1.0 for gkey in gens_at[b.id]})
+                self._add_row(None, terms, -load, ge=False)
 
         # initial epigraph supports
-        n_base = 0
         for idx, gkey in self.gen_keys.items():
             g = case.generators[idx]
-            vi = self.var_index
-            t_i, p_i = vi[("t", gkey)], vi[("Pg", gkey)]
             if g.cost.kind == "polynomial":
                 c2 = g.cost.coefficients[0]
                 if c2 == 0.0:
@@ -184,9 +167,22 @@ class RelaxationModel:
             else:
                 supports = g.cost.segment_supports()
             for slope, intercept in supports:
-                self.backend.add_rows({("base", n_base): (
-                    [t_i, p_i], [1.0, -slope], intercept)})
-                n_base += 1
+                self._add_row(None, {("t", gkey): 1.0, ("Pg", gkey): -slope},
+                              intercept)
+
+    def _add_row(self, row_id, terms: dict, rhs: float, ge: bool = True):
+        """Queue sum(coeff * column of key) >= rhs, or = rhs when not `ge`.
+
+        The one place where keys become columns.  Zero coefficients are
+        left out; a key without a column raises KeyError, queueing nothing.
+        """
+        cols, coeffs = [], []
+        for key, coeff in terms.items():
+            col = self.var_index[key]
+            if coeff:
+                cols.append(col)
+                coeffs.append(coeff)
+        self.backend.add_row(row_id, cols, coeffs, float(rhs), ge)
 
     # -- dynamic edits ----------------------------------------------------
 
@@ -216,11 +212,9 @@ class RelaxationModel:
         if row_id in self.backend.rows:
             raise ModelError("duplicate cut row %r" % (row_id,))
         try:
-            cols = [self.var_index[key] for key in terms]
+            self._add_row(row_id, terms, rhs)
         except KeyError as exc:
             raise ModelError("unknown variable %r" % (exc.args[0],)) from None
-        self.backend.add_rows({row_id: (cols, list(terms.values()),
-                                        float(rhs))})
 
     def remove_cut_row(self, row_id):
         if row_id not in self.backend.rows:

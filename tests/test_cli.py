@@ -28,6 +28,20 @@ def test_solve_missing_file(capsys):
     assert main(["solve", "/no/such/case.m"]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("option", [
+    ["--time-limit", "-1"], ["--time-limit", "nan"], ["--rstar", "0"],
+    ["--perturb-sigma", "-0.1"]],
+    ids=["time-limit-negative", "time-limit-nan", "rstar-zero",
+         "perturb-sigma-negative"])
+def test_solve_rejects_out_of_range_option(case14_path, capsys, option):
+    """Bad input data: exit 2 with one error line, no traceback."""
+    assert main(["solve", case14_path, *option]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--trials", "30"]) == EXIT_OK
     out = capsys.readouterr().out

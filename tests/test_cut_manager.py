@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import opfcuts
+from opfcuts import cut_manager
 from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
                                  save_cuts)
 from opfcuts.errors import CutFileError
@@ -60,40 +61,44 @@ def test_admit_stale_pool_copy_does_not_block():
     assert admit(pool, [refined]) == [refined]
 
 
-def test_admit_k_add_per_group():
+def test_admit_k_add_per_group(monkeypatch):
+    monkeypatch.setattr(cut_manager, "K_ADD", 5)
+    monkeypatch.setattr(cut_manager, "COSINE_BOUND", 1.0 - 1e-12)
     pool = CutPool()
     cands = [_cut({("v2", 1): 1.0, ("v2", 2): float(i)}, viol=10.0 - i)
              for i in range(2, 12)]
-    admitted = admit(pool, cands, k_add=5, cosine_bound=1.0 - 1e-12)
+    admitted = admit(pool, cands)
     assert len(admitted) == 5
     assert [c.violation_at_birth for c in admitted] == [8, 7, 6, 5, 4]
     other = _cut({("v2", 3): 1.0}, prov=(3,))
-    assert len(admit(pool, [other], k_add=5)) == 1
+    assert len(admit(pool, [other])) == 1
 
 
-def test_age_and_drop():
+def test_age_and_drop(monkeypatch):
+    monkeypatch.setattr(cut_manager, "T_AGE", 5)
     pool = CutPool()
     tight = _cut({("v2", 1): 1.0})
     slack = _cut({("v2", 2): 1.0})
     admit(pool, [tight, slack])
     for _ in range(4):
         dropped = age_and_drop(
-            pool, {tight.content_hash: 0.0, slack.content_hash: 1.0}, t_age=5)
+            pool, {tight.content_hash: 0.0, slack.content_hash: 1.0})
         assert dropped == []
     dropped = age_and_drop(
-        pool, {tight.content_hash: 0.0, slack.content_hash: 1.0}, t_age=5)
+        pool, {tight.content_hash: 0.0, slack.content_hash: 1.0})
     assert dropped == [slack]
     assert tight.content_hash in pool.cuts
     assert tight.age == 0
 
 
-def test_age_resets_on_tightness():
+def test_age_resets_on_tightness(monkeypatch):
+    monkeypatch.setattr(cut_manager, "T_AGE", 2)
     pool = CutPool()
     cut = _cut({("v2", 1): 1.0})
     admit(pool, [cut])
     for i in range(20):
         slack = 1.0 if i % 2 else 0.0
-        age_and_drop(pool, {cut.content_hash: slack}, t_age=2)
+        age_and_drop(pool, {cut.content_hash: slack})
     assert cut.content_hash in pool.cuts
 
 

@@ -16,6 +16,8 @@ from opfcuts.errors import ModelError
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(time_limit=-1.0)
+    with pytest.raises(ValueError):  # NaN is not >= 0 either
+        RunConfig(time_limit=math.nan)
     with pytest.raises(ValueError):
         RunConfig(hierarchy_round=0)
     with pytest.raises(ValueError):

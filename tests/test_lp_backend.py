@@ -15,7 +15,7 @@ def _backend(objective, lower, upper, eq_rows=()):
     for c, lo, up in zip(objective, lower, upper):
         be.add_column(lo, up, c)
     for row in eq_rows:
-        be.add_eq_row(*row)
+        be.add_row(None, *row, ge=False)
     return be
 
 
@@ -25,7 +25,7 @@ def _loaded(lower=0.0, upper=10.0):
 
 def test_minimize_with_single_row():
     be = _loaded()
-    be.add_rows({"r1": ([0], [1.0], 1.0)})
+    be.add_row("r1", [0], [1.0], 1.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)
@@ -35,8 +35,8 @@ def test_minimize_with_single_row():
 
 def test_tighten_then_relax():
     be = _loaded()
-    be.add_rows({"r1": ([0], [1.0], 1.0)})
-    be.add_rows({"r2": ([0], [1.0], 2.0)})
+    be.add_row("r1", [0], [1.0], 1.0)
+    be.add_row("r2", [0], [1.0], 2.0)
     res = be.solve()
     assert res.objective == pytest.approx(2.0)
     assert res.row_slack == pytest.approx({"r1": 1.0, "r2": 0.0})
@@ -46,7 +46,7 @@ def test_tighten_then_relax():
 
 def test_infeasible():
     be = _loaded(upper=0.5)
-    be.add_rows({"r1": ([0], [1.0], 1.0)})
+    be.add_row("r1", [0], [1.0], 1.0)
     res = be.solve()
     assert res.status == "infeasible"
     assert res.objective is None
@@ -64,7 +64,8 @@ def test_many_row_edits_idempotent():
     be = _loaded()
     base = be.solve().objective
     ids = ["r%d" % i for i in range(1000)]
-    be.add_rows({rid: ([0], [1.0], 0.001 * i) for i, rid in enumerate(ids)})
+    for i, rid in enumerate(ids):
+        be.add_row(rid, [0], [1.0], 0.001 * i)
     assert be.solve().objective == pytest.approx(0.999)
     be.remove_rows(ids)
     assert be.rows == {}
@@ -75,6 +76,19 @@ def test_unknown_row_id():
     be = _loaded()
     with pytest.raises(LpBackendError):
         be.remove_rows(["nope"])
+
+
+def test_duplicate_row_id_rejected():
+    """An id names one row: adding it again raises, queued or stored, and
+    leaves the first row in place."""
+    be = _loaded()
+    be.add_row("r1", [0], [1.0], 1.0)
+    with pytest.raises(LpBackendError):
+        be.add_row("r1", [0], [1.0], 2.0)
+    assert be.solve().objective == pytest.approx(1.0)
+    with pytest.raises(LpBackendError):
+        be.add_row("r1", [0], [1.0], 2.0)
+    assert list(be.rows) == ["r1"] and len(be.rhs) == 1
 
 
 def test_empty_model_rejected():
@@ -90,10 +104,9 @@ def test_deterministic_repeat():
 
     def run():
         be = _backend(c, lo, up, [(list(range(n)), [1.0] * n, 0.5)])
-        be.add_rows({"r%d" % i:
-                     (list(range(n)), list(rng2.standard_normal(n)), -1.0)
-                     for i, rng2 in ((j, np.random.default_rng(j))
-                                     for j in range(5))})
+        for i in range(5):
+            be.add_row("r%d" % i, list(range(n)),
+                       list(np.random.default_rng(i).standard_normal(n)), -1.0)
         return be.solve()
 
     a, b = run(), run()
@@ -108,7 +121,7 @@ def test_dual_bound_matches_objective_on_clean_lp():
         n = 8
         be = _backend(rng.standard_normal(n), -np.ones(n), np.ones(n),
                       [(list(range(n)), list(rng.standard_normal(n)), 0.1)])
-        be.add_rows({"r": (list(range(n)), list(rng.standard_normal(n)), -2.0)})
+        be.add_row("r", list(range(n)), list(rng.standard_normal(n)), -2.0)
         res = be.solve()
         if res.status != "optimal":
             continue
@@ -121,7 +134,7 @@ def test_dual_bound_with_free_variable():
     """Free columns with nonzero reduced cost lower the certificate safely."""
     be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
                   [([1], [1.0], 0.0)])
-    be.add_rows({"r": ([0], [1.0], 2.0)})
+    be.add_row("r", [0], [1.0], 2.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.dual_bound <= res.objective + 1e-9
@@ -141,7 +154,7 @@ def test_dual_bound_certified_only_within_tolerance(monkeypatch, shift):
         # the free column absorbs no reduced cost, so the shift is clipped
         be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
                       [([1], [1.0], 0.0)])
-        be.add_rows({"r": ([0], [1.0], 2.0)})
+        be.add_row("r", [0], [1.0], 2.0)
         res = be.solve()
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0)
@@ -180,8 +193,7 @@ def test_row_queue_stays_in_sync():
     next_id = 0
 
     def add(row_id, row):
-        be.add_rows({row_id: row})
-        rows.pop(row_id, None)
+        be.add_row(row_id, *row)
         rows[row_id] = row
 
     def remove(row_ids):
@@ -241,7 +253,7 @@ def test_certificate_covers_dropped_coefficients(monkeypatch, hot):
     elif lp_backend._highs is None:
         pytest.skip("scipy ships no HiGHS bindings")
     be = _backend([1.0, 0.0], [-1000.0, 0.0], [1000.0, 1e12])
-    be.add_rows({"r": ([0, 1], [1.0, 1e-10], 1.0)})
+    be.add_row("r", [0, 1], [1.0, 1e-10], 1.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)  # the altered LP's optimum
@@ -263,7 +275,7 @@ def _highs_rows(be):
 
 
 def test_row_store_equals_highs_copy():
-    """After add_rows / remove_rows / add_column edits the row store is
+    """After add_row / remove_rows / add_column edits the row store is
     HiGHS's copy of the rows, entry for entry and in the same order."""
     if lp_backend._highs is None:
         pytest.skip("scipy ships no HiGHS bindings")
@@ -277,8 +289,8 @@ def test_row_store_equals_highs_copy():
         elif op < 0.7 or len(be.rows) < 2:
             n = len(be.objective)
             cols = rng.choice(n, size=min(n, 3), replace=False).tolist()
-            be.add_rows({step: (cols, rng.uniform(0.5, 2.0, len(cols))
-                                .tolist(), -rng.random())})
+            be.add_row(step, cols, rng.uniform(0.5, 2.0, len(cols)).tolist(),
+                       -rng.random())
         else:
             be.remove_rows(rng.choice(list(be.rows), size=2,
                                       replace=False).tolist())

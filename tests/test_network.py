@@ -6,7 +6,8 @@ import pytest
 
 from opfcuts.case_io import Branch, Bus, CaseData, CostFunction, Generator
 from opfcuts.errors import SingularBranchError
-from opfcuts.network import (PairGraph, branch_admittance, canonical_pair,
+from opfcuts.network import (PairGraph, _maximal_cliques, _min_degree_fill,
+                             branch_admittance, canonical_pair,
                              chordal_cliques, enumerate_three_cycles)
 
 
@@ -125,6 +126,40 @@ def test_chordal_k6_edge_cover():
                for p in itertools.combinations(c, 2)}
     for edge in itertools.combinations(range(1, 7), 2):
         assert frozenset(edge) in covered
+
+
+def test_maximal_cliques_random_graphs():
+    """On random small graphs, the cliques returned are the maximal cliques
+    of the chordal extension (the graph of the elimination cliques), and
+    every edge lies in a returned clique of size >= 3 or is a bare edge."""
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        n = int(rng.integers(3, 11))
+        adj = {v: set() for v in range(n)}
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < rng.uniform(0.2, 0.8):
+                adj[a].add(b)
+                adj[b].add(a)
+        elim = _min_degree_fill(adj)
+        ext = {frozenset(p) for c in elim.values()
+               for p in itertools.combinations(c, 2)}
+        assert all(frozenset((a, b)) in ext for a in adj for b in adj[a])
+        got = _maximal_cliques(elim)
+        for c in got:
+            assert all(frozenset(p) in ext
+                       for p in itertools.combinations(c, 2))
+            assert not any(all(frozenset((v, u)) in ext for u in c)
+                           for v in set(adj) - set(c))
+        for edge in ext:
+            assert any(edge <= set(c) for c in got if len(c) >= 3) \
+                or tuple(sorted(edge)) in got
+        # every maximal clique, by brute force over the vertex subsets
+        cliques = [set(c) for k in range(1, n + 1)
+                   for c in itertools.combinations(range(n), k)
+                   if all(frozenset(p) in ext
+                          for p in itertools.combinations(c, 2))]
+        assert got == sorted(tuple(sorted(c)) for c in cliques
+                             if not any(c < d for d in cliques))
 
 
 def test_triangles_survive_chordal_extension(case14):

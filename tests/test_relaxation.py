@@ -198,8 +198,20 @@ def test_m0_soundness_random_grids():
         assert np.all(np.abs(excess[~lp.ge]) < 1e-9)
         for key, idx in model.var_index.items():
             assert lp.lower[idx] - 1e-9 <= x[idx] <= lp.upper[idx] + 1e-9
-        assert lp.rows and lp.ge.any()  # the cost epigraph supports
+        assert lp.ge.any()  # the cost epigraph supports
+        assert lp.rows == {}  # base rows carry no id
         assert np.all(excess[lp.ge] >= -1e-9)
+
+
+def test_case14_base_rows_store_no_zero_and_no_id(case14):
+    """Lossless branches give zero flow coefficients; none is stored, and
+    no base row has an id, so the backend's ids are cut rows only."""
+    model = build_m0(case14)
+    res = model.solve()
+    assert res.status == "optimal"
+    lp = model.backend
+    assert len(lp.vals) and np.all(lp.vals != 0.0)
+    assert lp.rows == {} and res.row_slack == {}
 
 
 def test_extend_pairs_preserves_columns(case14):
@@ -223,6 +235,11 @@ def test_add_remove_cut_row(case14):
     model = build_m0(case14)
     base = model.solve().objective
     model.add_cut_row("r1", {("v2", 1): 1.0}, 1.1)
+    with pytest.raises(ModelError):
+        model.add_cut_row("r1", {("v2", 2): 1.0}, 1.1)
+    with pytest.raises(ModelError):  # a zero coefficient is still checked
+        model.add_cut_row("r2", {("v2", 1): 1.0, ("v2", 999): 0.0}, 1.1)
+    assert list(model.backend.rows) == ["r1"]
     higher = model.solve().objective
     assert higher >= base - 1e-9
     model.remove_cut_row("r1")
