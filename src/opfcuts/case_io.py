@@ -68,16 +68,11 @@ class CostFunction:
                                                  self.breakpoints[1:]))
 
     def derivative(self, p: float) -> float:
-        if self.kind == "polynomial":
-            c2, c1, _ = self.coefficients
-            return 2.0 * c2 * p + c1
-        best = None
-        for (p0, f0), (p1, f1) in zip(self.breakpoints, self.breakpoints[1:]):
-            if p <= p1 or best is None:
-                best = (f1 - f0) / (p1 - p0)
-                if p <= p1:
-                    break
-        return best
+        """Slope of a polynomial cost; a pwl cost has supports instead."""
+        if self.kind != "polynomial":
+            raise ValueError("derivative of a %s cost" % self.kind)
+        c2, c1, _ = self.coefficients
+        return 2.0 * c2 * p + c1
 
     def segment_supports(self):
         """All linear supports f0 + slope*(p - p0), one per pwl segment."""

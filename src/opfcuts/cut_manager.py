@@ -149,6 +149,8 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
             rec = json.loads(line)
             terms = {_key_from_json(k): float(w) for k, w in rec["terms"]}
             rhs = float(rec["rhs"])
+            if not isinstance(rec["kind"], str):  # the content hash encodes it
+                raise TypeError("cut kind must be a string")
             # a cut needs a nonzero coefficient to be normalized and finite
             # numbers for the LP; json accepts NaN and Infinity
             if not any(terms.values()) or not all(

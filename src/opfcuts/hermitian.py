@@ -1,13 +1,14 @@
 """Small dense Hermitian kernel: eigendecomposition, PSD tools, realification.
 
 Eigenpairs come straight from LAPACK's Hermitian solver on the complex
-matrix.  `eigen` and `psd_cutoff` also take a Hermitian stack (M, n, n):
-one `eigen` call, one `np.linalg.eigh`, serves all M matrices and
-gives each the bits of a call of its own, so the benchmark's
-`hermitian.eigen_calls` counts stacks, not matrices.  The 2n x 2n real
-realification L(X) and its inverse map from W are kept as references for
-the structural checks.  All tolerances scale with max(1, trace) or the
-Frobenius norm so they remain meaningful on per-unit data.
+matrix.  `eigen` takes a HermitianMatrix or a Hermitian stack (M, n, n), and
+`psd_cutoff` takes an array or a stack.  Separation passes only stacks: one
+`eigen` call, one `np.linalg.eigh`, serves all M matrices and gives each
+the bits of a call of its own, so the benchmark's `hermitian.eigen_calls`
+counts stacks, not matrices.  The 2n x 2n real realification L(X) and its
+inverse map from W are kept as references for the structural checks.  All
+tolerances scale with max(1, trace) or the Frobenius norm so they remain
+meaningful on per-unit data.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ class HermitianMatrix:
         return float(np.linalg.norm(self.mat))
 
 
-def psd_cutoff(mats, tol: float):
+def psd_cutoff(mats: np.ndarray, tol: float):
     """Eigenvalues below -tol * max(1, trace) count as negative, per matrix
-    of `mats`: a HermitianMatrix, an (n, n) array or a stack (M, n, n).  The
-    trace is summed as complex, as `ndarray.trace` sums it."""
-    mats = mats.mat if isinstance(mats, HermitianMatrix) else mats
+    of `mats`: an (n, n) array or a stack (M, n, n).  The trace is summed as
+    complex, as `ndarray.trace` sums it."""
     return -tol * np.maximum(1.0, mats.diagonal(0, -2, -1).sum(-1).real)
 
 
@@ -55,14 +55,6 @@ def psd_cutoff(mats, tol: float):
 class EigenDecomposition:
     eigenvalues: np.ndarray   # (..., n), nonincreasing per matrix
     eigenvectors: np.ndarray  # (..., n, n), unit columns [..., :, i]
-
-    def negative_pairs(self, cutoff: float):
-        """(lambda_i, q_i) for every eigenvalue below `cutoff`."""
-        out = []
-        for i, lam in enumerate(self.eigenvalues):
-            if lam < cutoff:
-                out.append((float(lam), self.eigenvectors[:, i]))
-        return out
 
 
 def realify(x) -> np.ndarray:
@@ -95,7 +87,10 @@ def psd_status(x: HermitianMatrix, tol: float):
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     dec = eigen(x)
-    neg = dec.negative_pairs(psd_cutoff(x.mat, tol))
+    cutoff = psd_cutoff(x.mat, tol)
+    neg = [(float(lam), q) for lam, q in zip(dec.eigenvalues,
+                                             dec.eigenvectors.T)
+           if lam < cutoff]
     if neg:
         return "indefinite", neg
     return "psd", []

@@ -1,23 +1,27 @@
 """Violated valid linear cuts: eigen, projection, Jabr, limit, cost tangents.
 
-Matrix cuts <A, X> >= 0 are mapped onto model variables as
+Every matrix cut is a support <A, X> >= 0 of the PSD cone at a bus tuple's
+matrix X, mapped onto model variables as
 
     sum_k A_kk v2[k] + sum_{k<m} 2 (Re A_km c[k,m] + Im A_km s[k,m]) >= 0
 
 with the s coefficient sign adjusted to the canonical pair orientation.
-Coefficients are Python floats from birth, so a cut hashes like its copy
-read back from a cut file.  `jabr_cut` and `clique_cuts` take a stack of
-matrices of one size and make one `eigen` call for it; only the matrices
-below their PSD cutoff build cuts, from the stack's eigenpairs and cutoff.
+There is one path from a stack of matrices of one size to such cuts:
+`jabr_cut` and `clique_cuts` make one `eigen` call per stack, `eigen_cut`
+and `projection_cut` turn the stack's eigenpairs and PSD cutoffs into a
+coefficient stack, and `_matrix_cuts` maps that stack to cuts.  A Jabr cut
+is the eigen cut of a 2 x 2 pair matrix.  Coefficients are Python floats
+from birth, so a cut hashes like its copy read back from a cut file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -84,104 +88,103 @@ class LinearCut:
         return (self.rhs - self.value_at(values)) / self.inf_norm
 
 
-def _matrix_cut_terms(a: np.ndarray, clique) -> dict:
-    """Coefficient map, in Python floats, for <A, X> >= 0 over a clique."""
-    a = a.tolist()
-    n = len(clique)
-    terms = {}
-    for i in range(n):
-        if a[i][i].real != 0.0:
-            terms[("v2", clique[i])] = a[i][i].real
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = canonical_pair(clique[i], clique[j])
-            sign = 1.0 if clique[i] < clique[j] else -1.0
-            re, im = 2.0 * a[i][j].real, 2.0 * a[i][j].imag
-            if re != 0.0:
-                terms[("c",) + pair] = re
-            if im != 0.0:
-                terms[("s",) + pair] = sign * im
-    return terms
+class _TupleKeys(dict):
+    """Per bus tuple, made once: the variable keys of its matrix entries and
+    a picker of their coefficients from a `_matrix_cuts` row.  v2 takes the
+    diagonal and c the upper triangle's real parts; s takes its imaginary
+    parts, negated where the tuple's order opposes the canonical pair's."""
+
+    def __missing__(self, t):
+        buses = tuple(map(int, t))  # numpy integers equal, and hash like, ints
+        n = len(buses)
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = [canonical_pair(buses[i], buses[j]) for i, j in upper]
+        m = len(pairs)
+        keys = ([("v2", b) for b in buses] + [("c",) + p for p in pairs]
+                + [("s",) + p for p in pairs])
+        picks = list(range(n + m)) + [
+            n + m + k if buses[i] < buses[j] else n + 2 * m + k
+            for k, (i, j) in enumerate(upper)]
+        self[t] = value = (keys, operator.itemgetter(*picks))
+        return value
 
 
-def eigen_cut(x0, clique, decomposition=None, cutoff=None):
-    """Most-negative-eigenvector cut of x0, a HermitianMatrix or Hermitian
-    array, whose eigenpairs and PSD cutoff a caller may pass; None if PSD."""
-    dec = decomposition or eigen(x0)
-    lam_min = dec.eigenvalues[-1]
-    if lam_min >= (psd_cutoff(x0, PSD_TOL) if cutoff is None else cutoff):
-        return None
-    q = dec.eigenvectors[:, -1]
-    terms = _matrix_cut_terms(np.outer(q, q.conj()), clique)
-    return LinearCut(terms=terms, rhs=0.0, kind="eigen",
-                     provenance=tuple(clique),
-                     violation_at_birth=float(-lam_min))
+_TUPLE_KEYS = _TupleKeys()
 
 
-def projection_cut(x0, clique, max_negative: int = 2, decomposition=None,
-                   cutoff=None):
-    """Maximum-distance cut from the PSD projection of x0.
+@cache
+def _upper(n: int) -> tuple:
+    """Row and column indices of the strict upper triangle of n x n, made
+    once per n: `np.triu_indices` takes tens of microseconds a call."""
+    return np.triu_indices(n, 1)
 
-    Emitted when the negative eigenvalue count is between 1 and
-    `max_negative`; with a single negative eigenvalue the cut is collinear
-    with the eigen-cut.
-    """
-    dec = decomposition or eigen(x0)
-    neg = dec.negative_pairs(
-        psd_cutoff(x0, PSD_TOL) if cutoff is None else cutoff)
-    if not neg or len(neg) > max_negative:
-        return None
-    n = len(dec.eigenvalues)
-    a = np.zeros((n, n), dtype=complex)
-    for lam, q in neg:
-        a += (-lam) * np.outer(q, q.conj())
-    terms = _matrix_cut_terms(a, clique)
-    violation = float(sum(lam * lam for lam, _ in neg))
-    return LinearCut(terms=terms, rhs=0.0, kind="projection",
-                     provenance=tuple(clique), violation_at_birth=violation)
+
+def _matrix_cuts(a: np.ndarray, tuples, kind: str, violations) -> list:
+    """Cuts <A_k, X_k> >= 0 of a coefficient stack `a` (K, n, n) over K bus
+    tuples, coefficients in Python floats, zero coefficients left out."""
+    iu, ju = _upper(a.shape[-1])
+    off = 2.0 * a[:, iu, ju]
+    rows = np.concatenate((a.diagonal(0, -2, -1).real, off.real, off.imag,
+                           -off.imag), axis=1).tolist()
+    cuts = []
+    for t, row, violation in zip(tuples, rows, violations.tolist()):
+        keys, pick = _TUPLE_KEYS[t]
+        terms = {k: w for k, w in zip(keys, pick(row)) if w != 0.0}
+        cuts.append(LinearCut(terms, 0.0, kind, t, violation))
+    return cuts
+
+
+def eigen_cut(dec: EigenDecomposition, cutoff: np.ndarray, tuples,
+              kind: str = "eigen") -> list:
+    """Most-negative-eigenvector cuts of the stack whose eigenpairs are
+    `dec`, one per matrix whose lambda_min is below its `cutoff`."""
+    lam = dec.eigenvalues[:, -1]
+    hit = np.flatnonzero(lam < cutoff)
+    q = dec.eigenvectors[hit, :, -1]
+    a = q[:, :, None] * q[:, None, :].conj()
+    return _matrix_cuts(a, [tuples[m] for m in hit.tolist()], kind, -lam[hit])
+
+
+def projection_cut(dec: EigenDecomposition, cutoff: np.ndarray,
+                   tuples) -> list:
+    """Maximum-distance cuts from the PSD projection, one per matrix of the
+    stack with an eigenvalue below its `cutoff`: A = sum of -lambda q q^H
+    over those eigenvalues, violation the sum of their squares."""
+    w = np.where(dec.eigenvalues < cutoff[:, None], -dec.eigenvalues, 0.0)
+    hit = np.flatnonzero(w.any(axis=1))
+    w, q = w[hit], dec.eigenvectors[hit]
+    a = np.zeros(q.shape, dtype=complex)
+    violation = np.zeros(len(hit))
+    for i in range(q.shape[-1]):  # a zero weight adds nothing
+        qi = q[:, :, i]
+        a += w[:, i, None, None] * (qi[:, :, None] * qi[:, None, :].conj())
+        violation += w[:, i] * w[:, i]
+    return _matrix_cuts(a, [tuples[m] for m in hit.tolist()], "projection",
+                        violation)
 
 
 def clique_cuts(x: np.ndarray, cliques) -> list:
-    """Eigen-cuts, and projection cuts, of a stack (M, n, n) of cliques.
+    """Eigen-cuts of a stack (M, n, n) of cliques, then projection cuts.
 
-    A matrix with two negative eigenvalues gets a projection cut after its
-    eigen-cut; with one, that cut would be collinear with the eigen-cut.
+    Only a matrix with exactly two negative eigenvalues gets a projection
+    cut; with one, that cut would be collinear with the eigen-cut.
     """
     dec = eigen(x)
     cutoff = psd_cutoff(x, PSD_TOL)
-    neg = (dec.eigenvalues < cutoff[:, None]).sum(axis=1)
-    cuts = []
-    for m in np.flatnonzero(neg).tolist():
-        dec_m = EigenDecomposition(dec.eigenvalues[m], dec.eigenvectors[m])
-        cuts.append(eigen_cut(x[m], cliques[m], dec_m, cutoff[m]))
-        if neg[m] == 2:
-            cuts.append(projection_cut(x[m], cliques[m], decomposition=dec_m,
-                                       cutoff=cutoff[m]))
+    cuts = eigen_cut(dec, cutoff, cliques)
+    two = np.flatnonzero((dec.eigenvalues < cutoff[:, None]).sum(axis=1) == 2)
+    if two.size:
+        cuts += projection_cut(
+            EigenDecomposition(dec.eigenvalues[two], dec.eigenvectors[two]),
+            cutoff[two], [cliques[m] for m in two.tolist()])
     return cuts
 
 
 def jabr_cut(x: np.ndarray, pairs) -> list:
-    """Eigen-cuts of pair matrices; each separates c^2 + s^2 <= v2_k v2_m.
-
-    `x` stacks the matrices (P, 2, 2) of `pairs`, s in canonical orientation.
-    With q the eigenvector of lambda_min, a cut's coefficients |q_0|^2,
-    |q_1|^2, 2 Re q_0 conj(q_1) and 2 Im q_0 conj(q_1) are `eigen_cut`'s.
-    """
-    dec = eigen(x)
-    lam = dec.eigenvalues[:, -1]
-    hit = np.flatnonzero(lam < psd_cutoff(x, PSD_TOL))
-    q0, q1 = dec.eigenvectors[hit, 0, -1], dec.eigenvectors[hit, 1, -1]
-    a01 = q0 * q1.conj()
-    columns = ((q0 * q0.conj()).real, (q1 * q1.conj()).real,
-               2.0 * a01.real, 2.0 * a01.imag)
-    cuts = []
-    for i, lam_i, *coeffs in zip(hit.tolist(), lam[hit].tolist(),
-                                 *(col.tolist() for col in columns)):
-        a, b = canonical_pair(*pairs[i])
-        keys = (("v2", a), ("v2", b), ("c", a, b), ("s", a, b))
-        terms = {k: w for k, w in zip(keys, coeffs) if w != 0.0}
-        cuts.append(LinearCut(terms, 0.0, "jabr", (a, b), -lam_i))
-    return cuts
+    """Eigen-cuts of a stack (P, 2, 2) of pair matrices, each in its pair's
+    order as `clique_matrix` builds it; a cut separates c^2 + s^2 <=
+    v2_k v2_m."""
+    return eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), pairs, "jabr")
 
 
 def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir):

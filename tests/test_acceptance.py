@@ -10,10 +10,10 @@ from opfcuts import lp_backend
 from opfcuts.case_io import parse_case_file, perturb_loads
 from opfcuts.cut_manager import load_cuts, save_cuts
 from opfcuts.driver import RunConfig, cutplane
-from opfcuts.hermitian import HermitianMatrix, psd_project
+from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff, psd_project
 from opfcuts.network import PairGraph, enumerate_three_cycles
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import eigen_cut, projection_cut
+from opfcuts.separation import PSD_TOL, eigen_cut, projection_cut
 from opfcuts.theory import (check_permuted_jabr, check_rank_lemma,
                             check_psd_transfer)
 
@@ -109,12 +109,12 @@ def test_criterion_06_cut_identities(capsys):
             continue
         checked += 1
         clique = tuple(range(1, n + 1))
-        xh = HermitianMatrix(x)
+        dec, cutoff = eigen(x[None]), psd_cutoff(x[None], PSD_TOL)
         vals = _clique_values(x, clique)
-        ecut = eigen_cut(xh, clique)
+        [ecut] = eigen_cut(dec, cutoff, [clique])
         worst = max(worst, abs(ecut.violation_at_birth + lam[0]),
                     abs((ecut.rhs - ecut.value_at(vals)) + lam[0]))
-        pcut = projection_cut(xh, clique, max_negative=n)
+        [pcut] = projection_cut(dec, cutoff, [clique])
         neg = lam[lam < -1e-8 * max(1.0, float(np.trace(x).real))]
         expect = float((neg * neg).sum())
         worst = max(worst, abs(pcut.violation_at_birth - expect))

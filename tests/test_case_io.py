@@ -123,6 +123,16 @@ def test_perturb_negative_fraction_rejected(case14):
         perturb_loads(case14, seed=0, mu_frac=-0.1, sigma_frac=0.0)
 
 
+def test_pwl_cost_has_no_derivative():
+    """A pwl cost enters the LP by its segment supports, not by a slope."""
+    cost = CostFunction(kind="pwl",
+                        breakpoints=((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))
+    for p in (0.5, 2.0, 2.5):
+        with pytest.raises(ValueError):
+            cost.derivative(p)
+    assert CostFunction("polynomial", (1.0, 2.0, 0.0)).derivative(1.5) == 5.0
+
+
 def test_pwl_cost_supports():
     cost = CostFunction(kind="pwl",
                         breakpoints=((0.0, 0.0), (1.0, 2.0), (2.0, 6.0)))

@@ -74,6 +74,18 @@ def test_bad_cut_file(case14_path, tmp_path):
     assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_DATA
 
 
+def test_non_string_cut_kind_exits_2(case14_path, tmp_path, capsys):
+    """Bad input data: exit 2 with one error line, no traceback."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"fmt": "cutpool", "v": 1}\n'
+                    '{"kind": 5, "support": [1], "terms": [[["v2", 1], 1.0]], '
+                    '"rhs": 0.0}\n')
+    assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed cut record 1")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("terms, rhs", [
     ("[]", "0.0"),                        # no coefficients
     ('[[["v2", 1], 0.0]]', "0.0"),        # all coefficients zero

@@ -11,9 +11,9 @@ from opfcuts import cut_manager
 from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
                                  save_cuts)
 from opfcuts.errors import CutFileError
-from opfcuts.hermitian import HermitianMatrix
+from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import LinearCut, eigen_cut
+from opfcuts.separation import PSD_TOL, LinearCut, eigen_cut
 
 
 def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
@@ -151,7 +151,8 @@ def test_born_cut_hashes_like_its_reloaded_copy(case14):
     from its copy read back from the cut file."""
     rng = np.random.default_rng(8078)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    cut = eigen_cut(HermitianMatrix(a + a.conj().T), (9, 4, 7))
+    x = (a + a.conj().T)[None]
+    [cut] = eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(9, 4, 7)])
     assert all(type(w) is float for w in cut.terms.values())
     assert any(round(np.float64(w / cut.inf_norm), 12)
                != round(w / cut.inf_norm, 12) for w in cut.terms.values())
@@ -200,6 +201,16 @@ def test_load_malformed_record_reports_position():
             '"terms": [[["v2", 1], 1.0]], "rhs": 0.0}\n'
             '{"kind": "eigen"}\n')
     with pytest.raises(CutFileError, match="record 2"):
+        load_cuts(io.StringIO(text), _FakeModel([("v2", 1)]))
+
+
+@pytest.mark.parametrize("kind", ["5", "null", "[\"eigen\"]"])
+def test_load_rejects_non_string_kind(kind):
+    """The content hash encodes the kind; a non-string one is malformed."""
+    text = ('{"fmt": "cutpool", "v": 1}\n'
+            '{"kind": %s, "support": [1], "terms": [[["v2", 1], 1.0]], '
+            '"rhs": 0.0}\n' % kind)
+    with pytest.raises(CutFileError, match="record 1"):
         load_cuts(io.StringIO(text), _FakeModel([("v2", 1)]))
 
 

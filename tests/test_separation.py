@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from opfcuts import separation
 from opfcuts.case_io import CostFunction, Generator
 from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff
 from opfcuts.network import canonical_pair
 from opfcuts.separation import (PSD_TOL, LinearCut, clique_cuts, cost_cut,
                                 eigen_cut, jabr_cut, limit_cut,
                                 projection_cut)
+
+
+def _one(cut_fn, x, clique):
+    """`cut_fn`'s cut of the one-matrix stack of x, or None."""
+    x = np.asarray(x.mat if isinstance(x, HermitianMatrix) else x)[None]
+    cuts = cut_fn(eigen(x), psd_cutoff(x, PSD_TOL), [clique])
+    assert len(cuts) <= 1
+    return cuts[0] if cuts else None
 
 
 def _jabr(v2_k, v2_m, c, s, pair):
@@ -35,7 +44,7 @@ def _values_for(x0, clique):
 
 def test_eigen_cut_hand_example():
     x0 = HermitianMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
-    cut = eigen_cut(x0, (1, 2))
+    cut = _one(eigen_cut, x0, (1, 2))
     assert cut.kind == "eigen"
     assert cut.violation_at_birth == pytest.approx(0.5)
     scale = cut.terms[("v2", 1)]
@@ -45,13 +54,13 @@ def test_eigen_cut_hand_example():
 
 
 def test_eigen_cut_psd_returns_none():
-    assert eigen_cut(HermitianMatrix(np.eye(3)), (1, 2, 3)) is None
+    assert _one(eigen_cut, np.eye(3), (1, 2, 3)) is None
     near = HermitianMatrix(np.diag([1.0, 1e-12]))
-    assert eigen_cut(near, (1, 2)) is None
+    assert _one(eigen_cut, near, (1, 2)) is None
 
 
 def test_projection_cut_hand_example():
-    cut = projection_cut(HermitianMatrix(np.diag([1.0, -2.0])), (3, 7))
+    cut = _one(projection_cut, np.diag([1.0, -2.0]), (3, 7))
     assert cut.kind == "projection"
     assert cut.terms == {("v2", 7): pytest.approx(2.0)}
     assert cut.violation_at_birth == pytest.approx(4.0)
@@ -63,8 +72,8 @@ def test_projection_cut_single_negative_collinear():
     q, _ = np.linalg.qr(a)
     x0 = HermitianMatrix(q @ np.diag([5.0, 2.0, -1.0]) @ q.conj().T)
     vals = np.linalg.eigvalsh(x0.mat)
-    e = eigen_cut(x0, (1, 2, 3))
-    p = projection_cut(x0, (1, 2, 3))
+    e = _one(eigen_cut, x0, (1, 2, 3))
+    p = _one(projection_cut, x0, (1, 2, 3))
     ratio = p.terms[("v2", 1)] / e.terms[("v2", 1)]
     for key, w in e.terms.items():
         assert p.terms[key] == pytest.approx(ratio * w, rel=1e-9)
@@ -72,7 +81,14 @@ def test_projection_cut_single_negative_collinear():
 
 
 def test_projection_cut_too_many_negatives():
-    assert projection_cut(HermitianMatrix(-np.eye(3)), (1, 2, 3)) is None
+    """clique_cuts gives a matrix with three negative eigenvalues its
+    eigen-cut and no projection cut; projection_cut itself sums all three."""
+    x = -np.eye(3)[None]
+    [cut] = clique_cuts(x, [(1, 2, 3)])
+    assert cut.kind == "eigen"
+    [proj] = projection_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(1, 2, 3)])
+    assert proj.violation_at_birth == pytest.approx(3.0)
+    assert proj.terms == {("v2", b): pytest.approx(1.0) for b in (1, 2, 3)}
 
 
 def test_matrix_cut_orientation_invariance():
@@ -81,10 +97,10 @@ def test_matrix_cut_orientation_invariance():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     x = a + a.conj().T - 3.0 * np.eye(3)
     clique = (2, 5, 9)
-    base = eigen_cut(HermitianMatrix(x), clique)
+    base = _one(eigen_cut, x, clique)
     perm = [2, 0, 1]
     xp = x[np.ix_(perm, perm)]
-    other = eigen_cut(HermitianMatrix(xp), tuple(clique[i] for i in perm))
+    other = _one(eigen_cut, xp, tuple(clique[i] for i in perm))
     assert set(base.terms) == set(other.terms)
     scale = other.terms[("v2", 2)] / base.terms[("v2", 2)]
     for key, w in base.terms.items():
@@ -100,7 +116,7 @@ def test_violation_identity_random():
         x = a + a.conj().T
         lam = np.linalg.eigvalsh(x)
         clique = tuple(sorted(rng.choice(np.arange(1, 30), n, replace=False)))
-        cut = eigen_cut(HermitianMatrix(x), clique)
+        cut = _one(eigen_cut, x, clique)
         if lam[0] >= -1e-8 * max(1.0, float(np.trace(x).real)):
             assert cut is None
             continue
@@ -116,11 +132,11 @@ def test_dense_clique_cuts(n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x0 = HermitianMatrix(-np.outer(v, v.conj()))
     clique = tuple(range(1, n + 1))
-    cut = eigen_cut(x0, clique)
+    cut = _one(eigen_cut, x0, clique)
     assert cut is not None and len(cut.terms) == n * n
     [got] = clique_cuts(x0.mat[None], [clique])
     _assert_same_cut(got, cut)
-    assert projection_cut(x0, clique, max_negative=2) is not None
+    assert _one(projection_cut, x0, clique) is not None
 
 
 def test_jabr_cut_examples():
@@ -152,46 +168,68 @@ def _assert_same_cut(got, want):
     assert got.content_hash == want.content_hash
 
 
+def _stack(rng, n, negs):
+    """Matrices with the given negative eigenvalue counts, each on a bus
+    tuple in random order, so most tuples oppose canonical orientation."""
+    x = np.array([_with_negatives(rng, n, k) for k in negs])
+    tuples = [tuple(rng.permutation(np.arange(1, 40))[:n].tolist())
+              for _ in negs]
+    return x, tuples
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_clique_cuts_match_per_matrix_cuts(n):
-    """One stacked eigensolve gives each clique its one-matrix cuts."""
+    """A stack's cuts equal the cuts of its one-matrix stacks, term for term
+    and hash for hash: every eigen-cut first, then every projection cut."""
     rng = np.random.default_rng(40 + n)
     negs = [k % (min(n, 3) + 1) for k in range(24)]  # PSD, 1, 2 (, 3)
-    x = np.array([_with_negatives(rng, n, k) for k in negs])
-    # buses in random order, so most tuples oppose canonical orientation
-    cliques = [tuple(rng.permutation(np.arange(1, 40))[:n].tolist())
-               for _ in negs]
-    want = []
-    for m, clique in enumerate(cliques):
-        x0 = HermitianMatrix(x[m])
-        want.append(eigen_cut(x0, clique))
-        if len(eigen(x0).negative_pairs(psd_cutoff(x0.mat, PSD_TOL))) == 2:
-            want.append(projection_cut(x0, clique))
-    want = [cut for cut in want if cut is not None]
+    x, cliques = _stack(rng, n, negs)
+    one = [clique_cuts(x[m:m + 1], [c]) for m, c in enumerate(cliques)]
+    want = [cut for cuts in one for cut in cuts if cut.kind == "eigen"] \
+        + [cut for cuts in one for cut in cuts if cut.kind == "projection"]
     got = clique_cuts(x, cliques)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _assert_same_cut(g, w)
-    assert got
+    assert sum(k > 0 for k in negs) == sum(c.kind == "eigen" for c in got)
+    assert negs.count(2) == sum(c.kind == "projection" for c in got) > 0
 
 
 def test_jabr_cut_matches_pair_eigen_cuts():
-    """The closed-form pair coefficients equal the 2x2 eigen-cut's."""
+    """A pair stack's Jabr cuts equal the eigen-cuts of its one-matrix
+    stacks but for their kind, and its one-matrix stacks' Jabr cuts."""
     rng = np.random.default_rng(50)
     negs = [k % 3 for k in range(30)]
-    x = np.array([_with_negatives(rng, 2, k) for k in negs])
-    pairs = [tuple(sorted(rng.choice(np.arange(1, 30), 2, replace=False)
-                          .tolist())) for _ in negs]
+    x, pairs = _stack(rng, 2, negs)
     want = []
     for m, pair in enumerate(pairs):
-        ref = eigen_cut(HermitianMatrix(x[m]), pair)
+        ref = _one(eigen_cut, x[m], pair)
         if ref is not None:
             want.append(LinearCut(dict(ref.terms), ref.rhs, "jabr",
                                   ref.provenance, ref.violation_at_birth))
+            [one] = jabr_cut(x[m:m + 1], [pair])
+            _assert_same_cut(one, want[-1])
     got = jabr_cut(x, pairs)
     assert len(got) == len(want) == sum(k > 0 for k in negs)
     for g, w in zip(got, want):
         _assert_same_cut(g, w)
+
+
+@pytest.mark.parametrize("separate, n", [(jabr_cut, 2), (clique_cuts, 3),
+                                         (clique_cuts, 4)],
+                         ids=["jabr", "clique3", "clique4"])
+def test_one_eigen_call_per_stack(monkeypatch, separate, n):
+    """jabr_cut and clique_cuts each make one eigen call per stack."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return eigen(x)
+
+    monkeypatch.setattr(separation, "eigen", counted)
+    x, tuples = _stack(np.random.default_rng(60 + n), n, [0, 1, 2] * 5)
+    assert separate(x, tuples)
+    assert calls == [x.shape]
 
 
 def test_limit_cut_examples():
