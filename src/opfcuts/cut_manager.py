@@ -106,9 +106,11 @@ def _key_to_json(key):
 
 
 def _key_from_json(raw):
-    if isinstance(raw, list):
-        return tuple(_key_from_json(v) for v in raw)
-    return raw
+    """The variable key written as `raw`: lists become tuples, nested ones
+    too (the branch or generator key inside a flow or generation key)."""
+    if type(raw) is not list:
+        return raw
+    return tuple([_key_from_json(v) if type(v) is list else v for v in raw])
 
 
 def save_cuts(pool: CutPool, stream):

@@ -16,9 +16,14 @@ edits are queued; `solve()` appends the queued rows to the store, compacts
 it over the removed ones with one mask, hands HiGHS the new columns, the
 removed rows and the new rows as slices of the store, and re-solves with
 the simplex method from the basis the model kept, presolve off.  Only the
-solution, the duals and the status are read back.  scipy before 1.15 ships
-no HiGHS bindings (`scipy.optimize._highspy._core`); there each solve
-builds its matrix from the same store and calls `scipy.optimize.linprog`.
+solution, the duals and the status are read back.
+
+The hot path loads only HiGHS's bindings, the extension module
+`scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
+file: neither the `scipy.optimize` nor the `scipy.sparse` package is
+imported.  scipy before 1.15 ships no such module; there each solve builds
+a `scipy.sparse` matrix from the same store and calls
+`scipy.optimize.linprog`, both imported at the first such solve.
 
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
@@ -34,19 +39,62 @@ the primal residual are reported but never certify anything.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .errors import LpBackendError
 
-try:  # HiGHS's own bindings, shipped with scipy >= 1.15
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """HiGHS's own bindings, shipped with scipy >= 1.15, or None.
+
+    The extension is loaded from its file under its own module name, so
+    the `scipy.optimize` package init never runs; a later import of it
+    through `scipy.optimize` finds this module in `sys.modules`.
+    """
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    folder = os.path.join(scipy.submodule_search_locations[0], "optimize",
+                          "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if not os.path.isfile(path):
+            continue
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            return None
+        sys.modules[_HIGHS_MODULE] = module
+        return module
+    return None
+
+
+_highs = _load_highs()
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported at the first fallback solve."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def csr_matrix(*args, **kwargs):
+    """`scipy.sparse.csr_matrix`, imported at the first fallback solve."""
+    from scipy.sparse import csr_matrix
+    return csr_matrix(*args, **kwargs)
 
 FEASIBILITY_TOL = 1e-6   # HiGHS primal and dual feasibility tolerance
 CERTIFY_TOL = 10.0 * FEASIBILITY_TOL  # largest reduced-cost repair credited

@@ -35,12 +35,21 @@ HASH_DIGITS = 12
 _pack = struct.Struct("<d").pack
 
 
+def _plain(key):
+    """`key` with its numpy integers as Python ints: they equal, and hash
+    like, each other, so both must give one `repr`."""
+    if isinstance(key, tuple):
+        return tuple(map(_plain, key))
+    return int(key) if isinstance(key, np.integer) else key
+
+
 class _KeyBytes(dict):
-    """repr(key).encode() per variable key, made once; UTF-8 keeps code
-    point order, so sorting by these bytes is sorting by `repr`."""
+    """repr(key).encode() per variable key, made once, from the key with
+    plain ints whichever form came first; UTF-8 keeps code point order, so
+    sorting by these bytes is sorting by `repr`."""
 
     def __missing__(self, key):
-        self[key] = value = repr(key).encode()
+        self[key] = value = repr(_plain(key)).encode()
         return value
 
 

@@ -1,4 +1,11 @@
+import importlib.machinery
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
+from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from opfcuts import lp_backend
 from opfcuts.driver import RunConfig, cutplane
 from opfcuts.errors import LpBackendError
 from opfcuts.lp_backend import CERTIFY_TOL, ScipyHighsBackend
+from test_acceptance import BAND_HI, BAND_LO
 
 
 def _backend(objective, lower, upper, eq_rows=()):
@@ -326,3 +334,57 @@ def test_case14_solve_reads_back_no_matrix(monkeypatch, case14):
     report = cutplane(case14, RunConfig())
     assert report.termination == "no_cuts"
     assert report.best_bound > 8079.0
+
+
+_ISOLATION_RUN = """
+import json, sys
+import opfcuts
+from opfcuts import lp_backend
+
+def scipy_loaded():
+    return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+
+out = {"highs": lp_backend._highs is not None, "import": scipy_loaded()}
+report = opfcuts.cutplane(opfcuts.parse_case_file(%r), opfcuts.RunConfig())
+out["solve"], out["bound"] = scipy_loaded(), report.best_bound
+if out["highs"]:
+    from scipy.optimize._highspy import _core
+    out["same"] = _core is lp_backend._highs
+print(json.dumps(out))
+"""
+
+
+def test_import_and_hot_path_leave_scipy_optimize_out(case14_path):
+    """`import opfcuts` loads HiGHS's bindings without the scipy.optimize
+    and scipy.sparse packages, and the hot path of a case14 solve needs
+    neither; a later import through scipy.optimize gets the same module.
+    scipy < 1.15 ships no bindings, and the linprog fallback loads both."""
+    src = os.path.dirname(os.path.dirname(lp_backend.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATION_RUN % case14_path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    out = json.loads(proc.stdout)
+    has_bindings = tuple(map(int, version("scipy").split(".")[:2])) >= (1, 15)
+    assert out["highs"] == has_bindings
+    assert out["import"] == []
+    assert BAND_LO <= out["bound"] <= BAND_HI
+    if has_bindings:
+        assert out["solve"] == []
+        assert out["same"] is True
+
+
+def test_bindings_none_without_a_loadable_core(monkeypatch, tmp_path):
+    """No `_core` extension under scipy (scipy < 1.15), or one that fails
+    to load, leaves the bindings None, so the linprog fallback solves."""
+    monkeypatch.delitem(sys.modules, lp_backend._HIGHS_MODULE, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name:
+                        types.SimpleNamespace(
+                            submodule_search_locations=[str(tmp_path)]))
+    assert lp_backend._load_highs() is None
+    core = tmp_path / "optimize" / "_highspy" / (
+        "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    core.parent.mkdir(parents=True)
+    core.write_bytes(b"not a shared object")
+    assert lp_backend._load_highs() is None
+    assert lp_backend._HIGHS_MODULE not in sys.modules

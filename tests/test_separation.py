@@ -302,6 +302,21 @@ def test_content_hash_golden_values():
         == 11573129386543259869
 
 
+def test_content_hash_ignores_integer_type_seen_first():
+    """A key holding a numpy integer equals, and hashes like, the key with
+    the Python int, so the process caches one key form for both: the hash
+    must not depend on which form it met first.  Buses 9001 and 9002 occur
+    in no other test, so each order really runs."""
+    def cut(bus):
+        return LinearCut({("v2", bus): 1.0, ("P", (bus, 9, 0), "f"): 2.0},
+                         0.0, "eigen", (bus,))
+
+    assert cut(np.int64(9001)).content_hash == cut(9001).content_hash \
+        == 6174716756211593512
+    assert cut(9002).content_hash == cut(np.int64(9002)).content_hash \
+        == 15637270813488812095
+
+
 def test_jabr_hash_equals_direct_jabr_cut():
     [cut] = _jabr(1.0, 1.0, 1.2, 0.3, (4, 9))
     direct = LinearCut(dict(cut.terms), cut.rhs, "jabr", cut.provenance)
