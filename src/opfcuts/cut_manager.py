@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CutFileError
-from .separation import VIOLATION_THRESHOLD, LinearCut
+from .separation import VIOLATION_THRESHOLD, LinearCut, _plain
 
 T_AGE = 5
 EPS_SLACK = 1e-5
@@ -101,10 +101,6 @@ def age_and_drop(pool: CutPool, slacks: dict):
 # -- persistence ----------------------------------------------------------
 
 
-def _key_to_json(key):
-    return list(key) if isinstance(key, tuple) else key
-
-
 def _key_from_json(raw):
     """The variable key written as `raw`: lists become tuples, nested ones
     too (the branch or generator key inside a flow or generation key)."""
@@ -114,13 +110,17 @@ def _key_from_json(raw):
 
 
 def save_cuts(pool: CutPool, stream):
-    """Write the pool as JSON lines; one record per cut."""
+    """Write the pool as JSON lines; one record per cut.
+
+    Keys and provenance go through `_plain`, so a numpy integer is written
+    as the int it equals; JSON writes a tuple as a list.
+    """
     stream.write(json.dumps(FILE_HEADER) + "\n")
     for cut in sorted(pool.active(), key=lambda c: c.content_hash):
         rec = {
             "kind": cut.kind,
-            "support": _key_to_json(cut.provenance),
-            "terms": [[_key_to_json(k), w] for k, w in cut.terms.items()],
+            "support": _plain(cut.provenance),
+            "terms": [[_plain(k), w] for k, w in cut.terms.items()],
             "rhs": cut.rhs,
         }
         stream.write(json.dumps(rec) + "\n")

@@ -15,8 +15,11 @@ HiGHS sees one persistent model, created at the first `solve()`.  Row
 edits are queued; `solve()` appends the queued rows to the store, compacts
 it over the removed ones with one mask, hands HiGHS the new columns, the
 removed rows and the new rows as slices of the store, and re-solves with
-the simplex method from the basis the model kept, presolve off.  Only the
-solution, the duals and the status are read back.
+the dual simplex method from the basis the model kept, presolve off.  It
+prices with Devex: HiGHS drops its dual steepest-edge weights at every
+addRows or deleteRows, so steepest edge would rebuild them, one BTRAN per
+row, at every hot re-solve.  Only the solution, the duals and the status
+are read back.
 
 The hot path loads only HiGHS's bindings, the extension module
 `scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
@@ -217,8 +220,12 @@ class ScipyHighsBackend:
         """Apply the stored edits to the persistent HiGHS model."""
         if self._highs is None:
             self._highs = _highs._Highs()
+            # Devex pricing (1): every addRows / deleteRows makes HiGHS
+            # drop its dual steepest-edge weights, so steepest edge would
+            # recompute them, one BTRAN per row, at each hot re-solve
             for option, value in (
                     ("output_flag", False), ("presolve", "off"),
+                    ("simplex_dual_edge_weight_strategy", 1),
                     ("primal_feasibility_tolerance", FEASIBILITY_TOL),
                     ("dual_feasibility_tolerance", FEASIBILITY_TOL)):
                 _check(self._highs.setOptionValue(option, value), option)

@@ -164,6 +164,22 @@ def test_born_cut_hashes_like_its_reloaded_copy(case14):
     assert list(loaded.cuts) == [cut.content_hash]
 
 
+def test_numpy_integer_keys_save_like_ints():
+    """A cut keyed by numpy integers saves as its int-keyed twin and loads
+    back with the same content hash."""
+    texts, hashes = [], set()
+    for bus in (np.int64(4), 4):
+        cut = LinearCut({("v2", bus): 1.0}, 0.0, "eigen", (bus,))
+        buf = io.StringIO()
+        save_cuts(CutPool({cut.content_hash: cut}), buf)
+        texts.append(buf.getvalue())
+        buf.seek(0)
+        loaded, _ = load_cuts(buf)
+        hashes.update([cut.content_hash, *loaded.cuts])
+    assert texts[0] == texts[1]
+    assert len(hashes) == 1
+
+
 def test_load_skips_unknown_variables():
     pool = CutPool()
     admit(pool, [_cut({("v2", 1): 1.0}),

@@ -52,6 +52,21 @@ def test_tighten_then_relax():
     assert be.solve().objective == pytest.approx(1.0)
 
 
+def test_hot_resolve_prices_with_devex():
+    """Row edits drop HiGHS's steepest-edge weights, so the persistent
+    model prices with Devex (strategy 1) rather than rebuild them."""
+    if lp_backend._highs is None:
+        pytest.skip("scipy ships no HiGHS bindings")
+    be = _loaded()
+    be.add_row("r1", [0], [1.0], 1.0)
+    be.solve()
+    be.add_row("r2", [0], [1.0], 2.0)
+    assert be.solve().objective == pytest.approx(2.0)
+    status, strategy = be._highs.getOptionValue(
+        "simplex_dual_edge_weight_strategy")
+    assert (status, strategy) == (lp_backend._highs.HighsStatus.kOk, 1)
+
+
 def test_infeasible():
     be = _loaded(upper=0.5)
     be.add_row("r1", [0], [1.0], 1.0)
