@@ -104,6 +104,10 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        sys.stderr.write("error: --trials must be >= 1, got %d\n"
+                         % args.trials)
+        return EXIT_DATA
     failed = False
     for res in run_all(trials=args.trials, seed=args.seed):
         status = "pass" if res.passed else "FAIL"

@@ -60,6 +60,8 @@ class RunConfig:
             raise ValueError("hierarchy_round must be >= 1")
         if self.max_clique_size not in (3, 4, 5):
             raise ValueError("max_clique_size must be 3, 4 or 5")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
 
 
 @dataclass

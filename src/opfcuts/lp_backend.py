@@ -21,12 +21,11 @@ addRows or deleteRows, so steepest edge would rebuild them, one BTRAN per
 row, at every hot re-solve.  Only the solution, the duals and the status
 are read back.
 
-The hot path loads only HiGHS's bindings, the extension module
+The backend loads only HiGHS's bindings, the extension module
 `scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
 file: neither the `scipy.optimize` nor the `scipy.sparse` package is
-imported.  scipy before 1.15 ships no such module; there each solve builds
-a `scipy.sparse` matrix from the same store and calls
-`scipy.optimize.linprog`, both imported at the first such solve.
+imported.  Without that module, importing this one raises ImportError.
+`linprog(highs)` is the one call that runs HiGHS.
 
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
@@ -54,10 +53,11 @@ import numpy as np
 from .errors import LpBackendError
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
+_NO_BINDINGS = "opfcuts needs scipy >= 1.15, which ships HiGHS's bindings"
 
 
 def _load_highs():
-    """HiGHS's own bindings, shipped with scipy >= 1.15, or None.
+    """HiGHS's own bindings, shipped with scipy >= 1.15.
 
     The extension is loaded from its file under its own module name, so
     the `scipy.optimize` package init never runs; a later import of it
@@ -67,7 +67,7 @@ def _load_highs():
         return sys.modules[_HIGHS_MODULE]
     scipy = importlib.util.find_spec("scipy")
     if scipy is None:
-        return None
+        raise ImportError(_NO_BINDINGS)
     folder = os.path.join(scipy.submodule_search_locations[0], "optimize",
                           "_highspy")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -78,26 +78,14 @@ def _load_highs():
         try:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-        except ImportError:
-            return None
+        except ImportError as exc:
+            raise ImportError(_NO_BINDINGS) from exc
         sys.modules[_HIGHS_MODULE] = module
         return module
-    return None
+    raise ImportError(_NO_BINDINGS)
 
 
 _highs = _load_highs()
-
-
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported at the first fallback solve."""
-    from scipy.optimize import linprog
-    return linprog(*args, **kwargs)
-
-
-def csr_matrix(*args, **kwargs):
-    """`scipy.sparse.csr_matrix`, imported at the first fallback solve."""
-    from scipy.sparse import csr_matrix
-    return csr_matrix(*args, **kwargs)
 
 FEASIBILITY_TOL = 1e-6   # HiGHS primal and dual feasibility tolerance
 CERTIFY_TOL = 10.0 * FEASIBILITY_TOL  # largest reduced-cost repair credited
@@ -159,33 +147,50 @@ class ScipyHighsBackend:
             self._dead.append(row)
 
     def solve(self) -> LpSolveResult:
+        """Re-solve the LP; certificate, residual and slacks read the store."""
         if not self.objective:
             raise LpBackendError("model has no variables")
-        gone = self._store()
-        if _highs is None:
-            return self._solve_linprog()
-        highs = self._sync(gone)
+        highs = self._sync(self._store())
         if self.time_limit is not None:
             # HiGHS compares its limit with the run time summed over every
             # run() of the model, so the budget starts from that sum
             _check(highs.setOptionValue(
                 "time_limit", highs.getRunTime() + self.time_limit),
                 "time_limit")
-        _check(highs.run(), "solve")
-        model_status = highs.getModelStatus()
-        kind = _highs.HighsModelStatus
-        status = {kind.kOptimal: "optimal", kind.kTimeLimit: "limit",
-                  kind.kIterationLimit: "limit",
-                  kind.kInfeasible: "infeasible",
-                  kind.kUnbounded: "unbounded"}.get(model_status)
-        if status is None:
-            raise LpBackendError(
-                "HiGHS error: %s" % highs.modelStatusToString(model_status))
+        status = linprog(highs)
         sol = highs.getSolution()
-        primal = np.asarray(sol.col_value) \
-            if status in ("optimal", "limit") and sol.value_valid else None
-        return self._result(status, highs.getObjectiveValue(), primal,
-                            np.asarray(sol.row_dual))
+        objective = np.asarray(self.objective, dtype=float)
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        ge, b = self.ge, self.rhs
+        if status == "optimal":
+            dual_bound, dual_inf = _safe_dual_bound(
+                objective, lower, upper, self.cols, self.vals, self.row_of,
+                b, ge, np.asarray(sol.row_dual))
+        else:
+            dual_bound, dual_inf = -np.inf, None
+        primal, residual, row_slack = None, 0.0, {}
+        if status in ("optimal", "limit") and sol.value_valid:
+            # observed only: on ill-conditioned instances HiGHS can report
+            # an infeasible point as optimal; the bound never rests on it
+            primal = np.asarray(sol.col_value)
+            excess = np.bincount(self.row_of, self.vals * primal[self.cols],
+                                 len(b)) - b
+            row_slack = dict(zip(self.rows, excess[
+                list(self.rows.values())].tolist()))
+            residual = max(float(np.abs(excess[~ge]).max(initial=0.0)),
+                           float((-excess[ge]).max(initial=0.0)),
+                           float((lower - primal).max(initial=0.0)),
+                           float((primal - upper).max(initial=0.0)))
+        return LpSolveResult(
+            status=status,
+            objective=highs.getObjectiveValue()
+            if status == "optimal" else None,
+            primal=primal,
+            dual_infeasibility=dual_inf,
+            primal_residual=residual,
+            dual_bound=dual_bound,
+            row_slack=row_slack)
 
     def _store(self) -> np.ndarray:
         """Append the queued rows to the store, then compact it over the
@@ -253,75 +258,22 @@ class ScipyHighsBackend:
             self._n_loaded = n_row
         return highs
 
-    def _solve_linprog(self) -> LpSolveResult:
-        """Solve the stored LP cold with linprog."""
-        a = csr_matrix((self.vals, (self.row_of, self.cols)),
-                       shape=(len(self.rhs), len(self.objective)))
-        ge, b = self.ge, self.rhs
-        options = {"presolve": True,
-                   "primal_feasibility_tolerance": FEASIBILITY_TOL,
-                   "dual_feasibility_tolerance": FEASIBILITY_TOL}
-        if self.time_limit is not None:
-            options["time_limit"] = self.time_limit
-        try:
-            # >= rows enter linprog as negated <= rows
-            res = linprog(self.objective,
-                          A_ub=-a[ge] if ge.any() else None,
-                          b_ub=-b[ge] if ge.any() else None,
-                          A_eq=a[~ge] if not ge.all() else None,
-                          b_eq=b[~ge] if not ge.all() else None,
-                          bounds=list(zip(self.lower, self.upper)),
-                          method="highs", options=options)
-        except Exception as exc:  # scipy-level failure
-            raise LpBackendError("HiGHS solve failed: %s" % exc) from exc
-        status = {0: "optimal", 1: "limit", 2: "infeasible",
-                  3: "unbounded"}.get(res.status)
-        if status is None:
-            raise LpBackendError("HiGHS error: %s" % res.message)
-        y = np.zeros(len(b))
-        if res.status == 0:
-            y[~ge] = res.eqlin.marginals
-            y[ge] = -np.asarray(res.ineqlin.marginals)
-        return self._result(status, res.fun,
-                            np.asarray(res.x) if res.x is not None else None,
-                            y)
 
-    def _result(self, status, objective_value, primal, y) -> LpSolveResult:
-        """The solve result over the stored rows; `y` holds the row duals.
+def linprog(highs) -> str:
+    """Run HiGHS; its model status: optimal, limit, infeasible or unbounded.
 
-        Certificate, residual and row slacks all read the same store.
-        """
-        objective = np.asarray(self.objective, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        ge, b = self.ge, self.rhs
-        if status == "optimal":
-            dual_bound, dual_inf = _safe_dual_bound(
-                objective, lower, upper, self.cols, self.vals, self.row_of,
-                b, ge, y)
-        else:
-            dual_bound, dual_inf = -np.inf, None
-        residual = 0.0
-        row_slack = {}
-        if primal is not None:
-            # observed only: on ill-conditioned instances HiGHS can report
-            # an infeasible point as optimal; the bound never rests on it
-            excess = np.bincount(self.row_of, self.vals * primal[self.cols],
-                                 len(b)) - b
-            row_slack = dict(zip(self.rows, excess[
-                list(self.rows.values())].tolist()))
-            residual = max(float(np.abs(excess[~ge]).max(initial=0.0)),
-                           float((-excess[ge]).max(initial=0.0)),
-                           float((lower - primal).max(initial=0.0)),
-                           float((primal - upper).max(initial=0.0)))
-        return LpSolveResult(
-            status=status,
-            objective=float(objective_value) if status == "optimal" else None,
-            primal=primal,
-            dual_infeasibility=dual_inf,
-            primal_residual=residual,
-            dual_bound=dual_bound,
-            row_slack=row_slack)
+    Any other status raises LpBackendError.  `perfbench/spans.py` times the
+    HiGHS layer under this name."""
+    _check(highs.run(), "solve")
+    model_status = highs.getModelStatus()
+    kind = _highs.HighsModelStatus
+    status = {kind.kOptimal: "optimal", kind.kTimeLimit: "limit",
+              kind.kIterationLimit: "limit", kind.kInfeasible: "infeasible",
+              kind.kUnbounded: "unbounded"}.get(model_status)
+    if status is None:
+        raise LpBackendError(
+            "HiGHS error: %s" % highs.modelStatusToString(model_status))
+    return status
 
 
 def _check(status, what: str):

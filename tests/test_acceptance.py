@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 
-from opfcuts import lp_backend
 from opfcuts.case_io import parse_case_file, perturb_loads
 from opfcuts.cut_manager import load_cuts, save_cuts
 from opfcuts.driver import RunConfig, cutplane
@@ -226,23 +225,3 @@ def test_criterion_11_determinism(case14, cold_report, capsys):
     ok = rel <= 1e-6
     _report(capsys, 11, ok,
             "best bounds %.6f / %.6f (rel diff %.1e)" % (b1, b2, rel))
-
-
-def test_linprog_fallback_case14_in_band(case14, monkeypatch):
-    """scipy < 1.15 has no HiGHS bindings; its cold linprog path still
-    certifies every round and reaches the case14 band."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    linprog = lp_backend.linprog
-    monkeypatch.setattr(lp_backend, "linprog", counted)
-    monkeypatch.setattr(lp_backend, "_highs", None)
-    report = cutplane(case14, RunConfig())
-    assert len(calls) == report.num_rounds
-    assert BAND_LO <= report.best_bound <= BAND_HI
-    for st in report.rounds:
-        assert math.isfinite(st.bound)
-        assert st.bound <= st.objective + 1e-6 * abs(st.objective)

@@ -2,7 +2,8 @@ import logging
 
 import pytest
 
-from opfcuts.cli import EXIT_DATA, EXIT_FAIL, EXIT_OK, main
+from opfcuts.cli import EXIT_BACKEND, EXIT_DATA, EXIT_FAIL, EXIT_OK, main
+from test_lp_backend import report_model_status
 
 
 def test_cliques_command(case14_path, capsys):
@@ -46,6 +47,32 @@ def test_verify_command(capsys):
     assert main(["verify", "--trials", "30"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("pass") == 5
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    """Zero trials check nothing: exit 2 with one error line, no pass."""
+    assert main(["verify", "--trials", trials]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_solve_backend_error_exits_3(case14_path, monkeypatch, capsys):
+    """A HiGHS model status the backend cannot map ends the run with exit
+    3 and one backend error line."""
+    report_model_status(monkeypatch, "kSolveError", after=2)
+    assert main(["solve", case14_path]) == EXIT_BACKEND
+    captured = capsys.readouterr()
+    assert captured.err.startswith("backend error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_solve_unbounded_master_exits_3(case14_path, monkeypatch, capsys):
+    report_model_status(monkeypatch, "kUnbounded", after=2)
+    assert main(["solve", case14_path]) == EXIT_BACKEND
+    assert "best bound:" in capsys.readouterr().out
 
 
 def test_roundtrip_save_load_cuts(case14_path, tmp_path, capsys):

@@ -11,6 +11,7 @@ from opfcuts import lp_backend
 from opfcuts.case_io import parse_case, perturb_loads
 from opfcuts.driver import RunConfig, RunReport, cutplane, report_table
 from opfcuts.errors import ModelError
+from test_lp_backend import report_model_status
 
 
 def test_config_validation():
@@ -22,6 +23,9 @@ def test_config_validation():
         RunConfig(hierarchy_round=0)
     with pytest.raises(ValueError):
         RunConfig(max_clique_size=6)
+    for rounds in (0, -3):
+        with pytest.raises(ValueError):
+            RunConfig(max_rounds=rounds)
 
 
 def test_time_limit_zero_single_round(case14):
@@ -62,6 +66,17 @@ def test_max_rounds(case14):
     report = cutplane(case14, RunConfig(max_rounds=3))
     assert report.num_rounds == 3
     assert report.termination == "rounds"
+
+
+def test_unbounded_master_ends_run(case14, cold_report, monkeypatch):
+    """An unbounded master LP ends the run as a backend failure, keeping
+    the bounds of the rounds solved before it."""
+    report_model_status(monkeypatch, "kUnbounded", after=2)
+    report = cutplane(case14, RunConfig())
+    assert report.termination == "backend_unbounded"
+    assert report.num_rounds == 2
+    assert report.best_bound == max(st.bound
+                                    for st in cold_report.rounds[:2])
 
 
 def test_cold_run_shape(cold_report):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import types
-from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -55,8 +54,6 @@ def test_tighten_then_relax():
 def test_hot_resolve_prices_with_devex():
     """Row edits drop HiGHS's steepest-edge weights, so the persistent
     model prices with Devex (strategy 1) rather than rebuild them."""
-    if lp_backend._highs is None:
-        pytest.skip("scipy ships no HiGHS bindings")
     be = _loaded()
     be.add_row("r1", [0], [1.0], 1.0)
     be.solve()
@@ -172,20 +169,18 @@ def test_dual_bound_certified_only_within_tolerance(monkeypatch, shift):
 
     certify = lp_backend._safe_dual_bound
     monkeypatch.setattr(lp_backend, "_safe_dual_bound", shifted)
-    for highs in (lp_backend._highs, None):  # None: the linprog fallback
-        monkeypatch.setattr(lp_backend, "_highs", highs)
-        # the free column absorbs no reduced cost, so the shift is clipped
-        be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
-                      [([1], [1.0], 0.0)])
-        be.add_row("r", [0], [1.0], 2.0)
-        res = be.solve()
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(2.0)
-        assert res.dual_infeasibility == pytest.approx(shift)
-        if shift <= CERTIFY_TOL:
-            assert res.dual_bound == pytest.approx(2.0, abs=1e-5)
-        else:
-            assert res.dual_bound == -np.inf
+    # the free column absorbs no reduced cost, so the shift is clipped
+    be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
+                  [([1], [1.0], 0.0)])
+    be.add_row("r", [0], [1.0], 2.0)
+    res = be.solve()
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(2.0)
+    assert res.dual_infeasibility == pytest.approx(shift)
+    if shift <= CERTIFY_TOL:
+        assert res.dual_bound == pytest.approx(2.0, abs=1e-5)
+    else:
+        assert res.dual_bound == -np.inf
 
 
 def _fresh_objective(be, eq_rows, rows):
@@ -267,14 +262,9 @@ def test_row_queue_stays_in_sync():
             remove(["pin"])
 
 
-@pytest.mark.parametrize("hot", [True, False], ids=["hot", "linprog"])
-def test_certificate_covers_dropped_coefficients(monkeypatch, hot):
+def test_certificate_covers_dropped_coefficients():
     """HiGHS drops the 1e-10 of x0 + 1e-10 x1 >= 1 and reports min x0 = 1;
     with x1 = 1e12 the optimum is -99, and the certificate must hold it."""
-    if not hot:
-        monkeypatch.setattr(lp_backend, "_highs", None)
-    elif lp_backend._highs is None:
-        pytest.skip("scipy ships no HiGHS bindings")
     be = _backend([1.0, 0.0], [-1000.0, 0.0], [1000.0, 1e12])
     be.add_row("r", [0, 1], [1.0, 1e-10], 1.0)
     res = be.solve()
@@ -300,8 +290,6 @@ def _highs_rows(be):
 def test_row_store_equals_highs_copy():
     """After add_row / remove_rows / add_column edits the row store is
     HiGHS's copy of the rows, entry for entry and in the same order."""
-    if lp_backend._highs is None:
-        pytest.skip("scipy ships no HiGHS bindings")
     rng = np.random.default_rng(33)
     be = _backend(rng.standard_normal(5), -np.ones(5), np.ones(5),
                   [([0, 1, 4], [1.0, -2.0, 0.5], 0.0)])
@@ -329,23 +317,39 @@ def test_row_store_equals_highs_copy():
             assert list(be.rows.values()) == np.flatnonzero(be.ge).tolist()
 
 
-def test_case14_solve_reads_back_no_matrix(monkeypatch, case14):
-    """The hot path never reads HiGHS's copy of the LP back, nor builds a
-    scipy.sparse matrix: a whole case14 run goes without either."""
-    if lp_backend._highs is None:
-        pytest.skip("scipy ships no HiGHS bindings")
+def use_highs_class(monkeypatch, cls):
+    """Make the backend build its HiGHS models from `cls`, a subclass of
+    the bindings' `_Highs`."""
+    highs = types.SimpleNamespace(**vars(lp_backend._highs))
+    highs._Highs = cls
+    monkeypatch.setattr(lp_backend, "_highs", highs)
 
+
+def report_model_status(monkeypatch, name, after=0):
+    """Make HiGHS report the model status `name` (a member of
+    `HighsModelStatus`) for every run after the first `after` runs."""
+    status = getattr(lp_backend._highs.HighsModelStatus, name)
+    runs = []
+
+    class Reporting(lp_backend._highs._Highs):
+        def run(self):
+            runs.append(1)
+            return super().run()
+
+        def getModelStatus(self):
+            return status if len(runs) > after else super().getModelStatus()
+
+    use_highs_class(monkeypatch, Reporting)
+
+
+def test_case14_solve_reads_back_no_matrix(monkeypatch, case14):
+    """The hot path never reads HiGHS's copy of the LP back: a whole case14
+    run goes without it."""
     class NoReadback(lp_backend._highs._Highs):
         def getLp(self):
             raise AssertionError("getLp called on the solve path")
 
-    def no_sparse(*args, **kwargs):
-        raise AssertionError("scipy.sparse matrix built on the solve path")
-
-    highs = types.SimpleNamespace(**vars(lp_backend._highs))
-    highs._Highs = NoReadback
-    monkeypatch.setattr(lp_backend, "_highs", highs)
-    monkeypatch.setattr(lp_backend, "csr_matrix", no_sparse)
+    use_highs_class(monkeypatch, NoReadback)
     report = cutplane(case14, RunConfig())
     assert report.termination == "no_cuts"
     assert report.best_bound > 8079.0
@@ -359,12 +363,11 @@ from opfcuts import lp_backend
 def scipy_loaded():
     return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
 
-out = {"highs": lp_backend._highs is not None, "import": scipy_loaded()}
+out = {"import": scipy_loaded()}
 report = opfcuts.cutplane(opfcuts.parse_case_file(%r), opfcuts.RunConfig())
 out["solve"], out["bound"] = scipy_loaded(), report.best_bound
-if out["highs"]:
-    from scipy.optimize._highspy import _core
-    out["same"] = _core is lp_backend._highs
+from scipy.optimize._highspy import _core
+out["same"] = _core is lp_backend._highs
 print(json.dumps(out))
 """
 
@@ -372,34 +375,44 @@ print(json.dumps(out))
 def test_import_and_hot_path_leave_scipy_optimize_out(case14_path):
     """`import opfcuts` loads HiGHS's bindings without the scipy.optimize
     and scipy.sparse packages, and the hot path of a case14 solve needs
-    neither; a later import through scipy.optimize gets the same module.
-    scipy < 1.15 ships no bindings, and the linprog fallback loads both."""
+    neither; a later import through scipy.optimize gets the same module."""
     src = os.path.dirname(os.path.dirname(lp_backend.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _ISOLATION_RUN % case14_path],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         check=True)
     out = json.loads(proc.stdout)
-    has_bindings = tuple(map(int, version("scipy").split(".")[:2])) >= (1, 15)
-    assert out["highs"] == has_bindings
     assert out["import"] == []
+    assert out["solve"] == []
     assert BAND_LO <= out["bound"] <= BAND_HI
-    if has_bindings:
-        assert out["solve"] == []
-        assert out["same"] is True
+    assert out["same"] is True
 
 
-def test_bindings_none_without_a_loadable_core(monkeypatch, tmp_path):
+def test_load_highs_raises_without_a_loadable_core(monkeypatch, tmp_path):
     """No `_core` extension under scipy (scipy < 1.15), or one that fails
-    to load, leaves the bindings None, so the linprog fallback solves."""
+    to load, raises an ImportError that names the scipy requirement, and
+    leaves no module behind."""
     monkeypatch.delitem(sys.modules, lp_backend._HIGHS_MODULE, raising=False)
     monkeypatch.setattr(importlib.util, "find_spec", lambda name:
                         types.SimpleNamespace(
                             submodule_search_locations=[str(tmp_path)]))
-    assert lp_backend._load_highs() is None
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        lp_backend._load_highs()
+    assert lp_backend._HIGHS_MODULE not in sys.modules
     core = tmp_path / "optimize" / "_highspy" / (
         "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
     core.parent.mkdir(parents=True)
     core.write_bytes(b"not a shared object")
-    assert lp_backend._load_highs() is None
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        lp_backend._load_highs()
     assert lp_backend._HIGHS_MODULE not in sys.modules
+
+
+def test_unmapped_model_status_raises(monkeypatch):
+    """A model status outside optimal, limit, infeasible and unbounded is a
+    backend failure."""
+    report_model_status(monkeypatch, "kSolveError")
+    be = _loaded()
+    be.add_row("r1", [0], [1.0], 1.0)
+    with pytest.raises(LpBackendError, match="Solve error"):
+        be.solve()

@@ -11,8 +11,7 @@ For k = 1, 2, 4, ... up to --max-k (default 32) it builds
 benchmark, one k at a time in one process.  Per k it records the seconds of
 the solve, the rounds, the best certified bound, the termination, the rows
 and columns of the LP solved last, and the HiGHS simplex iterations summed
-over every solve of the run (null under the linprog fallback, which keeps
-no model to ask).  The iterations are counted by wrapping
+over every solve of the run.  The iterations are counted by wrapping
 `ScipyHighsBackend.solve` here; the library itself counts nothing.
 """
 
@@ -52,9 +51,9 @@ def main(argv=None) -> int:
 
     def counted(backend):
         result = solve(backend)
-        if backend._highs is not None:  # the count of this run() alone
-            last["iterations"] += backend._highs.getInfoValue(
-                "simplex_iteration_count")[1]
+        # the count of this run() alone
+        last["iterations"] += backend._highs.getInfoValue(
+            "simplex_iteration_count")[1]
         last["rows"], last["cols"] = len(backend.rhs), len(backend.objective)
         return result
 
@@ -72,9 +71,7 @@ def main(argv=None) -> int:
             "k": k, "buses": len(case.buses), "seconds": seconds,
             "rounds": report.num_rounds, "best_bound": report.best_bound,
             "termination": report.termination, "lp_rows": last["rows"],
-            "lp_cols": last["cols"],
-            "simplex_iterations": last["iterations"]
-            if lp_backend._highs is not None else None})
+            "lp_cols": last["cols"], "simplex_iterations": last["iterations"]})
         print("k %2d  %7.2f s  %2d rounds  bound %.4f  %s" % (
             k, seconds, report.num_rounds, report.best_bound,
             report.termination), file=sys.stderr)
@@ -85,8 +82,7 @@ def main(argv=None) -> int:
             "case": "tile_case(case14, k, %d), solved cold with "
                     "RunConfig(time_limit=%g)" % (SEED, TIME_LIMIT),
             "host": {"python": platform.python_version(),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__,
-                     "highs_bindings": lp_backend._highs is not None},
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
             "records": records}, out, indent=1)
         out.write("\n")
     return 0
