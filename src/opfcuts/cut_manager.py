@@ -1,8 +1,20 @@
 """Cut pool: admission filtering, aging, slack-based dropping, persistence.
 
-The warm-start file is UTF-8 JSON lines with a version header; variable
-references are symbolic (bus / pair / branch ids), so saved cuts survive model
-rebuilds and transfer to load-perturbed instances of the same network.
+The warm-start file is UTF-8 JSON lines; variable references are symbolic
+(bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
+to load-perturbed instances of the same network.  Version 2 reads:
+
+    {"fmt": "cutpool", "v": 2}
+    {"kind": "jabr", "support": [1, 2], "terms": [[key, w], ...], "rhs": b}
+    ...one record per cut, by content hash...
+    {"basis": {"columns": [[key, s], ...], "base_rows": "BBLU...",
+               "cuts": [[content hash, s], ...]}}
+
+The closing basis record is the simplex basis of the run's last LP solve,
+one status letter s of `lp_backend.STATUS_LETTERS` per column key (sorted by
+`repr`), per base row in row order and per cut row (sorted by hash).  It is
+left out when the pool has no basis; `load_cuts` takes it in any place, but
+once.  Version 1 files have no basis record, and still load.
 """
 
 from __future__ import annotations
@@ -12,24 +24,32 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CutFileError
+from .lp_backend import STATUS_LETTERS
 from .separation import VIOLATION_THRESHOLD, LinearCut, _plain
 
 T_AGE = 5
 EPS_SLACK = 1e-5
 COSINE_BOUND = 0.999
 K_ADD = 5
-FILE_HEADER = {"fmt": "cutpool", "v": 1}
+FILE_HEADER = {"fmt": "cutpool", "v": 2}
+_LETTERS = frozenset(STATUS_LETTERS)
+
+
+@dataclass(frozen=True)
+class SavedBasis:
+    """A simplex basis by symbolic keys, in `lp_backend.STATUS_LETTERS`."""
+    columns: dict    # variable key -> status letter
+    base_rows: str   # one status letter per base row, in row order
+    cuts: dict       # content hash -> status letter of the cut's row
 
 
 @dataclass
 class CutPool:
     cuts: dict = field(default_factory=dict)   # content_hash -> LinearCut
+    basis: SavedBasis | None = None  # of the last LP solve; a warm start hint
 
     def __len__(self):
         return len(self.cuts)
-
-    def active(self):
-        return list(self.cuts.values())
 
 
 def _cosine(a: LinearCut, b: LinearCut) -> float:
@@ -110,13 +130,13 @@ def _key_from_json(raw):
 
 
 def save_cuts(pool: CutPool, stream):
-    """Write the pool as JSON lines; one record per cut.
+    """Write the pool as JSON lines: one record per cut, then its basis.
 
     Keys and provenance go through `_plain`, so a numpy integer is written
     as the int it equals; JSON writes a tuple as a list.
     """
     stream.write(json.dumps(FILE_HEADER) + "\n")
-    for cut in sorted(pool.active(), key=lambda c: c.content_hash):
+    for cut in sorted(pool.cuts.values(), key=lambda c: c.content_hash):
         rec = {
             "kind": cut.kind,
             "support": _plain(cut.provenance),
@@ -124,6 +144,26 @@ def save_cuts(pool: CutPool, stream):
             "rhs": cut.rhs,
         }
         stream.write(json.dumps(rec) + "\n")
+    if pool.basis is not None:
+        columns = sorted([[_plain(k), s]
+                          for k, s in pool.basis.columns.items()],
+                         key=lambda item: repr(item[0]))
+        stream.write(json.dumps({"basis": {
+            "columns": columns, "base_rows": pool.basis.base_rows,
+            "cuts": sorted(map(list, pool.basis.cuts.items()))}}) + "\n")
+
+
+def _basis_from_json(raw) -> SavedBasis:
+    """The basis record's value; ValueError or TypeError when malformed."""
+    columns = {_key_from_json(k): s for k, s in raw["columns"]}
+    cuts = dict(raw["cuts"])
+    base = raw["base_rows"]
+    # bool is an int, but no content hash
+    if not isinstance(base, str) or any(type(h) is not int for h in cuts) \
+            or not _LETTERS.issuperset([*base, *columns.values(),
+                                        *cuts.values()]):
+        raise ValueError("malformed basis record")
+    return SavedBasis(columns=columns, base_rows=base, cuts=cuts)
 
 
 def load_cuts(stream, model=None) -> tuple[CutPool, int]:
@@ -132,6 +172,7 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     Cuts naming a variable `model` neither has nor can add (see
     `RelaxationModel.has_variables`) are skipped; ages reset.  Without a
     model every well-formed cut is kept; `cutplane` skips what it lacks.
+    The pool carries the file's basis, if it has one, as saved.
     """
     pool = CutPool()
     skipped = 0
@@ -140,7 +181,8 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
         header = json.loads(first)
     except json.JSONDecodeError:
         raise CutFileError("missing or malformed cut file header", record=0)
-    if header.get("fmt") != "cutpool" or header.get("v") != 1:
+    if not isinstance(header, dict) or header.get("fmt") != "cutpool" \
+            or header.get("v") not in (1, 2):
         raise CutFileError("unsupported cut file header %r" % (header,),
                            record=0)
     for num, line in enumerate(stream, start=1):
@@ -149,6 +191,11 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
             continue
         try:
             rec = json.loads(line)
+            if header["v"] == 2 and "basis" in rec:
+                if pool.basis is not None:
+                    raise ValueError("a second basis record")
+                pool.basis = _basis_from_json(rec["basis"])
+                continue
             terms = {_key_from_json(k): float(w) for k, w in rec["terms"]}
             rhs = float(rec["rhs"])
             if not isinstance(rec["kind"], str):  # the content hash encodes it

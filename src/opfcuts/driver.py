@@ -32,7 +32,7 @@ import numpy as np
 
 from . import separation
 from .case_io import CaseData
-from .cut_manager import CutPool, admit, age_and_drop
+from .cut_manager import CutPool, SavedBasis, admit, age_and_drop
 from .errors import ModelError
 from .hermitian import eigen
 from .network import chordal_cliques, enumerate_three_cycles
@@ -72,6 +72,7 @@ class RoundStats:
     cuts_dropped: int
     wall_time: float
     bound: float = -math.inf  # certified lower bound credited to this round
+    lp_iterations: int = 0    # simplex iterations of the round's LP solve
 
 
 @dataclass
@@ -128,6 +129,8 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         if skipped:
             log.info("warm start: skipped %d cuts with unknown variables",
                      skipped)
+        if warm.basis is not None:
+            _start_from(model, warm.basis)
 
     stall = 0
     z_prev = -math.inf
@@ -154,7 +157,8 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         # the backend decides what the round proves; z is never a bound
         stats = RoundStats(
             index=round_idx, objective=z, cuts_added=0, cuts_dropped=0,
-            wall_time=time.perf_counter() - t_start, bound=res.dual_bound)
+            wall_time=time.perf_counter() - t_start, bound=res.dual_bound,
+            lp_iterations=res.iterations)
         report.rounds.append(stats)
 
         if time.perf_counter() - t_start >= config.time_limit:
@@ -200,6 +204,13 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         stall = 0 if improved else stall + 1
         z_prev = z
 
+    basis = model.backend.basis()
+    if basis is not None:
+        cols, base, by_id = basis
+        pool.basis = SavedBasis(
+            columns={key: cols[j] for key, j in model.var_index.items()
+                     if j < len(cols)},  # columns added since: no status
+            base_rows=base, cuts=by_id)
     report.termination = termination
     report.best_bound = max((st.bound for st in report.rounds),
                             default=-math.inf)
@@ -213,13 +224,28 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     return report
 
 
+def _start_from(model, saved: SavedBasis):
+    """Hand round 0 the saved basis, mapped onto `model` by column key, base
+    row position and cut hash; a basis the backend refuses costs only the
+    iterations it would have saved."""
+    refused = model.backend.start_basis(
+        {j: saved.columns[key] for key, j in model.var_index.items()
+         if key in saved.columns}, saved.base_rows, saved.cuts)
+    if refused:
+        log.info("warm start: saved basis not used, as %s; round 0 starts "
+                 "from the slack basis", refused)
+    else:
+        log.info("warm start: round 0 starts from the saved basis")
+
+
 def _log_round(stats: RoundStats, res, pool: CutPool, model):
     log.info("round %d: objective %.6f, bound %.6f, dual_inf %.2e, "
-             "residual %.2e, added %d, dropped %d, pool %d, LP rows %d",
+             "residual %.2e, added %d, dropped %d, pool %d, LP rows %d, "
+             "LP iterations %d",
              stats.index, stats.objective, stats.bound,
              res.dual_infeasibility, res.primal_residual, stats.cuts_added,
              stats.cuts_dropped, len(pool),
-             len(model.backend.rhs))
+             len(model.backend.rhs), stats.lp_iterations)
 
 
 def _separate(model, cliques):

@@ -27,6 +27,11 @@ file: neither the `scipy.optimize` nor the `scipy.sparse` package is
 imported.  Without that module, importing this one raises ImportError.
 `linprog(highs)` is the one call that runs HiGHS.
 
+A solve can start from a given basis: `start_basis` hands HiGHS a status
+letter (`STATUS_LETTERS`) per column, per base row and per row id, and
+`basis()` reads the same three back from the last solve.  A start basis
+only saves iterations; nothing it holds is trusted.
+
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
 solve stopped by it returns the status `limit`.
@@ -89,6 +94,10 @@ _highs = _load_highs()
 
 FEASIBILITY_TOL = 1e-6   # HiGHS primal and dual feasibility tolerance
 CERTIFY_TOL = 10.0 * FEASIBILITY_TOL  # largest reduced-cost repair credited
+# HighsBasisStatus by value: kLower, kBasic, kUpper, kZero, kNonbasic
+STATUS_LETTERS = "LBUZN"
+_STATUS = {letter: _highs.HighsBasisStatus(value)
+           for value, letter in enumerate(STATUS_LETTERS)}
 
 
 @dataclass
@@ -100,6 +109,7 @@ class LpSolveResult:
     primal_residual: float = 0.0  # worst row/bound violation of the primal
     dual_bound: float = -np.inf   # certified lower bound, or -inf for none
     row_slack: dict = field(default_factory=dict)  # row id -> a.x - b
+    iterations: int = 0           # simplex iterations of this solve
 
 
 class ScipyHighsBackend:
@@ -146,6 +156,60 @@ class ScipyHighsBackend:
                 raise LpBackendError("unknown row id %r" % (row_id,))
             self._dead.append(row)
 
+    def start_basis(self, cols: dict, base: str, by_id: dict) -> str | None:
+        """Hand HiGHS a start basis for the next solve; returns why it was
+        refused, or None.
+
+        Letters are `STATUS_LETTERS`.  `cols` maps column indices to
+        letters; a column it lacks starts nonbasic at a bound.  `base` has
+        one letter per base row, in row order; `by_id` maps row ids to
+        letters, and a row it lacks starts basic.  A refused basis leaves
+        the solve to start from the slack basis.
+        """
+        highs = self._sync(self._store())
+        n_row = len(self.rhs)
+        base_rows = sorted(set(range(n_row)).difference(self.rows.values()))
+        if len(base) != len(base_rows):
+            return "it has %d base rows, the model %d" % (len(base),
+                                                          len(base_rows))
+        rows = ["B"] * n_row
+        for row, letter in zip(base_rows, base):
+            rows[row] = letter
+        for row_id, row in self.rows.items():
+            rows[row] = by_id.get(row_id, "B")
+        col_status = [cols.get(j) or ("L" if lo > -np.inf else
+                                      "U" if up < np.inf else "Z")
+                      for j, (lo, up) in enumerate(zip(self.lower,
+                                                       self.upper))]
+        basic = col_status.count("B") + rows.count("B")
+        if basic != n_row:
+            return "it has %d basic variables for %d rows" % (basic, n_row)
+        basis = _highs.HighsBasis()
+        basis.col_status = [_STATUS[s] for s in col_status]
+        basis.row_status = [_STATUS[s] for s in rows]
+        basis.valid, basis.alien = True, False
+        if highs.setBasis(basis) == _highs.HighsStatus.kError:
+            return "HiGHS rejected it"
+        return None
+
+    def basis(self):
+        """The basis of the last solve as (column letters, base-row letters,
+        {row id: letter}); rows removed since are left out, and columns
+        and rows added since have no letter.  None when HiGHS holds no
+        valid basis."""
+        if self._highs is None:
+            return None
+        basis = self._highs.getBasis()
+        if not basis.valid:
+            return None
+        cols = "".join([STATUS_LETTERS[s.value] for s in basis.col_status])
+        rows = [STATUS_LETTERS[s.value] for s in basis.row_status]
+        by_id = {row_id: rows[row] for row_id, row in self.rows.items()
+                 if row < len(rows)}
+        cut = set(self.rows.values()).union(self._dead)
+        base = "".join([s for i, s in enumerate(rows) if i not in cut])
+        return cols, base, by_id
+
     def solve(self) -> LpSolveResult:
         """Re-solve the LP; certificate, residual and slacks read the store."""
         if not self.objective:
@@ -158,6 +222,7 @@ class ScipyHighsBackend:
                 "time_limit", highs.getRunTime() + self.time_limit),
                 "time_limit")
         status = linprog(highs)
+        iterations = highs.getInfoValue("simplex_iteration_count")[1]
         sol = highs.getSolution()
         objective = np.asarray(self.objective, dtype=float)
         lower = np.asarray(self.lower, dtype=float)
@@ -190,7 +255,8 @@ class ScipyHighsBackend:
             dual_infeasibility=dual_inf,
             primal_residual=residual,
             dual_bound=dual_bound,
-            row_slack=row_slack)
+            row_slack=row_slack,
+            iterations=iterations)
 
     def _store(self) -> np.ndarray:
         """Append the queued rows to the store, then compact it over the

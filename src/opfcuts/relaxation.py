@@ -54,6 +54,7 @@ class RelaxationModel:
         self.case = case
         self.pairs = PairGraph.from_case(case)
         self.backend = ScipyHighsBackend()
+        self._bus = case.bus_by_id()  # made once: pair bounds and key checks
         self._solution: np.ndarray | None = None
         self._gathers: dict = {}  # bus-tuple list -> clique_matrix indices
 
@@ -72,8 +73,7 @@ class RelaxationModel:
         return idx
 
     def _pair_bound(self, pair):
-        bus = self.case.bus_by_id()
-        return bus[pair[0]].v_max * bus[pair[1]].v_max
+        return self._bus[pair[0]].v_max * self._bus[pair[1]].v_max
 
     def _add_pair_vars(self, pair):
         bound = self._pair_bound(pair)
@@ -202,7 +202,7 @@ class RelaxationModel:
 
     def has_variables(self, terms: dict) -> bool:
         """Every key is a column or a canonical (c|s, a, b) pair of buses."""
-        bus = self.case.bus_by_id()
+        bus = self._bus
         return all(key in self.var_index or (
             isinstance(key, tuple) and len(key) == 3 and key[0] in ("c", "s")
             and key[1] in bus and key[2] in bus and key[1] < key[2])

@@ -159,7 +159,7 @@ def test_criterion_09_cut_soundness(cold_report, case14, capsys):
         gens[gkey] = case14.generators[idx]
     worst = 0.0
     matrix_cuts = tangents = 0
-    for cut in cold_report.pool.active():
+    for cut in cold_report.pool.cuts.values():
         if cut.kind in ("eigen", "projection", "jabr"):
             matrix_cuts += 1
             buses = sorted({k[1] for k in cut.terms if k[0] == "v2"}

@@ -82,6 +82,27 @@ def test_roundtrip_save_load_cuts(case14_path, tmp_path, capsys):
     assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_OK
 
 
+def test_warm_start_from_saved_basis(case14_path, tmp_path, caplog):
+    path = tmp_path / "pool.jsonl"
+    assert main(["solve", case14_path, "--save-cuts", str(path)]) == EXIT_OK
+    assert path.read_text().startswith('{"fmt": "cutpool", "v": 2}\n')
+    with caplog.at_level(logging.INFO, logger="opfcuts"):
+        assert main(["solve", case14_path, "--warm", str(path),
+                     "--perturb-seed", "0", "--perturb-sigma", "0.01"]) \
+            == EXIT_OK
+    assert "round 0 starts from the saved basis" in caplog.text
+
+
+def test_malformed_basis_record_exits_2(case14_path, tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"fmt": "cutpool", "v": 2}\n'
+                    '{"basis": {"columns": [], "base_rows": "Q", '
+                    '"cuts": []}}\n')
+    assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        "error: malformed cut record 1 (last good record 0)\n"
+
+
 def test_warm_start_logs_skipped_cuts(case14_path, tmp_path, caplog):
     """A cut on an unknown bus is skipped by the run, which says so."""
     path = tmp_path / "pool.jsonl"

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import pytest
 
 import opfcuts
 from opfcuts import cut_manager
-from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
-                                 save_cuts)
+from opfcuts.cut_manager import (CutPool, SavedBasis, admit, age_and_drop,
+                                 load_cuts, save_cuts)
 from opfcuts.errors import CutFileError
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
@@ -115,7 +116,7 @@ def test_save_load_round_trip():
     cuts = [_cut({("v2", 1): 1.0, ("c", 1, 2): -0.5}, rhs=0.1),
             _cut({("s", 1, 2): 2.0}, rhs=-1.0, kind="jabr")]
     admit(pool, cuts)
-    for c in pool.active():
+    for c in pool.cuts.values():
         c.age = 3
     buf = io.StringIO()
     save_cuts(pool, buf)
@@ -124,7 +125,7 @@ def test_save_load_round_trip():
         buf, _FakeModel([("v2", 1), ("c", 1, 2), ("s", 1, 2)]))
     assert skipped == 0
     assert set(again.cuts) == set(pool.cuts)
-    assert all(c.age == 0 for c in again.active())
+    assert all(c.age == 0 for c in again.cuts.values())
 
 
 def test_term_order_is_canonical():
@@ -209,6 +210,8 @@ def test_load_bad_header():
         load_cuts(io.StringIO("not json\n"), _FakeModel([]))
     with pytest.raises(CutFileError):
         load_cuts(io.StringIO('{"fmt": "cutpool", "v": 99}\n'), _FakeModel([]))
+    with pytest.raises(CutFileError):  # JSON, but not an object
+        load_cuts(io.StringIO('["cutpool", 2]\n'), _FakeModel([]))
 
 
 def test_load_malformed_record_reports_position():
@@ -234,7 +237,7 @@ def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
     """A cut on a pair with no branch loads; one on an unknown bus does not."""
     model = build_m0(case14)
     assert any(key[1:] not in model.pairs.pair_branches
-               for cut in cold_report.pool.active()
+               for cut in cold_report.pool.cuts.values()
                for key in cut.terms if key[0] in ("c", "s"))
     buf = io.StringIO()
     save_cuts(cold_report.pool, buf)
@@ -245,6 +248,81 @@ def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
     again, skipped = load_cuts(buf, model)
     assert skipped == 1
     assert set(again.cuts) == set(cold_report.pool.cuts)
+
+
+def _saved(pool) -> str:
+    buf = io.StringIO()
+    save_cuts(pool, buf)
+    return buf.getvalue()
+
+
+def test_saved_text_round_trips_with_its_basis(cold_report):
+    """save -> load -> save gives the same text; the basis comes last, in
+    key and hash order whatever the order of its dicts."""
+    text = _saved(cold_report.pool)
+    lines = text.splitlines()
+    assert json.loads(lines[0]) == {"fmt": "cutpool", "v": 2}
+    assert lines[-1].startswith('{"basis": ')
+    loaded, skipped = load_cuts(io.StringIO(text))
+    assert skipped == 0
+    assert loaded.basis == cold_report.pool.basis
+    assert _saved(loaded) == text
+    basis = cold_report.pool.basis
+    shuffled = SavedBasis(
+        columns=dict(reversed(basis.columns.items())),
+        base_rows=basis.base_rows, cuts=dict(reversed(basis.cuts.items())))
+    assert _saved(CutPool(cold_report.pool.cuts, shuffled)) == text
+
+
+def test_v1_file_loads_without_basis(cold_report):
+    text = _saved(cold_report.pool).splitlines(keepends=True)
+    v1 = '{"fmt": "cutpool", "v": 1}\n' + "".join(text[1:-1])
+    loaded, _ = load_cuts(io.StringIO(v1))
+    assert loaded.basis is None
+    assert set(loaded.cuts) == set(cold_report.pool.cuts)
+    # a v1 file has no basis record; one there is a malformed cut record
+    with pytest.raises(CutFileError, match="record %d" % (len(text) - 1)):
+        load_cuts(io.StringIO(v1 + text[-1]))
+
+
+def test_pool_without_basis_saves_no_basis_record():
+    pool = CutPool()
+    admit(pool, [_cut({("v2", 1): 1.0})])
+    text = _saved(pool)
+    assert len(text.splitlines()) == 2
+    assert load_cuts(io.StringIO(text))[0].basis is None
+
+
+_BASIS = {"columns": [[["v2", 1], "B"]], "base_rows": "LB", "cuts": [[7, "U"]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"base_rows": 5},
+    {"base_rows": "LX"},
+    {"columns": [[["v2", 1], "BB"]]},
+    {"columns": [[["v2", 1]]]},
+    {"columns": [[{"v2": 1}, "B"]]},       # a key that cannot be hashed
+    {"cuts": [["7", "U"]]},
+    {"cuts": [[True, "U"]]},
+    {"cuts": None},
+], ids=["base-not-str", "base-letter", "long-letter", "no-letter",
+        "dict-key", "str-hash", "bool-hash", "no-cuts"])
+def test_malformed_basis_record_raises(change):
+    record = {"basis": dict(_BASIS, **change)}
+    text = ('{"fmt": "cutpool", "v": 2}\n'
+            '{"kind": "eigen", "support": [1], "terms": [[["v2", 1], 1.0]], '
+            '"rhs": 0.0}\n' + json.dumps(record) + "\n")
+    with pytest.raises(CutFileError, match="record 2"):
+        load_cuts(io.StringIO(text))
+
+
+def test_second_basis_record_raises():
+    record = json.dumps({"basis": _BASIS}) + "\n"
+    text = '{"fmt": "cutpool", "v": 2}\n' + record + record
+    assert load_cuts(io.StringIO(text[:-len(record)]))[0].basis == \
+        SavedBasis({("v2", 1): "B"}, "LB", {7: "U"})
+    with pytest.raises(CutFileError, match="record 2"):
+        load_cuts(io.StringIO(text))
 
 
 _COSINES = """

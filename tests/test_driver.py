@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import logging
 import math
 import os
@@ -9,9 +11,10 @@ import pytest
 
 from opfcuts import lp_backend
 from opfcuts.case_io import parse_case, perturb_loads
+from opfcuts.cut_manager import load_cuts, save_cuts
 from opfcuts.driver import RunConfig, RunReport, cutplane, report_table
 from opfcuts.errors import ModelError
-from test_lp_backend import report_model_status
+from test_lp_backend import report_model_status, use_highs_class
 
 
 def test_config_validation():
@@ -155,6 +158,8 @@ def test_one_log_line_per_round(case14, caplog, monkeypatch):
                                   res.dual_infeasibility, res.primal_residual,
                                   st.cuts_added, st.cuts_dropped))
         assert "LP rows" in line
+        assert line.endswith(", LP iterations %d" % res.iterations)
+        assert st.lp_iterations == res.iterations
 
 
 def test_rounds_to_reach(cold_report):
@@ -181,10 +186,7 @@ mpc.gencost = [
         cutplane(parse_case(text), RunConfig(time_limit=5.0))
 
 
-def test_case_without_pairs_runs():
-    """One bus and no branch: no pair matrix to separate, a bound all the
-    same (10 $/MWh on 50 MW, 525 with the quadratic term)."""
-    text = """
+_ONE_BUS = """
 mpc.baseMVA = 100;
 mpc.bus = [
     1 3 50 10 0 0 1 1 0 0 1 1.1 0.9;
@@ -197,7 +199,12 @@ mpc.gencost = [
     2 0 0 3 0.01 10 0;
 ];
 """
-    report = cutplane(parse_case(text), RunConfig(time_limit=5.0))
+
+
+def test_case_without_pairs_runs():
+    """One bus and no branch: no pair matrix to separate, a bound all the
+    same (10 $/MWh on 50 MW, 525 with the quadratic term)."""
+    report = cutplane(parse_case(_ONE_BUS), RunConfig(time_limit=5.0))
     assert report.best_bound == pytest.approx(525.0)
     assert report.eig_ratio == math.inf
 
@@ -231,6 +238,98 @@ def test_warm_start_from_own_pool_reaches_cold_bound(case14, cold_report):
     assert len(warm.pool) >= len(cold_report.pool)
     assert warm.num_rounds <= 3
     assert warm.best_bound == pytest.approx(cold_report.best_bound, rel=1e-5)
+
+
+@pytest.fixture(scope="module")
+def pool_text(cold_report):
+    buf = io.StringIO()
+    save_cuts(cold_report.pool, buf)
+    return buf.getvalue()
+
+
+def _round0(case, pool, caplog):
+    """Round 0's simplex iterations and the warm-start basis log lines."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="opfcuts.driver"):
+        report = cutplane(case, RunConfig(max_rounds=1), warm=pool)
+    lines = [r.getMessage() for r in caplog.records
+             if "basis" in r.getMessage()]
+    return report.rounds[0].lp_iterations, lines
+
+
+@pytest.fixture(scope="module")
+def perturbed(case14):
+    return perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
+
+
+@pytest.fixture(scope="module")
+def slack_iterations(perturbed, pool_text):
+    """Round 0 from the slack basis, with the cold pool's cuts."""
+    pool, _ = load_cuts(io.StringIO(pool_text))
+    return cutplane(perturbed, RunConfig(max_rounds=1),
+                    warm=dataclasses.replace(pool, basis=None)
+                    ).rounds[0].lp_iterations
+
+
+def test_saved_basis_starts_round_0_at_its_optimum(perturbed, pool_text,
+                                                   slack_iterations, caplog):
+    """Only the balance rhs move at sigma 1 %, so the cold run's final
+    basis, read back from its text, is still optimal."""
+    pool, _ = load_cuts(io.StringIO(pool_text))
+    iterations, lines = _round0(perturbed, pool, caplog)
+    assert iterations == 0
+    assert slack_iterations > 200
+    assert lines == ["warm start: round 0 starts from the saved basis"]
+
+
+def _refused(perturbed, pool, slack_iterations, caplog, reason):
+    iterations, lines = _round0(perturbed, pool, caplog)
+    assert iterations == slack_iterations
+    assert len(lines) == 1
+    assert lines[0].startswith("warm start: saved basis not used, as ")
+    assert reason in lines[0]
+    assert lines[0].endswith("round 0 starts from the slack basis")
+
+
+def test_basis_of_another_case_is_ignored(perturbed, pool_text,
+                                          slack_iterations, caplog):
+    other = cutplane(parse_case(_ONE_BUS), RunConfig(max_rounds=1)).pool
+    pool, _ = load_cuts(io.StringIO(pool_text))
+    pool.basis = other.basis
+    _refused(perturbed, pool, slack_iterations, caplog,
+             "it has %d base rows" % len(other.basis.base_rows))
+
+
+def test_basis_with_wrong_basic_count_is_ignored(perturbed, pool_text,
+                                                 slack_iterations, caplog):
+    pool, _ = load_cuts(io.StringIO(pool_text))
+    base = pool.basis.base_rows
+    pool.basis = dataclasses.replace(pool.basis, base_rows=base.replace(
+        "B", "L", 1))
+    _refused(perturbed, pool, slack_iterations, caplog, "basic variables")
+
+
+def test_basis_highs_rejects_falls_back_to_slack(perturbed, pool_text,
+                                                 slack_iterations, caplog,
+                                                 monkeypatch):
+    class Rejecting(lp_backend._highs._Highs):
+        def setBasis(self, *args):
+            return lp_backend._highs.HighsStatus.kError
+
+    use_highs_class(monkeypatch, Rejecting)
+    pool, _ = load_cuts(io.StringIO(pool_text))
+    _refused(perturbed, pool, slack_iterations, caplog, "HiGHS rejected it")
+
+
+def test_warm_start_leaves_callers_basis_unchanged(perturbed, pool_text):
+    given, _ = load_cuts(io.StringIO(pool_text))
+    basis = given.basis
+    warm = cutplane(perturbed, RunConfig(max_rounds=4), warm=given)
+    assert given.basis is basis
+    buf = io.StringIO()
+    save_cuts(given, buf)
+    assert buf.getvalue() == pool_text
+    assert warm.pool.basis is not None and warm.pool.basis is not basis
 
 
 def test_report_table_text(cold_report):

@@ -64,6 +64,65 @@ def test_hot_resolve_prices_with_devex():
     assert (status, strategy) == (lp_backend._highs.HighsStatus.kOk, 1)
 
 
+def _three_rows():
+    """min x0 + 2 x1 over [0, 10]^2 with one base row and two cut rows;
+    the slack basis is primal infeasible."""
+    be = _backend([1.0, 2.0], [0.0, 0.0], [10.0, 10.0])
+    be.add_row(None, [0, 1], [1.0, 1.0], 3.0)
+    be.add_row("a", [0], [1.0], 1.0)
+    be.add_row("b", [1], [1.0], 0.5)
+    return be
+
+
+def test_saved_basis_starts_a_twin_at_its_optimum():
+    first = _three_rows()
+    solved = first.solve()
+    assert solved.iterations > 0
+    cols, base, by_id = first.basis()
+    assert (len(cols), len(base), set(by_id)) == (2, 1, {"a", "b"})
+    assert (cols + base + "".join(by_id.values())).count("B") == 3
+    twin = _three_rows()
+    assert twin.start_basis(dict(enumerate(cols)), base, by_id) is None
+    res = twin.solve()
+    assert res.iterations == 0
+    assert res.objective == solved.objective
+
+
+def test_start_basis_fills_what_it_lacks():
+    """A column the basis lacks starts nonbasic at a bound, a row it lacks
+    starts basic; here that is still optimal."""
+    first = _three_rows()
+    first.solve()
+    cols, base, by_id = first.basis()
+    twin = _three_rows()
+    twin.add_column(-np.inf, 5.0)
+    twin.add_row("c", [0], [1.0], 0.0)
+    assert twin.start_basis(dict(enumerate(cols)), base, by_id) is None
+    assert twin.solve().iterations == 0
+    cols, _, by_id = twin.basis()
+    assert (cols[2], by_id["c"]) == ("U", "B")
+
+
+def test_basis_leaves_out_rows_edited_since_the_solve():
+    be = _three_rows()
+    be.solve()
+    be.remove_rows(["b"])
+    be.add_row("c", [0], [1.0], 0.0)
+    cols, base, by_id = be.basis()
+    assert len(base) == 1 and set(by_id) == {"a"}
+
+
+def test_start_basis_refusals():
+    """A basis of the wrong shape is refused before HiGHS sees it."""
+    be = _three_rows()
+    assert _three_rows().basis() is None  # no solve yet
+    assert "base rows" in be.start_basis({}, "BB", {})
+    # every column basic, and every row but base rows: 2 + 2 for 3 rows
+    assert "basic" in be.start_basis({0: "B", 1: "B"}, "L", {})
+    res = be.solve()  # from the slack basis
+    assert res.status == "optimal" and res.iterations > 0
+
+
 def test_infeasible():
     be = _loaded(upper=0.5)
     be.add_row("r1", [0], [1.0], 1.0)

@@ -253,7 +253,7 @@ def test_row_slack_matches_cut_violation(case14):
     """The LP's row slack, normalized, is the cut's own slack at the primal."""
     pool = cutplane(case14, RunConfig(max_rounds=4)).pool
     model = build_m0(case14)
-    cuts = [c for c in pool.active() if model.has_variables(c.terms)]
+    cuts = [c for c in pool.cuts.values() if model.has_variables(c.terms)]
     assert cuts
     for cut in cuts:
         model.add_cut_row(cut.content_hash, cut.terms, cut.rhs)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Trajectory fingerprint: one sha256 over every solve of a benchmark pass.
+"""Trajectory fingerprint: two sha256 digests over a benchmark pass.
 
 Run from the repository root:
 
@@ -7,11 +7,14 @@ Run from the repository root:
 
 It runs one set-up and one pass of the workload through the `Workload` class
 of perfbench/run.py, so warm-sweep takes the benchmark's build_m0 + load_cuts
-path, and hashes, per instance, every round's objective and certified bound
-(as float hex), the cuts added and dropped, the termination and the
-save_cuts text of the final pool, plus the warm pool text.  Equal digests
-mean bit-identical trajectories.  Compare digests taken on one machine only:
-BLAS results may differ between machines.
+path, and prints two digests on one line.  The first, the full digest,
+hashes per instance every round's objective and certified bound (as float
+hex), the cuts added and dropped, the termination and the save_cuts text of
+the final pool, plus the warm pool text.  The second, the trajectory digest,
+hashes the same without any pool text: the saved text carries the simplex
+basis of the last solve, so the full digest also moves when only the basis
+does.  Equal trajectory digests mean bit-identical trajectories.  Compare
+digests taken on one machine only: BLAS results may differ between machines.
 """
 
 from __future__ import annotations
@@ -39,23 +42,25 @@ def main(argv=None) -> int:
     tally = run.Tally()
     workload = run.Workload(args.workload, args.seed, tiler, tally)
     workload.setup()
-    lines = [workload.pool_text or ""]
+    full, trajectory = [workload.pool_text or ""], []
     for inst in workload.instances:
         report, problems = workload.solve(inst)
         tally.record(inst.name, report, problems)
-        lines.append("instance %s" % inst.name)
+        lines = ["instance %s" % inst.name]
         lines.extend("%s %s %d %d" % (st.objective.hex(), st.bound.hex(),
                                       st.cuts_added, st.cuts_dropped)
                      for st in report.rounds)
         lines.append("termination %s" % report.termination)
+        trajectory.extend(lines)
         pool = io.StringIO()
         workload.cut_manager.save_cuts(report.pool, pool)
-        lines.append(pool.getvalue())
+        full.extend(lines + [pool.getvalue()])
     if tally.failed:
         sys.stderr.write("error: %d of %d solves failed their checks\n"
                          % (tally.failed, tally.attempted))
         return 1
-    print(hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    print(*(hashlib.sha256("\n".join(text).encode()).hexdigest()
+            for text in (full, trajectory)))
     return 0
 
 

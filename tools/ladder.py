@@ -11,8 +11,8 @@ For k = 1, 2, 4, ... up to --max-k (default 32) it builds
 benchmark, one k at a time in one process.  Per k it records the seconds of
 the solve, the rounds, the best certified bound, the termination, the rows
 and columns of the LP solved last, and the HiGHS simplex iterations summed
-over every solve of the run.  The iterations are counted by wrapping
-`ScipyHighsBackend.solve` here; the library itself counts nothing.
+over every solve of the run, read from each solve's
+`LpSolveResult.iterations` by wrapping `ScipyHighsBackend.solve` here.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ def main(argv=None) -> int:
 
     def counted(backend):
         result = solve(backend)
-        # the count of this run() alone
-        last["iterations"] += backend._highs.getInfoValue(
-            "simplex_iteration_count")[1]
+        last["iterations"] += result.iterations
         last["rows"], last["cols"] = len(backend.rhs), len(backend.objective)
         return result
 
