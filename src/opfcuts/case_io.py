@@ -240,8 +240,14 @@ def parse_case(text: str, name: str = "case") -> CaseData:
 
 
 def _parse_cost(row, base: float) -> CostFunction:
+    if len(row) < 4:
+        raise CaseParseError("gencost row too short: %r" % (row,))
     model, n = int(row[0]), int(row[3])
-    vals = row[4:4 + (2 * n if model == 1 else n)]
+    size = 2 * n if model == 1 else n
+    vals = row[4:4 + size]
+    if n < 0 or len(vals) < size:
+        raise CaseParseError("gencost row %r declares %d values, has %d"
+                             % (row, size, len(row) - 4))
     if model == 2:
         if n > 3:
             raise CaseValidationError(
@@ -318,8 +324,8 @@ def perturb_loads(case: CaseData, seed: int, mu_frac: float,
     with a generator seeded deterministically; the reactive load is scaled by
     the same multiplicative factor.  Zero loads are untouched.
     """
-    if mu_frac < 0 or sigma_frac < 0:
-        raise ValueError("perturbation fractions must be nonnegative")
+    if not (0.0 <= mu_frac < math.inf and 0.0 <= sigma_frac < math.inf):
+        raise ValueError("perturbation fractions must be finite and >= 0")
     rng = np.random.default_rng(seed)
     buses = []
     for b in case.buses:

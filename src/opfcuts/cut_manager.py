@@ -11,10 +11,11 @@ to load-perturbed instances of the same network.  Version 2 reads:
                "cuts": [[content hash, s], ...]}}
 
 The closing basis record is the simplex basis of the run's last LP solve,
-one status letter s of `lp_backend.STATUS_LETTERS` per column key (sorted by
-`repr`), per base row in row order and per cut row (sorted by hash).  It is
-left out when the pool has no basis; `load_cuts` takes it in any place, but
-once.  Version 1 files have no basis record, and still load.
+the `lp_backend.SavedBasis` the backend reads by name: one status letter s
+of `lp_backend.STATUS_LETTERS` per column key (sorted by `repr`), per base
+row in row order and per cut row (sorted by hash).  It is left out when the
+pool has no basis; `load_cuts` takes it in any place, but once.  Version 1
+files have no basis record, and still load.
 """
 
 from __future__ import annotations
@@ -24,23 +25,14 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CutFileError
-from .lp_backend import STATUS_LETTERS
+from .lp_backend import STATUS_LETTERS, SavedBasis
 from .separation import VIOLATION_THRESHOLD, LinearCut, _plain
 
 T_AGE = 5
 EPS_SLACK = 1e-5
 COSINE_BOUND = 0.999
-K_ADD = 5
 FILE_HEADER = {"fmt": "cutpool", "v": 2}
 _LETTERS = frozenset(STATUS_LETTERS)
-
-
-@dataclass(frozen=True)
-class SavedBasis:
-    """A simplex basis by symbolic keys, in `lp_backend.STATUS_LETTERS`."""
-    columns: dict    # variable key -> status letter
-    base_rows: str   # one status letter per base row, in row order
-    cuts: dict       # content hash -> status letter of the cut's row
 
 
 @dataclass
@@ -69,8 +61,7 @@ def admit(pool: CutPool, candidates):
     """Filter candidates into the pool; returns the admitted list.
 
     Rejects duplicates by hash, near-parallel cuts on the same variable
-    support, and sub-threshold violations; admits by decreasing violation,
-    at most `K_ADD` per provenance group per call.
+    support, and sub-threshold violations; admits by decreasing violation.
 
     The parallelism check runs only within the current batch.  Checking
     against the whole pool can deadlock the loop: a refined cut is almost
@@ -79,15 +70,11 @@ def admit(pool: CutPool, candidates):
     """
     by_support: dict[tuple, list] = {}
     admitted = []
-    per_group: dict[tuple, int] = {}
     ordered = sorted(candidates, key=lambda c: -c.violation_at_birth)
     for cut in ordered:
         if cut.violation_at_birth / cut.inf_norm < VIOLATION_THRESHOLD:
             continue
         if cut.content_hash in pool.cuts:
-            continue
-        group = cut.provenance
-        if per_group.get(group, 0) >= K_ADD:
             continue
         support = tuple(cut.terms)
         if any(abs(_cosine(cut, other)) > COSINE_BOUND
@@ -95,7 +82,6 @@ def admit(pool: CutPool, candidates):
             continue
         pool.cuts[cut.content_hash] = cut
         by_support.setdefault(support, []).append(cut)
-        per_group[group] = per_group.get(group, 0) + 1
         admitted.append(cut)
     return admitted
 

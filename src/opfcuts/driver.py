@@ -32,7 +32,7 @@ import numpy as np
 
 from . import separation
 from .case_io import CaseData
-from .cut_manager import CutPool, SavedBasis, admit, age_and_drop
+from .cut_manager import CutPool, admit, age_and_drop
 from .errors import ModelError
 from .hermitian import eigen
 from .network import chordal_cliques, enumerate_three_cycles
@@ -130,7 +130,13 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             log.info("warm start: skipped %d cuts with unknown variables",
                      skipped)
         if warm.basis is not None:
-            _start_from(model, warm.basis)
+            # a refused basis costs only the iterations it would have saved
+            refused = model.backend.start_basis(warm.basis)
+            if refused:
+                log.info("warm start: saved basis not used, as %s; round 0 "
+                         "starts from the slack basis", refused)
+            else:
+                log.info("warm start: round 0 starts from the saved basis")
 
     stall = 0
     z_prev = -math.inf
@@ -204,13 +210,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         stall = 0 if improved else stall + 1
         z_prev = z
 
-    basis = model.backend.basis()
-    if basis is not None:
-        cols, base, by_id = basis
-        pool.basis = SavedBasis(
-            columns={key: cols[j] for key, j in model.var_index.items()
-                     if j < len(cols)},  # columns added since: no status
-            base_rows=base, cuts=by_id)
+    pool.basis = model.backend.basis()
     report.termination = termination
     report.best_bound = max((st.bound for st in report.rounds),
                             default=-math.inf)
@@ -222,20 +222,6 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         report.eig_ratio = _final_eig_ratio(model, solved)
     report.pool = pool
     return report
-
-
-def _start_from(model, saved: SavedBasis):
-    """Hand round 0 the saved basis, mapped onto `model` by column key, base
-    row position and cut hash; a basis the backend refuses costs only the
-    iterations it would have saved."""
-    refused = model.backend.start_basis(
-        {j: saved.columns[key] for key, j in model.var_index.items()
-         if key in saved.columns}, saved.base_rows, saved.cuts)
-    if refused:
-        log.info("warm start: saved basis not used, as %s; round 0 starts "
-                 "from the slack basis", refused)
-    else:
-        log.info("warm start: round 0 starts from the saved basis")
 
 
 def _log_round(stats: RoundStats, res, pool: CutPool, model):

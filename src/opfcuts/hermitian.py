@@ -37,9 +37,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.mat.shape[0]
 
-    def trace(self) -> float:
-        return float(self.mat.trace().real)
-
     def fro_norm(self) -> float:
         return float(np.linalg.norm(self.mat))
 
@@ -77,23 +74,6 @@ def eigen(x) -> EigenDecomposition:
                                 else x)
     return EigenDecomposition(eigenvalues=vals[..., ::-1],
                               eigenvectors=vecs[..., ::-1])
-
-
-def psd_status(x: HermitianMatrix, tol: float):
-    """('psd', []) or ('indefinite', [(lambda, q), ...]) per Lemma-style test.
-
-    PSD iff lambda_min >= psd_cutoff(x.mat, tol).
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    dec = eigen(x)
-    cutoff = psd_cutoff(x.mat, tol)
-    neg = [(float(lam), q) for lam, q in zip(dec.eigenvalues,
-                                             dec.eigenvectors.T)
-           if lam < cutoff]
-    if neg:
-        return "indefinite", neg
-    return "psd", []
 
 
 def psd_project(x: HermitianMatrix) -> HermitianMatrix:

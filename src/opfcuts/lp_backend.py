@@ -1,10 +1,10 @@
 """The LP master: the one owner of its columns and rows, solved by HiGHS.
 
-`ScipyHighsBackend` holds the whole LP: the columns (objective and bounds)
-and one flat row store in HiGHS row order.  Entry k is `vals[k]` in row
-`row_of[k]`, column `cols[k]`; row i reads a.x >= rhs[i] where `ge[i]`,
-a.x = rhs[i] elsewhere.  The relaxation model writes into it and never
-keeps a copy.
+`ScipyHighsBackend` holds the whole LP: the columns (objective and bounds),
+each named by a key that `columns` maps to its index, and one flat row
+store in HiGHS row order.  Entry k is `vals[k]` in row `row_of[k]`, column
+`cols[k]`; row i reads a.x >= rhs[i] where `ge[i]`, a.x = rhs[i] elsewhere.
+The relaxation model writes into it and never keeps a copy.
 
 Every row enters through one call, `add_row(row_id, cols, coeffs, rhs, ge)`.
 A row with an id (a cut) can be removed by `remove_rows`, and its slack
@@ -27,10 +27,11 @@ file: neither the `scipy.optimize` nor the `scipy.sparse` package is
 imported.  Without that module, importing this one raises ImportError.
 `linprog(highs)` is the one call that runs HiGHS.
 
-A solve can start from a given basis: `start_basis` hands HiGHS a status
-letter (`STATUS_LETTERS`) per column, per base row and per row id, and
-`basis()` reads the same three back from the last solve.  A start basis
-only saves iterations; nothing it holds is trusted.
+A solve can start from a given basis.  A `SavedBasis` states one by name:
+a status letter (`STATUS_LETTERS`) per column key, per base row in row
+order and per row id.  `basis()` reads one from the last solve, and
+`start_basis` maps one onto this model by those names and hands it to
+HiGHS.  A start basis only saves iterations; nothing it holds is trusted.
 
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
@@ -100,6 +101,14 @@ _STATUS = {letter: _highs.HighsBasisStatus(value)
            for value, letter in enumerate(STATUS_LETTERS)}
 
 
+@dataclass(frozen=True)
+class SavedBasis:
+    """A simplex basis by name, in `STATUS_LETTERS`."""
+    columns: dict    # column key -> status letter
+    base_rows: str   # one status letter per base row, in row order
+    cuts: dict       # row id -> status letter of the row
+
+
 @dataclass
 class LpSolveResult:
     status: str               # optimal | infeasible | unbounded | limit
@@ -117,6 +126,7 @@ class ScipyHighsBackend:
 
     def __init__(self):
         self.time_limit: float | None = None  # seconds for the next solve
+        self.columns: dict = {}  # column key -> its index
         self.objective: list[float] = []
         self.lower: list[float] = []
         self.upper: list[float] = []
@@ -131,12 +141,16 @@ class ScipyHighsBackend:
         self._highs = None     # the persistent model, made at the first solve
         self._n_loaded = 0     # leading rows of the store that HiGHS holds
 
-    def add_column(self, lower: float, upper: float, obj: float = 0.0) -> int:
-        """Append a column; returns its index."""
+    def add_column(self, key, lower: float, upper: float,
+                   obj: float = 0.0) -> int:
+        """Append the column named `key`; returns its index."""
+        if key in self.columns:
+            raise LpBackendError("duplicate column key %r" % (key,))
+        index = self.columns[key] = len(self.objective)
         self.objective.append(obj)
         self.lower.append(lower)
         self.upper.append(upper)
-        return len(self.objective) - 1
+        return index
 
     def add_row(self, row_id, cols, coeffs, rhs: float, ge: bool = True):
         """Queue the row a.x >= rhs, or a.x = rhs when not `ge`.
@@ -156,31 +170,30 @@ class ScipyHighsBackend:
                 raise LpBackendError("unknown row id %r" % (row_id,))
             self._dead.append(row)
 
-    def start_basis(self, cols: dict, base: str, by_id: dict) -> str | None:
-        """Hand HiGHS a start basis for the next solve; returns why it was
-        refused, or None.
+    def start_basis(self, saved: SavedBasis) -> str | None:
+        """Hand HiGHS `saved` as the start basis of the next solve; returns
+        why it was refused, or None.
 
-        Letters are `STATUS_LETTERS`.  `cols` maps column indices to
-        letters; a column it lacks starts nonbasic at a bound.  `base` has
-        one letter per base row, in row order; `by_id` maps row ids to
-        letters, and a row it lacks starts basic.  A refused basis leaves
-        the solve to start from the slack basis.
+        Columns are matched by key, base rows by position and other rows by
+        id.  A column `saved` lacks starts nonbasic at a bound, a row it
+        lacks starts basic.  A refused basis leaves the solve to start from
+        the slack basis.
         """
         highs = self._sync(self._store())
         n_row = len(self.rhs)
         base_rows = sorted(set(range(n_row)).difference(self.rows.values()))
-        if len(base) != len(base_rows):
-            return "it has %d base rows, the model %d" % (len(base),
-                                                          len(base_rows))
+        if len(saved.base_rows) != len(base_rows):
+            return "it has %d base rows, the model %d" % (
+                len(saved.base_rows), len(base_rows))
         rows = ["B"] * n_row
-        for row, letter in zip(base_rows, base):
+        for row, letter in zip(base_rows, saved.base_rows):
             rows[row] = letter
         for row_id, row in self.rows.items():
-            rows[row] = by_id.get(row_id, "B")
-        col_status = [cols.get(j) or ("L" if lo > -np.inf else
-                                      "U" if up < np.inf else "Z")
-                      for j, (lo, up) in enumerate(zip(self.lower,
-                                                       self.upper))]
+            rows[row] = saved.cuts.get(row_id, "B")
+        col_status = [saved.columns.get(key) or ("L" if lo > -np.inf else
+                                                 "U" if up < np.inf else "Z")
+                      for key, lo, up in zip(self.columns, self.lower,
+                                             self.upper)]
         basic = col_status.count("B") + rows.count("B")
         if basic != n_row:
             return "it has %d basic variables for %d rows" % (basic, n_row)
@@ -192,23 +205,24 @@ class ScipyHighsBackend:
             return "HiGHS rejected it"
         return None
 
-    def basis(self):
-        """The basis of the last solve as (column letters, base-row letters,
-        {row id: letter}); rows removed since are left out, and columns
-        and rows added since have no letter.  None when HiGHS holds no
-        valid basis."""
+    def basis(self) -> SavedBasis | None:
+        """The basis of the last solve, by name; rows removed since are left
+        out, and columns and rows added since have no letter.  None when
+        HiGHS holds no valid basis."""
         if self._highs is None:
             return None
         basis = self._highs.getBasis()
         if not basis.valid:
             return None
-        cols = "".join([STATUS_LETTERS[s.value] for s in basis.col_status])
+        # keys in index order; zip stops at the columns HiGHS has
+        columns = dict(zip(self.columns, [STATUS_LETTERS[s.value]
+                                          for s in basis.col_status]))
         rows = [STATUS_LETTERS[s.value] for s in basis.row_status]
         by_id = {row_id: rows[row] for row_id, row in self.rows.items()
                  if row < len(rows)}
         cut = set(self.rows.values()).union(self._dead)
         base = "".join([s for i, s in enumerate(rows) if i not in cut])
-        return cols, base, by_id
+        return SavedBasis(columns=columns, base_rows=base, cuts=by_id)
 
     def solve(self) -> LpSolveResult:
         """Re-solve the LP; certificate, residual and slacks read the store."""

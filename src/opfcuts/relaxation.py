@@ -16,14 +16,16 @@ the bus's generators).  The base model contains only variable bounds, the
 linear flow-definition and balance equalities, and the initial cost epigraph
 supports; everything nonlinear is enforced by dynamically separated cuts.
 
-`RelaxationModel` keeps only the symbolic maps (`var_index`, `branch_keys`,
-`gen_keys`) and the branch pair graph.  Every column it builds is written
-straight into its `ScipyHighsBackend`, which is the only holder of the LP.
+`RelaxationModel` keeps only the symbolic maps (`branch_keys`, `gen_keys`)
+and the branch pair graph.  Every column it builds is written straight into
+its `ScipyHighsBackend`, named by its key; the backend is the only holder
+of the LP and of its names, and `var_index` is the backend's own key map.
 Every row, base or cut, is a dict {key: coeff} that one method, `_add_row`,
 maps to columns, leaving zero coefficients out, and queues with the
 backend's one `add_row`.  Base rows carry no id and stay; cut rows carry the
-cut's id, by which `remove_cut_row` deletes them.  The (c, s) columns
-are the one record of which bus pairs exist; `extend_pairs` adds to them.
+cut's id, by which `remove_cut_row` deletes them; the backend rejects a
+duplicate or unknown id.  The (c, s) columns are the one record of which
+bus pairs exist; `extend_pairs` adds to them.
 `clique_matrix` gathers the matrices of the pairs, or of the cliques of one
 size, as one stack, by index arrays cached per list of bus tuples.
 """
@@ -60,31 +62,25 @@ class RelaxationModel:
 
         self.branch_keys: dict[int, tuple] = {}
         self.gen_keys: dict[int, tuple] = {}
-        self.var_index: dict[tuple, int] = {}
+        self.var_index = self.backend.columns  # the backend's, not a copy
         self._build()
 
     # -- construction -----------------------------------------------------
-
-    def _add_var(self, key, lb, ub, obj=0.0) -> int:
-        if key in self.var_index:
-            raise ModelError("duplicate variable %r" % (key,))
-        idx = self.backend.add_column(lb, ub, obj)
-        self.var_index[key] = idx
-        return idx
 
     def _pair_bound(self, pair):
         return self._bus[pair[0]].v_max * self._bus[pair[1]].v_max
 
     def _add_pair_vars(self, pair):
         bound = self._pair_bound(pair)
-        self._add_var(("c",) + pair, -bound, bound)
-        self._add_var(("s",) + pair, -bound, bound)
+        self.backend.add_column(("c",) + pair, -bound, bound)
+        self.backend.add_column(("s",) + pair, -bound, bound)
 
     def _build(self):
         case = self.case
+        column = self.backend.add_column
 
         for b in case.buses:
-            self._add_var(("v2", b.id), b.v_min ** 2, b.v_max ** 2)
+            column(("v2", b.id), b.v_min ** 2, b.v_max ** 2)
         for pair in self.pairs.edges:
             self._add_pair_vars(pair)
 
@@ -99,8 +95,8 @@ class RelaxationModel:
             self.branch_keys[idx] = bkey
             u = br.rate_a if br.rate_a is not None else INF
             for d in ("f", "t"):
-                self._add_var(("P", bkey, d), -u, u)
-                self._add_var(("Q", bkey, d), -u, u)
+                column(("P", bkey, d), -u, u)
+                column(("Q", bkey, d), -u, u)
 
         gen_count: dict[int, int] = {}
         for idx, g in enumerate(case.generators):
@@ -110,9 +106,9 @@ class RelaxationModel:
             gen_count[g.bus] = k + 1
             gkey = (g.bus, k)
             self.gen_keys[idx] = gkey
-            self._add_var(("Pg", gkey), g.p_min, g.p_max)
-            self._add_var(("Qg", gkey), g.q_min, g.q_max)
-            self._add_var(("t", gkey), -INF, INF, obj=1.0)
+            column(("Pg", gkey), g.p_min, g.p_max)
+            column(("Qg", gkey), g.q_min, g.q_max)
+            column(("t", gkey), -INF, INF, obj=1.0)
 
         # flow definitions: each flow equals a linear map of (v2, c, s)
         for idx, bkey in self.branch_keys.items():
@@ -209,16 +205,12 @@ class RelaxationModel:
             for key in terms)
 
     def add_cut_row(self, row_id, terms: dict, rhs: float):
-        if row_id in self.backend.rows:
-            raise ModelError("duplicate cut row %r" % (row_id,))
         try:
             self._add_row(row_id, terms, rhs)
         except KeyError as exc:
             raise ModelError("unknown variable %r" % (exc.args[0],)) from None
 
     def remove_cut_row(self, row_id):
-        if row_id not in self.backend.rows:
-            raise ModelError("unknown cut row %r" % (row_id,))
         self.backend.remove_rows([row_id])
 
     # -- solving and solution access --------------------------------------

@@ -123,6 +123,24 @@ def test_perturb_negative_fraction_rejected(case14):
         perturb_loads(case14, seed=0, mu_frac=-0.1, sigma_frac=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fraction", ["mu_frac", "sigma_frac"])
+def test_perturb_non_finite_fraction_rejected(case14, fraction, value):
+    """max(0, nan) is 0, so a NaN fraction would zero every load; an
+    infinite one would hand HiGHS infinite loads."""
+    fractions = {"mu_frac": 0.0, "sigma_frac": 0.0, fraction: value}
+    with pytest.raises(ValueError, match="finite"):
+        perturb_loads(case14, seed=0, **fractions)
+
+
+@pytest.mark.parametrize("row", ["2 0 0 3 0.0430293;", "2 0 0;",
+                                 "2 0 0 -2 0.25 20 0;"],
+                         ids=["fewer-values", "no-count", "negative-count"])
+def test_short_gencost_row_rejected(row):
+    with pytest.raises(CaseParseError, match="gencost row"):
+        parse_case(MINI.replace("2 0 0 3 0.25 20 0;", row))
+
+
 def test_pwl_cost_has_no_derivative():
     """A pwl cost enters the LP by its segment supports, not by a slope."""
     cost = CostFunction(kind="pwl",

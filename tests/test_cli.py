@@ -31,14 +31,31 @@ def test_solve_missing_file(capsys):
 
 @pytest.mark.parametrize("option", [
     ["--time-limit", "-1"], ["--time-limit", "nan"], ["--rstar", "0"],
-    ["--perturb-sigma", "-0.1"]],
+    ["--perturb-sigma", "-0.1"], ["--perturb-sigma", "nan"],
+    ["--perturb-sigma", "inf"]],
     ids=["time-limit-negative", "time-limit-nan", "rstar-zero",
-         "perturb-sigma-negative"])
+         "perturb-sigma-negative", "perturb-sigma-nan", "perturb-sigma-inf"])
 def test_solve_rejects_out_of_range_option(case14_path, capsys, option):
     """Bad input data: exit 2 with one error line, no traceback."""
     assert main(["solve", case14_path, *option]) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("row", ["2 0 0 3 0.0430293;", "2 0 0;"],
+                         ids=["fewer-values", "no-count"])
+def test_solve_short_gencost_row_exits_2(case14_path, tmp_path, capsys, row):
+    """Bad case data: exit 2 with one error line, no traceback."""
+    text = open(case14_path, encoding="utf-8").read()
+    first = "\t2\t0\t0\t3\t0.0430293\t20\t0;"
+    assert first in text
+    bad = tmp_path / "short.m"
+    bad.write_text(text.replace(first, "\t" + row, 1), encoding="utf-8")
+    assert main(["solve", str(bad)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gencost row")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 

@@ -62,19 +62,6 @@ def test_admit_stale_pool_copy_does_not_block():
     assert admit(pool, [refined]) == [refined]
 
 
-def test_admit_k_add_per_group(monkeypatch):
-    monkeypatch.setattr(cut_manager, "K_ADD", 5)
-    monkeypatch.setattr(cut_manager, "COSINE_BOUND", 1.0 - 1e-12)
-    pool = CutPool()
-    cands = [_cut({("v2", 1): 1.0, ("v2", 2): float(i)}, viol=10.0 - i)
-             for i in range(2, 12)]
-    admitted = admit(pool, cands)
-    assert len(admitted) == 5
-    assert [c.violation_at_birth for c in admitted] == [8, 7, 6, 5, 4]
-    other = _cut({("v2", 3): 1.0}, prov=(3,))
-    assert len(admit(pool, [other])) == 1
-
-
 def test_age_and_drop(monkeypatch):
     monkeypatch.setattr(cut_manager, "T_AGE", 5)
     pool = CutPool()

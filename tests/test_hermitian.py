@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from opfcuts.hermitian import (HermitianMatrix, eigen, psd_project,
-                               psd_status, rank_of, realify, w_to_x)
+from opfcuts.hermitian import (HermitianMatrix, eigen, psd_cutoff,
+                               psd_project, rank_of, realify, w_to_x)
 
 
 def _random_hermitian(rng, n):
@@ -68,30 +68,20 @@ def test_eigen_degenerate_spectrum():
     assert dec.eigenvalues == pytest.approx([1.0] * 4)
 
 
-def test_psd_status_examples():
-    assert psd_status(HermitianMatrix(np.eye(3)), 1e-8)[0] == "psd"
-    status, pairs = psd_status(HermitianMatrix(np.diag([1.0, -2.0])), 1e-8)
-    assert status == "indefinite"
-    assert len(pairs) == 1
-    lam, q = pairs[0]
-    assert lam == pytest.approx(-2.0)
-    assert abs(q[1]) == pytest.approx(1.0)
-
-
-def test_psd_status_gram_matrices():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert psd_status(HermitianMatrix(v.conj().T @ v), 1e-8)[0] == "psd"
-
-
 def test_psd_status_agrees_with_realified_spectrum():
+    """X is PSD iff L(X) is: separation's PSD test, `eigen` against
+    `psd_cutoff`, agrees with the spectrum of L(X) on random indefinite
+    matrices and on Gram matrices."""
     rng = np.random.default_rng(8)
     for _ in range(100):
-        x = _random_hermitian(rng, int(rng.integers(2, 6)))
-        vals = np.linalg.eigvalsh(realify(x))
-        direct_psd = vals[0] >= -1e-8 * max(1.0, x.trace())
-        assert (psd_status(x, 1e-8)[0] == "psd") == direct_psd
+        v = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        for x in (_random_hermitian(rng, int(rng.integers(2, 6))),
+                  HermitianMatrix(v.conj().T @ v)):
+            vals = np.linalg.eigvalsh(realify(x))
+            direct_psd = vals[0] >= -1e-8 * max(1.0, np.trace(x.mat).real)
+            psd = eigen(x).eigenvalues[-1] >= psd_cutoff(x.mat, 1e-8)
+            assert psd == direct_psd
+        assert psd  # the Gram matrix, checked last
 
 
 def test_psd_project_examples():

@@ -13,14 +13,14 @@ from scipy.optimize import linprog
 from opfcuts import lp_backend
 from opfcuts.driver import RunConfig, cutplane
 from opfcuts.errors import LpBackendError
-from opfcuts.lp_backend import CERTIFY_TOL, ScipyHighsBackend
+from opfcuts.lp_backend import CERTIFY_TOL, SavedBasis, ScipyHighsBackend
 from test_acceptance import BAND_HI, BAND_LO
 
 
 def _backend(objective, lower, upper, eq_rows=()):
     be = ScipyHighsBackend()
-    for c, lo, up in zip(objective, lower, upper):
-        be.add_column(lo, up, c)
+    for j, (c, lo, up) in enumerate(zip(objective, lower, upper)):
+        be.add_column(j, lo, up, c)
     for row in eq_rows:
         be.add_row(None, *row, ge=False)
     return be
@@ -28,6 +28,13 @@ def _backend(objective, lower, upper, eq_rows=()):
 
 def _loaded(lower=0.0, upper=10.0):
     return _backend([1.0], [lower], [upper])
+
+
+def test_duplicate_column_key_raises():
+    be = _loaded()
+    with pytest.raises(LpBackendError, match="duplicate column key 0"):
+        be.add_column(0, 0.0, 1.0)
+    assert be.columns == {0: 0} and len(be.objective) == 1
 
 
 def test_minimize_with_single_row():
@@ -78,11 +85,13 @@ def test_saved_basis_starts_a_twin_at_its_optimum():
     first = _three_rows()
     solved = first.solve()
     assert solved.iterations > 0
-    cols, base, by_id = first.basis()
-    assert (len(cols), len(base), set(by_id)) == (2, 1, {"a", "b"})
-    assert (cols + base + "".join(by_id.values())).count("B") == 3
+    saved = first.basis()
+    assert (set(saved.columns), len(saved.base_rows), set(saved.cuts)) \
+        == ({0, 1}, 1, {"a", "b"})
+    assert "".join([*saved.columns.values(), saved.base_rows,
+                    *saved.cuts.values()]).count("B") == 3
     twin = _three_rows()
-    assert twin.start_basis(dict(enumerate(cols)), base, by_id) is None
+    assert twin.start_basis(saved) is None
     res = twin.solve()
     assert res.iterations == 0
     assert res.objective == solved.objective
@@ -93,14 +102,44 @@ def test_start_basis_fills_what_it_lacks():
     starts basic; here that is still optimal."""
     first = _three_rows()
     first.solve()
-    cols, base, by_id = first.basis()
+    saved = first.basis()
     twin = _three_rows()
-    twin.add_column(-np.inf, 5.0)
+    twin.add_column("new", -np.inf, 5.0)
     twin.add_row("c", [0], [1.0], 0.0)
-    assert twin.start_basis(dict(enumerate(cols)), base, by_id) is None
+    assert twin.start_basis(saved) is None
     assert twin.solve().iterations == 0
-    cols, _, by_id = twin.basis()
-    assert (cols[2], by_id["c"]) == ("U", "B")
+    basis = twin.basis()
+    assert (basis.columns["new"], basis.cuts["c"]) == ("U", "B")
+
+
+def _named(order):
+    """min x0 + 2 x1 over [0, 10]^2 with x0 + x1 >= 3 and x0 >= 1, its
+    columns added in `order`; at the optimum x0 is basic and x1 is not."""
+    cost = {"x0": 1.0, "x1": 2.0}
+    be = ScipyHighsBackend()
+    for key in order:
+        be.add_column(key, 0.0, 10.0, cost[key])
+    x0, x1 = be.columns["x0"], be.columns["x1"]
+    be.add_row(None, [x0, x1], [1.0, 1.0], 3.0)
+    be.add_row("a", [x0], [1.0], 1.0)
+    return be
+
+
+def test_basis_restores_by_name_onto_a_reordered_twin():
+    """Columns are matched by key, not by position: a basis read from one
+    backend starts a twin whose columns came in the other order at its
+    optimum."""
+    first = _named(["x0", "x1"])
+    solved = first.solve()
+    assert solved.iterations > 0
+    saved = first.basis()
+    assert saved.columns == {"x0": "B", "x1": "L"}
+    twin = _named(["x1", "x0"])
+    assert twin.start_basis(saved) is None
+    res = twin.solve()
+    assert res.iterations == 0
+    assert res.objective == solved.objective
+    assert twin.basis() == saved
 
 
 def test_basis_leaves_out_rows_edited_since_the_solve():
@@ -108,17 +147,19 @@ def test_basis_leaves_out_rows_edited_since_the_solve():
     be.solve()
     be.remove_rows(["b"])
     be.add_row("c", [0], [1.0], 0.0)
-    cols, base, by_id = be.basis()
-    assert len(base) == 1 and set(by_id) == {"a"}
+    be.add_column("new", 0.0, 1.0)
+    saved = be.basis()
+    assert len(saved.base_rows) == 1 and set(saved.cuts) == {"a"}
+    assert set(saved.columns) == {0, 1}
 
 
 def test_start_basis_refusals():
     """A basis of the wrong shape is refused before HiGHS sees it."""
     be = _three_rows()
     assert _three_rows().basis() is None  # no solve yet
-    assert "base rows" in be.start_basis({}, "BB", {})
+    assert "base rows" in be.start_basis(SavedBasis({}, "BB", {}))
     # every column basic, and every row but base rows: 2 + 2 for 3 rows
-    assert "basic" in be.start_basis({0: "B", 1: "B"}, "L", {})
+    assert "basic" in be.start_basis(SavedBasis({0: "B", 1: "B"}, "L", {}))
     res = be.solve()  # from the slack basis
     assert res.status == "optimal" and res.iterations > 0
 
@@ -265,7 +306,7 @@ def test_row_queue_stays_in_sync():
     rng = np.random.default_rng(32)
     eq_rows = [([0, 1, 2], [1.0, 1.0, 1.0], 0.0)]
     be = _backend(rng.standard_normal(6), -np.ones(6), np.ones(6), eq_rows)
-    be.add_column(-1.0, 1.0, 1.0)  # column 6 wants its lower bound
+    be.add_column(6, -1.0, 1.0, 1.0)  # column 6 wants its lower bound
     rows = {}
     next_id = 0
 
@@ -295,7 +336,8 @@ def test_row_queue_stays_in_sync():
     for step in range(60):
         op = rng.random()
         if op < 0.15:
-            be.add_column(-1.0, 1.0, float(rng.standard_normal()))
+            be.add_column(len(be.objective), -1.0, 1.0,
+                          float(rng.standard_normal()))
         elif op < 0.6 or len(rows) < 2:
             for _ in range(rng.integers(1, 4)):
                 add(next_id, random_row())
@@ -355,7 +397,8 @@ def test_row_store_equals_highs_copy():
     for step in range(40):
         op = rng.random()
         if op < 0.2:
-            be.add_column(-1.0, 1.0, float(rng.standard_normal()))
+            be.add_column(len(be.objective), -1.0, 1.0,
+                          float(rng.standard_normal()))
         elif op < 0.7 or len(be.rows) < 2:
             n = len(be.objective)
             cols = rng.choice(n, size=min(n, 3), replace=False).tolist()
