@@ -180,12 +180,13 @@ def parse_case(text: str, name: str = "case") -> CaseData:
     for row in matrices["bus"]:
         if len(row) < _BUS_COLS:
             raise CaseParseError("bus row too short: %r" % (row,))
+        bus_id = _whole(row, 0, "bus")
         v_min, v_max = row[12], row[11]
         if not (0 <= v_min <= v_max):
             raise CaseValidationError(
                 "bus %d: voltage limits 0 <= %g <= %g violated"
-                % (int(row[0]), v_min, v_max))
-        buses.append(Bus(id=int(row[0]),
+                % (bus_id, v_min, v_max))
+        buses.append(Bus(id=bus_id,
                          p_load=row[2] / base, q_load=row[3] / base,
                          v_min=v_min, v_max=v_max,
                          shunt_g=row[4] / base, shunt_b=row[5] / base))
@@ -202,7 +203,7 @@ def parse_case(text: str, name: str = "case") -> CaseData:
     for i, row in enumerate(matrices["gen"]):
         if len(row) < _GEN_COLS:
             raise CaseParseError("gen row too short: %r" % (row,))
-        bus_id = int(row[0])
+        bus_id = _whole(row, 0, "gen")
         if bus_id not in id_set:
             raise CaseValidationError("generator references unknown bus %d" % bus_id)
         cost = _parse_cost(gencost[i], base)
@@ -212,16 +213,16 @@ def parse_case(text: str, name: str = "case") -> CaseData:
             raise CaseValidationError("generator at bus %d: empty box" % bus_id)
         generators.append(Generator(bus=bus_id, p_min=p_min, p_max=p_max,
                                     q_min=q_min, q_max=q_max,
-                                    cost=cost, status=int(row[7])))
+                                    cost=cost, status=_whole(row, 7, "gen")))
 
     branches = []
     for row in matrices["branch"]:
         if len(row) < _BRANCH_COLS:
             raise CaseParseError("branch row too short: %r" % (row,))
-        f, t = int(row[0]), int(row[1])
+        f, t = _whole(row, 0, "branch"), _whole(row, 1, "branch")
         if f not in id_set or t not in id_set:
             raise CaseValidationError("branch %d-%d references unknown bus" % (f, t))
-        status = int(row[10])
+        status = _whole(row, 10, "branch")
         r, x = row[2], row[3]
         if status and r * r + x * x <= 0.0:
             raise CaseValidationError("branch %d-%d has zero impedance" % (f, t))
@@ -239,10 +240,19 @@ def parse_case(text: str, name: str = "case") -> CaseData:
                     name=name)
 
 
+def _whole(row, col: int, what: str) -> int:
+    """`row[col]`, an id, status, model or count, as an int; CaseParseError
+    unless it is finite and whole."""
+    if not row[col].is_integer():
+        raise CaseParseError("%s row %r: column %d must be a whole number"
+                             % (what, row, col + 1))
+    return int(row[col])
+
+
 def _parse_cost(row, base: float) -> CostFunction:
     if len(row) < 4:
         raise CaseParseError("gencost row too short: %r" % (row,))
-    model, n = int(row[0]), int(row[3])
+    model, n = _whole(row, 0, "gencost"), _whole(row, 3, "gencost")
     size = 2 * n if model == 1 else n
     vals = row[4:4 + size]
     if n < 0 or len(vals) < size:

@@ -1,4 +1,7 @@
-"""Cut pool: admission filtering, aging, slack-based dropping, persistence.
+"""Cut pool: admission order, slack-based dropping, persistence.
+
+A pool holds what a cut file holds: cuts by content hash, which never
+change, and a simplex basis.  Ages live in a dict that each run keeps.
 
 The warm-start file is UTF-8 JSON lines; variable references are symbolic
 (bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
@@ -26,11 +29,10 @@ from dataclasses import dataclass, field
 
 from .errors import CutFileError
 from .lp_backend import STATUS_LETTERS, SavedBasis
-from .separation import VIOLATION_THRESHOLD, LinearCut, _plain
+from .separation import LinearCut, _plain
 
 T_AGE = 5
 EPS_SLACK = 1e-5
-COSINE_BOUND = 0.999
 FILE_HEADER = {"fmt": "cutpool", "v": 2}
 _LETTERS = frozenset(STATUS_LETTERS)
 
@@ -44,50 +46,21 @@ class CutPool:
         return len(self.cuts)
 
 
-def _cosine(a: LinearCut, b: LinearCut) -> float:
-    # only called on cuts with the same keys in the same (canonical) order;
-    # a plain loop, as sum() compensates rounding from Python 3.12 on
-    dot = na = nb = 0.0
-    for x, y in zip(a.terms.values(), b.terms.values()):
-        dot += x * y
-        na += x * x
-        nb += y * y
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / math.sqrt(na * nb)
-
-
 def admit(pool: CutPool, candidates):
-    """Filter candidates into the pool; returns the admitted list.
-
-    Rejects duplicates by hash, near-parallel cuts on the same variable
-    support, and sub-threshold violations; admits by decreasing violation.
-
-    The parallelism check runs only within the current batch.  Checking
-    against the whole pool can deadlock the loop: a refined cut is almost
-    parallel to the stale one it should replace, so nothing gets admitted
-    while a real violation persists.  Aging retires the stale copy instead.
-    """
-    by_support: dict[tuple, list] = {}
+    """Add the candidates the pool lacks, by decreasing violation; returns
+    them in that order, the order of their LP rows.  Separation builds only
+    admissible cuts; the skip keeps a row id from entering the LP twice."""
     admitted = []
-    ordered = sorted(candidates, key=lambda c: -c.violation_at_birth)
-    for cut in ordered:
-        if cut.violation_at_birth / cut.inf_norm < VIOLATION_THRESHOLD:
-            continue
-        if cut.content_hash in pool.cuts:
-            continue
-        support = tuple(cut.terms)
-        if any(abs(_cosine(cut, other)) > COSINE_BOUND
-               for other in by_support.get(support, [])):
-            continue
-        pool.cuts[cut.content_hash] = cut
-        by_support.setdefault(support, []).append(cut)
-        admitted.append(cut)
+    for cut in sorted(candidates, key=lambda c: -c.violation_at_birth):
+        if cut.content_hash not in pool.cuts:
+            pool.cuts[cut.content_hash] = cut
+            admitted.append(cut)
     return admitted
 
 
-def age_and_drop(pool: CutPool, slacks: dict):
-    """Reset age on tight cuts, age the rest, drop old consistently-slack ones.
+def age_and_drop(pool: CutPool, slacks: dict, ages: dict):
+    """Count each cut's consecutive slack rounds in `ages` (a tight cut has
+    none) and drop the cuts slack for `T_AGE` rounds.
 
     `slacks` maps content hash to the slack a.x - b of the cut's LP row
     (missing: tight), here normalized.  Returns the list of dropped cuts.
@@ -95,12 +68,12 @@ def age_and_drop(pool: CutPool, slacks: dict):
     dropped = []
     for h, cut in list(pool.cuts.items()):
         if slacks.get(h, 0.0) / cut.inf_norm < EPS_SLACK:
-            cut.age = 0
+            ages.pop(h, None)
             continue
-        cut.age += 1
-        if cut.age >= T_AGE:
+        ages[h] = ages.get(h, 0) + 1
+        if ages[h] >= T_AGE:
             dropped.append(cut)
-            del pool.cuts[h]
+            del pool.cuts[h], ages[h]
     return dropped
 
 
@@ -156,7 +129,7 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     """Read a cut file; returns (pool, skipped count).
 
     Cuts naming a variable `model` neither has nor can add (see
-    `RelaxationModel.has_variables`) are skipped; ages reset.  Without a
+    `RelaxationModel.has_variables`) are skipped.  Without a
     model every well-formed cut is kept; `cutplane` skips what it lacks.
     The pool carries the file's basis, if it has one, as saved.
     """

@@ -13,6 +13,10 @@ that runs out of it ends the run with `time`, like the check between rounds,
 and the report's dual infeasibility and eigenvalue ratio then come from the
 last optimal solve.
 
+Cuts never change once built: a run counts its cuts' slack rounds in an age
+dict of its own, so a warm start shares the caller's cuts and leaves them,
+and the caller's pool, as they were.
+
 Separation and the final eigenvalue ratio read the PSD matrices as stacks
 from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
 size, each with one `eigen` call.
@@ -20,7 +24,6 @@ size, each with one `eigen` call.
 
 from __future__ import annotations
 
-import copy
 import csv as csv_mod
 import io
 import logging
@@ -111,6 +114,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     cliques = enumerate_three_cycles(model.pairs)
 
     pool = CutPool()
+    ages: dict = {}  # content hash -> consecutive slack rounds
     report = RunReport(case_name=case.name, warm_started=warm is not None,
                        clique_counts=cliques.sizes())
     if warm is not None:
@@ -121,10 +125,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
                 continue
             model.extend_pairs({key[1:] for key in cut.terms
                                 if key[0] in ("c", "s")})
-            # a copy, so aging in this run never touches the caller's pool;
-            # copy.copy skips __post_init__: the cut is canonical already
-            pool.cuts[h] = cut = copy.copy(cut)
-            cut.age = 0
+            pool.cuts[h] = cut
             model.add_cut_row(h, cut.terms, cut.rhs)
         if skipped:
             log.info("warm start: skipped %d cuts with unknown variables",
@@ -185,7 +186,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         # cuts admitted this round are not in the solved LP and have no
         # slack there; age_and_drop counts a missing slack as tight
-        dropped = age_and_drop(pool, res.row_slack)
+        dropped = age_and_drop(pool, res.row_slack, ages)
         for cut in dropped:
             model.remove_cut_row(cut.content_hash)
 

@@ -107,21 +107,12 @@ def w_to_x(w: np.ndarray) -> HermitianMatrix:
 
 
 def rank_of(x, tol: float) -> int:
-    """Numerical rank: eigenvalue count above tol * max(1, fro norm).
-
-    Accepts HermitianMatrix, real symmetric arrays, or general complex
-    arrays (singular values are used for the non-symmetric case).
-    """
+    """Numerical rank: the count of singular values above
+    tol * max(1, Frobenius norm), of a HermitianMatrix or any array; for a
+    Hermitian matrix they are the absolute eigenvalues."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(x, HermitianMatrix):
-        vals = np.abs(eigen(x).eigenvalues)
-        scale = max(1.0, x.fro_norm())
-    else:
-        a = np.asarray(x)
-        scale = max(1.0, float(np.linalg.norm(a)))
-        if np.iscomplexobj(a) or not np.allclose(a, a.T, atol=0.0):
-            vals = np.linalg.svd(a, compute_uv=False)
-        else:
-            vals = np.abs(np.linalg.eigvalsh(a))
-    return int(np.count_nonzero(vals > tol * scale))
+    a = x.mat if isinstance(x, HermitianMatrix) else np.asarray(x)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False)
+                                > tol * scale))

@@ -35,7 +35,8 @@ HiGHS.  A start basis only saves iterations; nothing it holds is trusted.
 
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
-solve stopped by it returns the status `limit`.
+solve stopped by it returns the status `limit`, with neither duals nor a
+primal point: only an optimal solve reports them.
 
 The backend alone decides what a solve proves: `LpSolveResult.dual_bound`
 is the weak-duality bound of the returned multipliers over the rows as
@@ -249,7 +250,7 @@ class ScipyHighsBackend:
         else:
             dual_bound, dual_inf = -np.inf, None
         primal, residual, row_slack = None, 0.0, {}
-        if status in ("optimal", "limit") and sol.value_valid:
+        if status == "optimal" and sol.value_valid:
             # observed only: on ill-conditioned instances HiGHS can report
             # an infeasible point as optimal; the bound never rests on it
             primal = np.asarray(sol.col_value)

@@ -11,7 +11,8 @@ There is one path from a stack of matrices of one size to such cuts:
 and `projection_cut` turn the stack's eigenpairs and PSD cutoffs into a
 coefficient stack, and `_matrix_cuts` maps that stack to cuts.  A Jabr cut
 is the eigen cut of a 2 x 2 pair matrix.  Coefficients are Python floats
-from birth, so a cut hashes like its copy read back from a cut file.
+from birth, so a cut hashes like its copy read back from a cut file.  No
+cut violated by less than `VIOLATION_THRESHOLD` per unit norm is built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from .hermitian import EigenDecomposition, eigen, psd_cutoff
 from .network import canonical_pair
 
 PSD_TOL = 1e-8           # relative to max(1, trace)
-VIOLATION_THRESHOLD = 1e-5
+VIOLATION_THRESHOLD = 1e-5  # least violation per unit infinity norm
+COSINE_BOUND = 0.999
 HASH_DIGITS = 12
 
 _pack = struct.Struct("<d").pack
@@ -61,8 +64,8 @@ class LinearCut:
     """Sparse >= inequality over symbolic model variables.
 
     Canonical from birth: `terms` is kept in `repr` order of its keys, the
-    one term order the content hash, the LP row, admission and the cut file
-    all read, and `inf_norm` is computed once.
+    one term order the content hash, the LP row and the cut file all read,
+    and `inf_norm` is computed once.
     """
 
     terms: dict              # variable key -> coefficient
@@ -70,7 +73,6 @@ class LinearCut:
     kind: str                # eigen | projection | jabr | limit | cost_tangent
     provenance: tuple        # clique / pair / branch / generator identifier
     violation_at_birth: float = 0.0
-    age: int = 0
     inf_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -134,9 +136,11 @@ def _matrix_cuts(a: np.ndarray, tuples, kind: str, violations) -> list:
     iu, ju = _upper(a.shape[-1])
     off = 2.0 * a[:, iu, ju]
     rows = np.concatenate((a.diagonal(0, -2, -1).real, off.real, off.imag,
-                           -off.imag), axis=1).tolist()
+                           -off.imag), axis=1)
+    keep = violations / np.abs(rows).max(axis=1) >= VIOLATION_THRESHOLD
     cuts = []
-    for t, row, violation in zip(tuples, rows, violations.tolist()):
+    for t, row, violation in zip(compress(tuples, keep), rows[keep].tolist(),
+                                 violations[keep].tolist()):
         keys, pick = _TUPLE_KEYS[t]
         terms = {k: w for k, w in zip(keys, pick(row)) if w != 0.0}
         cuts.append(LinearCut(terms, 0.0, kind, t, violation))
@@ -172,20 +176,36 @@ def projection_cut(dec: EigenDecomposition, cutoff: np.ndarray,
                         violation)
 
 
+def _cosine(a: LinearCut, b: LinearCut) -> float:
+    """Cosine of the angle between the coefficient vectors of two cuts."""
+    # a plain loop, as sum() compensates rounding from Python 3.12 on
+    dot = na = nb = 0.0
+    for key, x in a.terms.items():
+        dot += x * b.terms.get(key, 0.0)
+        na += x * x
+    for y in b.terms.values():
+        nb += y * y
+    return dot / math.sqrt(na * nb)
+
+
 def clique_cuts(x: np.ndarray, cliques) -> list:
     """Eigen-cuts of a stack (M, n, n) of cliques, then projection cuts.
 
     Only a matrix with exactly two negative eigenvalues gets a projection
-    cut; with one, that cut would be collinear with the eigen-cut.
+    cut, and only one not near-parallel to its eigen-cut: with one negative
+    eigenvalue, or a tiny second one, the two are (nearly) collinear.
     """
     dec = eigen(x)
     cutoff = psd_cutoff(x, PSD_TOL)
     cuts = eigen_cut(dec, cutoff, cliques)
     two = np.flatnonzero((dec.eigenvalues < cutoff[:, None]).sum(axis=1) == 2)
     if two.size:
-        cuts += projection_cut(
+        by_clique = {cut.provenance: cut for cut in cuts}
+        cuts += [cut for cut in projection_cut(
             EigenDecomposition(dec.eigenvalues[two], dec.eigenvectors[two]),
             cutoff[two], [cliques[m] for m in two.tolist()])
+            if cut.provenance not in by_clique
+            or abs(_cosine(cut, by_clique[cut.provenance])) <= COSINE_BOUND]
     return cuts
 
 
@@ -200,13 +220,13 @@ def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir):
     """Tangent to the thermal circle at the projection of (p_hat, q_hat)."""
     if not math.isfinite(u):
         raise ValueError("limit_cut needs a finite thermal limit")
-    norm2 = p_hat * p_hat + q_hat * q_hat
-    if norm2 <= u * u * (1.0 + 1e-8) or norm2 == 0.0:
+    norm = math.sqrt(p_hat * p_hat + q_hat * q_hat)
+    violation = norm - u  # euclidean excess beyond the circle
+    if norm == 0.0 \
+            or violation / max(abs(p_hat), abs(q_hat)) < VIOLATION_THRESHOLD:
         return None
-    norm = math.sqrt(norm2)
     bkey, d = branch_dir
     terms = {("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat}
-    violation = (norm - u)  # euclidean excess beyond the circle
     return LinearCut(terms=terms, rhs=-u * norm, kind="limit",
                      provenance=(bkey, d), violation_at_birth=violation)
 
@@ -217,9 +237,9 @@ def cost_cut(p_hat: float, t_hat: float, gen, gkey):
     if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
         return None  # exact supports installed at model build
     f = cost.value(p_hat)
-    if t_hat >= f - 1e-9:
-        return None
     slope = cost.derivative(p_hat)
+    if (f - t_hat) / max(abs(slope), 1.0) < VIOLATION_THRESHOLD:
+        return None
     terms = {("t", gkey): 1.0, ("Pg", gkey): -slope}
     return LinearCut(terms=terms, rhs=f - slope * p_hat, kind="cost_tangent",
                      provenance=(gkey,), violation_at_birth=f - t_hat)

@@ -134,11 +134,30 @@ def test_perturb_non_finite_fraction_rejected(case14, fraction, value):
 
 
 @pytest.mark.parametrize("row", ["2 0 0 3 0.0430293;", "2 0 0;",
-                                 "2 0 0 -2 0.25 20 0;"],
-                         ids=["fewer-values", "no-count", "negative-count"])
+                                 "2 0 0 -2 0.25 20 0;",
+                                 "2 0 0 nan 0.25 20 0;",
+                                 "2 0 0 inf 0.25 20 0;",
+                                 "2 0 0 2.5 0.25 20 0;",
+                                 "nan 0 0 3 0.25 20 0;"],
+                         ids=["fewer-values", "no-count", "negative-count",
+                              "nan-count", "inf-count", "fractional-count",
+                              "nan-model"])
 def test_short_gencost_row_rejected(row):
     with pytest.raises(CaseParseError, match="gencost row"):
         parse_case(MINI.replace("2 0 0 3 0.25 20 0;", row))
+
+
+@pytest.mark.parametrize("old, new, what", [
+    ("    1 3 0 ", "    nan 3 0 ", "bus"),
+    ("    1 3 0 ", "    1.5 3 0 ", "bus"),
+    ("1 0 0 30 -30 1 100 1 200 0;", "1 0 0 30 -30 1 100 inf 200 0;", "gen"),
+    ("0 1 -360 360;", "0 0.5 -360 360;", "branch")],
+    ids=["nan-bus-id", "fractional-bus-id", "inf-gen-status",
+         "fractional-branch-status"])
+def test_non_whole_integer_field_rejected(old, new, what):
+    assert old in MINI
+    with pytest.raises(CaseParseError, match="%s row" % what):
+        parse_case(MINI.replace(old, new, 1))
 
 
 def test_pwl_cost_has_no_derivative():

@@ -44,8 +44,12 @@ def test_solve_rejects_out_of_range_option(case14_path, capsys, option):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("row", ["2 0 0 3 0.0430293;", "2 0 0;"],
-                         ids=["fewer-values", "no-count"])
+@pytest.mark.parametrize("row", ["2 0 0 3 0.0430293;", "2 0 0;",
+                                 "2 0 0 nan 0.0430293 20 0;",
+                                 "2 0 0 inf 0.0430293 20 0;",
+                                 "2 0 0 2.5 0.0430293 20 0;"],
+                         ids=["fewer-values", "no-count", "nan-count",
+                              "inf-count", "fractional-count"])
 def test_solve_short_gencost_row_exits_2(case14_path, tmp_path, capsys, row):
     """Bad case data: exit 2 with one error line, no traceback."""
     text = open(case14_path, encoding="utf-8").read()

@@ -31,22 +31,6 @@ def test_admit_duplicate_hash_rejected():
     assert len(pool) == 1
 
 
-def test_admit_threshold():
-    pool = CutPool()
-    weak = _cut({("v2", 1): 1.0, ("c", 1, 2): -1.0}, viol=1e-6)
-    assert admit(pool, [weak]) == []
-    strong = _cut({("v2", 1): 1.0, ("c", 1, 2): -1.0}, viol=1e-4)
-    assert len(admit(pool, [strong])) == 1
-
-
-def test_admit_parallel_keeps_most_violated():
-    pool = CutPool()
-    big = _cut({("v2", 1): 1.0, ("v2", 2): 1.0}, viol=2.0)
-    near = _cut({("v2", 1): 1.0, ("v2", 2): 1.0001}, viol=1.0)
-    admitted = admit(pool, [near, big])
-    assert admitted == [big]
-
-
 def test_admit_nonparallel_same_support_coexist():
     pool = CutPool()
     a = _cut({("v2", 1): 1.0, ("v2", 2): 1.0}, viol=2.0)
@@ -68,15 +52,14 @@ def test_age_and_drop(monkeypatch):
     tight = _cut({("v2", 1): 1.0})
     slack = _cut({("v2", 2): 1.0})
     admit(pool, [tight, slack])
-    for _ in range(4):
-        dropped = age_and_drop(
-            pool, {tight.content_hash: 0.0, slack.content_hash: 1.0})
-        assert dropped == []
-    dropped = age_and_drop(
-        pool, {tight.content_hash: 0.0, slack.content_hash: 1.0})
-    assert dropped == [slack]
-    assert tight.content_hash in pool.cuts
-    assert tight.age == 0
+    ages = {}
+    slacks = {tight.content_hash: 0.0, slack.content_hash: 1.0}
+    for age in range(1, 5):
+        assert age_and_drop(pool, slacks, ages) == []
+        assert ages == {slack.content_hash: age}
+    assert age_and_drop(pool, slacks, ages) == [slack]
+    assert list(pool.cuts) == [tight.content_hash]
+    assert ages == {}
 
 
 def test_age_resets_on_tightness(monkeypatch):
@@ -84,9 +67,11 @@ def test_age_resets_on_tightness(monkeypatch):
     pool = CutPool()
     cut = _cut({("v2", 1): 1.0})
     admit(pool, [cut])
+    ages = {}
     for i in range(20):
         slack = 1.0 if i % 2 else 0.0
-        age_and_drop(pool, {cut.content_hash: slack})
+        age_and_drop(pool, {cut.content_hash: slack}, ages)
+        assert ages == ({cut.content_hash: 1} if i % 2 else {})
     assert cut.content_hash in pool.cuts
 
 
@@ -103,8 +88,6 @@ def test_save_load_round_trip():
     cuts = [_cut({("v2", 1): 1.0, ("c", 1, 2): -0.5}, rhs=0.1),
             _cut({("s", 1, 2): 2.0}, rhs=-1.0, kind="jabr")]
     admit(pool, cuts)
-    for c in pool.cuts.values():
-        c.age = 3
     buf = io.StringIO()
     save_cuts(pool, buf)
     buf.seek(0)
@@ -112,7 +95,6 @@ def test_save_load_round_trip():
         buf, _FakeModel([("v2", 1), ("c", 1, 2), ("s", 1, 2)]))
     assert skipped == 0
     assert set(again.cuts) == set(pool.cuts)
-    assert all(c.age == 0 for c in again.cuts.values())
 
 
 def test_term_order_is_canonical():
@@ -314,8 +296,7 @@ def test_second_basis_record_raises():
 
 _COSINES = """
 import random
-from opfcuts.cut_manager import _cosine
-from opfcuts.separation import LinearCut
+from opfcuts.separation import LinearCut, _cosine
 
 rng = random.Random(0)
 clique = (1, 2, 3, 4, 5)

@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from opfcuts import lp_backend
+from opfcuts import driver, lp_backend
 from opfcuts.case_io import parse_case, perturb_loads
-from opfcuts.cut_manager import load_cuts, save_cuts
+from opfcuts.cut_manager import admit, load_cuts, save_cuts
 from opfcuts.driver import RunConfig, RunReport, cutplane, report_table
 from opfcuts.errors import ModelError
+from opfcuts.separation import VIOLATION_THRESHOLD
 from test_lp_backend import report_model_status, use_highs_class
 
 
@@ -63,6 +64,28 @@ def test_backend_time_limit_ends_run_with_best_bound(case14, cold_report,
     assert math.isfinite(report.eig_ratio)
     assert limits[0] is None
     assert all(0.0 <= t < math.inf for t in limits[1:])
+
+
+@pytest.mark.parametrize("stop", [3, 6])
+def test_stopped_solve_keeps_last_optimal_point(case14, monkeypatch, stop):
+    """A solve HiGHS ran but reports as stopped by the time limit leaves
+    the report's dual infeasibility and eigenvalue ratio at those of the
+    last optimal solve: the run stopped one round earlier."""
+    earlier = cutplane(case14, RunConfig(max_rounds=stop - 1))
+    calls = []
+    run = lp_backend.linprog
+
+    def limited(highs):
+        status = run(highs)
+        calls.append(status)
+        return "limit" if len(calls) == stop else status
+
+    monkeypatch.setattr(lp_backend, "linprog", limited)
+    report = cutplane(case14, RunConfig())
+    assert report.termination == "time"
+    assert report.num_rounds == stop - 1
+    assert report.eig_ratio == earlier.eig_ratio
+    assert report.dual_inf == earlier.dual_inf
 
 
 def test_max_rounds(case14):
@@ -218,13 +241,36 @@ def test_warm_start_first_round_bound(case14, cold_report):
 
 
 def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
+    """A warm run shares the given pool's cuts and changes none of them."""
     given = cold_report.pool
-    before = {h: (id(cut), cut.age) for h, cut in given.cuts.items()}
+    before = {h: (id(cut), dict(vars(cut))) for h, cut in given.cuts.items()}
+    text = io.StringIO()
+    save_cuts(given, text)
     pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
     warm = cutplane(pert, RunConfig(max_rounds=4), warm=given)
-    assert {h: (id(cut), cut.age) for h, cut in given.cuts.items()} == before
-    assert not {id(c) for c in given.cuts.values()} \
-        & {id(c) for c in warm.pool.cuts.values()}
+    assert {h: (id(cut), vars(cut)) for h, cut in given.cuts.items()} \
+        == before
+    again = io.StringIO()
+    save_cuts(given, again)
+    assert again.getvalue() == text.getvalue()
+    kept = given.cuts.keys() & warm.pool.cuts.keys()
+    assert kept
+    assert all(warm.pool.cuts[h] is given.cuts[h] for h in kept)
+
+
+def test_candidates_reach_admission_admissible(case14, monkeypatch):
+    """Separation builds only candidates violated beyond the threshold."""
+    seen = []
+
+    def recording(pool, candidates):
+        seen.extend(candidates)
+        return admit(pool, candidates)
+
+    monkeypatch.setattr(driver, "admit", recording)
+    cutplane(case14, RunConfig())
+    assert seen
+    assert all(cut.violation_at_birth / cut.inf_norm >= VIOLATION_THRESHOLD
+               for cut in seen)
 
 
 def test_empty_round_escalates_at_once(case14, cold_report):

@@ -7,9 +7,9 @@ from opfcuts import separation
 from opfcuts.case_io import CostFunction, Generator
 from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff
 from opfcuts.network import canonical_pair
-from opfcuts.separation import (PSD_TOL, LinearCut, clique_cuts, cost_cut,
-                                eigen_cut, jabr_cut, limit_cut,
-                                projection_cut)
+from opfcuts.separation import (COSINE_BOUND, PSD_TOL, VIOLATION_THRESHOLD,
+                                LinearCut, clique_cuts, cost_cut, eigen_cut,
+                                jabr_cut, limit_cut, projection_cut)
 
 
 def _one(cut_fn, x, clique):
@@ -89,6 +89,42 @@ def test_projection_cut_too_many_negatives():
     [proj] = projection_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(1, 2, 3)])
     assert proj.violation_at_birth == pytest.approx(3.0)
     assert proj.terms == {("v2", b): pytest.approx(1.0) for b in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("second, kinds", [
+    (1e-5, ["eigen"]), (0.08, ["eigen", "projection"])],
+    ids=["tiny", "comparable"])
+def test_clique_cuts_leave_out_parallel_projection_cut(second, kinds):
+    """A 3 x 3 matrix with two negative eigenvalues yields its projection
+    cut only when it is not near-parallel to the matrix's eigen-cut: with a
+    tiny second eigenvalue the two are the same cut up to scale."""
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(a)
+    x = HermitianMatrix(q @ np.diag([1.0, -second, -0.1]) @ q.conj().T).mat
+    cuts = clique_cuts(x[None], [(1, 2, 3)])
+    assert [cut.kind for cut in cuts] == kinds
+    proj = _one(projection_cut, x, (1, 2, 3))
+    assert (abs(separation._cosine(proj, cuts[0])) > COSINE_BOUND) \
+        == (len(kinds) == 1)
+
+
+def test_below_threshold_not_built():
+    """No candidate whose violation per unit infinity norm is below
+    VIOLATION_THRESHOLD is built, of any kind; one above it is."""
+    t = VIOLATION_THRESHOLD
+    for scale, built in ((0.5, False), (2.0, True)):
+        # a unit cut on v2 of bus 2, violated by lambda
+        x = np.diag([1.0, -scale * t])
+        assert (_one(eigen_cut, x, (1, 2)) is not None) == built
+        # lambda v2 of bus 2 >= 0, violated by lambda^2
+        assert (_one(projection_cut, x, (1, 2)) is not None) == built
+        # coefficients of norm 1 + scale t, violated by scale t
+        assert (limit_cut(1.0 + scale * t, 0.0, 1.0, (0, "f")) is not None) \
+            == built
+        # t - 2 Pg >= -1 at Pg = 1, violated by 2 scale t
+        assert (cost_cut(1.0, 1.0 - 2.0 * scale * t, _gen((1.0, 0.0, 0.0)),
+                         "g0") is not None) == built
 
 
 def test_matrix_cut_orientation_invariance():
