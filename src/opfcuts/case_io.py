@@ -275,7 +275,10 @@ def _parse_cost(row, base: float) -> CostFunction:
 
 def parse_case_file(path, name: str | None = None) -> CaseData:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CaseParseError("case file is not UTF-8 text: %s" % exc)
     if name is None:
         name = re.sub(r"\.m$", "", str(path).rsplit("/", 1)[-1])
     return parse_case(text, name=name)

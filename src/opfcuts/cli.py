@@ -79,11 +79,11 @@ def _cmd_solve(args) -> int:
     warm = None
     if args.warm:
         # cutplane builds the model once and skips the cuts it lacks
-        with open(args.warm) as fh:
+        with open(args.warm, encoding="utf-8") as fh:
             warm, _ = load_cuts(fh)
     report = cutplane(case, config, warm=warm)
     if args.save_cuts and report.pool is not None:
-        with open(args.save_cuts, "w") as fh:
+        with open(args.save_cuts, "w", encoding="utf-8") as fh:
             save_cuts(report.pool, fh)
     sys.stdout.write(report_table([report], csv=args.csv))
     sys.stdout.write("best bound: %.6f\n" % report.best_bound)

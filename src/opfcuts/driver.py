@@ -118,13 +118,20 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     report = RunReport(case_name=case.name, warm_started=warm is not None,
                        clique_counts=cliques.sizes())
     if warm is not None:
+        # each distinct key is checked once: a cut naming an unknown one is
+        # skipped, and a cut naming a (c, s) pair the model lacks adds its
+        # pairs, cut by cut in hash order
+        named = set().union(*[cut.terms for cut in warm.cuts.values()])
+        unknown = {key for key in named if not model.has_variables((key,))}
+        new = named.difference(unknown, model.var_index)
         skipped = 0
         for h, cut in sorted(warm.cuts.items()):
-            if not model.has_variables(cut.terms):
+            if not unknown.isdisjoint(cut.terms):
                 skipped += 1
                 continue
-            model.extend_pairs({key[1:] for key in cut.terms
-                                if key[0] in ("c", "s")})
+            if not new.isdisjoint(cut.terms):
+                model.extend_pairs({key[1:] for key in cut.terms
+                                    if key[0] in ("c", "s")})
             pool.cuts[h] = cut
             model.add_cut_row(h, cut.terms, cut.rhs)
         if skipped:

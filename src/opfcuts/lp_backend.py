@@ -19,7 +19,10 @@ the dual simplex method from the basis the model kept, presolve off.  It
 prices with Devex: HiGHS drops its dual steepest-edge weights at every
 addRows or deleteRows, so steepest edge would rebuild them, one BTRAN per
 row, at every hot re-solve.  Only the solution, the duals and the status
-are read back.
+are read back.  A solve with no edit since the last optimal one (no row
+queued or removed, no column added, no start basis given) returns that
+result again, with 0 iterations, and leaves HiGHS alone: HiGHS would
+return it bit for bit.
 
 The backend loads only HiGHS's bindings, the extension module
 `scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
@@ -52,7 +55,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -141,12 +144,14 @@ class ScipyHighsBackend:
         self._dead: list = []   # rows removed since the last solve
         self._highs = None     # the persistent model, made at the first solve
         self._n_loaded = 0     # leading rows of the store that HiGHS holds
+        self._last = None      # the last optimal result, while no edit came
 
     def add_column(self, key, lower: float, upper: float,
                    obj: float = 0.0) -> int:
         """Append the column named `key`; returns its index."""
         if key in self.columns:
             raise LpBackendError("duplicate column key %r" % (key,))
+        self._last = None
         index = self.columns[key] = len(self.objective)
         self.objective.append(obj)
         self.lower.append(lower)
@@ -158,6 +163,7 @@ class ScipyHighsBackend:
 
         A row with an id can be removed by it; a row with id None stays.
         """
+        self._last = None
         if row_id is not None:
             if row_id in self.rows:
                 raise LpBackendError("duplicate row id %r" % (row_id,))
@@ -165,6 +171,7 @@ class ScipyHighsBackend:
         self._queue.append((cols, coeffs, rhs, ge))
 
     def remove_rows(self, row_ids):
+        self._last = None
         for row_id in row_ids:
             row = self.rows.pop(row_id, None)
             if row is None:
@@ -180,6 +187,7 @@ class ScipyHighsBackend:
         lacks starts basic.  A refused basis leaves the solve to start from
         the slack basis.
         """
+        self._last = None
         highs = self._sync(self._store())
         n_row = len(self.rhs)
         base_rows = sorted(set(range(n_row)).difference(self.rows.values()))
@@ -229,6 +237,8 @@ class ScipyHighsBackend:
         """Re-solve the LP; certificate, residual and slacks read the store."""
         if not self.objective:
             raise LpBackendError("model has no variables")
+        if self._last is not None:
+            return replace(self._last, iterations=0)
         highs = self._sync(self._store())
         if self.time_limit is not None:
             # HiGHS compares its limit with the run time summed over every
@@ -262,7 +272,7 @@ class ScipyHighsBackend:
                            float((-excess[ge]).max(initial=0.0)),
                            float((lower - primal).max(initial=0.0)),
                            float((primal - upper).max(initial=0.0)))
-        return LpSolveResult(
+        result = LpSolveResult(
             status=status,
             objective=highs.getObjectiveValue()
             if status == "optimal" else None,
@@ -272,6 +282,9 @@ class ScipyHighsBackend:
             dual_bound=dual_bound,
             row_slack=row_slack,
             iterations=iterations)
+        if status == "optimal":
+            self._last = result
+        return result
 
     def _store(self) -> np.ndarray:
         """Append the queued rows to the store, then compact it over the

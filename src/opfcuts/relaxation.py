@@ -33,6 +33,7 @@ size, as one stack, by index arrays cached per list of bus tuples.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import numpy as np
 
@@ -172,12 +173,11 @@ class RelaxationModel:
         The one place where keys become columns.  Zero coefficients are
         left out; a key without a column raises KeyError, queueing nothing.
         """
-        cols, coeffs = [], []
-        for key, coeff in terms.items():
-            col = self.var_index[key]
-            if coeff:
-                cols.append(col)
-                coeffs.append(coeff)
+        cols = list(map(self.var_index.__getitem__, terms))
+        coeffs = list(terms.values())
+        if not all(coeffs):
+            cols = list(compress(cols, coeffs))
+            coeffs = list(filter(None, coeffs))
         self.backend.add_row(row_id, cols, coeffs, float(rhs), ge)
 
     # -- dynamic edits ----------------------------------------------------
@@ -196,13 +196,14 @@ class RelaxationModel:
         """Every pair with (c, s) columns, sorted."""
         return sorted(key[1:] for key in self.var_index if key[0] == "c")
 
-    def has_variables(self, terms: dict) -> bool:
-        """Every key is a column or a canonical (c|s, a, b) pair of buses."""
+    def has_variables(self, keys) -> bool:
+        """Every key (of an iterable, such as a cut's terms) is a column or
+        a canonical (c|s, a, b) pair of buses."""
         bus = self._bus
         return all(key in self.var_index or (
             isinstance(key, tuple) and len(key) == 3 and key[0] in ("c", "s")
             and key[1] in bus and key[2] in bus and key[1] < key[2])
-            for key in terms)
+            for key in keys)
 
     def add_cut_row(self, row_id, terms: dict, rhs: float):
         try:

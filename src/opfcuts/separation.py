@@ -13,17 +13,19 @@ coefficient stack, and `_matrix_cuts` maps that stack to cuts.  A Jabr cut
 is the eigen cut of a 2 x 2 pair matrix.  Coefficients are Python floats
 from birth, so a cut hashes like its copy read back from a cut file.  No
 cut violated by less than `VIOLATION_THRESHOLD` per unit norm is built.
+
+A cut's content hash is set at birth by `_content_hashes`, which hashes
+many cuts in one pass: a stack's cuts in `_matrix_cuts`, a cut file's in
+`cut_manager.load_cuts`, and a single `LinearCut(...)` as a batch of one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import operator
-import struct
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import compress
+from functools import cache
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -35,7 +37,8 @@ VIOLATION_THRESHOLD = 1e-5  # least violation per unit infinity norm
 COSINE_BOUND = 0.999
 HASH_DIGITS = 12
 
-_pack = struct.Struct("<d").pack
+_ROUND_SCALE = float(10 ** HASH_DIGITS)
+_CLIP = 2.0 ** 53 / _ROUND_SCALE  # beyond it, v * 1e12 has no fraction
 
 
 def _plain(key):
@@ -59,13 +62,60 @@ class _KeyBytes(dict):
 _KEY_BYTES = _KeyBytes()
 
 
+def _round_digits(x: np.ndarray) -> np.ndarray:
+    """round(v, HASH_DIGITS) of every v of `x`, bit for bit.
+
+    rint(v * 1e12) / 1e12 rounds v * 1e12 in floating point before it
+    rounds to an integer, and the division is exact to the nearest double,
+    as Python's round is.  So the two differ only where v * 1e12 is within
+    its own rounding error of a tie (|y - rint(y)| within |y| 2**-51 of
+    0.5, for y = v * 1e12), or too large for rint to be exact (|y| >=
+    2**52); those few values go through Python's round.  Clipping v first
+    keeps y finite.
+    """
+    y = np.minimum(np.maximum(x, -_CLIP), _CLIP) * _ROUND_SCALE
+    r = np.rint(y)
+    # |y - r| is exact; beyond 2**52, |y| * 2**-51 alone reaches 0.5
+    unsure = np.abs(y - r) + np.abs(y) * 2.0 ** -51 >= 0.5
+    out = r / _ROUND_SCALE
+    for i in unsure.nonzero()[0].tolist():
+        out[i] = round(float(x[i]), HASH_DIGITS)
+    return out
+
+
+def _content_hashes(kinds, key_bytes, coeffs: np.ndarray, rhs: np.ndarray,
+                    sizes: list, norms: np.ndarray) -> list:
+    """Content hashes of many cuts: cut i has kind kinds[i], right-hand side
+    rhs[i], infinity norm norms[i] and the next sizes[i] (>= 1) terms, in
+    canonical order, of the flat `key_bytes` (`_KEY_BYTES` of each key) and
+    `coeffs`.
+
+    A cut's hash is the blake2b digest of its kind, then per term its key
+    bytes and its coefficient over the norm rounded to `HASH_DIGITS`
+    digits, then its rhs so scaled, each number as a little-endian double.
+    """
+    n = len(key_bytes)
+    packed = _round_digits(np.concatenate((
+        coeffs / np.repeat(norms, sizes), rhs / norms))).astype(
+            "<f8", copy=False).view("V8").tolist()
+    parts = [b""] * (2 * n)
+    parts[::2] = key_bytes
+    parts[1::2] = packed[:n]
+    bounds = [0, *accumulate([2 * k for k in sizes])]
+    return [int.from_bytes(hashlib.blake2b(
+        b"".join([kind.encode(), *parts[a:b], end]), digest_size=8).digest(),
+        "little") for kind, a, b, end in zip(kinds, bounds, bounds[1:],
+                                             packed[n:])]
+
+
 @dataclass
 class LinearCut:
     """Sparse >= inequality over symbolic model variables.
 
     Canonical from birth: `terms` is kept in `repr` order of its keys, the
-    one term order the content hash, the LP row and the cut file all read,
-    and `inf_norm` is computed once.
+    one term order the content hash, the LP row and the cut file all read;
+    `inf_norm` and `content_hash` (of kind, terms and rhs scaled to unit
+    infinity norm) are set once.
     """
 
     terms: dict              # variable key -> coefficient
@@ -74,22 +124,17 @@ class LinearCut:
     provenance: tuple        # clique / pair / branch / generator identifier
     violation_at_birth: float = 0.0
     inf_norm: float = field(init=False)
+    content_hash: int = field(init=False)
 
     def __post_init__(self):
         self.terms = {k: self.terms[k]
                       for k in sorted(self.terms, key=_KEY_BYTES.__getitem__)}
         self.inf_norm = max(map(abs, self.terms.values()))
-
-    @cached_property
-    def content_hash(self) -> int:
-        """Hash of kind, terms and rhs scaled to unit infinity norm."""
-        scale = self.inf_norm
-        parts = [self.kind.encode()]
-        for key, w in self.terms.items():
-            parts += (_KEY_BYTES[key], _pack(round(w / scale, HASH_DIGITS)))
-        parts.append(_pack(round(self.rhs / scale, HASH_DIGITS)))
-        digest = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        [self.content_hash] = _content_hashes(
+            [self.kind], list(map(_KEY_BYTES.__getitem__, self.terms)),
+            np.array(list(self.terms.values()), float),
+            np.array([self.rhs], float), [len(self.terms)],
+            np.array([self.inf_norm], float))
 
     def value_at(self, values: dict) -> float:
         return sum(w * values[k] for k, w in self.terms.items())
@@ -99,11 +144,40 @@ class LinearCut:
         return (self.rhs - self.value_at(values)) / self.inf_norm
 
 
+def _cuts_from_columns(kinds, provenances, keys, coeffs: np.ndarray,
+                       rhs: np.ndarray, sizes: list, norms: np.ndarray,
+                       violations) -> list:
+    """`LinearCut`s from columns, hashed in one pass.
+
+    Cut i has kind kinds[i], provenance provenances[i], right-hand side
+    rhs[i], violation_at_birth violations[i] and sizes[i] (>= 1) terms: the
+    next entries of the flat `keys`, in canonical order, and `coeffs`,
+    finite and nonzero, the largest in magnitude norms[i].  Nothing is
+    checked or sorted again.
+    """
+    hashes = _content_hashes(kinds, list(map(_KEY_BYTES.__getitem__, keys)),
+                             coeffs, rhs, sizes, norms)
+    values = coeffs.tolist()
+    bounds = [0, *accumulate(sizes)]
+    cuts = []
+    for kind, prov, b, v, norm, h, start, stop in zip(
+            kinds, provenances, rhs.tolist(), violations, norms.tolist(),
+            hashes, bounds, bounds[1:]):
+        cut = object.__new__(LinearCut)
+        cut.__dict__.update(
+            terms=dict(zip(keys[start:stop], values[start:stop])), rhs=b,
+            kind=kind, provenance=prov, violation_at_birth=v, inf_norm=norm,
+            content_hash=h)
+        cuts.append(cut)
+    return cuts
+
+
 class _TupleKeys(dict):
-    """Per bus tuple, made once: the variable keys of its matrix entries and
-    a picker of their coefficients from a `_matrix_cuts` row.  v2 takes the
-    diagonal and c the upper triangle's real parts; s takes its imaginary
-    parts, negated where the tuple's order opposes the canonical pair's."""
+    """Per bus tuple, made once: the variable keys of its matrix entries in
+    canonical order, and the positions of their coefficients in a
+    `_matrix_cuts` row.  v2 takes the diagonal and c the upper triangle's
+    real parts; s takes its imaginary parts, negated where the tuple's
+    order opposes the canonical pair's."""
 
     def __missing__(self, t):
         buses = tuple(map(int, t))  # numpy integers equal, and hash like, ints
@@ -116,7 +190,9 @@ class _TupleKeys(dict):
         picks = list(range(n + m)) + [
             n + m + k if buses[i] < buses[j] else n + 2 * m + k
             for k, (i, j) in enumerate(upper)]
-        self[t] = value = (keys, operator.itemgetter(*picks))
+        order = sorted(range(len(keys)), key=lambda i: _KEY_BYTES[keys[i]])
+        self[t] = value = ([keys[i] for i in order],
+                           np.array([picks[i] for i in order]))
         return value
 
 
@@ -137,14 +213,20 @@ def _matrix_cuts(a: np.ndarray, tuples, kind: str, violations) -> list:
     off = 2.0 * a[:, iu, ju]
     rows = np.concatenate((a.diagonal(0, -2, -1).real, off.real, off.imag,
                            -off.imag), axis=1)
-    keep = violations / np.abs(rows).max(axis=1) >= VIOLATION_THRESHOLD
-    cuts = []
-    for t, row, violation in zip(compress(tuples, keep), rows[keep].tolist(),
-                                 violations[keep].tolist()):
-        keys, pick = _TUPLE_KEYS[t]
-        terms = {k: w for k, w in zip(keys, pick(row)) if w != 0.0}
-        cuts.append(LinearCut(terms, 0.0, kind, t, violation))
-    return cuts
+    norms = np.abs(rows).max(axis=1)
+    keep = violations / norms >= VIOLATION_THRESHOLD
+    if not keep.any():
+        return []
+    kept = list(compress(tuples, keep))
+    keys, picks = zip(*map(_TUPLE_KEYS.__getitem__, kept))
+    coeffs = np.take_along_axis(
+        rows[keep], np.concatenate(picks).reshape(len(kept), -1), axis=1)
+    nonzero = coeffs != 0.0
+    return _cuts_from_columns(
+        [kind] * len(kept), kept,
+        list(compress(chain.from_iterable(keys), nonzero.ravel().tolist())),
+        coeffs[nonzero], np.zeros(len(kept)), nonzero.sum(axis=1).tolist(),
+        norms[keep], violations[keep].tolist())
 
 
 def eigen_cut(dec: EigenDecomposition, cutoff: np.ndarray, tuples,

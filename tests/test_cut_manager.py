@@ -203,20 +203,23 @@ def test_load_rejects_non_string_kind(kind):
 
 
 def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
-    """A cut on a pair with no branch loads; one on an unknown bus does not."""
+    """A cut on a pair with no branch loads; one on an unknown bus does not.
+    The model is asked about each distinct key once."""
     model = build_m0(case14)
     assert any(key[1:] not in model.pairs.pair_branches
                for cut in cold_report.pool.cuts.values()
                for key in cut.terms if key[0] in ("c", "s"))
-    buf = io.StringIO()
-    save_cuts(cold_report.pool, buf)
-    buf.write('{"kind": "eigen", "support": [1, 999], '
-              '"terms": [[["v2", 1], 1.0], [["c", 1, 999], -1.0]], '
-              '"rhs": 0.0}\n')
-    buf.seek(0)
-    again, skipped = load_cuts(buf, model)
+    stray = _cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, prov=(1, 999))
+    pool = CutPool({**cold_report.pool.cuts, stray.content_hash: stray})
+    asked = []
+    has_variables = model.has_variables
+    model.has_variables = lambda keys: asked.extend(keys) or \
+        has_variables(keys)
+    again, skipped = load_cuts(io.StringIO(_saved(pool)), model)
     assert skipped == 1
     assert set(again.cuts) == set(cold_report.pool.cuts)
+    named = {key for cut in pool.cuts.values() for key in cut.terms}
+    assert sorted(asked, key=repr) == sorted(named, key=repr)
 
 
 def _saved(pool) -> str:
@@ -225,13 +228,24 @@ def _saved(pool) -> str:
     return buf.getvalue()
 
 
+def _records(pool) -> str:
+    """The pool's cuts as the line records of versions 1 and 2."""
+    return "".join(json.dumps({
+        "kind": cut.kind, "support": cut.provenance,
+        "terms": [[k, w] for k, w in cut.terms.items()], "rhs": cut.rhs})
+        + "\n" for cut in sorted(pool.cuts.values(),
+                                 key=lambda c: c.content_hash))
+
+
 def test_saved_text_round_trips_with_its_basis(cold_report):
-    """save -> load -> save gives the same text; the basis comes last, in
-    key and hash order whatever the order of its dicts."""
+    """save -> load -> save gives the same text: a version 3 header and one
+    document, its keys and basis in key and hash order whatever the order
+    of the basis dicts."""
     text = _saved(cold_report.pool)
     lines = text.splitlines()
-    assert json.loads(lines[0]) == {"fmt": "cutpool", "v": 2}
-    assert lines[-1].startswith('{"basis": ')
+    assert json.loads(lines[0]) == {"fmt": "cutpool", "v": 3}
+    assert len(lines) == 2
+    assert list(json.loads(lines[1])) == ["keys", "cuts", "basis"]
     loaded, skipped = load_cuts(io.StringIO(text))
     assert skipped == 0
     assert loaded.basis == cold_report.pool.basis
@@ -244,14 +258,61 @@ def test_saved_text_round_trips_with_its_basis(cold_report):
 
 
 def test_v1_file_loads_without_basis(cold_report):
-    text = _saved(cold_report.pool).splitlines(keepends=True)
-    v1 = '{"fmt": "cutpool", "v": 1}\n' + "".join(text[1:-1])
+    v1 = '{"fmt": "cutpool", "v": 1}\n' + _records(cold_report.pool)
     loaded, _ = load_cuts(io.StringIO(v1))
     assert loaded.basis is None
     assert set(loaded.cuts) == set(cold_report.pool.cuts)
     # a v1 file has no basis record; one there is a malformed cut record
-    with pytest.raises(CutFileError, match="record %d" % (len(text) - 1)):
-        load_cuts(io.StringIO(v1 + text[-1]))
+    record = json.dumps({"basis": _BASIS}) + "\n"
+    with pytest.raises(CutFileError,
+                       match="record %d" % (len(cold_report.pool) + 1)):
+        load_cuts(io.StringIO(v1 + record))
+
+
+def test_first_malformed_line_record_is_reported():
+    """A bad number in an early record is found before a record that is
+    no JSON at all, later in the file."""
+    good = ('{"kind": "eigen", "support": [1], "terms": [[["v2", 1], 1.0]], '
+            '"rhs": 0.0}\n')
+    nan = good.replace("0.0}", "NaN}")
+    for lines, record in ([good, nan, good, "garbage\n"], 2), \
+            ([good, good, "garbage\n", nan], 3):
+        with pytest.raises(CutFileError, match="record %d " % record):
+            load_cuts(io.StringIO('{"fmt": "cutpool", "v": 1}\n'
+                                  + "".join(lines)))
+
+
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                          "case14_pool_v2.jsonl")
+
+
+def test_v2_file_loads_like_its_v3_save(case14):
+    """A version 2 file (case14's cold pool and basis as saved before
+    version 3) loads to the cuts, hashes and basis of its own version 3
+    save, each cut hashed like its record built alone, and warm-starts to
+    the same trajectory."""
+    with open(V2_FIXTURE, encoding="utf-8") as fh:
+        v2, _ = load_cuts(fh)
+    with open(V2_FIXTURE, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in list(fh)[1:-1]]
+    alone = [LinearCut({cut_manager._key_from_json(k): w
+                        for k, w in rec["terms"]}, rec["rhs"], rec["kind"],
+                       cut_manager._key_from_json(rec["support"]))
+             for rec in records]
+    assert list(v2.cuts.values()) == alone
+    assert len(v2.cuts) == 91 and v2.basis is not None
+    v3, _ = load_cuts(io.StringIO(_saved(v2)))
+    assert list(v3.cuts) == list(v2.cuts) == sorted(v2.cuts)
+    assert v3.cuts == v2.cuts and v3.basis == v2.basis
+    pert = opfcuts.perturb_loads(case14, seed=3, mu_frac=0.0,
+                                 sigma_frac=0.01)
+    runs = [opfcuts.cutplane(pert, opfcuts.RunConfig(), warm=pool)
+            for pool in (v2, v3)]
+    trajectories = [[(st.objective.hex(), st.bound.hex(), st.cuts_added,
+                      st.cuts_dropped, st.lp_iterations) for st in r.rounds]
+                    + [r.termination] for r in runs]
+    assert trajectories[0] == trajectories[1]
+    assert runs[0].rounds[0].lp_iterations == 0
 
 
 def test_pool_without_basis_saves_no_basis_record():

@@ -11,10 +11,11 @@ import pytest
 
 from opfcuts import driver, lp_backend
 from opfcuts.case_io import parse_case, perturb_loads
-from opfcuts.cut_manager import admit, load_cuts, save_cuts
+from opfcuts.cut_manager import CutPool, admit, load_cuts, save_cuts
 from opfcuts.driver import RunConfig, RunReport, cutplane, report_table
 from opfcuts.errors import ModelError
-from opfcuts.separation import VIOLATION_THRESHOLD
+from opfcuts.relaxation import build_m0
+from opfcuts.separation import VIOLATION_THRESHOLD, LinearCut
 from test_lp_backend import report_model_status, use_highs_class
 
 
@@ -284,6 +285,38 @@ def test_warm_start_from_own_pool_reaches_cold_bound(case14, cold_report):
     assert len(warm.pool) >= len(cold_report.pool)
     assert warm.num_rounds <= 3
     assert warm.best_bound == pytest.approx(cold_report.best_bound, rel=1e-5)
+
+
+def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
+    """The warm injection asks the model about each distinct key once,
+    skips the cuts naming an unknown one, and adds the pairs of the others
+    in the column order a per-cut extension gives."""
+    stray = LinearCut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
+                      (1, 999))
+    warm = CutPool({**cold_report.pool.cuts, stray.content_hash: stray})
+    models, asked = [], []
+
+    def build(case):
+        model = build_m0(case)
+        has_variables = model.has_variables
+        model.has_variables = lambda keys: asked.extend(keys) or \
+            has_variables(keys)
+        models.append(model)
+        return model
+
+    monkeypatch.setattr(driver, "build_m0", build)
+    report = cutplane(case14, RunConfig(max_rounds=1), warm=warm)
+    named = {key for cut in warm.cuts.values() for key in cut.terms}
+    assert sorted(asked, key=repr) == sorted(named, key=repr)
+    assert set(report.pool.cuts) == set(cold_report.pool.cuts)
+    reference = build_m0(case14)
+    for _, cut in sorted(cold_report.pool.cuts.items()):
+        reference.extend_pairs({key[1:] for key in cut.terms
+                                if key[0] in ("c", "s")})
+    [model] = models
+    assert len(reference.var_index) > len(build_m0(case14).var_index)
+    assert list(model.var_index)[:len(reference.var_index)] \
+        == list(reference.var_index)
 
 
 @pytest.fixture(scope="module")

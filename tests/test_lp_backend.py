@@ -97,6 +97,59 @@ def test_saved_basis_starts_a_twin_at_its_optimum():
     assert res.objective == solved.objective
 
 
+def _count_linprog(monkeypatch):
+    """The list that gets one entry per HiGHS run from now on."""
+    calls = []
+
+    def counted(highs):
+        calls.append(1)
+        return run(highs)
+
+    run = lp_backend.linprog
+    monkeypatch.setattr(lp_backend, "linprog", counted)
+    return calls
+
+
+def test_unedited_lp_is_not_solved_again(monkeypatch):
+    """A solve with no edit since the last optimal one returns that result
+    again, with 0 iterations, and leaves HiGHS alone."""
+    calls = _count_linprog(monkeypatch)
+    be = _three_rows()
+    first = be.solve()
+    again = be.solve()
+    assert len(calls) == 1
+    assert first.iterations > 0 and again.iterations == 0
+    assert (again.status, again.objective, again.dual_bound,
+            again.row_slack) == (first.status, first.objective,
+                                 first.dual_bound, first.row_slack)
+    assert again.primal.tolist() == first.primal.tolist()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda be: be.add_row("c", [0], [1.0], 2.0),
+    lambda be: be.remove_rows(["a"]),
+    lambda be: be.add_column("x2", 0.0, 1.0, 1.0),
+    lambda be: be.start_basis(be.basis()),
+], ids=["add_row", "remove_rows", "add_column", "start_basis"])
+def test_each_edit_solves_again(monkeypatch, edit):
+    be = _three_rows()
+    be.solve()
+    calls = _count_linprog(monkeypatch)
+    edit(be)
+    assert be.solve().status == "optimal"
+    assert len(calls) == 1
+    be.solve()
+    assert len(calls) == 1
+
+
+def test_result_short_of_optimal_is_solved_again(monkeypatch):
+    calls = _count_linprog(monkeypatch)
+    be = _loaded(upper=0.5)
+    be.add_row("r1", [0], [1.0], 1.0)
+    assert be.solve().status == be.solve().status == "infeasible"
+    assert len(calls) == 2
+
+
 def test_start_basis_fills_what_it_lacks():
     """A column the basis lacks starts nonbasic at a bound, a row it lacks
     starts basic; here that is still optimal."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,3 +364,66 @@ def test_normalized_violation():
     cut = LinearCut({("v2", 1): 2.0}, 1.0, "eigen", (1,))
     assert cut.normalized_violation({("v2", 1): 0.0}) == pytest.approx(0.5)
     assert cut.normalized_violation({("v2", 1): 1.0}) == pytest.approx(-0.5)
+
+
+def _rounding_sample():
+    """Seeded values for `_round_digits`: exact and near ties of the 12th
+    decimal, random values over many magnitudes, and edge values."""
+    rng = np.random.default_rng(1212)
+    ties = np.arange(-20000, 20000) / 8192.0  # x * 1e12 is a half-integer
+    decimal_ties = (rng.integers(-10 ** 12, 10 ** 12, 40000) + 0.5) / 1e12
+    near = np.concatenate([np.nextafter(v, np.inf) for v in
+                           (ties, decimal_ties)] +
+                          [np.nextafter(v, -np.inf) for v in
+                           (ties, decimal_ties)])
+    spread = rng.uniform(-1.0, 1.0, 100000) * 10.0 ** rng.uniform(
+        -20.0, 8.0, 100000)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      -2.2250738585072014e-308, 1e-13, -4e-13, 5e-13,
+                      -5e-13, 4503.599627370496, 4503.599627370497, 1e300,
+                      -1e300, 1.7976931348623157e308, 1.0, -1.0])
+    return np.concatenate([ties, decimal_ties, near, spread, edges])
+
+
+def test_round_digits_is_python_round_bit_for_bit():
+    x = _rounding_sample()
+    with warnings.catch_warnings():  # 1e300 * 1e12 overflows, silently
+        warnings.simplefilter("error")
+        got = separation._round_digits(x)
+    want = np.array([round(v, 12) for v in x.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_batch_hashes_equal_single_hashes():
+    """A stack's cuts, hashed in one pass, equal the cuts built one at a
+    time, hash included; so do cuts with zero terms left out."""
+    rng = np.random.default_rng(77)
+    for n in (2, 3, 4):
+        x, tuples = _stack(rng, n, [1, 2, 0, 1, 2] * 4)
+        cuts = clique_cuts(x, tuples)
+        assert len(cuts) > 10
+        for cut in cuts:
+            assert LinearCut(dict(reversed(cut.terms.items())), cut.rhs,
+                             cut.kind, cut.provenance,
+                             cut.violation_at_birth) == cut
+    # a real pair matrix gives an s coefficient of exactly zero
+    [cut] = _jabr(1.0, 1.0, 1.2, 0.0, (4, 9))
+    assert ("s", 4, 9) not in cut.terms
+    assert LinearCut(dict(cut.terms), 0.0, "jabr", (4, 9),
+                     cut.violation_at_birth) == cut
+
+
+def test_content_hashes_of_many_cuts_in_one_call():
+    cuts = [LinearCut({("v2", 1): 4.0, ("c", 1, 2): -2.0}, 0.5, "eigen",
+                      (1, 2)),
+            LinearCut({("t", (1, 0)): 1.0}, -3.25, "cost_tangent",
+                      ((1, 0),)),
+            LinearCut({("P", (1, 2, 0), "f"): -0.6, ("Q", (1, 2, 0), "f"):
+                       0.8}, -1.0, "limit", ((1, 2, 0), "f"))]
+    hashes = separation._content_hashes(
+        [c.kind for c in cuts],
+        [separation._KEY_BYTES[k] for c in cuts for k in c.terms],
+        np.array([w for c in cuts for w in c.terms.values()]),
+        np.array([c.rhs for c in cuts]), [len(c.terms) for c in cuts],
+        np.array([c.inf_norm for c in cuts]))
+    assert hashes == [c.content_hash for c in cuts]
