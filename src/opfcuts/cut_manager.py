@@ -1,7 +1,11 @@
 """Cut pool: admission order, slack-based dropping, persistence.
 
 A pool holds what a cut file holds: cuts by content hash, which never
-change, and a simplex basis.  Ages live in a dict that each run keeps.
+change, and a simplex basis.  Ages live in a dict that each run keeps.  A
+run's pool holds its last basis as HiGHS gave it (`lp_backend.LastBasis`);
+its status letters are made when `pool.basis` is first read, by
+`save_cuts` or a warm start, so a pool that nobody saves never pays for
+them.
 
 The warm-start file is UTF-8 JSON; variable references are symbolic
 (bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
@@ -45,7 +49,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CutFileError
-from .lp_backend import STATUS_LETTERS, SavedBasis
+from .lp_backend import STATUS_LETTERS, LastBasis, SavedBasis
 from .separation import _KEY_BYTES, _cuts_from_columns, _plain
 
 T_AGE = 5
@@ -63,6 +67,22 @@ class CutPool:
 
     def __len__(self):
         return len(self.cuts)
+
+
+def _basis(pool: CutPool) -> SavedBasis | None:
+    if isinstance(pool._basis, LastBasis):
+        pool._basis = pool._basis.saved()
+    return pool._basis
+
+
+def _set_basis(pool: CutPool, basis):
+    pool._basis = basis
+
+
+# set on the class after the dataclass is made, so that `basis` stays an
+# init field: it may be given as an `lp_backend.LastBasis`, read as the
+# SavedBasis its letters make, which are made when it is first read
+CutPool.basis = property(_basis, _set_basis)
 
 
 def admit(pool: CutPool, candidates):

@@ -4,7 +4,9 @@ Each round solves the LP master, separates Jabr / limit / cost tangents and
 clique PSD cuts, admits and ages cuts, and tracks a stall counter on relative
 objective improvement.  The clique set is augmented once with chordal
 cliques, after the first round that admits no cut or the hierarchy round;
-a later round that admits nothing ends the run.  Each round is credited the
+a later round that admits nothing ends the run.  The 3-cycles and chordal
+cliques are computed once per compiled network (see `relaxation`), so the
+load instances of one network share them.  Each round is credited the
 bound the LP backend certifies from its duals (-inf when it certifies none;
 the LP objective is never credited), so the best bound is the maximum over
 rounds (dropping cuts can make the per-round objective non-monotone).
@@ -15,7 +17,8 @@ last optimal solve.
 
 Cuts never change once built: a run counts its cuts' slack rounds in an age
 dict of its own, so a warm start shares the caller's cuts and leaves them,
-and the caller's pool, as they were.
+and the caller's pool, as they were.  The returned pool holds the last
+solve's basis as HiGHS gave it, turned into letters only when read.
 
 Separation and the final eigenvalue ratio read the PSD matrices as stacks
 from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
@@ -111,7 +114,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     t_start = time.perf_counter()
 
     model = build_m0(case)
-    cliques = enumerate_three_cycles(model.pairs)
+    cliques = model.network.cliques(enumerate_three_cycles)
 
     pool = CutPool()
     ages: dict = {}  # content hash -> consecutive slack rounds
@@ -203,7 +206,8 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         if not escalated and (not admitted
                               or round_idx + 1 >= config.hierarchy_round):
-            extra = chordal_cliques(model.pairs, config.max_clique_size)
+            extra = model.network.cliques(chordal_cliques,
+                                          config.max_clique_size)
             # the pairs of the chordal cliques are the edges plus the fill
             model.extend_pairs({(a, b) for c in extra.cliques
                                 for i, a in enumerate(c) for b in c[i + 1:]})
@@ -218,7 +222,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         stall = 0 if improved else stall + 1
         z_prev = z
 
-    pool.basis = model.backend.basis()
+    pool.basis = model.backend.last_basis()  # letters when first read
     report.termination = termination
     report.best_bound = max((st.bound for st in report.rounds),
                             default=-math.inf)
@@ -248,24 +252,15 @@ def _separate(model, cliques):
     candidates = separation.jabr_cut(model.clique_matrix(pairs), pairs) \
         if pairs else []
 
-    for idx, bkey in model.branch_keys.items():
-        u = case.branches[idx].rate_a
-        if u is None:
-            continue
-        for d in ("f", "t"):
-            cut = separation.limit_cut(
-                model.value(("P", bkey, d)), model.value(("Q", bkey, d)),
-                u, (bkey, d))
-            if cut is not None:
-                candidates.append(cut)
-
-    for idx, gkey in model.gen_keys.items():
-        gen = case.generators[idx]
-        cut = separation.cost_cut(
-            model.value(("Pg", gkey)), model.value(("t", gkey)),
-            gen, gkey)
-        if cut is not None:
-            candidates.append(cut)
+    branches, gens = case.branches, case.generators
+    limits = separation.limit_cut([
+        (model.value(("P", bkey, d)), model.value(("Q", bkey, d)),
+         branches[idx].rate_a, (bkey, d))
+        for idx, bkey in model.branch_keys.items()
+        if branches[idx].rate_a is not None for d in ("f", "t")])
+    candidates += separation.cost_cut([
+        (model.value(("Pg", gkey)), model.value(("t", gkey)), gens[idx], gkey)
+        for idx, gkey in model.gen_keys.items()], limits)
 
     for group in cliques.by_size:
         candidates += separation.clique_cuts(model.clique_matrix(group), group)

@@ -6,10 +6,13 @@ store in HiGHS row order.  Entry k is `vals[k]` in row `row_of[k]`, column
 `cols[k]`; row i reads a.x >= rhs[i] where `ge[i]`, a.x = rhs[i] elsewhere.
 The relaxation model writes into it and never keeps a copy.
 
-Every row enters through one call, `add_row(row_id, cols, coeffs, rhs, ge)`.
-A row with an id (a cut) can be removed by `remove_rows`, and its slack
-a.x - rhs is reported in `LpSolveResult.row_slack`; `rows` maps each id to
-its row.  A row with id None (a base row) stays for the model's life.
+Columns enter in blocks, `add_columns(keys, lower, upper, objective)`, or
+one at a time, `add_column`.  Base rows enter as one block, `add_rows(cols,
+vals, sizes, rhs, ge)`, appended to the store with one concatenate; they
+have no id and stay for the model's life.  A cut row enters through
+`add_row(row_id, cols, coeffs, rhs, ge)`: it can be removed by
+`remove_rows`, and its slack a.x - rhs is reported in
+`LpSolveResult.row_slack`; `rows` maps each id to its row.
 
 HiGHS sees one persistent model, created at the first `solve()`.  Row
 edits are queued; `solve()` appends the queued rows to the store, compacts
@@ -32,9 +35,12 @@ imported.  Without that module, importing this one raises ImportError.
 
 A solve can start from a given basis.  A `SavedBasis` states one by name:
 a status letter (`STATUS_LETTERS`) per column key, per base row in row
-order and per row id.  `basis()` reads one from the last solve, and
-`start_basis` maps one onto this model by those names and hands it to
-HiGHS.  A start basis only saves iterations; nothing it holds is trusted.
+order and per row id.  `last_basis()` keeps the basis of the last solve as
+HiGHS returns it, a copy, with the names it needs; its `saved()` turns it
+into letters, which take pybind a conversion per column and row, so only a
+reader pays for them.  `basis()` does both at once.  `start_basis` maps a
+`SavedBasis` onto this model by its names and hands it to HiGHS.  A start
+basis only saves iterations; nothing it holds is trusted.
 
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
@@ -113,6 +119,28 @@ class SavedBasis:
     cuts: dict       # row id -> status letter of the row
 
 
+@dataclass(frozen=True)
+class LastBasis:
+    """HiGHS's basis of a solve, and the names `saved` reads it by."""
+    highs: object    # the HighsBasis, a copy that holds no model
+    columns: tuple   # column keys in index order
+    rows: dict       # row id -> its row in HiGHS
+    removed: frozenset  # rows removed since that solve
+
+    def saved(self) -> SavedBasis:
+        """The basis by name; removed rows are left out, and columns and
+        rows added since have no letter."""
+        # keys in index order; zip stops at the columns HiGHS has
+        columns = dict(zip(self.columns, [STATUS_LETTERS[s.value]
+                                          for s in self.highs.col_status]))
+        rows = [STATUS_LETTERS[s.value] for s in self.highs.row_status]
+        by_id = {row_id: rows[row] for row_id, row in self.rows.items()
+                 if row < len(rows)}
+        cut = self.removed.union(self.rows.values())
+        base = "".join([s for i, s in enumerate(rows) if i not in cut])
+        return SavedBasis(columns=columns, base_rows=base, cuts=by_id)
+
+
 @dataclass
 class LpSolveResult:
     status: str               # optimal | infeasible | unbounded | limit
@@ -149,14 +177,41 @@ class ScipyHighsBackend:
     def add_column(self, key, lower: float, upper: float,
                    obj: float = 0.0) -> int:
         """Append the column named `key`; returns its index."""
-        if key in self.columns:
+        self.add_columns((key,), (lower,), (upper,), (obj,))
+        return self.columns[key]
+
+    def add_columns(self, keys, lower, upper, objective):
+        """Append one column per key of `keys`, in order, with those bounds
+        and objective coefficients; a key already named raises, adding
+        none."""
+        n = len(self.objective)
+        index = dict(zip(keys, range(n, n + len(keys))))
+        if len(index) < len(keys) or not self.columns.keys().isdisjoint(
+                index):
+            key = next(k for i, k in enumerate(keys)
+                       if k in self.columns or index[k] != n + i)
             raise LpBackendError("duplicate column key %r" % (key,))
         self._last = None
-        index = self.columns[key] = len(self.objective)
-        self.objective.append(obj)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        return index
+        self.columns.update(index)
+        self.objective.extend(objective)
+        self.lower.extend(lower)
+        self.upper.extend(upper)
+
+    def add_rows(self, cols: np.ndarray, vals: np.ndarray,
+                 sizes: np.ndarray, rhs: np.ndarray, ge: np.ndarray):
+        """Append a block of rows without ids: row i reads a.x >= rhs[i]
+        where ge[i], a.x = rhs[i] elsewhere, over the next sizes[i] entries
+        of `cols` and `vals`.  Queued rows are stored first, so rows keep
+        the order in which they came."""
+        self._last = None
+        self._flush()
+        n = len(self.rhs)
+        self.cols = np.concatenate((self.cols, cols))
+        self.vals = np.concatenate((self.vals, vals))
+        self.row_of = np.concatenate((self.row_of, np.repeat(
+            np.arange(n, n + len(rhs)), sizes)))
+        self.rhs = np.concatenate((self.rhs, rhs))
+        self.ge = np.concatenate((self.ge, ge))
 
     def add_row(self, row_id, cols, coeffs, rhs: float, ge: bool = True):
         """Queue the row a.x >= rhs, or a.x = rhs when not `ge`.
@@ -214,24 +269,22 @@ class ScipyHighsBackend:
             return "HiGHS rejected it"
         return None
 
-    def basis(self) -> SavedBasis | None:
-        """The basis of the last solve, by name; rows removed since are left
-        out, and columns and rows added since have no letter.  None when
-        HiGHS holds no valid basis."""
+    def last_basis(self) -> LastBasis | None:
+        """The basis of the last solve as HiGHS holds it, with the names of
+        its columns and rows; None when HiGHS holds no valid basis."""
         if self._highs is None:
             return None
         basis = self._highs.getBasis()
         if not basis.valid:
             return None
-        # keys in index order; zip stops at the columns HiGHS has
-        columns = dict(zip(self.columns, [STATUS_LETTERS[s.value]
-                                          for s in basis.col_status]))
-        rows = [STATUS_LETTERS[s.value] for s in basis.row_status]
-        by_id = {row_id: rows[row] for row_id, row in self.rows.items()
-                 if row < len(rows)}
-        cut = set(self.rows.values()).union(self._dead)
-        base = "".join([s for i, s in enumerate(rows) if i not in cut])
-        return SavedBasis(columns=columns, base_rows=base, cuts=by_id)
+        return LastBasis(highs=basis, columns=tuple(self.columns),
+                         rows=dict(self.rows), removed=frozenset(self._dead))
+
+    def basis(self) -> SavedBasis | None:
+        """The basis of the last solve, by name (see `LastBasis.saved`);
+        None when HiGHS holds no valid basis."""
+        last = self.last_basis()
+        return last.saved() if last is not None else None
 
     def solve(self) -> LpSolveResult:
         """Re-solve the LP; certificate, residual and slacks read the store."""
@@ -286,9 +339,8 @@ class ScipyHighsBackend:
             self._last = result
         return result
 
-    def _store(self) -> np.ndarray:
-        """Append the queued rows to the store, then compact it over the
-        removed rows; returns the removed rows' positions in HiGHS."""
+    def _flush(self):
+        """Append the queued rows to the store."""
         if self._queue:
             cols, vals, rhs, ge = zip(*self._queue)
             n, lengths = len(self.rhs), list(map(len, cols))
@@ -300,6 +352,11 @@ class ScipyHighsBackend:
             self.row_of = np.append(self.row_of, np.repeat(
                 np.arange(n, n + len(rhs)), lengths))
             self.rhs, self.ge = np.append(self.rhs, rhs), np.append(self.ge, ge)
+
+    def _store(self) -> np.ndarray:
+        """Append the queued rows to the store, then compact it over the
+        removed rows; returns the removed rows' positions in HiGHS."""
+        self._flush()
         if not self._dead:
             return np.zeros(0, np.int32)
         keep = np.ones(len(self.rhs), bool)

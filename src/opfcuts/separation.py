@@ -15,8 +15,9 @@ from birth, so a cut hashes like its copy read back from a cut file.  No
 cut violated by less than `VIOLATION_THRESHOLD` per unit norm is built.
 
 A cut's content hash is set at birth by `_content_hashes`, which hashes
-many cuts in one pass: a stack's cuts in `_matrix_cuts`, a cut file's in
-`cut_manager.load_cuts`, and a single `LinearCut(...)` as a batch of one.
+many cuts in one pass: a stack's cuts in `_matrix_cuts`, a round's limit
+and cost tangents in `cost_cut`, a cut file's in `cut_manager.load_cuts`,
+and a single `LinearCut(...)` as a batch of one.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def _cuts_from_columns(kinds, provenances, keys, coeffs: np.ndarray,
     Cut i has kind kinds[i], provenance provenances[i], right-hand side
     rhs[i], violation_at_birth violations[i] and sizes[i] (>= 1) terms: the
     next entries of the flat `keys`, in canonical order, and `coeffs`,
-    finite and nonzero, the largest in magnitude norms[i].  Nothing is
-    checked or sorted again.
+    finite, the largest in magnitude norms[i] > 0.  Nothing is checked or
+    sorted again.
     """
     hashes = _content_hashes(kinds, list(map(_KEY_BYTES.__getitem__, keys)),
                              coeffs, rhs, sizes, norms)
@@ -274,21 +275,30 @@ def clique_cuts(x: np.ndarray, cliques) -> list:
     """Eigen-cuts of a stack (M, n, n) of cliques, then projection cuts.
 
     Only a matrix with exactly two negative eigenvalues gets a projection
-    cut, and only one not near-parallel to its eigen-cut: with one negative
-    eigenvalue, or a tiny second one, the two are (nearly) collinear.
+    cut: with one, it would be collinear with the eigen-cut.  When the two
+    cuts of a clique have the same keys and are near-parallel (|cos| >
+    `COSINE_BOUND`, as with a tiny second eigenvalue), only the more
+    violated one is kept, the eigen-cut on a tie.
     """
     dec = eigen(x)
     cutoff = psd_cutoff(x, PSD_TOL)
     cuts = eigen_cut(dec, cutoff, cliques)
     two = np.flatnonzero((dec.eigenvalues < cutoff[:, None]).sum(axis=1) == 2)
-    if two.size:
-        by_clique = {cut.provenance: cut for cut in cuts}
-        cuts += [cut for cut in projection_cut(
+    if not two.size:
+        return cuts
+    by_clique = {cut.provenance: cut for cut in cuts}
+    projections, beaten = [], set()
+    for cut in projection_cut(
             EigenDecomposition(dec.eigenvalues[two], dec.eigenvectors[two]),
-            cutoff[two], [cliques[m] for m in two.tolist()])
-            if cut.provenance not in by_clique
-            or abs(_cosine(cut, by_clique[cut.provenance])) <= COSINE_BOUND]
-    return cuts
+            cutoff[two], [cliques[m] for m in two.tolist()]):
+        other = by_clique.get(cut.provenance)
+        if other is None or other.terms.keys() != cut.terms.keys() \
+                or abs(_cosine(cut, other)) <= COSINE_BOUND:
+            projections.append(cut)
+        elif cut.violation_at_birth > other.violation_at_birth:
+            projections.append(cut)
+            beaten.add(cut.provenance)
+    return [cut for cut in cuts if cut.provenance not in beaten] + projections
 
 
 def jabr_cut(x: np.ndarray, pairs) -> list:
@@ -298,30 +308,60 @@ def jabr_cut(x: np.ndarray, pairs) -> list:
     return eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), pairs, "jabr")
 
 
-def limit_cut(p_hat: float, q_hat: float, u: float, branch_dir):
-    """Tangent to the thermal circle at the projection of (p_hat, q_hat)."""
-    if not math.isfinite(u):
-        raise ValueError("limit_cut needs a finite thermal limit")
-    norm = math.sqrt(p_hat * p_hat + q_hat * q_hat)
-    violation = norm - u  # euclidean excess beyond the circle
-    if norm == 0.0 \
-            or violation / max(abs(p_hat), abs(q_hat)) < VIOLATION_THRESHOLD:
-        return None
-    bkey, d = branch_dir
-    terms = {("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat}
-    return LinearCut(terms=terms, rhs=-u * norm, kind="limit",
-                     provenance=(bkey, d), violation_at_birth=violation)
+def _linear_cuts(rows) -> list:
+    """`LinearCut(*row)` of each row (terms, rhs, kind, provenance,
+    violation_at_birth), field for field, hashed in one batch."""
+    if not rows:
+        return []
+    terms, rhs, kinds, provenances, violations = zip(*rows)
+    keys = [sorted(t, key=_KEY_BYTES.__getitem__) for t in terms]
+    coeffs = [t[k] for t, ks in zip(terms, keys) for k in ks]
+    return _cuts_from_columns(
+        kinds, provenances, list(chain.from_iterable(keys)),
+        np.array(coeffs, float), np.array(rhs, float), list(map(len, keys)),
+        np.array([max(map(abs, t.values())) for t in terms], float),
+        violations)
 
 
-def cost_cut(p_hat: float, t_hat: float, gen, gkey):
-    """Epigraph tangent for a quadratic cost; None for linear/pwl costs."""
-    cost = gen.cost
-    if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
-        return None  # exact supports installed at model build
-    f = cost.value(p_hat)
-    slope = cost.derivative(p_hat)
-    if (f - t_hat) / max(abs(slope), 1.0) < VIOLATION_THRESHOLD:
-        return None
-    terms = {("t", gkey): 1.0, ("Pg", gkey): -slope}
-    return LinearCut(terms=terms, rhs=f - slope * p_hat, kind="cost_tangent",
-                     provenance=(gkey,), violation_at_birth=f - t_hat)
+def limit_cut(flows) -> list:
+    """Tangents to the thermal circles, as rows for `cost_cut` to build.
+
+    Per (p_hat, q_hat, u, branch_dir) of `flows`, the tangent at the
+    projection of (p_hat, q_hat) onto the circle of radius u, unless it is
+    violated by less than `VIOLATION_THRESHOLD` per unit norm.
+    """
+    rows = []
+    for p_hat, q_hat, u, (bkey, d) in flows:
+        if not math.isfinite(u):
+            raise ValueError("limit_cut needs a finite thermal limit")
+        norm = math.sqrt(p_hat * p_hat + q_hat * q_hat)
+        violation = norm - u  # euclidean excess beyond the circle
+        if norm == 0.0 or violation / max(abs(p_hat), abs(q_hat)) \
+                < VIOLATION_THRESHOLD:
+            continue
+        rows.append(({("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat},
+                     -u * norm, "limit", (bkey, d), violation))
+    return rows
+
+
+def cost_cut(points, limits=()) -> list:
+    """Epigraph tangents, after the limit tangents `limits`, as cuts built
+    and hashed in one batch.
+
+    Per (p_hat, t_hat, gen, gkey) of `points` whose cost is quadratic (the
+    base model holds exact supports of the others), the tangent at p_hat,
+    unless it is violated by less than `VIOLATION_THRESHOLD` per unit norm.
+    `limits` are rows from `limit_cut`; their cuts come first.
+    """
+    rows = list(limits)
+    for p_hat, t_hat, gen, gkey in points:
+        cost = gen.cost
+        if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
+            continue
+        f = cost.value(p_hat)
+        slope = cost.derivative(p_hat)
+        if (f - t_hat) / max(abs(slope), 1.0) < VIOLATION_THRESHOLD:
+            continue
+        rows.append(({("t", gkey): 1.0, ("Pg", gkey): -slope},
+                     f - slope * p_hat, "cost_tangent", (gkey,), f - t_hat))
+    return _linear_cuts(rows)

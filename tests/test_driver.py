@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import io
 import logging
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -409,6 +411,43 @@ def test_warm_start_leaves_callers_basis_unchanged(perturbed, pool_text):
     save_cuts(given, buf)
     assert buf.getvalue() == pool_text
     assert warm.pool.basis is not None and warm.pool.basis is not basis
+
+
+def test_pool_basis_is_the_last_solves(perturbed, monkeypatch):
+    """The pool's basis, read after the run, equals the one the backend
+    read at the end of the run."""
+    read = []
+    last_basis = lp_backend.ScipyHighsBackend.last_basis
+
+    def recording(backend):
+        read.append(last_basis(backend).saved())  # what basis() reads
+        return last_basis(backend)
+
+    monkeypatch.setattr(lp_backend.ScipyHighsBackend, "last_basis",
+                        recording)
+    report = cutplane(perturbed, RunConfig())
+    [basis] = read
+    assert isinstance(report.pool.basis, lp_backend.SavedBasis)
+    assert report.pool.basis == basis
+    assert report.pool.basis is report.pool.basis  # made once
+
+
+def test_report_does_not_keep_the_backend(case14, monkeypatch):
+    """Neither the report nor its pool's basis keeps the run's backend,
+    and with it the HiGHS model, alive."""
+    backends = []
+    init = lp_backend.ScipyHighsBackend.__init__
+
+    def recording(backend):
+        init(backend)
+        backends.append(weakref.ref(backend))
+
+    monkeypatch.setattr(lp_backend.ScipyHighsBackend, "__init__", recording)
+    report = cutplane(case14, RunConfig(max_rounds=3))
+    [backend] = backends
+    gc.collect()
+    assert backend() is None
+    assert report.pool.basis is not None
 
 
 def test_report_table_text(cold_report):

@@ -472,6 +472,51 @@ def test_row_store_equals_highs_copy():
             assert list(be.rows.values()) == np.flatnonzero(be.ge).tolist()
 
 
+def test_add_columns_names_a_block():
+    be = _loaded()
+    be.add_columns(("a", "b"), (0.0, -1.0), (1.0, 2.0), (3.0, 4.0))
+    assert be.columns == {0: 0, "a": 1, "b": 2}
+    assert (be.lower, be.upper, be.objective) \
+        == ([0.0, 0.0, -1.0], [10.0, 1.0, 2.0], [1.0, 3.0, 4.0])
+    for keys in (("c", "a"), ("c", "c")):
+        with pytest.raises(LpBackendError,
+                           match="duplicate column key '%s'" % keys[1]):
+            be.add_columns(keys, (0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+    assert len(be.columns) == len(be.objective) == 3
+
+
+def test_row_block_stores_like_its_rows():
+    """Rows added as a block, between queued cut rows, are stored as the
+    same rows added one by one, in the order they came, and reach HiGHS."""
+    rng = np.random.default_rng(34)
+    # x = 0 is feasible: equality rows have rhs 0, the others rhs < 0
+    rows = [(rng.choice(4, size=k, replace=False).tolist(),
+             rng.uniform(0.5, 2.0, k).tolist(), -float(rng.random()) * ge,
+             ge) for k, ge in ((1, True), (3, False), (2, True), (4, False),
+                               (0, True))]
+    one_by_one, block = (_backend([1.0] * 4, [-1.0] * 4, [1.0] * 4)
+                         for _ in range(2))
+    for be in (one_by_one, block):
+        be.add_row("first", [0], [1.0], -1.0)
+    for cols, vals, rhs, ge in rows:
+        one_by_one.add_row(None, cols, vals, rhs, ge)
+    cols, vals, rhs, ge = zip(*rows)
+    block.add_rows(np.concatenate(cols).astype(np.int32),
+                   np.concatenate(vals), list(map(len, cols)),
+                   np.array(rhs), np.array(ge))
+    for be in (one_by_one, block):
+        be.add_row("last", [1], [1.0], -1.0)
+        assert be.solve().status == "optimal"
+    for name in ("cols", "vals", "row_of", "rhs", "ge"):
+        a, b = getattr(one_by_one, name), getattr(block, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert block.rows == one_by_one.rows == {"first": 0, "last": 6}
+    a, lo, up, columns = _highs_rows(block)
+    stored = np.zeros_like(a)
+    np.add.at(stored, (block.row_of, block.cols), block.vals)
+    assert np.array_equal(a, stored) and np.array_equal(lo, block.rhs)
+
+
 def use_highs_class(monkeypatch, cls):
     """Make the backend build its HiGHS models from `cls`, a subclass of
     the bindings' `_Highs`."""

@@ -1,9 +1,14 @@
 import cmath
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opfcuts.case_io import Branch, Bus, CaseData, CostFunction, Generator, parse_case
+from opfcuts import relaxation
+from opfcuts.case_io import (Branch, Bus, CaseData, CostFunction, Generator,
+                             parse_case, perturb_loads)
 from opfcuts.driver import RunConfig, cutplane
 from opfcuts.errors import LpBackendError, ModelError
 from opfcuts.network import branch_admittance, canonical_pair
@@ -263,3 +268,174 @@ def test_row_slack_matches_cut_violation(case14):
         values = {k: model.value(k) for k in cut.terms}
         assert res.row_slack[cut.content_hash] / cut.inf_norm \
             == pytest.approx(-cut.normalized_violation(values), abs=1e-9)
+
+
+# -- the compiled network ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def two_tile(case14):
+    """case14 tiled twice into a chain by the benchmark's tiler."""
+    spec = importlib.util.spec_from_file_location(
+        "tiler", ROOT / "perfbench" / "tiler.py")
+    tiler = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tiler)
+    return tiler.tile_case(case14, 2, 1)
+
+
+def _formula_rows(model):
+    """The base rows as the flow, balance and epigraph formulas give them,
+    one dict {key: coeff} per row: (terms, rhs, ge)."""
+    case = model.case
+    rows = []
+    for idx, bkey in model.branch_keys.items():
+        br = case.branches[idx]
+        a = branch_admittance(br)
+        pair = canonical_pair(br.from_bus, br.to_bus)
+        orient = 1.0 if br.from_bus < br.to_bus else -1.0
+        c, s = ("c",) + pair, ("s",) + pair
+        v2f, v2t = ("v2", br.from_bus), ("v2", br.to_bus)
+        for flow, terms in (
+                (("P", bkey, "f"), {v2f: -a.g_kk, c: -a.g_km,
+                                    s: -a.b_km * orient}),
+                (("P", bkey, "t"), {v2t: -a.g_mm, c: -a.g_mk,
+                                    s: a.b_mk * orient}),
+                (("Q", bkey, "f"), {v2f: a.b_kk, c: a.b_km,
+                                    s: -a.g_km * orient}),
+                (("Q", bkey, "t"), {v2t: a.b_mm, c: a.b_mk,
+                                    s: a.g_mk * orient})):
+            rows.append(({flow: 1.0, **terms}, 0.0, False))
+    for b in case.buses:
+        for flow, gen, shunt, load in (("P", "Pg", b.shunt_g, b.p_load),
+                                       ("Q", "Qg", -b.shunt_b, b.q_load)):
+            terms = {}
+            for idx, bkey in model.branch_keys.items():
+                br = case.branches[idx]
+                if br.from_bus == b.id:
+                    terms[(flow, bkey, "f")] = 1.0
+                if br.to_bus == b.id:
+                    terms[(flow, bkey, "t")] = 1.0
+            terms[("v2", b.id)] = shunt
+            for idx, gkey in model.gen_keys.items():
+                if case.generators[idx].bus == b.id:
+                    terms[(gen, gkey)] = -1.0
+            rows.append((terms, -load, False))
+    for idx, gkey in model.gen_keys.items():
+        cost = case.generators[idx].cost
+        g = case.generators[idx]
+        anchors = [0.0] if cost.coefficients[0] == 0.0 else sorted(
+            {g.p_min, g.p_max, 0.5 * (g.p_min + g.p_max)})
+        for p in anchors:
+            slope = cost.derivative(p)
+            rows.append(({("t", gkey): 1.0, ("Pg", gkey): -slope},
+                         cost.value(p) - slope * p, True))
+    return rows
+
+
+@pytest.mark.parametrize("which", ["case14", "two_tile"])
+def test_store_matches_the_formulas(which, request):
+    """Every base row of the store is its formula, entry for entry: the
+    same columns in the same order and the same coefficients, zeros left
+    out."""
+    case = request.getfixturevalue(which)
+    model = build_m0(case)
+    lp = model.backend
+    rows = _formula_rows(model)
+    assert len(lp.rhs) == len(rows) and not lp._queue
+    for i, (terms, rhs, ge) in enumerate(rows):
+        kept = {k: w for k, w in terms.items() if w != 0.0}
+        entries = lp.row_of == i
+        assert lp.cols[entries].tolist() \
+            == [model.var_index[k] for k in kept]
+        assert lp.vals[entries].tolist() == list(kept.values())
+        assert (lp.rhs[i], lp.ge[i]) == (rhs, ge)
+
+
+def _snapshot(model):
+    lp = model.backend
+    return (list(lp.columns.items()), lp.lower, lp.upper, lp.objective,
+            [a.tobytes() for a in (lp.cols, lp.vals, lp.row_of, lp.rhs,
+                                   lp.ge)],
+            dict(model.branch_keys), dict(model.gen_keys))
+
+
+def _trajectory(case):
+    return [(st.objective.hex(), st.bound.hex())
+            for st in cutplane(case, RunConfig()).rounds]
+
+
+def test_shared_network_builds_like_a_fresh_one(case14):
+    """A perturbed case built after another case of its network shares
+    that compiled network and gets the model, and the trajectory, of a
+    build with an empty map."""
+    perturbed = perturb_loads(case14, 7, 0.0, 0.05)
+    first = build_m0(case14)
+    shared = build_m0(perturbed)
+    assert shared.network is first.network
+    warm = _snapshot(shared), _trajectory(perturbed)
+    relaxation._compile.cache_clear()
+    fresh = build_m0(perturbed)
+    assert fresh.network is not first.network
+    assert (_snapshot(fresh), _trajectory(perturbed)) == warm
+
+
+def _bus(case, i, **change):
+    buses = list(case.buses)
+    buses[i] = replace(buses[i], **change)
+    return replace(case, buses=tuple(buses))
+
+
+def _branch(case, i, **change):
+    branches = list(case.branches)
+    branches[i] = replace(branches[i], **change)
+    return replace(case, branches=tuple(branches))
+
+
+def _generator(case, i, **change):
+    gens = list(case.generators)
+    gens[i] = replace(gens[i], **change)
+    return replace(case, generators=tuple(gens))
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: _branch(c, 3, x=c.branches[3].x * 1.01),
+    lambda c: _bus(c, 5, v_max=c.buses[5].v_max + 0.01),
+    lambda c: _bus(c, 8, shunt_b=c.buses[8].shunt_b + 0.01),
+    lambda c: _bus(c, 2, shunt_g=0.01),
+    lambda c: _generator(c, 1, cost=CostFunction("polynomial",
+                                                 (0.5, 20.0, 0.0))),
+    lambda c: _generator(c, 4, status=0),
+], ids=["branch_x", "bus_v_max", "bus_shunt_b", "bus_shunt_g",
+        "generator_cost", "generator_status"])
+def test_other_network_gets_its_own(case14, change):
+    other = change(case14)
+    assert other != case14
+    model = build_m0(other)
+    assert model.network is not build_m0(case14).network
+    assert model.network is build_m0(other).network
+
+
+def test_loads_and_name_share_the_network(case14):
+    other = replace(_bus(perturb_loads(case14, 3, 0.0, 0.1), 0,
+                         p_load=0.25, q_load=-0.1), name="renamed")
+    assert build_m0(other).network is build_m0(case14).network
+
+
+def test_shared_network_is_read_only_and_bounded(case14):
+    net = build_m0(case14).network
+    for a in (net.cols, net.vals, net.sizes, net.rhs, net.ge, net.balance):
+        with pytest.raises(ValueError):
+            a[:1] = a[:1]
+    with pytest.raises(TypeError):
+        net.branch_keys[0] = None
+    model = build_m0(case14)
+    model.extend_pairs([(4, 6)])
+    assert ("c", 4, 6) not in net.keys and ("c", 4, 6) in model.var_index
+    assert ("c", 4, 6) not in build_m0(case14).var_index
+    for i in range(relaxation.NETWORKS_KEPT + 2):
+        build_m0(_bus(case14, 0, v_max=1.2 + 0.01 * i))
+    assert relaxation._compile.cache_info().currsize \
+        == relaxation.NETWORKS_KEPT
+    assert build_m0(case14).network is not net  # pushed out, built anew

@@ -110,6 +110,85 @@ def test_clique_cuts_leave_out_parallel_projection_cut(second, kinds):
         == (len(kinds) == 1)
 
 
+def test_more_violated_projection_cut_replaces_its_eigen_cut():
+    """Of a near-parallel pair on one clique's keys the more violated cut
+    is kept: here the projection cut, violated by lambda^2 = 4 against the
+    eigen-cut's 2."""
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(a)
+    x = HermitianMatrix(q @ np.diag([1.0, -1e-5, -2.0]) @ q.conj().T).mat
+    [cut] = clique_cuts(x[None], [(1, 2, 3)])
+    proj = _one(projection_cut, x, (1, 2, 3))
+    eig = _one(eigen_cut, x, (1, 2, 3))
+    assert cut.kind == "projection" and cut.content_hash == proj.content_hash
+    assert proj.terms.keys() == eig.terms.keys()
+    assert abs(separation._cosine(proj, eig)) > COSINE_BOUND
+    assert proj.violation_at_birth > eig.violation_at_birth
+
+
+def test_parallel_cuts_on_other_keys_are_both_kept():
+    """A projection cut near-parallel to its eigen-cut but on more keys is
+    kept beside it."""
+    x = np.diag([-2.0, -1e-5, 1.0]).astype(complex)
+    cuts = clique_cuts(x[None], [(1, 2, 3)])
+    assert [cut.kind for cut in cuts] == ["eigen", "projection"]
+    eig, proj = cuts
+    assert set(eig.terms) < set(proj.terms)
+    assert abs(separation._cosine(proj, eig)) > COSINE_BOUND
+
+
+def _fields(cut):
+    return (list(cut.terms.items()), cut.rhs, cut.kind, cut.provenance,
+            cut.violation_at_birth, cut.inf_norm, cut.content_hash)
+
+
+def test_tangent_batch_equals_one_by_one_cuts():
+    """A round's limit and cost tangents, built in one batch, equal the
+    `LinearCut`s built one by one, field for field and hash for hash, in
+    the order limits first; zero coefficients stay in the terms."""
+    rng = np.random.default_rng(31)
+    t = VIOLATION_THRESHOLD
+    flows = [(float(p), float(q), 1.0, ((1, 2, i), "ft"[i % 2]))
+             for i, (p, q) in enumerate(rng.uniform(-2.0, 2.0, (20, 2)))]
+    flows += [(0.0, 0.0, 1.0, ((3, 4, 0), "f")),  # no projection: none
+              (0.0, 1.5, 1.0, ((3, 4, 1), "f")),   # p = 0
+              (1.5, 0.0, 1.0, ((3, 4, 2), "t")),   # q = 0
+              (1.0 + 0.99 * t, 0.0, 1.0, ((3, 4, 3), "f")),  # just below
+              (1.0 + 1.01 * t, 0.0, 1.0, ((3, 4, 4), "f"))]  # just above
+    flat = _gen((1.0, 0.0, 0.0))  # slope 0 at p = 0
+    points = [(float(p), float(tt), _gen((float(c), 3.0, 1.0)), (i, 0))
+              for i, (p, tt, c) in enumerate(zip(
+                  rng.uniform(0.0, 1.0, 20), rng.uniform(-1.0, 5.0, 20),
+                  rng.uniform(0.0, 2.0, 20)))]
+    points += [(0.0, -1.0, flat, (30, 0)),
+               (1.0, 1.0 - 2.0 * 0.99 * t, flat, (31, 0)),  # just below
+               (1.0, 1.0 - 2.0 * 1.01 * t, flat, (32, 0)),  # just above
+               (1.0, 0.0, _gen((0.0, 20.0, 0.0)), (33, 0))]  # linear: none
+    want = []
+    for p_hat, q_hat, u, (bkey, d) in flows:
+        norm = math.sqrt(p_hat * p_hat + q_hat * q_hat)
+        if norm and (norm - u) / max(abs(p_hat), abs(q_hat)) >= t:
+            want.append(LinearCut(
+                {("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat},
+                -u * norm, "limit", (bkey, d), norm - u))
+    for p_hat, t_hat, gen, gkey in points:
+        f, slope = gen.cost.value(p_hat), gen.cost.derivative(p_hat)
+        if gen.cost.coefficients[0] and (f - t_hat) / max(abs(slope),
+                                                           1.0) >= t:
+            want.append(LinearCut({("t", gkey): 1.0, ("Pg", gkey): -slope},
+                                  f - slope * p_hat, "cost_tangent",
+                                  (gkey,), f - t_hat))
+    got = cost_cut(points, limit_cut(flows))
+    assert list(map(_fields, got)) == list(map(_fields, want))
+    provenances = {cut.provenance for cut in got}
+    assert {((3, 4, 1), "f"), ((3, 4, 2), "t"), ((3, 4, 4), "f"),
+            ((30, 0),), ((32, 0),)} <= provenances
+    assert not {((3, 4, 0), "f"), ((3, 4, 3), "f"), ((31, 0),),
+                ((33, 0),)} & provenances
+    assert cost_cut([], []) == []
+
+
 def test_below_threshold_not_built():
     """No candidate whose violation per unit infinity norm is below
     VIOLATION_THRESHOLD is built, of any kind; one above it is."""
@@ -121,10 +200,10 @@ def test_below_threshold_not_built():
         # lambda v2 of bus 2 >= 0, violated by lambda^2
         assert (_one(projection_cut, x, (1, 2)) is not None) == built
         # coefficients of norm 1 + scale t, violated by scale t
-        assert (limit_cut(1.0 + scale * t, 0.0, 1.0, (0, "f")) is not None) \
+        assert (_limit(1.0 + scale * t, 0.0, 1.0, (0, "f")) is not None) \
             == built
         # t - 2 Pg >= -1 at Pg = 1, violated by 2 scale t
-        assert (cost_cut(1.0, 1.0 - 2.0 * scale * t, _gen((1.0, 0.0, 0.0)),
+        assert (_cost(1.0, 1.0 - 2.0 * scale * t, _gen((1.0, 0.0, 0.0)),
                          "g0") is not None) == built
 
 
@@ -270,22 +349,22 @@ def test_one_eigen_call_per_stack(monkeypatch, separate, n):
 
 
 def test_limit_cut_examples():
-    cut = limit_cut(1.0, 1.0, 1.0, (0, "f"))
+    cut = _limit(1.0, 1.0, 1.0, (0, "f"))
     scale = -cut.terms[("P", 0, "f")]
     assert cut.terms[("Q", 0, "f")] / scale == pytest.approx(-1.0)
     assert cut.rhs / scale == pytest.approx(-math.sqrt(2.0))
     assert cut.violation_at_birth == pytest.approx(math.sqrt(2.0) - 1.0)
-    assert limit_cut(0.5, 0.5, 1.0, (0, "f")) is None
-    axis = limit_cut(2.0, 0.0, 1.0, (3, "t"))
+    assert _limit(0.5, 0.5, 1.0, (0, "f")) is None
+    axis = _limit(2.0, 0.0, 1.0, (3, "t"))
     assert axis.terms[("P", 3, "t")] == pytest.approx(-2.0)
     assert axis.rhs == pytest.approx(-2.0)
     with pytest.raises(ValueError):
-        limit_cut(1.0, 1.0, math.inf, (0, "f"))
+        _limit(1.0, 1.0, math.inf, (0, "f"))
 
 
 def test_limit_cut_valid_on_circle():
     rng = np.random.default_rng(24)
-    cut = limit_cut(1.3, -0.9, 1.0, (0, "f"))
+    cut = _limit(1.3, -0.9, 1.0, (0, "f"))
     for _ in range(200):
         th = rng.uniform(0, 2 * math.pi)
         vals = {("P", 0, "f"): math.cos(th), ("Q", 0, "f"): math.sin(th)}
@@ -297,24 +376,36 @@ def _gen(coeffs):
                      CostFunction("polynomial", coeffs))
 
 
+def _limit(p_hat, q_hat, u, branch_dir):
+    """The limit tangent at one point, or None."""
+    cuts = cost_cut([], limit_cut([(p_hat, q_hat, u, branch_dir)]))
+    return cuts[0] if cuts else None
+
+
+def _cost(p_hat, t_hat, gen, gkey):
+    """The cost tangent at one point, or None."""
+    cuts = cost_cut([(p_hat, t_hat, gen, gkey)])
+    return cuts[0] if cuts else None
+
+
 def test_cost_cut_examples():
-    cut = cost_cut(1.0, 0.0, _gen((1.0, 0.0, 0.0)), "g0")
+    cut = _cost(1.0, 0.0, _gen((1.0, 0.0, 0.0)), "g0")
     assert cut.terms == {("t", "g0"): 1.0, ("Pg", "g0"): -2.0}
     assert cut.rhs == pytest.approx(-1.0)
     assert cut.violation_at_birth == pytest.approx(1.0)
 
-    at_zero = cost_cut(0.0, -1.0, _gen((0.25, 20.0, 0.0)), "g1")
+    at_zero = _cost(0.0, -1.0, _gen((0.25, 20.0, 0.0)), "g1")
     assert at_zero.terms[("Pg", "g1")] == pytest.approx(-20.0)
     assert at_zero.rhs == pytest.approx(0.0)
 
-    assert cost_cut(1.0, 5.0, _gen((1.0, 0.0, 0.0)), "g0") is None
-    assert cost_cut(1.0, 0.0, _gen((0.0, 20.0, 0.0)), "g0") is None
+    assert _cost(1.0, 5.0, _gen((1.0, 0.0, 0.0)), "g0") is None
+    assert _cost(1.0, 0.0, _gen((0.0, 20.0, 0.0)), "g0") is None
 
 
 def test_cost_cut_is_supporting():
     """The tangent never exceeds the true cost."""
     gen = _gen((0.5, 3.0, 1.0))
-    cut = cost_cut(0.7, 0.0, gen, "g")
+    cut = _cost(0.7, 0.0, gen, "g")
     for p in np.linspace(0.0, 2.0, 41):
         tangent = cut.rhs + (-cut.terms[("Pg", "g")]) * p
         assert tangent <= gen.cost.value(p) + 1e-12
