@@ -1,11 +1,14 @@
 """Cut pool: admission order, slack-based dropping, persistence.
 
-A pool holds what a cut file holds: cuts by content hash, which never
-change, and a simplex basis.  Ages live in a dict that each run keeps.  A
-run's pool holds its last basis as HiGHS gave it (`lp_backend.LastBasis`);
-its status letters are made when `pool.basis` is first read, by
-`save_cuts` or a warm start, so a pool that nobody saves never pays for
-them.
+A pool holds what a cut file holds: cuts, which never change, and a
+simplex basis.  It names its cuts by serial int ids: `admit` gives each
+cut it admits the pool's `next_id` and counts it up, so no id names two
+cuts of a pool's lineage.  The id keys the pool, the ages dict that each
+run keeps, the cut's LP row and that row's basis letter.  Only a cut file
+names cuts by content hash.  A run's pool holds its last basis as HiGHS
+gave it (`lp_backend.LastBasis`); its status letters are made when
+`pool.basis` is first read, by `save_cuts` or a warm start, so a pool that
+nobody saves never pays for them.
 
 The warm-start file is UTF-8 JSON; variable references are symbolic
 (bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
@@ -20,7 +23,8 @@ line and one JSON document on the next, the pool as columns:
                "cuts": "B-L..."}}
 
 `keys` lists each variable key once, sorted by `repr`.  The cuts are in
-content-hash order: cut i has kind kind[i], support (its provenance)
+content-hash order (`separation.cut_hashes`; cuts of equal content keep
+their pool order): cut i has kind kind[i], support (its provenance)
 support[i], right-hand side rhs[i] and size[i] terms, the next size[i]
 entries of `key` (indices into `keys`, so strictly ascending within a cut)
 and of `coeff`.
@@ -29,28 +33,31 @@ The basis is the simplex basis of the run's last LP solve, the
 `lp_backend.SavedBasis` the backend reads by name: one status letter of
 `lp_backend.STATUS_LETTERS` per key (`-` for a key that is no column), per
 base row in row order and per cut (`-` for a cut without a row).  It is
-left out when the pool has no basis.
+left out when the pool has no basis.  A version 3 load hashes nothing:
+cut i gets id i, and the i-th cut letter.
 
 Versions 1 and 2 wrote one JSON line per cut, `{"kind": ..., "support":
 ..., "terms": [[key, w], ...], "rhs": ...}`, and version 2 a closing
 `{"basis": {"columns": [[key, s], ...], "base_rows": "...", "cuts":
 [[content hash, s], ...]}}` record, in any place but once.  Both still
 load: their records are read into the same columns, so one path
-validates, hashes and builds the cuts of every version.
+validates and builds the cuts of every version.  A version 1 or 2 load
+then hashes its cuts in one batch and numbers them in hash order, the
+order a version 3 file keeps, and gives a cut the letter of its hash.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 
 import numpy as np
 
 from .errors import CutFileError
 from .lp_backend import STATUS_LETTERS, LastBasis, SavedBasis
-from .separation import _KEY_BYTES, _cuts_from_columns, _plain
+from .separation import _KEY_BYTES, _cuts_from_columns, _plain, cut_hashes
 
 T_AGE = 5
 EPS_SLACK = 1e-5
@@ -62,8 +69,12 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 @dataclass
 class CutPool:
-    cuts: dict = field(default_factory=dict)   # content_hash -> LinearCut
+    cuts: dict = field(default_factory=dict)   # serial id -> LinearCut
     basis: SavedBasis | None = None  # of the last LP solve; a warm start hint
+    next_id: int = field(init=False, default=0)  # the id `admit` gives next
+
+    def __post_init__(self):
+        self.next_id = max(self.cuts, default=-1) + 1
 
     def __len__(self):
         return len(self.cuts)
@@ -85,15 +96,14 @@ def _set_basis(pool: CutPool, basis):
 CutPool.basis = property(_basis, _set_basis)
 
 
-def admit(pool: CutPool, candidates):
-    """Add the candidates the pool lacks, by decreasing violation; returns
-    them in that order, the order of their LP rows.  Separation builds only
-    admissible cuts; the skip keeps a row id from entering the LP twice."""
-    admitted = []
-    for cut in sorted(candidates, key=lambda c: -c.violation_at_birth):
-        if cut.content_hash not in pool.cuts:
-            pool.cuts[cut.content_hash] = cut
-            admitted.append(cut)
+def admit(pool: CutPool, candidates) -> dict:
+    """Add the candidates by decreasing violation, each under the pool's
+    next id; returns them by id in that order, the order of their LP rows.
+    Separation builds only admissible cuts."""
+    admitted = dict(enumerate(sorted(
+        candidates, key=lambda c: -c.violation_at_birth), pool.next_id))
+    pool.next_id += len(admitted)
+    pool.cuts.update(admitted)
     return admitted
 
 
@@ -101,18 +111,18 @@ def age_and_drop(pool: CutPool, slacks: dict, ages: dict):
     """Count each cut's consecutive slack rounds in `ages` (a tight cut has
     none) and drop the cuts slack for `T_AGE` rounds.
 
-    `slacks` maps content hash to the slack a.x - b of the cut's LP row
-    (missing: tight), here normalized.  Returns the list of dropped cuts.
+    `slacks` maps cut id to the slack a.x - b of the cut's LP row
+    (missing: tight), here normalized.  Returns the dropped cuts by id.
     """
-    dropped = []
-    for h, cut in list(pool.cuts.items()):
-        if slacks.get(h, 0.0) / cut.inf_norm < EPS_SLACK:
-            ages.pop(h, None)
+    dropped = {}
+    for i, cut in list(pool.cuts.items()):
+        if slacks.get(i, 0.0) / cut.inf_norm < EPS_SLACK:
+            ages.pop(i, None)
             continue
-        ages[h] = ages.get(h, 0) + 1
-        if ages[h] >= T_AGE:
-            dropped.append(cut)
-            del pool.cuts[h], ages[h]
+        ages[i] = ages.get(i, 0) + 1
+        if ages[i] >= T_AGE:
+            dropped[i] = cut
+            del pool.cuts[i], ages[i]
     return dropped
 
 
@@ -131,11 +141,14 @@ def save_cuts(pool: CutPool, stream):
     """Write the pool as a version 3 cut file: the header line, then the
     pool as columns on one line.
 
-    Keys and provenance go through `_plain`, so a numpy integer is written
-    as the int it equals; JSON writes a tuple as a list.  A basis letter of
-    a cut the pool lacks is left out.
+    The cuts are hashed in one batch and written in hash order, by a
+    stable sort.  Keys and provenance go through `_plain`, so a numpy
+    integer is written as the int it equals; JSON writes a tuple as a list.
+    A basis letter of a cut the pool lacks is left out.
     """
-    cuts = sorted(pool.cuts.values(), key=lambda c: c.content_hash)
+    hashes = cut_hashes(list(pool.cuts.values()))
+    ids = sorted(pool.cuts, key=dict(zip(pool.cuts, hashes)).__getitem__)
+    cuts = [pool.cuts[i] for i in ids]
     basis = pool.basis
     named = dict.fromkeys(chain.from_iterable(c.terms for c in cuts))
     if basis is not None:
@@ -153,8 +166,7 @@ def save_cuts(pool: CutPool, stream):
         doc["basis"] = {
             "columns": "".join([basis.columns.get(k, "-") for k in keys]),
             "base_rows": basis.base_rows,
-            "cuts": "".join([basis.cuts.get(c.content_hash, "-")
-                             for c in cuts])}
+            "cuts": "".join([basis.cuts.get(i, "-") for i in ids])}
     stream.write(json.dumps(FILE_HEADER) + "\n" + json.dumps(doc) + "\n")
 
 
@@ -203,8 +215,8 @@ def _array(raw, dtype_kinds: str) -> np.ndarray:
 
 
 def _read_v3(text: str):
-    """The version 3 body: (columns, basis record or None); one of the
-    errors of `_MALFORMED` when it is not one."""
+    """The version 3 body: (columns, basis or None); one of the errors of
+    `_MALFORMED` when it is not one."""
     doc = json.loads(text)
     cuts = doc["cuts"]
     kind, support = cuts["kind"], cuts["support"]
@@ -225,7 +237,17 @@ def _read_v3(text: str):
             or not len(cols.key) == len(cols.coeff) == cols.size.sum() \
             or (cols.size < 0).any():
         raise ValueError("columns of unequal lengths")
-    return cols, doc.get("basis")
+    basis = doc.get("basis")
+    if basis is not None:  # letter strings by key and by cut
+        columns = _letters(basis["columns"], _OR_NONE)
+        letters = _letters(basis["cuts"], _OR_NONE)
+        if len(columns) != len(cols.keys) or len(letters) != n:
+            raise ValueError("basis letters of the wrong length")
+        basis = SavedBasis(
+            columns={k: s for k, s in zip(cols.keys, columns) if s != "-"},
+            base_rows=_letters(basis["base_rows"], _LETTERS),
+            cuts={i: s for i, s in enumerate(letters) if s != "-"})
+    return cols, basis
 
 
 def _read_lines(stream, version: int):
@@ -299,8 +321,8 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     Cuts naming a variable `model` neither has nor can add (see
     `RelaxationModel.has_variables`, asked once per distinct key) are
     skipped.  Without a model every well-formed cut is kept; `cutplane`
-    skips what it lacks.  The pool carries the file's basis, if it has one,
-    as saved.
+    skips what it lacks.  Cut i of the file, in hash order, has id i.  The
+    pool carries the file's basis, if it has one, as saved.
     """
     try:
         return _load(stream, model)
@@ -349,20 +371,14 @@ def _load(stream, model):
             lacks[i] = not model.has_variables((keys[i],))
         starts = np.cumsum(cols.size) - cols.size
         skip = np.logical_or.reduceat(lacks[cols.key], starts).tolist()
-    pool = CutPool(cuts={c.content_hash: c
-                         for c, s in zip(cuts, skip) if not s})
-    if basis is not None and header["v"] == 3:
-        try:  # letter strings by key and by cut
-            columns = _letters(basis["columns"], _OR_NONE)
-            letters = _letters(basis["cuts"], _OR_NONE)
-            if len(columns) != len(keys) or len(letters) != len(cuts):
-                raise ValueError("basis letters of the wrong length")
-            basis = SavedBasis(
-                columns={k: s for k, s in zip(keys, columns) if s != "-"},
-                base_rows=_letters(basis["base_rows"], _LETTERS),
-                cuts={c.content_hash: s for c, s in zip(cuts, letters)
-                      if s != "-"})
-        except _MALFORMED:
-            raise malformed(1)
+    if header["v"] != 3:  # number the cuts in hash order, as version 3 does
+        hashes = cut_hashes(cuts)
+        order = sorted(range(len(cuts)), key=hashes.__getitem__)
+        cuts, skip = [cuts[j] for j in order], [skip[j] for j in order]
+        if basis is not None:
+            basis = replace(basis, cuts={
+                i: basis.cuts[h] for i, h in enumerate(sorted(hashes))
+                if h in basis.cuts})
+    pool = CutPool(dict(compress(enumerate(cuts), [not s for s in skip])))
     pool.basis = basis
     return pool, sum(skip)

@@ -17,8 +17,12 @@ last optimal solve.
 
 Cuts never change once built: a run counts its cuts' slack rounds in an age
 dict of its own, so a warm start shares the caller's cuts and leaves them,
-and the caller's pool, as they were.  The returned pool holds the last
-solve's basis as HiGHS gave it, turned into letters only when read.
+and the caller's pool, as they were.  A run names a cut, and its LP row,
+by the serial id that `admit` gives it.  A warm start injects the given
+pool in its own order under its own ids and numbers new cuts above them:
+a loaded pool is in content-hash order, a run's pool in admission order.
+The returned pool holds the last solve's basis as HiGHS gave it, turned
+into letters only when read.
 
 Separation and the final eigenvalue ratio read the PSD matrices as stacks
 from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
@@ -117,26 +121,27 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     cliques = model.network.cliques(enumerate_three_cycles)
 
     pool = CutPool()
-    ages: dict = {}  # content hash -> consecutive slack rounds
+    ages: dict = {}  # cut id -> consecutive slack rounds
     report = RunReport(case_name=case.name, warm_started=warm is not None,
                        clique_counts=cliques.sizes())
     if warm is not None:
         # each distinct key is checked once: a cut naming an unknown one is
         # skipped, and a cut naming a (c, s) pair the model lacks adds its
-        # pairs, cut by cut in hash order
+        # pairs, cut by cut in the pool's order
+        pool.next_id = max(warm.next_id, max(warm.cuts, default=-1) + 1)
         named = set().union(*[cut.terms for cut in warm.cuts.values()])
         unknown = {key for key in named if not model.has_variables((key,))}
         new = named.difference(unknown, model.var_index)
         skipped = 0
-        for h, cut in sorted(warm.cuts.items()):
+        for i, cut in warm.cuts.items():
             if not unknown.isdisjoint(cut.terms):
                 skipped += 1
                 continue
             if not new.isdisjoint(cut.terms):
                 model.extend_pairs({key[1:] for key in cut.terms
                                     if key[0] in ("c", "s")})
-            pool.cuts[h] = cut
-            model.add_cut_row(h, cut.terms, cut.rhs)
+            pool.cuts[i] = cut
+            model.add_cut_row(i, cut.terms, cut.rhs)
         if skipped:
             log.info("warm start: skipped %d cuts with unknown variables",
                      skipped)
@@ -191,14 +196,14 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         candidates = _separate(model, cliques)
         admitted = admit(pool, candidates)
-        for cut in admitted:
-            model.add_cut_row(cut.content_hash, cut.terms, cut.rhs)
+        for i, cut in admitted.items():
+            model.add_cut_row(i, cut.terms, cut.rhs)
 
         # cuts admitted this round are not in the solved LP and have no
         # slack there; age_and_drop counts a missing slack as tight
         dropped = age_and_drop(pool, res.row_slack, ages)
-        for cut in dropped:
-            model.remove_cut_row(cut.content_hash)
+        for i in dropped:
+            model.remove_cut_row(i)
 
         stats.cuts_added = len(admitted)
         stats.cuts_dropped = len(dropped)

@@ -7,11 +7,12 @@ store in HiGHS row order.  Entry k is `vals[k]` in row `row_of[k]`, column
 The relaxation model writes into it and never keeps a copy.
 
 Columns enter in blocks, `add_columns(keys, lower, upper, objective)`, or
-one at a time, `add_column`.  Base rows enter as one block, `add_rows(cols,
-vals, sizes, rhs, ge)`, appended to the store with one concatenate; they
-have no id and stay for the model's life.  A cut row enters through
-`add_row(row_id, cols, coeffs, rhs, ge)`: it can be removed by
-`remove_rows`, and its slack a.x - rhs is reported in
+one at a time, `add_column`; `objective`, `lower` and `upper` are float
+arrays, grown by one concatenate per block.  Base rows enter as one block,
+`add_rows(cols, vals, sizes, rhs, ge)`, appended to the store with one
+concatenate; they have no id and stay for the model's life.  A cut row
+enters through `add_row(row_id, cols, coeffs, rhs, ge)`: it can be removed
+by `remove_rows`, and its slack a.x - rhs is reported in
 `LpSolveResult.row_slack`; `rows` maps each id to its row.
 
 HiGHS sees one persistent model, created at the first `solve()`.  Row
@@ -159,9 +160,9 @@ class ScipyHighsBackend:
     def __init__(self):
         self.time_limit: float | None = None  # seconds for the next solve
         self.columns: dict = {}  # column key -> its index
-        self.objective: list[float] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
+        self.objective = np.zeros(0)
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
         self.cols = np.zeros(0, np.int32)
         self.vals = np.zeros(0)
         self.row_of = np.zeros(0, np.intp)
@@ -193,9 +194,9 @@ class ScipyHighsBackend:
             raise LpBackendError("duplicate column key %r" % (key,))
         self._last = None
         self.columns.update(index)
-        self.objective.extend(objective)
-        self.lower.extend(lower)
-        self.upper.extend(upper)
+        self.objective = np.concatenate((self.objective, objective))
+        self.lower = np.concatenate((self.lower, lower))
+        self.upper = np.concatenate((self.upper, upper))
 
     def add_rows(self, cols: np.ndarray, vals: np.ndarray,
                  sizes: np.ndarray, rhs: np.ndarray, ge: np.ndarray):
@@ -254,10 +255,10 @@ class ScipyHighsBackend:
             rows[row] = letter
         for row_id, row in self.rows.items():
             rows[row] = saved.cuts.get(row_id, "B")
-        col_status = [saved.columns.get(key) or ("L" if lo > -np.inf else
-                                                 "U" if up < np.inf else "Z")
-                      for key, lo, up in zip(self.columns, self.lower,
-                                             self.upper)]
+        at_bound = np.where(self.lower > -np.inf, "L",
+                            np.where(self.upper < np.inf, "U", "Z")).tolist()
+        col_status = [saved.columns.get(key) or letter
+                      for key, letter in zip(self.columns, at_bound)]
         basic = col_status.count("B") + rows.count("B")
         if basic != n_row:
             return "it has %d basic variables for %d rows" % (basic, n_row)
@@ -288,7 +289,7 @@ class ScipyHighsBackend:
 
     def solve(self) -> LpSolveResult:
         """Re-solve the LP; certificate, residual and slacks read the store."""
-        if not self.objective:
+        if not len(self.objective):
             raise LpBackendError("model has no variables")
         if self._last is not None:
             return replace(self._last, iterations=0)
@@ -302,14 +303,11 @@ class ScipyHighsBackend:
         status = linprog(highs)
         iterations = highs.getInfoValue("simplex_iteration_count")[1]
         sol = highs.getSolution()
-        objective = np.asarray(self.objective, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        ge, b = self.ge, self.rhs
+        lower, upper, ge, b = self.lower, self.upper, self.ge, self.rhs
         if status == "optimal":
             dual_bound, dual_inf = _safe_dual_bound(
-                objective, lower, upper, self.cols, self.vals, self.row_of,
-                b, ge, np.asarray(sol.row_dual))
+                self.objective, lower, upper, self.cols, self.vals,
+                self.row_of, b, ge, np.asarray(sol.row_dual))
         else:
             dual_bound, dual_inf = -np.inf, None
         primal, residual, row_slack = None, 0.0, {}
@@ -390,10 +388,8 @@ class ScipyHighsBackend:
         if len(self.objective) > n_col:
             none_i, none_f = np.zeros(0, np.int32), np.zeros(0)
             _check(highs.addCols(
-                len(self.objective) - n_col,
-                np.array(self.objective[n_col:], dtype=float),
-                np.array(self.lower[n_col:], dtype=float),
-                np.array(self.upper[n_col:], dtype=float),
+                len(self.objective) - n_col, self.objective[n_col:],
+                self.lower[n_col:], self.upper[n_col:],
                 0, none_i, none_i, none_f), "addCols")
         if len(gone):
             _check(highs.deleteRows(len(gone), gone), "deleteRows")

@@ -32,10 +32,11 @@ the base rows as one block with the balance rows' right-hand side set to
 -P_load and -Q_load of its case; the backend is the only holder of the LP
 and of its names, and `var_index` is the backend's own key map.  A cut row
 is a dict {key: coeff} that one method, `_add_row`, maps to columns,
-leaving zero coefficients out, and queues under the cut's id, by which
-`remove_cut_row` deletes it; the backend rejects a duplicate or unknown id.
-The (c, s) columns are the one record of which bus pairs exist;
-`extend_pairs` adds to them.
+leaving zero coefficients out, and queues under the cut's serial id (see
+`cut_manager`), by which `remove_cut_row` deletes it; the backend rejects
+a duplicate or unknown id.  The (c, s) columns are the one record of which
+bus pairs exist; `extend_pairs` adds to them, one block of columns per
+call.
 `clique_matrix` gathers the matrices of the pairs, or of the cliques of one
 size, as one stack, by index arrays cached per list of bus tuples.
 """
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, starmap
 from types import MappingProxyType
 
 import numpy as np
@@ -264,11 +265,6 @@ class RelaxationModel:
 
     # -- construction -----------------------------------------------------
 
-    def _add_pair_vars(self, pair):
-        bound = self.network.v_max[pair[0]] * self.network.v_max[pair[1]]
-        self.backend.add_column(("c",) + pair, -bound, bound)
-        self.backend.add_column(("s",) + pair, -bound, bound)
-
     def _add_row(self, row_id, terms: dict, rhs: float):
         """Queue the cut row sum(coeff * column of key) >= rhs.
 
@@ -285,14 +281,18 @@ class RelaxationModel:
     # -- dynamic edits ----------------------------------------------------
 
     def extend_pairs(self, new_pairs):
-        """Append (c, s) columns, in sorted order, for pairs not yet present.
+        """Append (c, s) columns, in sorted order, for pairs not yet present,
+        as one block.
 
         Existing column indices and every row of the LP are kept as they are.
         """
-        for pair in sorted(new_pairs):
-            pair = canonical_pair(*pair)
-            if ("c",) + pair not in self.var_index:
-                self._add_pair_vars(pair)
+        pairs = dict.fromkeys(starmap(canonical_pair, sorted(new_pairs)))
+        pairs = [p for p in pairs if ("c",) + p not in self.var_index]
+        if pairs:
+            v_max = self.network.v_max
+            u = np.repeat([v_max[a] * v_max[b] for a, b in pairs], 2)
+            keys = [(kind,) + p for p in pairs for kind in "cs"]
+            self.backend.add_columns(keys, -u, u, np.zeros(len(keys)))
 
     def cs_pairs(self):
         """Every pair with (c, s) columns, sorted."""

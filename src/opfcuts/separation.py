@@ -14,10 +14,11 @@ is the eigen cut of a 2 x 2 pair matrix.  Coefficients are Python floats
 from birth, so a cut hashes like its copy read back from a cut file.  No
 cut violated by less than `VIOLATION_THRESHOLD` per unit norm is built.
 
-A cut's content hash is set at birth by `_content_hashes`, which hashes
-many cuts in one pass: a stack's cuts in `_matrix_cuts`, a round's limit
-and cost tangents in `cost_cut`, a cut file's in `cut_manager.load_cuts`,
-and a single `LinearCut(...)` as a batch of one.
+A cut has no name of its own: a run names it by the serial id that
+`cut_manager.admit` gives it.  Its content hash, which `cut_hashes`
+computes for many cuts in one `_content_hashes` pass, names it only in a
+cut file: `cut_manager.save_cuts` orders a file by it, and a version 1 or
+2 load orders its cuts by it.
 """
 
 from __future__ import annotations
@@ -109,14 +110,22 @@ def _content_hashes(kinds, key_bytes, coeffs: np.ndarray, rhs: np.ndarray,
                                              packed[n:])]
 
 
+def cut_hashes(cuts) -> list:
+    """The content hashes of `cuts`, in one `_content_hashes` pass."""
+    return _content_hashes(
+        [c.kind for c in cuts], [_KEY_BYTES[k] for c in cuts for k in c.terms],
+        np.array([w for c in cuts for w in c.terms.values()], float),
+        np.array([c.rhs for c in cuts], float), [len(c.terms) for c in cuts],
+        np.array([c.inf_norm for c in cuts], float))
+
+
 @dataclass
 class LinearCut:
     """Sparse >= inequality over symbolic model variables.
 
     Canonical from birth: `terms` is kept in `repr` order of its keys, the
     one term order the content hash, the LP row and the cut file all read;
-    `inf_norm` and `content_hash` (of kind, terms and rhs scaled to unit
-    infinity norm) are set once.
+    `inf_norm` is set once.
     """
 
     terms: dict              # variable key -> coefficient
@@ -125,17 +134,11 @@ class LinearCut:
     provenance: tuple        # clique / pair / branch / generator identifier
     violation_at_birth: float = 0.0
     inf_norm: float = field(init=False)
-    content_hash: int = field(init=False)
 
     def __post_init__(self):
         self.terms = {k: self.terms[k]
                       for k in sorted(self.terms, key=_KEY_BYTES.__getitem__)}
         self.inf_norm = max(map(abs, self.terms.values()))
-        [self.content_hash] = _content_hashes(
-            [self.kind], list(map(_KEY_BYTES.__getitem__, self.terms)),
-            np.array(list(self.terms.values()), float),
-            np.array([self.rhs], float), [len(self.terms)],
-            np.array([self.inf_norm], float))
 
     def value_at(self, values: dict) -> float:
         return sum(w * values[k] for k, w in self.terms.items())
@@ -148,7 +151,7 @@ class LinearCut:
 def _cuts_from_columns(kinds, provenances, keys, coeffs: np.ndarray,
                        rhs: np.ndarray, sizes: list, norms: np.ndarray,
                        violations) -> list:
-    """`LinearCut`s from columns, hashed in one pass.
+    """`LinearCut`s from columns.
 
     Cut i has kind kinds[i], provenance provenances[i], right-hand side
     rhs[i], violation_at_birth violations[i] and sizes[i] (>= 1) terms: the
@@ -156,19 +159,16 @@ def _cuts_from_columns(kinds, provenances, keys, coeffs: np.ndarray,
     finite, the largest in magnitude norms[i] > 0.  Nothing is checked or
     sorted again.
     """
-    hashes = _content_hashes(kinds, list(map(_KEY_BYTES.__getitem__, keys)),
-                             coeffs, rhs, sizes, norms)
     values = coeffs.tolist()
     bounds = [0, *accumulate(sizes)]
     cuts = []
-    for kind, prov, b, v, norm, h, start, stop in zip(
+    for kind, prov, b, v, norm, start, stop in zip(
             kinds, provenances, rhs.tolist(), violations, norms.tolist(),
-            hashes, bounds, bounds[1:]):
+            bounds, bounds[1:]):
         cut = object.__new__(LinearCut)
         cut.__dict__.update(
             terms=dict(zip(keys[start:stop], values[start:stop])), rhs=b,
-            kind=kind, provenance=prov, violation_at_birth=v, inf_norm=norm,
-            content_hash=h)
+            kind=kind, provenance=prov, violation_at_birth=v, inf_norm=norm)
         cuts.append(cut)
     return cuts
 
@@ -310,7 +310,7 @@ def jabr_cut(x: np.ndarray, pairs) -> list:
 
 def _linear_cuts(rows) -> list:
     """`LinearCut(*row)` of each row (terms, rhs, kind, provenance,
-    violation_at_birth), field for field, hashed in one batch."""
+    violation_at_birth), field for field, built in one batch."""
     if not rows:
         return []
     terms, rhs, kinds, provenances, violations = zip(*rows)
@@ -346,7 +346,7 @@ def limit_cut(flows) -> list:
 
 def cost_cut(points, limits=()) -> list:
     """Epigraph tangents, after the limit tangents `limits`, as cuts built
-    and hashed in one batch.
+    in one batch.
 
     Per (p_hat, t_hat, gen, gkey) of `points` whose cost is quadratic (the
     base model holds exact supports of the others), the tangent at p_hat,

@@ -4,7 +4,7 @@ import logging
 import pytest
 
 from opfcuts.cli import EXIT_BACKEND, EXIT_DATA, EXIT_FAIL, EXIT_OK, main
-from opfcuts.cut_manager import load_cuts, save_cuts
+from opfcuts.cut_manager import admit, load_cuts, save_cuts
 from opfcuts.separation import LinearCut
 from test_cut_manager import V2_FIXTURE
 from test_lp_backend import report_model_status
@@ -145,7 +145,7 @@ def test_warm_start_logs_skipped_cuts(case14_path, tmp_path, caplog):
         pool, _ = load_cuts(fh)
     stray = LinearCut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
                       (1, 999))
-    pool.cuts[stray.content_hash] = stray
+    admit(pool, [stray])
     with open(path, "w", encoding="utf-8") as fh:
         save_cuts(pool, fh)
     with caplog.at_level(logging.INFO, logger="opfcuts"):
@@ -207,10 +207,10 @@ def test_small_version_3_file_loads(case14_path, tmp_path):
     path.write_text(_v3(), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         pool, _ = load_cuts(fh)
-    [cut] = pool.cuts.values()
+    [(i, cut)] = pool.cuts.items()
     assert cut.terms == {("v2", 1): 1.0, ("v2", 2): 1.0}
     assert pool.basis.columns == {("v2", 1): "B", ("v2", 2): "L"}
-    assert pool.basis.cuts == {cut.content_hash: "L"}
+    assert pool.basis.cuts == {i: "L"} == {0: "L"}
     assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_OK
 
 

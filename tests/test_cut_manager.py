@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 
 import opfcuts
-from opfcuts import cut_manager
+from opfcuts import cut_manager, separation
 from opfcuts.cut_manager import (CutPool, SavedBasis, admit, age_and_drop,
                                  load_cuts, save_cuts)
 from opfcuts.errors import CutFileError
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import PSD_TOL, LinearCut, eigen_cut
+from opfcuts.separation import PSD_TOL, LinearCut, cut_hashes, eigen_cut
 
 
 def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
@@ -22,13 +23,35 @@ def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
                      violation_at_birth=viol)
 
 
-def test_admit_duplicate_hash_rejected():
+def _content(cut):
+    """What a cut file keeps of a cut."""
+    return cut.kind, cut.provenance, cut.rhs, list(cut.terms.items())
+
+
+def test_admit_keeps_cuts_of_equal_content():
+    """Admission numbers cuts and skips none: two cuts that are one cut
+    after normalization both enter, under ids of their own."""
     pool = CutPool()
     a = _cut({("v2", 1): 1.0})
-    b = _cut({("v2", 1): 2.0})  # same cut after normalization
-    assert len(admit(pool, [a])) == 1
-    assert admit(pool, [b]) == []
-    assert len(pool) == 1
+    b = _cut({("v2", 1): 2.0})
+    assert cut_hashes([a]) == cut_hashes([b])
+    assert admit(pool, [a]) == {0: a}
+    assert admit(pool, [b]) == {1: b}
+    assert pool.cuts == {0: a, 1: b}
+
+
+def test_ids_never_repeat_after_a_drop(monkeypatch):
+    """A dropped cut's id is never given again, not even when it was the
+    last one given; ids follow decreasing violation."""
+    monkeypatch.setattr(cut_manager, "T_AGE", 1)
+    pool = CutPool()
+    low, high = _cut({("v2", 1): 1.0}, viol=1.0), _cut({("v2", 2): 1.0},
+                                                         viol=2.0)
+    assert admit(pool, [low, high]) == {0: high, 1: low}
+    assert age_and_drop(pool, {1: 1.0}, {}) == {1: low}
+    again = _cut({("v2", 3): 1.0})
+    assert admit(pool, [again]) == {2: again}
+    assert CutPool({5: low}).next_id == 6
 
 
 def test_admit_nonparallel_same_support_coexist():
@@ -43,7 +66,7 @@ def test_admit_stale_pool_copy_does_not_block():
     pool = CutPool()
     admit(pool, [_cut({("v2", 1): 1.0, ("v2", 2): 1.0}, viol=2.0)])
     refined = _cut({("v2", 1): 1.0, ("v2", 2): 1.00001}, viol=0.5)
-    assert admit(pool, [refined]) == [refined]
+    assert list(admit(pool, [refined]).values()) == [refined]
 
 
 def test_age_and_drop(monkeypatch):
@@ -51,14 +74,14 @@ def test_age_and_drop(monkeypatch):
     pool = CutPool()
     tight = _cut({("v2", 1): 1.0})
     slack = _cut({("v2", 2): 1.0})
-    admit(pool, [tight, slack])
+    t, s = admit(pool, [tight, slack])
     ages = {}
-    slacks = {tight.content_hash: 0.0, slack.content_hash: 1.0}
+    slacks = {t: 0.0, s: 1.0}
     for age in range(1, 5):
-        assert age_and_drop(pool, slacks, ages) == []
-        assert ages == {slack.content_hash: age}
-    assert age_and_drop(pool, slacks, ages) == [slack]
-    assert list(pool.cuts) == [tight.content_hash]
+        assert age_and_drop(pool, slacks, ages) == {}
+        assert ages == {s: age}
+    assert age_and_drop(pool, slacks, ages) == {s: slack}
+    assert list(pool.cuts) == [t]
     assert ages == {}
 
 
@@ -66,13 +89,13 @@ def test_age_resets_on_tightness(monkeypatch):
     monkeypatch.setattr(cut_manager, "T_AGE", 2)
     pool = CutPool()
     cut = _cut({("v2", 1): 1.0})
-    admit(pool, [cut])
+    [h] = admit(pool, [cut])
     ages = {}
     for i in range(20):
         slack = 1.0 if i % 2 else 0.0
-        age_and_drop(pool, {cut.content_hash: slack}, ages)
-        assert ages == ({cut.content_hash: 1} if i % 2 else {})
-    assert cut.content_hash in pool.cuts
+        age_and_drop(pool, {h: slack}, ages)
+        assert ages == ({h: 1} if i % 2 else {})
+    assert pool.cuts[h] is cut
 
 
 class _FakeModel:
@@ -94,7 +117,8 @@ def test_save_load_round_trip():
     again, skipped = load_cuts(
         buf, _FakeModel([("v2", 1), ("c", 1, 2), ("s", 1, 2)]))
     assert skipped == 0
-    assert set(again.cuts) == set(pool.cuts)
+    assert sorted(map(_content, again.cuts.values())) \
+        == sorted(map(_content, cuts))
 
 
 def test_term_order_is_canonical():
@@ -111,7 +135,7 @@ def test_term_order_is_canonical():
         save_cuts(pool, buf)
         texts.append(buf.getvalue())
     assert list(cuts[0].terms) == list(cuts[1].terms)
-    assert cuts[0].content_hash == cuts[1].content_hash
+    assert cut_hashes(cuts[:1]) == cut_hashes(cuts[1:])
     assert texts[0] == texts[1]
 
 
@@ -127,11 +151,11 @@ def test_born_cut_hashes_like_its_reloaded_copy(case14):
     assert any(round(np.float64(w / cut.inf_norm), 12)
                != round(w / cut.inf_norm, 12) for w in cut.terms.values())
     buf = io.StringIO()
-    save_cuts(CutPool({cut.content_hash: cut}), buf)
+    save_cuts(CutPool({0: cut}), buf)
     buf.seek(0)
     loaded, skipped = load_cuts(buf, build_m0(case14))
     assert skipped == 0
-    assert list(loaded.cuts) == [cut.content_hash]
+    assert cut_hashes(list(loaded.cuts.values())) == cut_hashes([cut])
 
 
 def test_numpy_integer_keys_save_like_ints():
@@ -141,11 +165,11 @@ def test_numpy_integer_keys_save_like_ints():
     for bus in (np.int64(4), 4):
         cut = LinearCut({("v2", bus): 1.0}, 0.0, "eigen", (bus,))
         buf = io.StringIO()
-        save_cuts(CutPool({cut.content_hash: cut}), buf)
+        save_cuts(CutPool({0: cut}), buf)
         texts.append(buf.getvalue())
         buf.seek(0)
         loaded, _ = load_cuts(buf)
-        hashes.update([cut.content_hash, *loaded.cuts])
+        hashes.update(cut_hashes([cut, *loaded.cuts.values()]))
     assert texts[0] == texts[1]
     assert len(hashes) == 1
 
@@ -210,14 +234,16 @@ def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
                for cut in cold_report.pool.cuts.values()
                for key in cut.terms if key[0] in ("c", "s"))
     stray = _cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, prov=(1, 999))
-    pool = CutPool({**cold_report.pool.cuts, stray.content_hash: stray})
+    pool = CutPool(dict(cold_report.pool.cuts))
+    admit(pool, [stray])
     asked = []
     has_variables = model.has_variables
     model.has_variables = lambda keys: asked.extend(keys) or \
         has_variables(keys)
     again, skipped = load_cuts(io.StringIO(_saved(pool)), model)
     assert skipped == 1
-    assert set(again.cuts) == set(cold_report.pool.cuts)
+    assert sorted(cut_hashes(list(again.cuts.values()))) \
+        == sorted(cut_hashes(list(cold_report.pool.cuts.values())))
     named = {key for cut in pool.cuts.values() for key in cut.terms}
     assert sorted(asked, key=repr) == sorted(named, key=repr)
 
@@ -229,18 +255,25 @@ def _saved(pool) -> str:
 
 
 def _records(pool) -> str:
-    """The pool's cuts as the line records of versions 1 and 2."""
+    """The pool's cuts as the line records of versions 1 and 2, in pool
+    order."""
     return "".join(json.dumps({
         "kind": cut.kind, "support": cut.provenance,
         "terms": [[k, w] for k, w in cut.terms.items()], "rhs": cut.rhs})
-        + "\n" for cut in sorted(pool.cuts.values(),
-                                 key=lambda c: c.content_hash))
+        + "\n" for cut in pool.cuts.values())
+
+
+def _in_hash_order(pool) -> list:
+    """The pool's ids in the order its file keeps its cuts."""
+    hashes = dict(zip(pool.cuts, cut_hashes(list(pool.cuts.values()))))
+    return sorted(pool.cuts, key=hashes.__getitem__)
 
 
 def test_saved_text_round_trips_with_its_basis(cold_report):
     """save -> load -> save gives the same text: a version 3 header and one
     document, its keys and basis in key and hash order whatever the order
-    of the basis dicts."""
+    of the basis dicts.  The loaded pool numbers its cuts in file order,
+    and each keeps its basis letter."""
     text = _saved(cold_report.pool)
     lines = text.splitlines()
     assert json.loads(lines[0]) == {"fmt": "cutpool", "v": 3}
@@ -248,9 +281,13 @@ def test_saved_text_round_trips_with_its_basis(cold_report):
     assert list(json.loads(lines[1])) == ["keys", "cuts", "basis"]
     loaded, skipped = load_cuts(io.StringIO(text))
     assert skipped == 0
-    assert loaded.basis == cold_report.pool.basis
-    assert _saved(loaded) == text
     basis = cold_report.pool.basis
+    order = _in_hash_order(cold_report.pool)
+    assert list(map(_content, loaded.cuts.values())) \
+        == [_content(cold_report.pool.cuts[h]) for h in order]
+    assert loaded.basis == dataclasses.replace(basis, cuts={
+        i: basis.cuts[h] for i, h in enumerate(order) if h in basis.cuts})
+    assert _saved(loaded) == text
     shuffled = SavedBasis(
         columns=dict(reversed(basis.columns.items())),
         base_rows=basis.base_rows, cuts=dict(reversed(basis.cuts.items())))
@@ -261,7 +298,9 @@ def test_v1_file_loads_without_basis(cold_report):
     v1 = '{"fmt": "cutpool", "v": 1}\n' + _records(cold_report.pool)
     loaded, _ = load_cuts(io.StringIO(v1))
     assert loaded.basis is None
-    assert set(loaded.cuts) == set(cold_report.pool.cuts)
+    assert list(map(_content, loaded.cuts.values())) == [
+        _content(cold_report.pool.cuts[h])
+        for h in _in_hash_order(cold_report.pool)]
     # a v1 file has no basis record; one there is a malformed cut record
     record = json.dumps({"basis": _BASIS}) + "\n"
     with pytest.raises(CutFileError,
@@ -349,8 +388,9 @@ def test_malformed_basis_record_raises(change):
 def test_second_basis_record_raises():
     record = json.dumps({"basis": _BASIS}) + "\n"
     text = '{"fmt": "cutpool", "v": 2}\n' + record + record
+    # no cut hashes to 7, so its letter names no cut
     assert load_cuts(io.StringIO(text[:-len(record)]))[0].basis == \
-        SavedBasis({("v2", 1): "B"}, "LB", {7: "U"})
+        SavedBasis({("v2", 1): "B"}, "LB", {})
     with pytest.raises(CutFileError, match="record 2"):
         load_cuts(io.StringIO(text))
 
@@ -380,3 +420,59 @@ def test_cosine_independent_of_hash_seed():
                                   capture_output=True, text=True,
                                   check=True).stdout)
     assert out[0] == out[1]
+
+
+def _raising(*args):
+    raise AssertionError("a content hash was computed")
+
+
+def test_cold_run_and_version_3_load_hash_nothing(case14, cold_report,
+                                                   monkeypatch):
+    text = _saved(cold_report.pool)
+    monkeypatch.setattr(separation, "_content_hashes", _raising)
+    report = opfcuts.cutplane(case14, opfcuts.RunConfig())
+    loaded, skipped = load_cuts(io.StringIO(text), build_m0(case14))
+    assert skipped == 0 and len(loaded) == len(report.pool)
+    assert list(loaded.cuts) == list(range(len(loaded)))
+
+
+def test_save_and_line_loads_hash_in_one_batch(cold_report, monkeypatch):
+    calls = []
+    batch = separation._content_hashes
+
+    def counting(kinds, *args):
+        calls.append(len(kinds))
+        return batch(kinds, *args)
+
+    monkeypatch.setattr(separation, "_content_hashes", counting)
+    _saved(cold_report.pool)
+    assert calls == [len(cold_report.pool)]
+    load_cuts(io.StringIO('{"fmt": "cutpool", "v": 1}\n'
+                          + _records(cold_report.pool)))
+    with open(V2_FIXTURE, encoding="utf-8") as fh:
+        load_cuts(fh)
+    assert calls == [len(cold_report.pool)] * 2 + [91]
+
+
+def test_cuts_of_equal_content_round_trip(case14, cold_report):
+    """A pool may hold two cuts of one content, each under its own id.
+    Its file keeps both, the earlier id first, and saves again as the same
+    text; loaded, both rows enter the LP and the first solve is
+    certified."""
+    pool = CutPool(dict(cold_report.pool.cuts))
+    first = next(iter(pool.cuts.values()))
+    twin = LinearCut({k: 2.0 * w for k, w in first.terms.items()},
+                     2.0 * first.rhs, first.kind, first.provenance)
+    [h] = admit(pool, [twin])
+    assert cut_hashes([twin]) == cut_hashes([first])
+    text = _saved(pool)
+    loaded, skipped = load_cuts(io.StringIO(text))
+    assert skipped == 0 and len(loaded) == len(pool)
+    order = _in_hash_order(pool)
+    assert order.index(h) == order.index(next(iter(pool.cuts))) + 1
+    assert list(map(_content, loaded.cuts.values())) \
+        == [_content(pool.cuts[i]) for i in order]
+    assert _saved(loaded) == text
+    report = opfcuts.cutplane(case14, opfcuts.RunConfig(max_rounds=1),
+                              warm=loaded)
+    assert np.isfinite(report.rounds[0].bound)

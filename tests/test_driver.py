@@ -261,6 +261,31 @@ def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
     assert all(warm.pool.cuts[h] is given.cuts[h] for h in kept)
 
 
+def test_warm_ids_stay_above_the_given_pools(case14):
+    """A warm run keeps the given ids and objects and numbers its new cuts
+    above every id the given pool gave, its dropped top one included."""
+    given = CutPool(dict(cutplane(case14, RunConfig()).pool.cuts))
+    top = max(given.cuts)
+    del given.cuts[top]
+    pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
+    warm = cutplane(pert, RunConfig(max_rounds=4), warm=given)
+    new = warm.pool.cuts.keys() - given.cuts.keys()
+    assert new and min(new) > top
+    kept = warm.pool.cuts.keys() & given.cuts.keys()
+    assert kept and all(warm.pool.cuts[h] is given.cuts[h] for h in kept)
+    given_ids = {id(cut) for cut in given.cuts.values()}
+    assert not any(id(warm.pool.cuts[h]) in given_ids for h in new)
+
+
+def test_warm_start_from_a_runs_last_basis(case14):
+    """The unperturbed pool of a run, basis as HiGHS gave it, in admission
+    order, starts round 0 at its optimum."""
+    pool = cutplane(case14, RunConfig()).pool
+    assert isinstance(pool._basis, lp_backend.LastBasis)
+    warm = cutplane(case14, RunConfig(max_rounds=1), warm=pool)
+    assert warm.rounds[0].lp_iterations == 0
+
+
 def test_candidates_reach_admission_admissible(case14, monkeypatch):
     """Separation builds only candidates violated beyond the threshold."""
     seen = []
@@ -295,7 +320,8 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     in the column order a per-cut extension gives."""
     stray = LinearCut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
                       (1, 999))
-    warm = CutPool({**cold_report.pool.cuts, stray.content_hash: stray})
+    warm = CutPool(dict(cold_report.pool.cuts))
+    admit(warm, [stray])
     models, asked = [], []
 
     def build(case):

@@ -468,7 +468,8 @@ def test_row_store_equals_highs_copy():
             assert np.array_equal(a, stored)
             assert np.array_equal(lo, be.rhs)
             assert np.array_equal(up, np.where(be.ge, np.inf, be.rhs))
-            assert columns == [be.objective, be.lower, be.upper]
+            assert columns == [be.objective.tolist(), be.lower.tolist(),
+                               be.upper.tolist()]
             assert list(be.rows.values()) == np.flatnonzero(be.ge).tolist()
 
 
@@ -476,8 +477,8 @@ def test_add_columns_names_a_block():
     be = _loaded()
     be.add_columns(("a", "b"), (0.0, -1.0), (1.0, 2.0), (3.0, 4.0))
     assert be.columns == {0: 0, "a": 1, "b": 2}
-    assert (be.lower, be.upper, be.objective) \
-        == ([0.0, 0.0, -1.0], [10.0, 1.0, 2.0], [1.0, 3.0, 4.0])
+    assert [a.tolist() for a in (be.lower, be.upper, be.objective)] \
+        == [[0.0, 0.0, -1.0], [10.0, 1.0, 2.0], [1.0, 3.0, 4.0]]
     for keys in (("c", "a"), ("c", "c")):
         with pytest.raises(LpBackendError,
                            match="duplicate column key '%s'" % keys[1]):

@@ -258,15 +258,16 @@ def test_row_slack_matches_cut_violation(case14):
     """The LP's row slack, normalized, is the cut's own slack at the primal."""
     pool = cutplane(case14, RunConfig(max_rounds=4)).pool
     model = build_m0(case14)
-    cuts = [c for c in pool.cuts.values() if model.has_variables(c.terms)]
+    cuts = {h: c for h, c in pool.cuts.items()
+            if model.has_variables(c.terms)}
     assert cuts
-    for cut in cuts:
-        model.add_cut_row(cut.content_hash, cut.terms, cut.rhs)
+    for h, cut in cuts.items():
+        model.add_cut_row(h, cut.terms, cut.rhs)
     res = model.solve()
     assert res.status == "optimal"
-    for cut in cuts:
+    for h, cut in cuts.items():
         values = {k: model.value(k) for k in cut.terms}
-        assert res.row_slack[cut.content_hash] / cut.inf_norm \
+        assert res.row_slack[h] / cut.inf_norm \
             == pytest.approx(-cut.normalized_violation(values), abs=1e-9)
 
 
@@ -355,9 +356,9 @@ def test_store_matches_the_formulas(which, request):
 
 def _snapshot(model):
     lp = model.backend
-    return (list(lp.columns.items()), lp.lower, lp.upper, lp.objective,
-            [a.tobytes() for a in (lp.cols, lp.vals, lp.row_of, lp.rhs,
-                                   lp.ge)],
+    return (list(lp.columns.items()),
+            [a.tobytes() for a in (lp.lower, lp.upper, lp.objective, lp.cols,
+                                   lp.vals, lp.row_of, lp.rhs, lp.ge)],
             dict(model.branch_keys), dict(model.gen_keys))
 
 
