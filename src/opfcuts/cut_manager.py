@@ -1,19 +1,28 @@
 """Cut pool: admission order, slack-based dropping, persistence.
 
-A pool holds what a cut file holds: cuts, which never change, and a
-simplex basis.  It names its cuts by serial int ids: `admit` gives each
-cut it admits the pool's `next_id` and counts it up, so no id names two
-cuts of a pool's lineage.  The id keys the pool, the ages dict that each
-run keeps, the cut's LP row and that row's basis letter.  Only a cut file
-names cuts by content hash.  A run's pool holds its last basis as HiGHS
-gave it (`lp_backend.LastBasis`); its status letters are made when
-`pool.basis` is first read, by `save_cuts` or a warm start, so a pool that
-nobody saves never pays for them.
+A pool holds what a cut file holds, cuts and a simplex basis, and the
+ages a run counts.  Its cuts are one `separation.CutBlock`, which never
+changes in place: `admit` and `age_and_drop` replace it.  A pool names its
+cuts by serial int ids, `ids` in pool order: `admit` gives each cut it
+admits the pool's `next_id` and counts it up, so no id names two cuts of
+a pool's lineage.  The id names the cut's LP row and that row's basis
+letter.  Only a cut file names cuts by content hash.  `ages` counts each
+cut's consecutive slack rounds; a pool built from cuts starts them at 0.
+A run's pool holds its last basis as HiGHS gave it
+(`lp_backend.LastBasis`); its status letters are made when `pool.basis` is
+first read, by `save_cuts` or a warm start, so a pool that nobody saves
+never pays for them.
+
+A run's LP holds the pool's cuts as rows in pool order: a warm start
+injects its cuts first, `admit` appends, and a drop removes a cut from
+both.  So `LpSolveResult.row_slack` is in pool order, and `age_and_drop`
+reads it by position.
 
 The warm-start file is UTF-8 JSON; variable references are symbolic
 (bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
 to load-perturbed instances of the same network.  Version 3 is a header
-line and one JSON document on the next, the pool as columns:
+line and one JSON document on the next, the pool as the columns of a
+`CutBlock`:
 
     {"fmt": "cutpool", "v": 3}
     {"keys": [key, ...],
@@ -40,10 +49,10 @@ Versions 1 and 2 wrote one JSON line per cut, `{"kind": ..., "support":
 ..., "terms": [[key, w], ...], "rhs": ...}`, and version 2 a closing
 `{"basis": {"columns": [[key, s], ...], "base_rows": "...", "cuts":
 [[content hash, s], ...]}}` record, in any place but once.  Both still
-load: their records are read into the same columns, so one path
-validates and builds the cuts of every version.  A version 1 or 2 load
-then hashes its cuts in one batch and numbers them in hash order, the
-order a version 3 file keeps, and gives a cut the letter of its hash.
+load: their records are read into the same block, so one path validates
+the cuts of every version.  A version 1 or 2 load then hashes its cuts in
+one batch and numbers them in hash order, the order a version 3 file
+keeps, and gives a cut the letter of its hash.
 """
 
 from __future__ import annotations
@@ -51,13 +60,12 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress
 
 import numpy as np
 
 from .errors import CutFileError
 from .lp_backend import STATUS_LETTERS, LastBasis, SavedBasis
-from .separation import _KEY_BYTES, _cuts_from_columns, _plain, cut_hashes
+from .separation import _KEY_BYTES, NO_CUTS, CutBlock, _plain, cut_hashes
 
 T_AGE = 5
 EPS_SLACK = 1e-5
@@ -69,12 +77,17 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 @dataclass
 class CutPool:
-    cuts: dict = field(default_factory=dict)   # serial id -> LinearCut
+    cuts: CutBlock = NO_CUTS
+    ids: np.ndarray | None = None  # serial id per cut; None: 0, 1, ...
     basis: SavedBasis | None = None  # of the last LP solve; a warm start hint
-    next_id: int = field(init=False, default=0)  # the id `admit` gives next
+    ages: np.ndarray = field(init=False)  # consecutive slack rounds per cut
+    next_id: int = field(init=False)  # the id `admit` gives next
 
     def __post_init__(self):
-        self.next_id = max(self.cuts, default=-1) + 1
+        self.ids = np.arange(len(self.cuts)) if self.ids is None \
+            else np.asarray(self.ids, np.int64)
+        self.ages = np.zeros(len(self.cuts), int)
+        self.next_id = int(self.ids.max(initial=-1)) + 1
 
     def __len__(self):
         return len(self.cuts)
@@ -96,33 +109,39 @@ def _set_basis(pool: CutPool, basis):
 CutPool.basis = property(_basis, _set_basis)
 
 
-def admit(pool: CutPool, candidates) -> dict:
-    """Add the candidates by decreasing violation, each under the pool's
-    next id; returns them by id in that order, the order of their LP rows.
-    Separation builds only admissible cuts."""
-    admitted = dict(enumerate(sorted(
-        candidates, key=lambda c: -c.violation_at_birth), pool.next_id))
-    pool.next_id += len(admitted)
-    pool.cuts.update(admitted)
+def admit(pool: CutPool, candidates: CutBlock) -> CutBlock:
+    """Append the candidates to the pool by decreasing violation (a stable
+    sort), each under the pool's next id; returns them in that order, the
+    order of their LP rows.  Separation builds only admissible cuts."""
+    n = len(candidates)
+    if not n:
+        return candidates
+    admitted = candidates.take(np.argsort(-candidates.violation,
+                                          kind="stable"))
+    pool.cuts = CutBlock.concat(pool.cuts, admitted)
+    pool.ids = np.concatenate((pool.ids, np.arange(pool.next_id,
+                                                   pool.next_id + n)))
+    pool.ages = np.concatenate((pool.ages, np.zeros(n, int)))
+    pool.next_id += n
     return admitted
 
 
-def age_and_drop(pool: CutPool, slacks: dict, ages: dict):
-    """Count each cut's consecutive slack rounds in `ages` (a tight cut has
-    none) and drop the cuts slack for `T_AGE` rounds.
+def age_and_drop(pool: CutPool, slacks: np.ndarray) -> np.ndarray:
+    """Count each cut's consecutive slack rounds in `pool.ages` (a tight
+    cut has none) and drop the cuts slack for `T_AGE` rounds; returns the
+    dropped cuts' ids.
 
-    `slacks` maps cut id to the slack a.x - b of the cut's LP row
-    (missing: tight), here normalized.  Returns the dropped cuts by id.
+    `slacks` holds the slack a.x - b of the LP rows of the pool's first
+    len(slacks) cuts, here normalized; the cuts after them, admitted since
+    that solve, count as tight.
     """
-    dropped = {}
-    for i, cut in list(pool.cuts.items()):
-        if slacks.get(i, 0.0) / cut.inf_norm < EPS_SLACK:
-            ages.pop(i, None)
-            continue
-        ages[i] = ages.get(i, 0) + 1
-        if ages[i] >= T_AGE:
-            dropped[i] = cut
-            del pool.cuts[i], ages[i]
+    slack = np.concatenate((slacks, np.zeros(len(pool) - len(slacks))))
+    ages = np.where(slack / pool.cuts.norm < EPS_SLACK, 0, pool.ages + 1)
+    keep = ages < T_AGE
+    dropped = pool.ids[~keep]
+    if len(dropped):
+        pool.cuts, pool.ids = pool.cuts.take(keep), pool.ids[keep]
+    pool.ages = ages[keep]
     return dropped
 
 
@@ -146,22 +165,22 @@ def save_cuts(pool: CutPool, stream):
     integer is written as the int it equals; JSON writes a tuple as a list.
     A basis letter of a cut the pool lacks is left out.
     """
-    hashes = cut_hashes(list(pool.cuts.values()))
-    ids = sorted(pool.cuts, key=dict(zip(pool.cuts, hashes)).__getitem__)
-    cuts = [pool.cuts[i] for i in ids]
+    hashes = cut_hashes(pool.cuts)
+    order = sorted(range(len(hashes)), key=hashes.__getitem__)
+    cuts, ids = pool.cuts.take(order), pool.ids[order].tolist()
+    terms = cuts.keys.tolist()
     basis = pool.basis
-    named = dict.fromkeys(chain.from_iterable(c.terms for c in cuts))
+    named = dict.fromkeys(terms)
     if basis is not None:
         named.update(dict.fromkeys(basis.columns))
     keys = sorted(named, key=_KEY_BYTES.__getitem__)
     index = dict(zip(keys, range(len(keys))))
     doc = {"keys": list(map(_plain, keys)), "cuts": {
-        "kind": [c.kind for c in cuts],
-        "support": [_plain(c.provenance) for c in cuts],
-        "rhs": [c.rhs for c in cuts],
-        "size": [len(c.terms) for c in cuts],
-        "key": [index[k] for c in cuts for k in c.terms],
-        "coeff": [w for c in cuts for w in c.terms.values()]}}
+        "kind": cuts.kind.tolist(),
+        "support": list(map(_plain, cuts.provenance.tolist())),
+        "rhs": cuts.rhs.tolist(), "size": cuts.size.tolist(),
+        "key": list(map(index.__getitem__, terms)),
+        "coeff": cuts.coeff.tolist()}}
     if basis is not None:
         doc["basis"] = {
             "columns": "".join([basis.columns.get(k, "-") for k in keys]),
@@ -170,18 +189,12 @@ def save_cuts(pool: CutPool, stream):
     stream.write(json.dumps(FILE_HEADER) + "\n" + json.dumps(doc) + "\n")
 
 
-@dataclass
-class _Columns:
-    """A cut file's cuts as the columns of version 3 (see the module
-    docstring), with the record number of each cut."""
-    keys: list
-    kind: list
-    support: list
-    rhs: np.ndarray
-    size: np.ndarray
-    key: np.ndarray
-    coeff: np.ndarray
-    records: list | None = None  # None: every cut is record 1
+def _block(kind, support, size, rhs, key, coeff) -> CutBlock:
+    """A cut file's columns as a block whose keys are still indices into
+    the file's key list, and whose norms are not yet set."""
+    return CutBlock(np.fromiter(kind, object),
+                    np.fromiter(map(_key_from_json, support), object), size,
+                    rhs, np.zeros(len(size)), np.zeros(len(size)), key, coeff)
 
 
 def _letters(raw, allowed) -> str:
@@ -215,45 +228,47 @@ def _array(raw, dtype_kinds: str) -> np.ndarray:
 
 
 def _read_v3(text: str):
-    """The version 3 body: (columns, basis or None); one of the errors of
-    `_MALFORMED` when it is not one."""
+    """The version 3 body: (keys, cuts, basis or None), the cuts' keys
+    indices into `keys`; one of the errors of `_MALFORMED` when it is not
+    one."""
     doc = json.loads(text)
-    cuts = doc["cuts"]
-    kind, support = cuts["kind"], cuts["support"]
+    cols = doc["cuts"]
+    kind, support = cols["kind"], cols["support"]
     if type(doc["keys"]) is not list or type(kind) is not list \
             or type(support) is not list:
         raise TypeError("a column must be a list")
-    cols = _Columns(
-        keys=[_key_from_json(k) for k in doc["keys"]], kind=kind,
-        support=support, rhs=_array(cuts["rhs"], "iuf").astype(float),
-        size=_array(cuts["size"], "iu"), key=_array(cuts["key"], "iu"),
-        coeff=_array(cuts["coeff"], "iuf").astype(float))
-    k_bytes = list(map(_KEY_BYTES.__getitem__, cols.keys))  # hashable keys
+    keys = [_key_from_json(k) for k in doc["keys"]]
+    cuts = _block(kind, support, _array(cols["size"], "iu").astype(np.intp),
+                  _array(cols["rhs"], "iuf").astype(float),
+                  _array(cols["key"], "iu"),
+                  _array(cols["coeff"], "iuf").astype(float))
+    k_bytes = list(map(_KEY_BYTES.__getitem__, keys))  # hashable keys
     if not all(map(operator.lt, k_bytes, k_bytes[1:])) \
-            or len(set(cols.keys)) != len(cols.keys):
+            or len(set(keys)) != len(keys):
         raise ValueError("keys not distinct and sorted by repr")
     n = len(kind)
-    if not len(support) == len(cols.rhs) == len(cols.size) == n \
-            or not len(cols.key) == len(cols.coeff) == cols.size.sum() \
-            or (cols.size < 0).any():
+    if not len(support) == len(cuts.rhs) == len(cuts.size) == n \
+            or (cuts.size < 0).any() \
+            or not len(cuts.keys) == len(cuts.coeff) == cuts.size.sum():
         raise ValueError("columns of unequal lengths")
     basis = doc.get("basis")
     if basis is not None:  # letter strings by key and by cut
         columns = _letters(basis["columns"], _OR_NONE)
         letters = _letters(basis["cuts"], _OR_NONE)
-        if len(columns) != len(cols.keys) or len(letters) != n:
+        if len(columns) != len(keys) or len(letters) != n:
             raise ValueError("basis letters of the wrong length")
         basis = SavedBasis(
-            columns={k: s for k, s in zip(cols.keys, columns) if s != "-"},
+            columns={k: s for k, s in zip(keys, columns) if s != "-"},
             base_rows=_letters(basis["base_rows"], _LETTERS),
             cuts={i: s for i, s in enumerate(letters) if s != "-"})
-    return cols, basis
+    return keys, cuts, basis
 
 
 def _read_lines(stream, version: int):
-    """Version 1 or 2 records as columns: (columns, basis or None, the
-    number of the first malformed record or None).  Reading stops at that
-    record."""
+    """Version 1 or 2 records as a block: (keys, cuts, basis or None, the
+    record number of each cut, the number of the first malformed record or
+    None), the cuts' keys indices into `keys`.  Reading stops at the first
+    malformed record."""
     index: dict = {}  # key -> its position, in the order first seen
     kind, support, rhs, size, key, coeff, records = [], [], [], [], [], [], []
     basis = None
@@ -286,26 +301,27 @@ def _read_lines(stream, version: int):
     rank[[index[k] for k in keys]] = np.arange(len(keys))
     key = rank[np.array(key, np.intp)]
     order = np.lexsort((key, np.repeat(np.arange(len(size)), size)))
-    cols = _Columns(keys, kind, support, np.array(rhs, float),
-                    np.array(size, np.intp), key[order],
-                    np.array(coeff, float)[order], records)
-    return cols, basis, num
+    cuts = _block(kind, support, np.array(size, np.intp),
+                  np.array(rhs, float), key[order],
+                  np.array(coeff, float)[order])
+    return keys, cuts, basis, records, num
 
 
-def _first_bad_cut(cols: _Columns):
+def _first_bad_cut(cuts: CutBlock, n_keys: int):
     """The index of the first malformed cut, or None, and the largest
-    coefficient magnitude of each cut.  A cut is malformed when its kind is
-    no string, it has no term, a key index is out of range or not above
-    the one before, a number is not finite, or no coefficient is nonzero.
+    coefficient magnitude of each cut, of a block whose keys are indices
+    into a list of `n_keys` keys.  A cut is malformed when its kind is no
+    string, it has no term, a key index is out of range or not above the
+    one before, a number is not finite, or no coefficient is nonzero.
     """
-    n, size, key, coeff = len(cols.kind), cols.size, cols.key, cols.coeff
-    bad = np.array([type(k) is not str for k in cols.kind], bool) \
-        | (size < 1) | ~np.isfinite(cols.rhs)
-    cut_of = np.repeat(np.arange(n), size)
-    term_bad = ~np.isfinite(coeff) | (key < 0) | (key >= len(cols.keys))
+    size, key, coeff = cuts.size, cuts.keys, cuts.coeff
+    bad = np.array([type(k) is not str for k in cuts.kind.tolist()], bool) \
+        | (size < 1) | ~np.isfinite(cuts.rhs)
+    cut_of = cuts.cut_of
+    term_bad = ~np.isfinite(coeff) | (key < 0) | (key >= n_keys)
     term_bad[1:] |= (key[1:] <= key[:-1]) & (cut_of[1:] == cut_of[:-1])
     bad[cut_of[term_bad]] = True
-    norms = np.zeros(n)
+    norms = np.zeros(len(cuts))
     some = size > 0
     if some.any():
         starts = np.cumsum(size) - size
@@ -319,10 +335,10 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     """Read a cut file of any version; returns (pool, skipped count).
 
     Cuts naming a variable `model` neither has nor can add (see
-    `RelaxationModel.has_variables`, asked once per distinct key) are
-    skipped.  Without a model every well-formed cut is kept; `cutplane`
-    skips what it lacks.  Cut i of the file, in hash order, has id i.  The
-    pool carries the file's basis, if it has one, as saved.
+    `RelaxationModel.has_variables`, asked once per distinct key by
+    `CutBlock.naming`, as `cutplane` asks it) are skipped.  Without a model
+    every well-formed cut is kept.  Cut i of the file, in hash order, has
+    id i.  The pool carries the file's basis, if it has one, as saved.
     """
     try:
         return _load(stream, model)
@@ -347,38 +363,27 @@ def _load(stream, model):
     if header["v"] == 3:
         text = stream.read()  # a decode error is no malformed record
         try:
-            cols, basis = _read_v3(text)
+            keys, cuts, basis = _read_v3(text)
         except _MALFORMED:
             raise malformed(1)
-        stop = None
+        records, stop = None, None
     else:
-        cols, basis, stop = _read_lines(stream, header["v"])
-    first, norms = _first_bad_cut(cols)
+        keys, cuts, basis, records, stop = _read_lines(stream, header["v"])
+    first, norms = _first_bad_cut(cuts, len(keys))
     if first is not None:
-        raise malformed(1 if cols.records is None else cols.records[first])
+        raise malformed(1 if records is None else records[first])
     if stop is not None:
         raise malformed(stop)
 
-    keys, key = cols.keys, cols.key.tolist()
-    cuts = _cuts_from_columns(
-        cols.kind, [_key_from_json(s) for s in cols.support],
-        list(map(keys.__getitem__, key)), cols.coeff, cols.rhs,
-        cols.size.tolist(), norms, [0.0] * len(cols.kind))
-    skip = [False] * len(cuts)
-    if model is not None and cuts:
-        lacks = np.zeros(len(keys), bool)
-        for i in set(key):
-            lacks[i] = not model.has_variables((keys[i],))
-        starts = np.cumsum(cols.size) - cols.size
-        skip = np.logical_or.reduceat(lacks[cols.key], starts).tolist()
+    cuts = replace(cuts, keys=np.fromiter(keys, object)[cuts.keys], norm=norms)
     if header["v"] != 3:  # number the cuts in hash order, as version 3 does
         hashes = cut_hashes(cuts)
-        order = sorted(range(len(cuts)), key=hashes.__getitem__)
-        cuts, skip = [cuts[j] for j in order], [skip[j] for j in order]
+        cuts = cuts.take(sorted(range(len(cuts)), key=hashes.__getitem__))
         if basis is not None:
             basis = replace(basis, cuts={
                 i: basis.cuts[h] for i, h in enumerate(sorted(hashes))
                 if h in basis.cuts})
-    pool = CutPool(dict(compress(enumerate(cuts), [not s for s in skip])))
-    pool.basis = basis
-    return pool, sum(skip)
+    keep = np.ones(len(cuts), bool) if model is None else ~cuts.naming(
+        lambda key: not model.has_variables((key,)))
+    return CutPool(cuts.take(keep), np.flatnonzero(keep), basis), \
+        int(len(cuts) - keep.sum())

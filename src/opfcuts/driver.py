@@ -15,14 +15,19 @@ that runs out of it ends the run with `time`, like the check between rounds,
 and the report's dual infeasibility and eigenvalue ratio then come from the
 last optimal solve.
 
-Cuts never change once built: a run counts its cuts' slack rounds in an age
-dict of its own, so a warm start shares the caller's cuts and leaves them,
-and the caller's pool, as they were.  A run names a cut, and its LP row,
-by the serial id that `admit` gives it.  A warm start injects the given
-pool in its own order under its own ids and numbers new cuts above them:
-a loaded pool is in content-hash order, a run's pool in admission order.
-The returned pool holds the last solve's basis as HiGHS gave it, turned
-into letters only when read.
+A round's candidates are one `separation.CutBlock`; `admit` appends them
+to the pool and `add_cut_row` to the LP as one row block each, so the LP's
+cut rows stay in pool order and the solve's `row_slack` array is read by
+position.  Cuts never change once built: a run keeps a pool of its own,
+with its own ages, so a warm start shares the caller's cuts and leaves
+them, and the caller's pool, as they were.  A run names a cut, and its LP
+row, by the serial id that `admit` gives it.  A warm start injects the
+given pool in its own order under its own ids and numbers new cuts above
+them: a loaded pool is in content-hash order, a run's pool in admission
+order.  It skips the cuts naming a key the model neither has nor can add,
+asking once per distinct key (`CutBlock.naming`), and adds the (c, s)
+columns the others lack as one block.  The returned pool holds the last
+solve's basis as HiGHS gave it, turned into letters only when read.
 
 Separation and the final eigenvalue ratio read the PSD matrices as stacks
 from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
@@ -47,6 +52,7 @@ from .errors import ModelError
 from .hermitian import eigen
 from .network import chordal_cliques, enumerate_three_cycles
 from .relaxation import build_m0
+from .separation import CutBlock
 
 log = logging.getLogger("opfcuts.driver")
 
@@ -121,30 +127,17 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     cliques = model.network.cliques(enumerate_three_cycles)
 
     pool = CutPool()
-    ages: dict = {}  # cut id -> consecutive slack rounds
     report = RunReport(case_name=case.name, warm_started=warm is not None,
                        clique_counts=cliques.sizes())
     if warm is not None:
-        # each distinct key is checked once: a cut naming an unknown one is
-        # skipped, and a cut naming a (c, s) pair the model lacks adds its
-        # pairs, cut by cut in the pool's order
-        pool.next_id = max(warm.next_id, max(warm.cuts, default=-1) + 1)
-        named = set().union(*[cut.terms for cut in warm.cuts.values()])
-        unknown = {key for key in named if not model.has_variables((key,))}
-        new = named.difference(unknown, model.var_index)
-        skipped = 0
-        for i, cut in warm.cuts.items():
-            if not unknown.isdisjoint(cut.terms):
-                skipped += 1
-                continue
-            if not new.isdisjoint(cut.terms):
-                model.extend_pairs({key[1:] for key in cut.terms
-                                    if key[0] in ("c", "s")})
-            pool.cuts[i] = cut
-            model.add_cut_row(i, cut.terms, cut.rhs)
-        if skipped:
+        skip = warm.cuts.naming(lambda key: not model.has_variables((key,)))
+        pool = CutPool(warm.cuts.take(~skip), warm.ids[~skip])
+        pool.next_id = warm.next_id
+        model.extend_pairs(_new_pairs(pool.cuts, model.var_index))
+        model.add_cut_row(pool.ids, pool.cuts)
+        if skip.any():
             log.info("warm start: skipped %d cuts with unknown variables",
-                     skipped)
+                     skip.sum())
         if warm.basis is not None:
             # a refused basis costs only the iterations it would have saved
             refused = model.backend.start_basis(warm.basis)
@@ -196,14 +189,12 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         candidates = _separate(model, cliques)
         admitted = admit(pool, candidates)
-        for i, cut in admitted.items():
-            model.add_cut_row(i, cut.terms, cut.rhs)
+        model.add_cut_row(pool.ids[len(pool) - len(admitted):], admitted)
 
         # cuts admitted this round are not in the solved LP and have no
-        # slack there; age_and_drop counts a missing slack as tight
-        dropped = age_and_drop(pool, res.row_slack, ages)
-        for i in dropped:
-            model.remove_cut_row(i)
+        # slack there; age_and_drop counts the tail without one as tight
+        dropped = age_and_drop(pool, res.row_slack)
+        model.remove_cut_row(dropped)
 
         stats.cuts_added = len(admitted)
         stats.cuts_dropped = len(dropped)
@@ -214,8 +205,9 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             extra = model.network.cliques(chordal_cliques,
                                           config.max_clique_size)
             # the pairs of the chordal cliques are the edges plus the fill
-            model.extend_pairs({(a, b) for c in extra.cliques
-                                for i, a in enumerate(c) for b in c[i + 1:]})
+            model.extend_pairs(sorted({(a, b) for c in extra.cliques
+                                       for i, a in enumerate(c)
+                                       for b in c[i + 1:]}))
             cliques = cliques.merged_with(extra)
             escalated = True
         elif not admitted:
@@ -251,10 +243,20 @@ def _log_round(stats: RoundStats, res, pool: CutPool, model):
              len(model.backend.rhs), stats.lp_iterations)
 
 
-def _separate(model, cliques):
+def _new_pairs(cuts: CutBlock, columns) -> list:
+    """The pairs of the (c, s) keys of `cuts` that are not in `columns`:
+    cut by cut in block order, each cut's sorted."""
+    keys = cuts.keys.tolist()
+    new = np.flatnonzero(~np.fromiter(map(columns.__contains__, keys), bool,
+                                      len(keys)))
+    return [pair for _, pair in sorted(zip(cuts.cut_of[new].tolist(), [
+        keys[j][1:] for j in new.tolist()]))]
+
+
+def _separate(model, cliques) -> CutBlock:
     case = model.case
     pairs = model.cs_pairs()
-    candidates = separation.jabr_cut(model.clique_matrix(pairs), pairs) \
+    blocks = [separation.jabr_cut(model.clique_matrix(pairs), pairs)] \
         if pairs else []
 
     branches, gens = case.branches, case.generators
@@ -263,13 +265,14 @@ def _separate(model, cliques):
          branches[idx].rate_a, (bkey, d))
         for idx, bkey in model.branch_keys.items()
         if branches[idx].rate_a is not None for d in ("f", "t")])
-    candidates += separation.cost_cut([
+    blocks.append(separation.cost_cut([
         (model.value(("Pg", gkey)), model.value(("t", gkey)), gens[idx], gkey)
-        for idx, gkey in model.gen_keys.items()], limits)
+        for idx, gkey in model.gen_keys.items()], limits))
 
     for group in cliques.by_size:
-        candidates += separation.clique_cuts(model.clique_matrix(group), group)
-    return candidates
+        blocks.append(separation.clique_cuts(model.clique_matrix(group),
+                                             group))
+    return CutBlock.concat(*blocks)
 
 
 def _final_eig_ratio(model, cliques) -> float:
@@ -295,7 +298,7 @@ def _report_row(r: RunReport):
         "%.2e" % r.dual_inf if r.dual_inf is not None else "-",
         "%.1f" % r.eig_ratio if math.isfinite(r.eig_ratio) else "inf",
         "%.2f" % r.total_time,
-        str(len(r.pool)),
+        str(len(r.pool)) if r.pool is not None else "-",
         r.termination,
     )
 

@@ -6,27 +6,26 @@ store in HiGHS row order.  Entry k is `vals[k]` in row `row_of[k]`, column
 `cols[k]`; row i reads a.x >= rhs[i] where `ge[i]`, a.x = rhs[i] elsewhere.
 The relaxation model writes into it and never keeps a copy.
 
-Columns enter in blocks, `add_columns(keys, lower, upper, objective)`, or
-one at a time, `add_column`; `objective`, `lower` and `upper` are float
-arrays, grown by one concatenate per block.  Base rows enter as one block,
-`add_rows(cols, vals, sizes, rhs, ge)`, appended to the store with one
-concatenate; they have no id and stay for the model's life.  A cut row
-enters through `add_row(row_id, cols, coeffs, rhs, ge)`: it can be removed
-by `remove_rows`, and its slack a.x - rhs is reported in
-`LpSolveResult.row_slack`; `rows` maps each id to its row.
+Columns enter in blocks, `add_columns(keys, lower, upper, objective)`;
+`objective`, `lower` and `upper` are float arrays, grown by one concatenate
+per block.  Rows enter in blocks too, `add_rows(cols, vals, sizes, rhs, ge,
+ids)`, appended to the store with one concatenate per array.  Base rows
+have no ids and stay for the model's life.  A cut row has an id: it can be
+removed by `remove_rows`, and its slack a.x - rhs is reported in
+`LpSolveResult.row_slack`, in the order the rows with ids came; `rows`
+maps each id to its row.
 
 HiGHS sees one persistent model, created at the first `solve()`.  Row
-edits are queued; `solve()` appends the queued rows to the store, compacts
-it over the removed ones with one mask, hands HiGHS the new columns, the
-removed rows and the new rows as slices of the store, and re-solves with
-the dual simplex method from the basis the model kept, presolve off.  It
-prices with Devex: HiGHS drops its dual steepest-edge weights at every
-addRows or deleteRows, so steepest edge would rebuild them, one BTRAN per
-row, at every hot re-solve.  Only the solution, the duals and the status
-are read back.  A solve with no edit since the last optimal one (no row
-queued or removed, no column added, no start basis given) returns that
-result again, with 0 iterations, and leaves HiGHS alone: HiGHS would
-return it bit for bit.
+removals are marked; `solve()` compacts the store over the removed rows
+with one mask, hands HiGHS the new columns, the removed rows and the new
+rows as slices of the store, and re-solves with the dual simplex method
+from the basis the model kept, presolve off.  It prices with Devex: HiGHS
+drops its dual steepest-edge weights at every addRows or deleteRows, so
+steepest edge would rebuild them, one BTRAN per row, at every hot
+re-solve.  Only the solution, the duals and the status are read back.  A
+solve with no edit since the last optimal one (no row added or removed,
+no column added, no start basis given) returns that result again, with 0
+iterations, and leaves HiGHS alone: HiGHS would return it bit for bit.
 
 The backend loads only HiGHS's bindings, the extension module
 `scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
@@ -39,7 +38,7 @@ a status letter (`STATUS_LETTERS`) per column key, per base row in row
 order and per row id.  `last_basis()` keeps the basis of the last solve as
 HiGHS returns it, a copy, with the names it needs; its `saved()` turns it
 into letters, which take pybind a conversion per column and row, so only a
-reader pays for them.  `basis()` does both at once.  `start_basis` maps a
+reader pays for them.  `start_basis` maps a
 `SavedBasis` onto this model by its names and hands it to HiGHS.  A start
 basis only saves iterations; nothing it holds is trusted.
 
@@ -63,7 +62,6 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -150,7 +148,8 @@ class LpSolveResult:
     dual_infeasibility: float | None
     primal_residual: float = 0.0  # worst row/bound violation of the primal
     dual_bound: float = -np.inf   # certified lower bound, or -inf for none
-    row_slack: dict = field(default_factory=dict)  # row id -> a.x - b
+    # a.x - b of each row with an id, in the order those rows came
+    row_slack: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0           # simplex iterations of this solve
 
 
@@ -168,71 +167,52 @@ class ScipyHighsBackend:
         self.row_of = np.zeros(0, np.intp)
         self.rhs = np.zeros(0)
         self.ge = np.zeros(0, bool)
-        self.rows: dict = {}   # row id -> its row, queued rows included
-        self._queue: list = []  # rows (cols, coeffs, rhs, ge) not yet stored
+        self.rows: dict = {}   # row id -> its row
         self._dead: list = []   # rows removed since the last solve
         self._highs = None     # the persistent model, made at the first solve
         self._n_loaded = 0     # leading rows of the store that HiGHS holds
         self._last = None      # the last optimal result, while no edit came
 
-    def add_column(self, key, lower: float, upper: float,
-                   obj: float = 0.0) -> int:
-        """Append the column named `key`; returns its index."""
-        self.add_columns((key,), (lower,), (upper,), (obj,))
-        return self.columns[key]
-
     def add_columns(self, keys, lower, upper, objective):
         """Append one column per key of `keys`, in order, with those bounds
         and objective coefficients; a key already named raises, adding
         none."""
-        n = len(self.objective)
-        index = dict(zip(keys, range(n, n + len(keys))))
-        if len(index) < len(keys) or not self.columns.keys().isdisjoint(
-                index):
-            key = next(k for i, k in enumerate(keys)
-                       if k in self.columns or index[k] != n + i)
-            raise LpBackendError("duplicate column key %r" % (key,))
+        self.columns.update(_names(keys, self.columns, len(self.objective),
+                                   "column key"))
         self._last = None
-        self.columns.update(index)
         self.objective = np.concatenate((self.objective, objective))
         self.lower = np.concatenate((self.lower, lower))
         self.upper = np.concatenate((self.upper, upper))
 
     def add_rows(self, cols: np.ndarray, vals: np.ndarray,
-                 sizes: np.ndarray, rhs: np.ndarray, ge: np.ndarray):
-        """Append a block of rows without ids: row i reads a.x >= rhs[i]
-        where ge[i], a.x = rhs[i] elsewhere, over the next sizes[i] entries
-        of `cols` and `vals`.  Queued rows are stored first, so rows keep
-        the order in which they came."""
+                 sizes: np.ndarray, rhs: np.ndarray, ge: np.ndarray,
+                 ids=None):
+        """Append a block of rows: row i reads a.x >= rhs[i] where ge[i],
+        a.x = rhs[i] elsewhere, over the next sizes[i] entries of `cols` and
+        `vals`.  Rows with `ids` can be removed by them; an id already
+        named raises, adding none."""
+        n, k = len(self.rhs), len(rhs)
+        if not k:
+            return
+        if ids is not None:
+            self.rows.update(_names(ids, self.rows, n, "row id"))
         self._last = None
-        self._flush()
-        n = len(self.rhs)
         self.cols = np.concatenate((self.cols, cols))
         self.vals = np.concatenate((self.vals, vals))
         self.row_of = np.concatenate((self.row_of, np.repeat(
-            np.arange(n, n + len(rhs)), sizes)))
+            np.arange(n, n + k), sizes)))
         self.rhs = np.concatenate((self.rhs, rhs))
         self.ge = np.concatenate((self.ge, ge))
 
-    def add_row(self, row_id, cols, coeffs, rhs: float, ge: bool = True):
-        """Queue the row a.x >= rhs, or a.x = rhs when not `ge`.
-
-        A row with an id can be removed by it; a row with id None stays.
-        """
-        self._last = None
-        if row_id is not None:
-            if row_id in self.rows:
-                raise LpBackendError("duplicate row id %r" % (row_id,))
-            self.rows[row_id] = len(self.rhs) + len(self._queue)
-        self._queue.append((cols, coeffs, rhs, ge))
-
     def remove_rows(self, row_ids):
+        if not len(row_ids):
+            return
         self._last = None
-        for row_id in row_ids:
-            row = self.rows.pop(row_id, None)
-            if row is None:
-                raise LpBackendError("unknown row id %r" % (row_id,))
-            self._dead.append(row)
+        try:
+            self._dead.extend(map(self.rows.pop, row_ids))
+        except KeyError as exc:
+            raise LpBackendError("unknown row id %r" % (exc.args[0],)) \
+                from None
 
     def start_basis(self, saved: SavedBasis) -> str | None:
         """Hand HiGHS `saved` as the start basis of the next solve; returns
@@ -281,12 +261,6 @@ class ScipyHighsBackend:
         return LastBasis(highs=basis, columns=tuple(self.columns),
                          rows=dict(self.rows), removed=frozenset(self._dead))
 
-    def basis(self) -> SavedBasis | None:
-        """The basis of the last solve, by name (see `LastBasis.saved`);
-        None when HiGHS holds no valid basis."""
-        last = self.last_basis()
-        return last.saved() if last is not None else None
-
     def solve(self) -> LpSolveResult:
         """Re-solve the LP; certificate, residual and slacks read the store."""
         if not len(self.objective):
@@ -310,15 +284,15 @@ class ScipyHighsBackend:
                 self.row_of, b, ge, np.asarray(sol.row_dual))
         else:
             dual_bound, dual_inf = -np.inf, None
-        primal, residual, row_slack = None, 0.0, {}
+        primal, residual, row_slack = None, 0.0, np.zeros(0)
         if status == "optimal" and sol.value_valid:
             # observed only: on ill-conditioned instances HiGHS can report
             # an infeasible point as optimal; the bound never rests on it
             primal = np.asarray(sol.col_value)
             excess = np.bincount(self.row_of, self.vals * primal[self.cols],
                                  len(b)) - b
-            row_slack = dict(zip(self.rows, excess[
-                list(self.rows.values())].tolist()))
+            row_slack = excess[np.fromiter(self.rows.values(), np.intp,
+                                           len(self.rows))]
             residual = max(float(np.abs(excess[~ge]).max(initial=0.0)),
                            float((-excess[ge]).max(initial=0.0)),
                            float((lower - primal).max(initial=0.0)),
@@ -337,24 +311,9 @@ class ScipyHighsBackend:
             self._last = result
         return result
 
-    def _flush(self):
-        """Append the queued rows to the store."""
-        if self._queue:
-            cols, vals, rhs, ge = zip(*self._queue)
-            n, lengths = len(self.rhs), list(map(len, cols))
-            self._queue = []
-            self.cols = np.append(self.cols, np.fromiter(
-                chain.from_iterable(cols), np.int32))
-            self.vals = np.append(self.vals, np.fromiter(
-                chain.from_iterable(vals), float))
-            self.row_of = np.append(self.row_of, np.repeat(
-                np.arange(n, n + len(rhs)), lengths))
-            self.rhs, self.ge = np.append(self.rhs, rhs), np.append(self.ge, ge)
-
     def _store(self) -> np.ndarray:
-        """Append the queued rows to the store, then compact it over the
-        removed rows; returns the removed rows' positions in HiGHS."""
-        self._flush()
+        """Compact the store over the removed rows; returns their positions
+        in HiGHS."""
         if not self._dead:
             return np.zeros(0, np.int32)
         keep = np.ones(len(self.rhs), bool)
@@ -404,6 +363,17 @@ class ScipyHighsBackend:
                 self.cols[starts[0]:], self.vals[starts[0]:]), "addRows")
             self._n_loaded = n_row
         return highs
+
+
+def _names(names, taken: dict, start: int, what: str) -> dict:
+    """Each of `names` -> start, start + 1, ...; a name in `taken` or given
+    twice raises LpBackendError."""
+    index = dict(zip(names, range(start, start + len(names))))
+    if len(index) < len(names) or not taken.keys().isdisjoint(index):
+        name = next(k for i, k in enumerate(names)
+                    if k in taken or index[k] != start + i)
+        raise LpBackendError("duplicate %s %r" % (what, name))
+    return index
 
 
 def linprog(highs) -> str:

@@ -30,10 +30,11 @@ and each model copies the columns into a backend of its own.
 `RelaxationModel` writes the compiled network into its `ScipyHighsBackend`,
 the base rows as one block with the balance rows' right-hand side set to
 -P_load and -Q_load of its case; the backend is the only holder of the LP
-and of its names, and `var_index` is the backend's own key map.  A cut row
-is a dict {key: coeff} that one method, `_add_row`, maps to columns,
-leaving zero coefficients out, and queues under the cut's serial id (see
-`cut_manager`), by which `remove_cut_row` deletes it; the backend rejects
+and of its names, and `var_index` is the backend's own key map.  Cut rows
+come as a `separation.CutBlock`: one method, `add_cut_row`, maps the
+block's keys to columns in one pass, leaving zero coefficients out, and
+adds its rows as one row block under the cuts' serial ids (see
+`cut_manager`), by which `remove_cut_row` deletes them; the backend rejects
 a duplicate or unknown id.  The (c, s) columns are the one record of which
 bus pairs exist; `extend_pairs` adds to them, one block of columns per
 call.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, starmap
+from itertools import starmap
 from types import MappingProxyType
 
 import numpy as np
@@ -55,6 +56,7 @@ from .case_io import Bus, CaseData
 from .errors import ModelError
 from .lp_backend import LpSolveResult, ScipyHighsBackend
 from .network import CliqueSet, PairGraph, branch_admittance, canonical_pair
+from .separation import CutBlock
 
 INF = math.inf
 NETWORKS_KEPT = 8  # compiled networks that `compile_network` keeps
@@ -263,30 +265,15 @@ class RelaxationModel:
                             for load in (b.p_load, b.q_load)]
         self.backend.add_rows(net.cols, net.vals, net.sizes, rhs, net.ge)
 
-    # -- construction -----------------------------------------------------
-
-    def _add_row(self, row_id, terms: dict, rhs: float):
-        """Queue the cut row sum(coeff * column of key) >= rhs.
-
-        The one place where keys become columns.  Zero coefficients are
-        left out; a key without a column raises KeyError, queueing nothing.
-        """
-        cols = list(map(self.var_index.__getitem__, terms))
-        coeffs = list(terms.values())
-        if not all(coeffs):
-            cols = list(compress(cols, coeffs))
-            coeffs = list(filter(None, coeffs))
-        self.backend.add_row(row_id, cols, coeffs, float(rhs))
-
     # -- dynamic edits ----------------------------------------------------
 
     def extend_pairs(self, new_pairs):
-        """Append (c, s) columns, in sorted order, for pairs not yet present,
-        as one block.
+        """Append (c, s) columns for the pairs not yet present, in the order
+        of the sequence `new_pairs`, as one block.
 
         Existing column indices and every row of the LP are kept as they are.
         """
-        pairs = dict.fromkeys(starmap(canonical_pair, sorted(new_pairs)))
+        pairs = dict.fromkeys(starmap(canonical_pair, new_pairs))
         pairs = [p for p in pairs if ("c",) + p not in self.var_index]
         if pairs:
             v_max = self.network.v_max
@@ -307,14 +294,27 @@ class RelaxationModel:
             and key[1] in bus and key[2] in bus and key[1] < key[2])
             for key in keys)
 
-    def add_cut_row(self, row_id, terms: dict, rhs: float):
+    def add_cut_row(self, ids, cuts: CutBlock):
+        """Add the rows sum(coeff * column of key) >= rhs of the block
+        `cuts`, named by `ids`, as one row block.
+
+        The one place where keys become columns.  Zero coefficients are
+        left out; a key without a column raises ModelError, adding nothing.
+        """
+        keys = cuts.keys.tolist()
         try:
-            self._add_row(row_id, terms, rhs)
+            cols = np.fromiter(map(self.var_index.__getitem__, keys),
+                               np.int32, len(keys))
         except KeyError as exc:
             raise ModelError("unknown variable %r" % (exc.args[0],)) from None
+        nonzero = cuts.coeff != 0.0
+        self.backend.add_rows(
+            cols[nonzero], cuts.coeff[nonzero],
+            np.bincount(cuts.cut_of[nonzero], minlength=len(cuts)),
+            cuts.rhs, np.ones(len(cuts), bool), np.asarray(ids).tolist())
 
-    def remove_cut_row(self, row_id):
-        self.backend.remove_rows([row_id])
+    def remove_cut_row(self, ids):
+        self.backend.remove_rows(ids)
 
     # -- solving and solution access --------------------------------------
 

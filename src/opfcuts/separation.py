@@ -9,25 +9,31 @@ with the s coefficient sign adjusted to the canonical pair orientation.
 There is one path from a stack of matrices of one size to such cuts:
 `jabr_cut` and `clique_cuts` make one `eigen` call per stack, `eigen_cut`
 and `projection_cut` turn the stack's eigenpairs and PSD cutoffs into a
-coefficient stack, and `_matrix_cuts` maps that stack to cuts.  A Jabr cut
-is the eigen cut of a 2 x 2 pair matrix.  Coefficients are Python floats
-from birth, so a cut hashes like its copy read back from a cut file.  No
-cut violated by less than `VIOLATION_THRESHOLD` per unit norm is built.
+coefficient stack, and `_matrix_cuts` maps that stack to a `CutBlock`.  A
+Jabr cut is the eigen cut of a 2 x 2 pair matrix.  No cut violated by less
+than `VIOLATION_THRESHOLD` per unit norm is built.
+
+Many cuts take one form, the `CutBlock`: the columns of a version 3 cut
+file (kind, provenance, size, rhs, and per term a key and a coefficient),
+plus each cut's infinity norm and violation at birth.  Separation returns
+blocks, the pool is a block, the LP takes a block as one row block, and a
+cut file is written from and read into one.  `block[i]` is cut i as a
+`LinearCut`, a one-cut view for tests and `value_at`.
 
 A cut has no name of its own: a run names it by the serial id that
 `cut_manager.admit` gives it.  Its content hash, which `cut_hashes`
-computes for many cuts in one `_content_hashes` pass, names it only in a
-cut file: `cut_manager.save_cuts` orders a file by it, and a version 1 or
-2 load orders its cuts by it.
+computes for a block in one `_content_hashes` pass, names it only in a cut
+file: `cut_manager.save_cuts` orders a file by it, and a version 1 or 2
+load orders its cuts by it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 
 import numpy as np
 
@@ -110,35 +116,26 @@ def _content_hashes(kinds, key_bytes, coeffs: np.ndarray, rhs: np.ndarray,
                                              packed[n:])]
 
 
-def cut_hashes(cuts) -> list:
-    """The content hashes of `cuts`, in one `_content_hashes` pass."""
+def cut_hashes(cuts: CutBlock) -> list:
+    """The content hashes of a block's cuts, in one `_content_hashes`
+    pass."""
     return _content_hashes(
-        [c.kind for c in cuts], [_KEY_BYTES[k] for c in cuts for k in c.terms],
-        np.array([w for c in cuts for w in c.terms.values()], float),
-        np.array([c.rhs for c in cuts], float), [len(c.terms) for c in cuts],
-        np.array([c.inf_norm for c in cuts], float))
+        cuts.kind.tolist(), list(map(_KEY_BYTES.__getitem__,
+                                     cuts.keys.tolist())),
+        cuts.coeff, cuts.rhs, cuts.size.tolist(), cuts.norm)
 
 
 @dataclass
 class LinearCut:
-    """Sparse >= inequality over symbolic model variables.
-
-    Canonical from birth: `terms` is kept in `repr` order of its keys, the
-    one term order the content hash, the LP row and the cut file all read;
-    `inf_norm` is set once.
-    """
+    """One cut of a block, `block[i]`: a sparse >= inequality over
+    symbolic model variables, `terms` in canonical (`repr`) key order."""
 
     terms: dict              # variable key -> coefficient
     rhs: float
     kind: str                # eigen | projection | jabr | limit | cost_tangent
     provenance: tuple        # clique / pair / branch / generator identifier
-    violation_at_birth: float = 0.0
-    inf_norm: float = field(init=False)
-
-    def __post_init__(self):
-        self.terms = {k: self.terms[k]
-                      for k in sorted(self.terms, key=_KEY_BYTES.__getitem__)}
-        self.inf_norm = max(map(abs, self.terms.values()))
+    violation_at_birth: float
+    inf_norm: float
 
     def value_at(self, values: dict) -> float:
         return sum(w * values[k] for k, w in self.terms.items())
@@ -148,29 +145,85 @@ class LinearCut:
         return (self.rhs - self.value_at(values)) / self.inf_norm
 
 
-def _cuts_from_columns(kinds, provenances, keys, coeffs: np.ndarray,
-                       rhs: np.ndarray, sizes: list, norms: np.ndarray,
-                       violations) -> list:
-    """`LinearCut`s from columns.
+@dataclass(frozen=True, eq=False)
+class CutBlock:
+    """Many cuts as columns; nothing in one ever changes.
 
-    Cut i has kind kinds[i], provenance provenances[i], right-hand side
-    rhs[i], violation_at_birth violations[i] and sizes[i] (>= 1) terms: the
-    next entries of the flat `keys`, in canonical order, and `coeffs`,
-    finite, the largest in magnitude norms[i] > 0.  Nothing is checked or
-    sorted again.
+    Cut i has kind kind[i], provenance provenance[i], right-hand side
+    rhs[i], infinity norm norm[i] > 0, violation at birth violation[i] and
+    size[i] >= 1 terms: the next entries of the flat `keys`, in canonical
+    order, and of `coeff`.  `kind`, `provenance` and `keys` are object
+    arrays.
     """
-    values = coeffs.tolist()
-    bounds = [0, *accumulate(sizes)]
-    cuts = []
-    for kind, prov, b, v, norm, start, stop in zip(
-            kinds, provenances, rhs.tolist(), violations, norms.tolist(),
-            bounds, bounds[1:]):
-        cut = object.__new__(LinearCut)
-        cut.__dict__.update(
-            terms=dict(zip(keys[start:stop], values[start:stop])), rhs=b,
-            kind=kind, provenance=prov, violation_at_birth=v, inf_norm=norm)
-        cuts.append(cut)
-    return cuts
+    kind: np.ndarray
+    provenance: np.ndarray
+    size: np.ndarray
+    rhs: np.ndarray
+    norm: np.ndarray
+    violation: np.ndarray
+    keys: np.ndarray
+    coeff: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> CutBlock:
+        """The block of the sequence `rows`, each (terms, rhs, kind,
+        provenance, violation at birth) with `terms` a dict {key: coeff},
+        put in canonical order."""
+        terms, rhs, kinds, provenances, violations = zip(*rows) if rows \
+            else ((),) * 5
+        keys = [sorted(t, key=_KEY_BYTES.__getitem__) for t in terms]
+        return cls(
+            np.fromiter(kinds, object), np.fromiter(provenances, object),
+            np.array(list(map(len, keys)), np.intp), np.array(rhs, float),
+            np.array([max(map(abs, t.values())) for t in terms], float),
+            np.array(violations, float),
+            np.fromiter(chain.from_iterable(keys), object),
+            np.array([t[k] for t, ks in zip(terms, keys) for k in ks], float))
+
+    @staticmethod
+    def concat(*blocks) -> CutBlock:
+        """The cuts of `blocks`, in order."""
+        blocks = [b for b in blocks if len(b)]
+        if len(blocks) < 2:
+            return blocks[0] if blocks else NO_CUTS
+        return CutBlock(*map(np.concatenate, zip(*[vars(b).values()
+                                                    for b in blocks])))
+
+    def __len__(self):
+        return len(self.size)
+
+    def __getitem__(self, i) -> LinearCut:
+        cut = self.take([i])
+        return LinearCut(dict(zip(cut.keys.tolist(), cut.coeff.tolist())), *[
+            a.item() for a in (cut.rhs, cut.kind, cut.provenance,
+                               cut.violation, cut.norm)])
+
+    @property
+    def cut_of(self) -> np.ndarray:
+        """The cut of each term."""
+        return np.repeat(np.arange(len(self)), self.size)
+
+    def take(self, which) -> CutBlock:
+        """The cuts that `which`, a bool mask or an index array, picks, in
+        its order."""
+        cuts = np.arange(len(self))[which]
+        run, place = _runs(self.size[cuts])
+        terms = (np.cumsum(self.size) - self.size)[cuts][run] + place
+        return CutBlock(self.kind[cuts], self.provenance[cuts],
+                        self.size[cuts], self.rhs[cuts], self.norm[cuts],
+                        self.violation[cuts], self.keys[terms],
+                        self.coeff[terms])
+
+    def naming(self, test) -> np.ndarray:
+        """Per cut, whether `test(key)` holds for one of its keys; `test`
+        is asked once per distinct key."""
+        keys = self.keys.tolist()
+        answer = {key: test(key) for key in dict.fromkeys(keys)}
+        hit = np.fromiter(map(answer.__getitem__, keys), bool, len(keys))
+        return np.bincount(self.cut_of[hit], minlength=len(self)) > 0
+
+
+NO_CUTS = CutBlock.of(())
 
 
 class _TupleKeys(dict):
@@ -192,7 +245,7 @@ class _TupleKeys(dict):
             n + m + k if buses[i] < buses[j] else n + 2 * m + k
             for k, (i, j) in enumerate(upper)]
         order = sorted(range(len(keys)), key=lambda i: _KEY_BYTES[keys[i]])
-        self[t] = value = ([keys[i] for i in order],
+        self[t] = value = (np.fromiter([keys[i] for i in order], object),
                            np.array([picks[i] for i in order]))
         return value
 
@@ -207,9 +260,10 @@ def _upper(n: int) -> tuple:
     return np.triu_indices(n, 1)
 
 
-def _matrix_cuts(a: np.ndarray, tuples, kind: str, violations) -> list:
-    """Cuts <A_k, X_k> >= 0 of a coefficient stack `a` (K, n, n) over K bus
-    tuples, coefficients in Python floats, zero coefficients left out."""
+def _matrix_cuts(a: np.ndarray, tuples, kind: str,
+                 violations: np.ndarray) -> CutBlock:
+    """The block of cuts <A_k, X_k> >= 0 of a coefficient stack `a`
+    (K, n, n) over K bus tuples, zero coefficients left out."""
     iu, ju = _upper(a.shape[-1])
     off = 2.0 * a[:, iu, ju]
     rows = np.concatenate((a.diagonal(0, -2, -1).real, off.real, off.imag,
@@ -217,21 +271,21 @@ def _matrix_cuts(a: np.ndarray, tuples, kind: str, violations) -> list:
     norms = np.abs(rows).max(axis=1)
     keep = violations / norms >= VIOLATION_THRESHOLD
     if not keep.any():
-        return []
+        return NO_CUTS
     kept = list(compress(tuples, keep))
     keys, picks = zip(*map(_TUPLE_KEYS.__getitem__, kept))
     coeffs = np.take_along_axis(
         rows[keep], np.concatenate(picks).reshape(len(kept), -1), axis=1)
     nonzero = coeffs != 0.0
-    return _cuts_from_columns(
-        [kind] * len(kept), kept,
-        list(compress(chain.from_iterable(keys), nonzero.ravel().tolist())),
-        coeffs[nonzero], np.zeros(len(kept)), nonzero.sum(axis=1).tolist(),
-        norms[keep], violations[keep].tolist())
+    return CutBlock(
+        np.full(len(kept), kind, object), np.fromiter(kept, object),
+        nonzero.sum(axis=1), np.zeros(len(kept)), norms[keep],
+        violations[keep], np.concatenate(keys)[nonzero.ravel()],
+        coeffs[nonzero])
 
 
 def eigen_cut(dec: EigenDecomposition, cutoff: np.ndarray, tuples,
-              kind: str = "eigen") -> list:
+              kind: str = "eigen") -> CutBlock:
     """Most-negative-eigenvector cuts of the stack whose eigenpairs are
     `dec`, one per matrix whose lambda_min is below its `cutoff`."""
     lam = dec.eigenvalues[:, -1]
@@ -242,7 +296,7 @@ def eigen_cut(dec: EigenDecomposition, cutoff: np.ndarray, tuples,
 
 
 def projection_cut(dec: EigenDecomposition, cutoff: np.ndarray,
-                   tuples) -> list:
+                   tuples) -> CutBlock:
     """Maximum-distance cuts from the PSD projection, one per matrix of the
     stack with an eigenvalue below its `cutoff`: A = sum of -lambda q q^H
     over those eigenvalues, violation the sum of their squares."""
@@ -259,19 +313,26 @@ def projection_cut(dec: EigenDecomposition, cutoff: np.ndarray,
                         violation)
 
 
-def _cosine(a: LinearCut, b: LinearCut) -> float:
-    """Cosine of the angle between the coefficient vectors of two cuts."""
-    # a plain loop, as sum() compensates rounding from Python 3.12 on
-    dot = na = nb = 0.0
-    for key, x in a.terms.items():
-        dot += x * b.terms.get(key, 0.0)
-        na += x * x
-    for y in b.terms.values():
-        nb += y * y
-    return dot / math.sqrt(na * nb)
+def _runs(size: np.ndarray):
+    """Per term of runs of `size` consecutive terms: its run, and its place
+    in the run."""
+    run = np.repeat(np.arange(len(size)), size)
+    return run, np.arange(len(run)) - (np.cumsum(size) - size)[run]
 
 
-def clique_cuts(x: np.ndarray, cliques) -> list:
+def _cosines(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Per run of `size` terms, the cosine of the angle between the
+    coefficients x and y of two cuts on the same keys.  Each sum runs left
+    to right over the terms, as a plain loop would: numpy's `sum` pairs
+    them up."""
+    run, place = _runs(size)
+    rows = np.zeros((3, len(size), size.max(initial=1)))
+    rows[:, run, place] = (x * y, x * x, y * y)
+    dot, na, nb = np.add.accumulate(rows, axis=2)[:, :, -1]
+    return dot / np.sqrt(na * nb)
+
+
+def clique_cuts(x: np.ndarray, cliques) -> CutBlock:
     """Eigen-cuts of a stack (M, n, n) of cliques, then projection cuts.
 
     Only a matrix with exactly two negative eigenvalues gets a projection
@@ -286,41 +347,33 @@ def clique_cuts(x: np.ndarray, cliques) -> list:
     two = np.flatnonzero((dec.eigenvalues < cutoff[:, None]).sum(axis=1) == 2)
     if not two.size:
         return cuts
-    by_clique = {cut.provenance: cut for cut in cuts}
-    projections, beaten = [], set()
-    for cut in projection_cut(
-            EigenDecomposition(dec.eigenvalues[two], dec.eigenvectors[two]),
-            cutoff[two], [cliques[m] for m in two.tolist()]):
-        other = by_clique.get(cut.provenance)
-        if other is None or other.terms.keys() != cut.terms.keys() \
-                or abs(_cosine(cut, other)) <= COSINE_BOUND:
-            projections.append(cut)
-        elif cut.violation_at_birth > other.violation_at_birth:
-            projections.append(cut)
-            beaten.add(cut.provenance)
-    return [cut for cut in cuts if cut.provenance not in beaten] + projections
+    proj = projection_cut(
+        EigenDecomposition(dec.eigenvalues[two], dec.eigenvectors[two]),
+        cutoff[two], [cliques[m] for m in two.tolist()])
+    # each projection cut beside its clique's eigen-cut, when one has as
+    # many terms
+    at = dict(zip(cuts.provenance.tolist(), range(len(cuts))))
+    other = np.fromiter(map(at.get, proj.provenance.tolist(),
+                            repeat(-1)), np.intp, len(proj))
+    pair = np.flatnonzero(other >= 0)
+    pair = pair[proj.size[pair] == cuts.size[other[pair]]]
+    p, e = proj.take(pair), cuts.take(other[pair])
+    same = np.bincount(p.cut_of[p.keys != e.keys], minlength=len(pair)) == 0
+    near = pair[same & (np.abs(_cosines(p.coeff, e.coeff, p.size))
+                        > COSINE_BOUND)]
+    if not near.size:
+        return CutBlock.concat(cuts, proj)
+    wins = proj.violation[near] > cuts.violation[other[near]]
+    return CutBlock.concat(
+        cuts.take(np.delete(np.arange(len(cuts)), other[near[wins]])),
+        proj.take(np.delete(np.arange(len(proj)), near[~wins])))
 
 
-def jabr_cut(x: np.ndarray, pairs) -> list:
+def jabr_cut(x: np.ndarray, pairs) -> CutBlock:
     """Eigen-cuts of a stack (P, 2, 2) of pair matrices, each in its pair's
     order as `clique_matrix` builds it; a cut separates c^2 + s^2 <=
     v2_k v2_m."""
     return eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), pairs, "jabr")
-
-
-def _linear_cuts(rows) -> list:
-    """`LinearCut(*row)` of each row (terms, rhs, kind, provenance,
-    violation_at_birth), field for field, built in one batch."""
-    if not rows:
-        return []
-    terms, rhs, kinds, provenances, violations = zip(*rows)
-    keys = [sorted(t, key=_KEY_BYTES.__getitem__) for t in terms]
-    coeffs = [t[k] for t, ks in zip(terms, keys) for k in ks]
-    return _cuts_from_columns(
-        kinds, provenances, list(chain.from_iterable(keys)),
-        np.array(coeffs, float), np.array(rhs, float), list(map(len, keys)),
-        np.array([max(map(abs, t.values())) for t in terms], float),
-        violations)
 
 
 def limit_cut(flows) -> list:
@@ -344,14 +397,14 @@ def limit_cut(flows) -> list:
     return rows
 
 
-def cost_cut(points, limits=()) -> list:
-    """Epigraph tangents, after the limit tangents `limits`, as cuts built
-    in one batch.
+def cost_cut(points, limits=()) -> CutBlock:
+    """Epigraph tangents, after the limit tangents `limits`, as one block.
 
     Per (p_hat, t_hat, gen, gkey) of `points` whose cost is quadratic (the
     base model holds exact supports of the others), the tangent at p_hat,
     unless it is violated by less than `VIOLATION_THRESHOLD` per unit norm.
-    `limits` are rows from `limit_cut`; their cuts come first.
+    `limits` are rows from `limit_cut`; their cuts come first.  Zero
+    coefficients stay in the terms.
     """
     rows = list(limits)
     for p_hat, t_hat, gen, gkey in points:
@@ -364,4 +417,4 @@ def cost_cut(points, limits=()) -> list:
             continue
         rows.append(({("t", gkey): 1.0, ("Pg", gkey): -slope},
                      f - slope * p_hat, "cost_tangent", (gkey,), f - t_hat))
-    return _linear_cuts(rows)
+    return CutBlock.of(rows)

@@ -5,9 +5,9 @@ import pytest
 
 from opfcuts.cli import EXIT_BACKEND, EXIT_DATA, EXIT_FAIL, EXIT_OK, main
 from opfcuts.cut_manager import admit, load_cuts, save_cuts
-from opfcuts.separation import LinearCut
 from test_cut_manager import V2_FIXTURE
 from test_lp_backend import report_model_status
+from test_separation import block_of, one_cut
 
 
 def test_cliques_command(case14_path, capsys):
@@ -143,9 +143,9 @@ def test_warm_start_logs_skipped_cuts(case14_path, tmp_path, caplog):
     assert main(["solve", case14_path, "--save-cuts", str(path)]) == EXIT_OK
     with open(path, encoding="utf-8") as fh:
         pool, _ = load_cuts(fh)
-    stray = LinearCut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
-                      (1, 999))
-    admit(pool, [stray])
+    stray = one_cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
+                    (1, 999))
+    admit(pool, block_of(stray))
     with open(path, "w", encoding="utf-8") as fh:
         save_cuts(pool, fh)
     with caplog.at_level(logging.INFO, logger="opfcuts"):
@@ -207,7 +207,7 @@ def test_small_version_3_file_loads(case14_path, tmp_path):
     path.write_text(_v3(), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         pool, _ = load_cuts(fh)
-    [(i, cut)] = pool.cuts.items()
+    [i], [cut] = pool.ids.tolist(), pool.cuts
     assert cut.terms == {("v2", 1): 1.0, ("v2", 2): 1.0}
     assert pool.basis.columns == {("v2", 1): "B", ("v2", 2): "L"}
     assert pool.basis.cuts == {i: "L"} == {0: "L"}

@@ -15,12 +15,17 @@ from opfcuts.cut_manager import (CutPool, SavedBasis, admit, age_and_drop,
 from opfcuts.errors import CutFileError
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import PSD_TOL, LinearCut, cut_hashes, eigen_cut
+from opfcuts.separation import PSD_TOL, CutBlock, cut_hashes, eigen_cut
+from test_separation import block_of, one_cut
 
 
 def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
-    return LinearCut(terms=dict(terms), rhs=rhs, kind=kind, provenance=prov,
-                     violation_at_birth=viol)
+    return one_cut(dict(terms), rhs, kind, prov, viol)
+
+
+def by_id(pool) -> dict:
+    """The pool's cuts by id."""
+    return dict(zip(pool.ids.tolist(), pool.cuts))
 
 
 def _content(cut):
@@ -34,10 +39,10 @@ def test_admit_keeps_cuts_of_equal_content():
     pool = CutPool()
     a = _cut({("v2", 1): 1.0})
     b = _cut({("v2", 1): 2.0})
-    assert cut_hashes([a]) == cut_hashes([b])
-    assert admit(pool, [a]) == {0: a}
-    assert admit(pool, [b]) == {1: b}
-    assert pool.cuts == {0: a, 1: b}
+    assert cut_hashes(block_of(a)) == cut_hashes(block_of(b))
+    assert list(admit(pool, block_of(a))) == [a]
+    assert list(admit(pool, block_of(b))) == [b]
+    assert by_id(pool) == {0: a, 1: b}
 
 
 def test_ids_never_repeat_after_a_drop(monkeypatch):
@@ -47,26 +52,29 @@ def test_ids_never_repeat_after_a_drop(monkeypatch):
     pool = CutPool()
     low, high = _cut({("v2", 1): 1.0}, viol=1.0), _cut({("v2", 2): 1.0},
                                                          viol=2.0)
-    assert admit(pool, [low, high]) == {0: high, 1: low}
-    assert age_and_drop(pool, {1: 1.0}, {}) == {1: low}
+    assert list(admit(pool, block_of(low, high))) == [high, low]
+    assert by_id(pool) == {0: high, 1: low}
+    assert age_and_drop(pool, np.array([0.0, 1.0])).tolist() == [1]
+    assert by_id(pool) == {0: high}
     again = _cut({("v2", 3): 1.0})
-    assert admit(pool, [again]) == {2: again}
-    assert CutPool({5: low}).next_id == 6
+    assert list(admit(pool, block_of(again))) == [again]
+    assert by_id(pool) == {0: high, 2: again}
+    assert CutPool(block_of(low), [5]).next_id == 6
 
 
 def test_admit_nonparallel_same_support_coexist():
     pool = CutPool()
     a = _cut({("v2", 1): 1.0, ("v2", 2): 1.0}, viol=2.0)
     b = _cut({("v2", 1): 1.0, ("v2", 2): -1.0}, viol=1.0)
-    assert len(admit(pool, [a, b])) == 2
+    assert len(admit(pool, block_of(a, b))) == 2
 
 
 def test_admit_stale_pool_copy_does_not_block():
     """A near-parallel refinement of an existing cut is still admitted."""
     pool = CutPool()
-    admit(pool, [_cut({("v2", 1): 1.0, ("v2", 2): 1.0}, viol=2.0)])
+    admit(pool, block_of(_cut({("v2", 1): 1.0, ("v2", 2): 1.0}, viol=2.0)))
     refined = _cut({("v2", 1): 1.0, ("v2", 2): 1.00001}, viol=0.5)
-    assert list(admit(pool, [refined]).values()) == [refined]
+    assert list(admit(pool, block_of(refined))) == [refined]
 
 
 def test_age_and_drop(monkeypatch):
@@ -74,28 +82,77 @@ def test_age_and_drop(monkeypatch):
     pool = CutPool()
     tight = _cut({("v2", 1): 1.0})
     slack = _cut({("v2", 2): 1.0})
-    t, s = admit(pool, [tight, slack])
-    ages = {}
-    slacks = {t: 0.0, s: 1.0}
+    admit(pool, block_of(tight, slack))
+    t, s = pool.ids.tolist()
+    slacks = np.array([0.0, 1.0])
     for age in range(1, 5):
-        assert age_and_drop(pool, slacks, ages) == {}
-        assert ages == {s: age}
-    assert age_and_drop(pool, slacks, ages) == {s: slack}
-    assert list(pool.cuts) == [t]
-    assert ages == {}
+        assert len(age_and_drop(pool, slacks)) == 0
+        assert dict(zip(pool.ids.tolist(), pool.ages.tolist())) \
+            == {t: 0, s: age}
+    assert age_and_drop(pool, slacks).tolist() == [s]
+    assert by_id(pool) == {t: tight}
+    assert pool.ages.tolist() == [0]
 
 
 def test_age_resets_on_tightness(monkeypatch):
     monkeypatch.setattr(cut_manager, "T_AGE", 2)
     pool = CutPool()
     cut = _cut({("v2", 1): 1.0})
-    [h] = admit(pool, [cut])
-    ages = {}
+    admit(pool, block_of(cut))
+    [h] = pool.ids.tolist()
     for i in range(20):
         slack = 1.0 if i % 2 else 0.0
-        age_and_drop(pool, {h: slack}, ages)
-        assert ages == ({h: 1} if i % 2 else {})
-    assert pool.cuts[h] is cut
+        assert len(age_and_drop(pool, np.array([slack]))) == 0
+        assert pool.ages.tolist() == ([1] if i % 2 else [0])
+    assert by_id(pool) == {h: cut}
+
+
+def test_admission_is_stable_on_equal_violations():
+    """Admission orders by decreasing violation and keeps the candidates'
+    order among equal violations, under consecutive ids."""
+    rng = np.random.default_rng(93)
+    viols = rng.choice([0.5, 1.0, 2.0], 30).tolist()
+    cuts = [_cut({("v2", i + 1): 1.0}, viol=v) for i, v in enumerate(viols)]
+    pool = CutPool()
+    admit(pool, block_of(_cut({("v2", 99): 1.0})))
+    admitted = admit(pool, block_of(*cuts))
+    want = sorted(cuts, key=lambda c: -c.violation_at_birth)
+    assert list(admitted) == want
+    assert by_id(pool) == dict(enumerate([pool.cuts[0]] + want))
+
+
+def test_age_and_drop_matches_a_reference_loop(monkeypatch):
+    """Rounds of random slacks, each for the cuts of the last solve only,
+    with cuts admitted in between: the ages, the drops and the pool equal
+    those of a per-cut loop over ids."""
+    monkeypatch.setattr(cut_manager, "T_AGE", 3)
+    rng = np.random.default_rng(94)
+    pool, ages, cuts = CutPool(), {}, {}
+    for step in range(40):
+        solved = len(pool)
+        new = [_cut({("v2", int(j)): float(rng.uniform(0.5, 4.0))},
+                    viol=float(rng.random()))
+               for j in rng.integers(1, 50, rng.integers(0, 6))]
+        admit(pool, block_of(*new))
+        cuts.update(by_id(pool))
+        slacks = rng.choice([0.0, 1e-7, 1e-4, 1.0], solved) \
+            * (rng.random(solved) < 0.7)
+        slack_of = dict(zip(pool.ids.tolist(), slacks.tolist()))
+        want = []
+        for i, cut in by_id(pool).items():  # the reference, in pool order
+            if slack_of.get(i, 0.0) / cut.inf_norm < cut_manager.EPS_SLACK:
+                ages.pop(i, None)
+            else:
+                ages[i] = ages.get(i, 0) + 1
+                if ages[i] >= cut_manager.T_AGE:
+                    want.append(i)
+                    del ages[i]
+        assert age_and_drop(pool, slacks).tolist() == want
+        assert by_id(pool) == {i: cuts[i] for i in pool.ids.tolist()}
+        assert set(want).isdisjoint(pool.ids.tolist())
+        assert {i: a for i, a in zip(pool.ids.tolist(), pool.ages.tolist())
+                if a} == ages
+    assert len(cuts) > len(pool) > 0
 
 
 class _FakeModel:
@@ -110,15 +167,14 @@ def test_save_load_round_trip():
     pool = CutPool()
     cuts = [_cut({("v2", 1): 1.0, ("c", 1, 2): -0.5}, rhs=0.1),
             _cut({("s", 1, 2): 2.0}, rhs=-1.0, kind="jabr")]
-    admit(pool, cuts)
+    admit(pool, block_of(*cuts))
     buf = io.StringIO()
     save_cuts(pool, buf)
     buf.seek(0)
     again, skipped = load_cuts(
         buf, _FakeModel([("v2", 1), ("c", 1, 2), ("s", 1, 2)]))
     assert skipped == 0
-    assert sorted(map(_content, again.cuts.values())) \
-        == sorted(map(_content, cuts))
+    assert sorted(map(_content, again.cuts)) == sorted(map(_content, cuts))
 
 
 def test_term_order_is_canonical():
@@ -130,12 +186,12 @@ def test_term_order_is_canonical():
     for cut in cuts:
         assert list(cut.terms) == sorted(cut.terms, key=repr)
         pool = CutPool()
-        admit(pool, [cut])
+        admit(pool, block_of(cut))
         buf = io.StringIO()
         save_cuts(pool, buf)
         texts.append(buf.getvalue())
     assert list(cuts[0].terms) == list(cuts[1].terms)
-    assert cut_hashes(cuts[:1]) == cut_hashes(cuts[1:])
+    assert cut_hashes(block_of(cuts[0])) == cut_hashes(block_of(cuts[1]))
     assert texts[0] == texts[1]
 
 
@@ -146,16 +202,17 @@ def test_born_cut_hashes_like_its_reloaded_copy(case14):
     rng = np.random.default_rng(8078)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     x = (a + a.conj().T)[None]
-    [cut] = eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(9, 4, 7)])
+    cuts = eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(9, 4, 7)])
+    [cut] = cuts
     assert all(type(w) is float for w in cut.terms.values())
     assert any(round(np.float64(w / cut.inf_norm), 12)
                != round(w / cut.inf_norm, 12) for w in cut.terms.values())
     buf = io.StringIO()
-    save_cuts(CutPool({0: cut}), buf)
+    save_cuts(CutPool(cuts), buf)
     buf.seek(0)
     loaded, skipped = load_cuts(buf, build_m0(case14))
     assert skipped == 0
-    assert cut_hashes(list(loaded.cuts.values())) == cut_hashes([cut])
+    assert cut_hashes(loaded.cuts) == cut_hashes(cuts)
 
 
 def test_numpy_integer_keys_save_like_ints():
@@ -163,21 +220,21 @@ def test_numpy_integer_keys_save_like_ints():
     back with the same content hash."""
     texts, hashes = [], set()
     for bus in (np.int64(4), 4):
-        cut = LinearCut({("v2", bus): 1.0}, 0.0, "eigen", (bus,))
+        cuts = CutBlock.of([({("v2", bus): 1.0}, 0.0, "eigen", (bus,), 0.0)])
         buf = io.StringIO()
-        save_cuts(CutPool({0: cut}), buf)
+        save_cuts(CutPool(cuts), buf)
         texts.append(buf.getvalue())
         buf.seek(0)
         loaded, _ = load_cuts(buf)
-        hashes.update(cut_hashes([cut, *loaded.cuts.values()]))
+        hashes.update(cut_hashes(CutBlock.concat(cuts, loaded.cuts)))
     assert texts[0] == texts[1]
     assert len(hashes) == 1
 
 
 def test_load_skips_unknown_variables():
     pool = CutPool()
-    admit(pool, [_cut({("v2", 1): 1.0}),
-                 _cut({("v2", 99): 1.0}, prov=(99,))])
+    admit(pool, block_of(_cut({("v2", 1): 1.0}),
+                         _cut({("v2", 99): 1.0}, prov=(99,))))
     buf = io.StringIO()
     save_cuts(pool, buf)
     buf.seek(0)
@@ -188,14 +245,14 @@ def test_load_skips_unknown_variables():
 
 def test_load_without_model_keeps_every_cut():
     pool = CutPool()
-    admit(pool, [_cut({("v2", 1): 1.0}),
-                 _cut({("v2", 99): 1.0}, prov=(99,))])
+    admit(pool, block_of(_cut({("v2", 1): 1.0}),
+                         _cut({("v2", 99): 1.0}, prov=(99,))))
     buf = io.StringIO()
     save_cuts(pool, buf)
     buf.seek(0)
     again, skipped = load_cuts(buf)
     assert skipped == 0
-    assert set(again.cuts) == set(pool.cuts)
+    assert set(again.ids.tolist()) == set(pool.ids.tolist())
 
 
 def test_load_bad_header():
@@ -231,20 +288,20 @@ def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
     The model is asked about each distinct key once."""
     model = build_m0(case14)
     assert any(key[1:] not in model.pairs.pair_branches
-               for cut in cold_report.pool.cuts.values()
+               for cut in cold_report.pool.cuts
                for key in cut.terms if key[0] in ("c", "s"))
     stray = _cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, prov=(1, 999))
-    pool = CutPool(dict(cold_report.pool.cuts))
-    admit(pool, [stray])
+    pool = CutPool(cold_report.pool.cuts, cold_report.pool.ids)
+    admit(pool, block_of(stray))
     asked = []
     has_variables = model.has_variables
     model.has_variables = lambda keys: asked.extend(keys) or \
         has_variables(keys)
     again, skipped = load_cuts(io.StringIO(_saved(pool)), model)
     assert skipped == 1
-    assert sorted(cut_hashes(list(again.cuts.values()))) \
-        == sorted(cut_hashes(list(cold_report.pool.cuts.values())))
-    named = {key for cut in pool.cuts.values() for key in cut.terms}
+    assert sorted(cut_hashes(again.cuts)) \
+        == sorted(cut_hashes(cold_report.pool.cuts))
+    named = {key for cut in pool.cuts for key in cut.terms}
     assert sorted(asked, key=repr) == sorted(named, key=repr)
 
 
@@ -260,13 +317,13 @@ def _records(pool) -> str:
     return "".join(json.dumps({
         "kind": cut.kind, "support": cut.provenance,
         "terms": [[k, w] for k, w in cut.terms.items()], "rhs": cut.rhs})
-        + "\n" for cut in pool.cuts.values())
+        + "\n" for cut in pool.cuts)
 
 
 def _in_hash_order(pool) -> list:
     """The pool's ids in the order its file keeps its cuts."""
-    hashes = dict(zip(pool.cuts, cut_hashes(list(pool.cuts.values()))))
-    return sorted(pool.cuts, key=hashes.__getitem__)
+    hashes = dict(zip(pool.ids.tolist(), cut_hashes(pool.cuts)))
+    return sorted(hashes, key=hashes.__getitem__)
 
 
 def test_saved_text_round_trips_with_its_basis(cold_report):
@@ -283,24 +340,26 @@ def test_saved_text_round_trips_with_its_basis(cold_report):
     assert skipped == 0
     basis = cold_report.pool.basis
     order = _in_hash_order(cold_report.pool)
-    assert list(map(_content, loaded.cuts.values())) \
-        == [_content(cold_report.pool.cuts[h]) for h in order]
+    cuts = by_id(cold_report.pool)
+    assert list(map(_content, loaded.cuts)) \
+        == [_content(cuts[h]) for h in order]
     assert loaded.basis == dataclasses.replace(basis, cuts={
         i: basis.cuts[h] for i, h in enumerate(order) if h in basis.cuts})
     assert _saved(loaded) == text
     shuffled = SavedBasis(
         columns=dict(reversed(basis.columns.items())),
         base_rows=basis.base_rows, cuts=dict(reversed(basis.cuts.items())))
-    assert _saved(CutPool(cold_report.pool.cuts, shuffled)) == text
+    assert _saved(CutPool(cold_report.pool.cuts, cold_report.pool.ids,
+                          shuffled)) == text
 
 
 def test_v1_file_loads_without_basis(cold_report):
     v1 = '{"fmt": "cutpool", "v": 1}\n' + _records(cold_report.pool)
     loaded, _ = load_cuts(io.StringIO(v1))
     assert loaded.basis is None
-    assert list(map(_content, loaded.cuts.values())) == [
-        _content(cold_report.pool.cuts[h])
-        for h in _in_hash_order(cold_report.pool)]
+    cuts = by_id(cold_report.pool)
+    assert list(map(_content, loaded.cuts)) == [
+        _content(cuts[h]) for h in _in_hash_order(cold_report.pool)]
     # a v1 file has no basis record; one there is a malformed cut record
     record = json.dumps({"basis": _BASIS}) + "\n"
     with pytest.raises(CutFileError,
@@ -334,15 +393,15 @@ def test_v2_file_loads_like_its_v3_save(case14):
         v2, _ = load_cuts(fh)
     with open(V2_FIXTURE, encoding="utf-8") as fh:
         records = [json.loads(line) for line in list(fh)[1:-1]]
-    alone = [LinearCut({cut_manager._key_from_json(k): w
-                        for k, w in rec["terms"]}, rec["rhs"], rec["kind"],
-                       cut_manager._key_from_json(rec["support"]))
+    alone = [one_cut({cut_manager._key_from_json(k): w
+                      for k, w in rec["terms"]}, rec["rhs"], rec["kind"],
+                     cut_manager._key_from_json(rec["support"]))
              for rec in records]
-    assert list(v2.cuts.values()) == alone
+    assert list(v2.cuts) == alone
     assert len(v2.cuts) == 91 and v2.basis is not None
     v3, _ = load_cuts(io.StringIO(_saved(v2)))
-    assert list(v3.cuts) == list(v2.cuts) == sorted(v2.cuts)
-    assert v3.cuts == v2.cuts and v3.basis == v2.basis
+    assert v3.ids.tolist() == v2.ids.tolist() == sorted(v2.ids.tolist())
+    assert by_id(v3) == by_id(v2) and v3.basis == v2.basis
     pert = opfcuts.perturb_loads(case14, seed=3, mu_frac=0.0,
                                  sigma_frac=0.01)
     runs = [opfcuts.cutplane(pert, opfcuts.RunConfig(), warm=pool)
@@ -356,7 +415,7 @@ def test_v2_file_loads_like_its_v3_save(case14):
 
 def test_pool_without_basis_saves_no_basis_record():
     pool = CutPool()
-    admit(pool, [_cut({("v2", 1): 1.0})])
+    admit(pool, block_of(_cut({("v2", 1): 1.0})))
     text = _saved(pool)
     assert len(text.splitlines()) == 2
     assert load_cuts(io.StringIO(text))[0].basis is None
@@ -397,17 +456,18 @@ def test_second_basis_record_raises():
 
 _COSINES = """
 import random
-from opfcuts.separation import LinearCut, _cosine
+from opfcuts.separation import CutBlock, _cosines
 
 rng = random.Random(0)
 clique = (1, 2, 3, 4, 5)
 keys = [("v2", b) for b in clique] + [
     (k, a, b) for k in "cs" for i, a in enumerate(clique)
     for b in clique[i + 1:]]
-def cut():
-    return LinearCut({k: rng.uniform(-1, 1) for k in keys}, 0.0, "eigen",
-                     clique)
-print(" ".join(_cosine(cut(), cut()).hex() for _ in range(200)))
+def cuts():
+    return CutBlock.of([({k: rng.uniform(-1, 1) for k in keys}, 0.0, "eigen",
+                         clique, 0.0) for _ in range(200)])
+a, b = cuts(), cuts()
+print(" ".join(c.hex() for c in _cosines(a.coeff, b.coeff, a.size).tolist()))
 """
 
 
@@ -433,7 +493,7 @@ def test_cold_run_and_version_3_load_hash_nothing(case14, cold_report,
     report = opfcuts.cutplane(case14, opfcuts.RunConfig())
     loaded, skipped = load_cuts(io.StringIO(text), build_m0(case14))
     assert skipped == 0 and len(loaded) == len(report.pool)
-    assert list(loaded.cuts) == list(range(len(loaded)))
+    assert loaded.ids.tolist() == list(range(len(loaded)))
 
 
 def test_save_and_line_loads_hash_in_one_batch(cold_report, monkeypatch):
@@ -459,19 +519,21 @@ def test_cuts_of_equal_content_round_trip(case14, cold_report):
     Its file keeps both, the earlier id first, and saves again as the same
     text; loaded, both rows enter the LP and the first solve is
     certified."""
-    pool = CutPool(dict(cold_report.pool.cuts))
-    first = next(iter(pool.cuts.values()))
-    twin = LinearCut({k: 2.0 * w for k, w in first.terms.items()},
-                     2.0 * first.rhs, first.kind, first.provenance)
-    [h] = admit(pool, [twin])
-    assert cut_hashes([twin]) == cut_hashes([first])
+    pool = CutPool(cold_report.pool.cuts, cold_report.pool.ids)
+    first = pool.cuts[0]
+    twin = one_cut({k: 2.0 * w for k, w in first.terms.items()},
+                   2.0 * first.rhs, first.kind, first.provenance)
+    admit(pool, block_of(twin))
+    h = int(pool.ids[-1])
+    assert cut_hashes(block_of(twin)) == cut_hashes(block_of(first))
     text = _saved(pool)
     loaded, skipped = load_cuts(io.StringIO(text))
     assert skipped == 0 and len(loaded) == len(pool)
     order = _in_hash_order(pool)
-    assert order.index(h) == order.index(next(iter(pool.cuts))) + 1
-    assert list(map(_content, loaded.cuts.values())) \
-        == [_content(pool.cuts[i]) for i in order]
+    assert order.index(h) == order.index(int(pool.ids[0])) + 1
+    cuts = by_id(pool)
+    assert list(map(_content, loaded.cuts)) \
+        == [_content(cuts[i]) for i in order]
     assert _saved(loaded) == text
     report = opfcuts.cutplane(case14, opfcuts.RunConfig(max_rounds=1),
                               warm=loaded)

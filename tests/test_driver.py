@@ -13,12 +13,15 @@ import pytest
 
 from opfcuts import driver, lp_backend
 from opfcuts.case_io import parse_case, perturb_loads
-from opfcuts.cut_manager import CutPool, admit, load_cuts, save_cuts
+from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
+                                 save_cuts)
 from opfcuts.driver import RunConfig, RunReport, cutplane, report_table
 from opfcuts.errors import ModelError
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import VIOLATION_THRESHOLD, LinearCut
+from opfcuts.separation import VIOLATION_THRESHOLD
+from test_cut_manager import by_id
 from test_lp_backend import report_model_status, use_highs_class
+from test_separation import block_of, one_cut
 
 
 def test_config_validation():
@@ -244,37 +247,44 @@ def test_warm_start_first_round_bound(case14, cold_report):
 
 
 def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
-    """A warm run shares the given pool's cuts and changes none of them."""
+    """A warm run reads the given pool's cuts and changes none of them:
+    the pool keeps its block, ids and ages, and the block its arrays."""
     given = cold_report.pool
-    before = {h: (id(cut), dict(vars(cut))) for h, cut in given.cuts.items()}
+    block = given.cuts
+    arrays = {name: a.copy() for name, a in vars(block).items()}
+    ids, ages = given.ids.copy(), given.ages.copy()
     text = io.StringIO()
     save_cuts(given, text)
     pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
     warm = cutplane(pert, RunConfig(max_rounds=4), warm=given)
-    assert {h: (id(cut), vars(cut)) for h, cut in given.cuts.items()} \
-        == before
+    assert given.cuts is block
+    assert all(np.array_equal(a, getattr(block, name))
+               for name, a in arrays.items())
+    assert np.array_equal(given.ids, ids) and np.array_equal(given.ages, ages)
     again = io.StringIO()
     save_cuts(given, again)
     assert again.getvalue() == text.getvalue()
-    kept = given.cuts.keys() & warm.pool.cuts.keys()
+    mine, theirs = by_id(warm.pool), by_id(given)
+    kept = mine.keys() & theirs.keys()
     assert kept
-    assert all(warm.pool.cuts[h] is given.cuts[h] for h in kept)
+    assert all(mine[h] == theirs[h] for h in kept)
 
 
 def test_warm_ids_stay_above_the_given_pools(case14):
-    """A warm run keeps the given ids and objects and numbers its new cuts
+    """A warm run keeps the given ids and cuts and numbers its new cuts
     above every id the given pool gave, its dropped top one included."""
-    given = CutPool(dict(cutplane(case14, RunConfig()).pool.cuts))
-    top = max(given.cuts)
-    del given.cuts[top]
+    run = cutplane(case14, RunConfig()).pool
+    top = int(run.ids.max())
+    keep = run.ids != top
+    given = CutPool(run.cuts.take(keep), run.ids[keep])
+    given.next_id = top + 1  # it gave `top`, then dropped it
     pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
     warm = cutplane(pert, RunConfig(max_rounds=4), warm=given)
-    new = warm.pool.cuts.keys() - given.cuts.keys()
+    mine, theirs = by_id(warm.pool), by_id(given)
+    new = mine.keys() - theirs.keys()
     assert new and min(new) > top
-    kept = warm.pool.cuts.keys() & given.cuts.keys()
-    assert kept and all(warm.pool.cuts[h] is given.cuts[h] for h in kept)
-    given_ids = {id(cut) for cut in given.cuts.values()}
-    assert not any(id(warm.pool.cuts[h]) in given_ids for h in new)
+    kept = mine.keys() & theirs.keys()
+    assert kept and all(mine[h] == theirs[h] for h in kept)
 
 
 def test_warm_start_from_a_runs_last_basis(case14):
@@ -318,10 +328,10 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     """The warm injection asks the model about each distinct key once,
     skips the cuts naming an unknown one, and adds the pairs of the others
     in the column order a per-cut extension gives."""
-    stray = LinearCut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
-                      (1, 999))
-    warm = CutPool(dict(cold_report.pool.cuts))
-    admit(warm, [stray])
+    stray = one_cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
+                    (1, 999))
+    warm = CutPool(cold_report.pool.cuts, cold_report.pool.ids)
+    admit(warm, block_of(stray))
     models, asked = [], []
 
     def build(case):
@@ -334,17 +344,52 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
 
     monkeypatch.setattr(driver, "build_m0", build)
     report = cutplane(case14, RunConfig(max_rounds=1), warm=warm)
-    named = {key for cut in warm.cuts.values() for key in cut.terms}
+    named = {key for cut in warm.cuts for key in cut.terms}
     assert sorted(asked, key=repr) == sorted(named, key=repr)
-    assert set(report.pool.cuts) == set(cold_report.pool.cuts)
+    assert set(report.pool.ids.tolist()) == set(cold_report.pool.ids.tolist())
     reference = build_m0(case14)
-    for _, cut in sorted(cold_report.pool.cuts.items()):
-        reference.extend_pairs({key[1:] for key in cut.terms
-                                if key[0] in ("c", "s")})
+    for _, cut in sorted(by_id(cold_report.pool).items()):
+        reference.extend_pairs(sorted({key[1:] for key in cut.terms
+                                       if key[0] in ("c", "s")}))
     [model] = models
     assert len(reference.var_index) > len(build_m0(case14).var_index)
     assert list(model.var_index)[:len(reference.var_index)] \
         == list(reference.var_index)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_cut_slacks_in_pool_order(case14, cold_report, monkeypatch, warm):
+    """Each solve's row slacks are its pool's cuts', in pool order, after
+    drops and after a warm start: the i-th is a.x - b of the i-th cut of
+    the pool at the solve's primal point, and cuts admitted since have
+    none."""
+    models, seen = [], []
+
+    def build(case):
+        models.append(build_m0(case))
+        return models[-1]
+
+    def aging(pool, slacks):
+        [model] = models
+        x = model._solution
+        assert len(slacks) <= len(pool)
+        assert slacks.tolist() == pytest.approx([
+            sum(w * x[model.var_index[k]] for k, w in cut.terms.items())
+            - cut.rhs for cut in pool.cuts.take(np.arange(len(slacks)))],
+            rel=1e-9, abs=1e-9)
+        seen.append(len(slacks))
+        return age_and_drop(pool, slacks)
+
+    monkeypatch.setattr(driver, "build_m0", build)
+    monkeypatch.setattr(driver, "age_and_drop", aging)
+    pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.1)
+    report = cutplane(pert, RunConfig(),
+                      warm=cold_report.pool if warm else None)
+    assert sum(st.cuts_dropped for st in report.rounds) > 0
+    # a run ending with no_cuts ages its last round too
+    assert len(seen) == report.num_rounds - (report.termination != "no_cuts")
+    assert max(seen) > 0
+    assert (seen[0] > 0) == warm
 
 
 @pytest.fixture(scope="module")
@@ -477,11 +522,13 @@ def test_report_does_not_keep_the_backend(case14, monkeypatch):
 
 
 def test_report_table_text(cold_report):
-    text = report_table([cold_report])
+    text = report_table([cold_report, RunReport(case_name="x")])
     lines = text.splitlines()
     assert lines[0].startswith("Case")
     assert "(5,0,0)" in lines[1]
     assert cold_report.termination in lines[1]
+    assert lines[1].split()[6] == str(len(cold_report.pool))
+    assert lines[2].split()[6] == "-"  # no pool, as DInf without a solve
 
 
 def test_report_table_empty():
@@ -493,9 +540,10 @@ def test_report_table_empty():
 def test_report_table_csv(cold_report):
     import csv
     import io
-    out = report_table([cold_report], csv=True)
+    out = report_table([cold_report, RunReport(case_name="x")], csv=True)
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "Case"
-    assert len(rows) == 2
+    assert len(rows) == 3
     assert rows[1][2] == "(5,0,0)"
+    assert (rows[2][3], rows[2][6]) == ("-", "-")
     assert float(rows[1][1]) == pytest.approx(cold_report.best_bound, abs=0.01)

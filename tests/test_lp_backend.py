@@ -17,12 +17,23 @@ from opfcuts.lp_backend import CERTIFY_TOL, SavedBasis, ScipyHighsBackend
 from test_acceptance import BAND_HI, BAND_LO
 
 
+def _add_row(be, row_id, cols, coeffs, rhs, ge=True):
+    """Add the row a.x >= rhs, or a.x = rhs when not `ge`, as a block of
+    one, named `row_id` unless that is None."""
+    be.add_rows(np.array(cols, np.int32), np.array(coeffs, float),
+                [len(cols)], np.array([rhs], float), np.array([ge]),
+                None if row_id is None else [row_id])
+
+
+def _add_column(be, key, lower, upper, obj=0.0):
+    be.add_columns([key], [lower], [upper], [obj])
+
+
 def _backend(objective, lower, upper, eq_rows=()):
     be = ScipyHighsBackend()
-    for j, (c, lo, up) in enumerate(zip(objective, lower, upper)):
-        be.add_column(j, lo, up, c)
+    be.add_columns(list(range(len(objective))), lower, upper, objective)
     for row in eq_rows:
-        be.add_row(None, *row, ge=False)
+        _add_row(be, None, *row, ge=False)
     return be
 
 
@@ -33,13 +44,13 @@ def _loaded(lower=0.0, upper=10.0):
 def test_duplicate_column_key_raises():
     be = _loaded()
     with pytest.raises(LpBackendError, match="duplicate column key 0"):
-        be.add_column(0, 0.0, 1.0)
+        _add_column(be, 0, 0.0, 1.0)
     assert be.columns == {0: 0} and len(be.objective) == 1
 
 
 def test_minimize_with_single_row():
     be = _loaded()
-    be.add_row("r1", [0], [1.0], 1.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)
@@ -49,11 +60,12 @@ def test_minimize_with_single_row():
 
 def test_tighten_then_relax():
     be = _loaded()
-    be.add_row("r1", [0], [1.0], 1.0)
-    be.add_row("r2", [0], [1.0], 2.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
+    _add_row(be, "r2", [0], [1.0], 2.0)
     res = be.solve()
     assert res.objective == pytest.approx(2.0)
-    assert res.row_slack == pytest.approx({"r1": 1.0, "r2": 0.0})
+    assert list(be.rows) == ["r1", "r2"]
+    assert res.row_slack.tolist() == pytest.approx([1.0, 0.0])
     be.remove_rows(["r2"])
     assert be.solve().objective == pytest.approx(1.0)
 
@@ -62,9 +74,9 @@ def test_hot_resolve_prices_with_devex():
     """Row edits drop HiGHS's steepest-edge weights, so the persistent
     model prices with Devex (strategy 1) rather than rebuild them."""
     be = _loaded()
-    be.add_row("r1", [0], [1.0], 1.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
     be.solve()
-    be.add_row("r2", [0], [1.0], 2.0)
+    _add_row(be, "r2", [0], [1.0], 2.0)
     assert be.solve().objective == pytest.approx(2.0)
     status, strategy = be._highs.getOptionValue(
         "simplex_dual_edge_weight_strategy")
@@ -75,9 +87,9 @@ def _three_rows():
     """min x0 + 2 x1 over [0, 10]^2 with one base row and two cut rows;
     the slack basis is primal infeasible."""
     be = _backend([1.0, 2.0], [0.0, 0.0], [10.0, 10.0])
-    be.add_row(None, [0, 1], [1.0, 1.0], 3.0)
-    be.add_row("a", [0], [1.0], 1.0)
-    be.add_row("b", [1], [1.0], 0.5)
+    _add_row(be, None, [0, 1], [1.0, 1.0], 3.0)
+    _add_row(be, "a", [0], [1.0], 1.0)
+    _add_row(be, "b", [1], [1.0], 0.5)
     return be
 
 
@@ -85,7 +97,7 @@ def test_saved_basis_starts_a_twin_at_its_optimum():
     first = _three_rows()
     solved = first.solve()
     assert solved.iterations > 0
-    saved = first.basis()
+    saved = first.last_basis().saved()
     assert (set(saved.columns), len(saved.base_rows), set(saved.cuts)) \
         == ({0, 1}, 1, {"a", "b"})
     assert "".join([*saved.columns.values(), saved.base_rows,
@@ -120,16 +132,17 @@ def test_unedited_lp_is_not_solved_again(monkeypatch):
     assert len(calls) == 1
     assert first.iterations > 0 and again.iterations == 0
     assert (again.status, again.objective, again.dual_bound,
-            again.row_slack) == (first.status, first.objective,
-                                 first.dual_bound, first.row_slack)
+            again.row_slack.tolist()) == (first.status, first.objective,
+                                          first.dual_bound,
+                                          first.row_slack.tolist())
     assert again.primal.tolist() == first.primal.tolist()
 
 
 @pytest.mark.parametrize("edit", [
-    lambda be: be.add_row("c", [0], [1.0], 2.0),
+    lambda be: _add_row(be, "c", [0], [1.0], 2.0),
     lambda be: be.remove_rows(["a"]),
-    lambda be: be.add_column("x2", 0.0, 1.0, 1.0),
-    lambda be: be.start_basis(be.basis()),
+    lambda be: _add_column(be, "x2", 0.0, 1.0, 1.0),
+    lambda be: be.start_basis(be.last_basis().saved()),
 ], ids=["add_row", "remove_rows", "add_column", "start_basis"])
 def test_each_edit_solves_again(monkeypatch, edit):
     be = _three_rows()
@@ -145,7 +158,7 @@ def test_each_edit_solves_again(monkeypatch, edit):
 def test_result_short_of_optimal_is_solved_again(monkeypatch):
     calls = _count_linprog(monkeypatch)
     be = _loaded(upper=0.5)
-    be.add_row("r1", [0], [1.0], 1.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
     assert be.solve().status == be.solve().status == "infeasible"
     assert len(calls) == 2
 
@@ -155,13 +168,13 @@ def test_start_basis_fills_what_it_lacks():
     starts basic; here that is still optimal."""
     first = _three_rows()
     first.solve()
-    saved = first.basis()
+    saved = first.last_basis().saved()
     twin = _three_rows()
-    twin.add_column("new", -np.inf, 5.0)
-    twin.add_row("c", [0], [1.0], 0.0)
+    _add_column(twin, "new", -np.inf, 5.0)
+    _add_row(twin, "c", [0], [1.0], 0.0)
     assert twin.start_basis(saved) is None
     assert twin.solve().iterations == 0
-    basis = twin.basis()
+    basis = twin.last_basis().saved()
     assert (basis.columns["new"], basis.cuts["c"]) == ("U", "B")
 
 
@@ -171,10 +184,10 @@ def _named(order):
     cost = {"x0": 1.0, "x1": 2.0}
     be = ScipyHighsBackend()
     for key in order:
-        be.add_column(key, 0.0, 10.0, cost[key])
+        _add_column(be, key, 0.0, 10.0, cost[key])
     x0, x1 = be.columns["x0"], be.columns["x1"]
-    be.add_row(None, [x0, x1], [1.0, 1.0], 3.0)
-    be.add_row("a", [x0], [1.0], 1.0)
+    _add_row(be, None, [x0, x1], [1.0, 1.0], 3.0)
+    _add_row(be, "a", [x0], [1.0], 1.0)
     return be
 
 
@@ -185,23 +198,23 @@ def test_basis_restores_by_name_onto_a_reordered_twin():
     first = _named(["x0", "x1"])
     solved = first.solve()
     assert solved.iterations > 0
-    saved = first.basis()
+    saved = first.last_basis().saved()
     assert saved.columns == {"x0": "B", "x1": "L"}
     twin = _named(["x1", "x0"])
     assert twin.start_basis(saved) is None
     res = twin.solve()
     assert res.iterations == 0
     assert res.objective == solved.objective
-    assert twin.basis() == saved
+    assert twin.last_basis().saved() == saved
 
 
 def test_basis_leaves_out_rows_edited_since_the_solve():
     be = _three_rows()
     be.solve()
     be.remove_rows(["b"])
-    be.add_row("c", [0], [1.0], 0.0)
-    be.add_column("new", 0.0, 1.0)
-    saved = be.basis()
+    _add_row(be, "c", [0], [1.0], 0.0)
+    _add_column(be, "new", 0.0, 1.0)
+    saved = be.last_basis().saved()
     assert len(saved.base_rows) == 1 and set(saved.cuts) == {"a"}
     assert set(saved.columns) == {0, 1}
 
@@ -209,7 +222,7 @@ def test_basis_leaves_out_rows_edited_since_the_solve():
 def test_start_basis_refusals():
     """A basis of the wrong shape is refused before HiGHS sees it."""
     be = _three_rows()
-    assert _three_rows().basis() is None  # no solve yet
+    assert _three_rows().last_basis() is None  # no solve yet
     assert "base rows" in be.start_basis(SavedBasis({}, "BB", {}))
     # every column basic, and every row but base rows: 2 + 2 for 3 rows
     assert "basic" in be.start_basis(SavedBasis({0: "B", 1: "B"}, "L", {}))
@@ -219,7 +232,7 @@ def test_start_basis_refusals():
 
 def test_infeasible():
     be = _loaded(upper=0.5)
-    be.add_row("r1", [0], [1.0], 1.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
     res = be.solve()
     assert res.status == "infeasible"
     assert res.objective is None
@@ -238,7 +251,7 @@ def test_many_row_edits_idempotent():
     base = be.solve().objective
     ids = ["r%d" % i for i in range(1000)]
     for i, rid in enumerate(ids):
-        be.add_row(rid, [0], [1.0], 0.001 * i)
+        _add_row(be, rid, [0], [1.0], 0.001 * i)
     assert be.solve().objective == pytest.approx(0.999)
     be.remove_rows(ids)
     assert be.rows == {}
@@ -252,15 +265,20 @@ def test_unknown_row_id():
 
 
 def test_duplicate_row_id_rejected():
-    """An id names one row: adding it again raises, queued or stored, and
-    leaves the first row in place."""
+    """An id names one row: adding it again raises, before or after a
+    solve, and leaves the first row in place; so does a block naming one
+    id twice."""
     be = _loaded()
-    be.add_row("r1", [0], [1.0], 1.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
     with pytest.raises(LpBackendError):
-        be.add_row("r1", [0], [1.0], 2.0)
+        _add_row(be, "r1", [0], [1.0], 2.0)
     assert be.solve().objective == pytest.approx(1.0)
     with pytest.raises(LpBackendError):
-        be.add_row("r1", [0], [1.0], 2.0)
+        _add_row(be, "r1", [0], [1.0], 2.0)
+    assert list(be.rows) == ["r1"] and len(be.rhs) == 1
+    with pytest.raises(LpBackendError, match="duplicate row id 'r2'"):
+        be.add_rows(np.zeros(2, np.int32), np.ones(2), [1, 1],
+                    np.zeros(2), np.ones(2, bool), ["r2", "r2"])
     assert list(be.rows) == ["r1"] and len(be.rhs) == 1
 
 
@@ -278,8 +296,8 @@ def test_deterministic_repeat():
     def run():
         be = _backend(c, lo, up, [(list(range(n)), [1.0] * n, 0.5)])
         for i in range(5):
-            be.add_row("r%d" % i, list(range(n)),
-                       list(np.random.default_rng(i).standard_normal(n)), -1.0)
+            _add_row(be, "r%d" % i, list(range(n)),
+                     list(np.random.default_rng(i).standard_normal(n)), -1.0)
         return be.solve()
 
     a, b = run(), run()
@@ -294,7 +312,7 @@ def test_dual_bound_matches_objective_on_clean_lp():
         n = 8
         be = _backend(rng.standard_normal(n), -np.ones(n), np.ones(n),
                       [(list(range(n)), list(rng.standard_normal(n)), 0.1)])
-        be.add_row("r", list(range(n)), list(rng.standard_normal(n)), -2.0)
+        _add_row(be, "r", list(range(n)), list(rng.standard_normal(n)), -2.0)
         res = be.solve()
         if res.status != "optimal":
             continue
@@ -307,7 +325,7 @@ def test_dual_bound_with_free_variable():
     """Free columns with nonzero reduced cost lower the certificate safely."""
     be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
                   [([1], [1.0], 0.0)])
-    be.add_row("r", [0], [1.0], 2.0)
+    _add_row(be, "r", [0], [1.0], 2.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.dual_bound <= res.objective + 1e-9
@@ -325,7 +343,7 @@ def test_dual_bound_certified_only_within_tolerance(monkeypatch, shift):
     # the free column absorbs no reduced cost, so the shift is clipped
     be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
                   [([1], [1.0], 0.0)])
-    be.add_row("r", [0], [1.0], 2.0)
+    _add_row(be, "r", [0], [1.0], 2.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0)
@@ -359,12 +377,12 @@ def test_row_queue_stays_in_sync():
     rng = np.random.default_rng(32)
     eq_rows = [([0, 1, 2], [1.0, 1.0, 1.0], 0.0)]
     be = _backend(rng.standard_normal(6), -np.ones(6), np.ones(6), eq_rows)
-    be.add_column(6, -1.0, 1.0, 1.0)  # column 6 wants its lower bound
+    _add_column(be, 6, -1.0, 1.0, 1.0)  # column 6 wants its lower bound
     rows = {}
     next_id = 0
 
     def add(row_id, row):
-        be.add_row(row_id, *row)
+        _add_row(be, row_id, *row)
         rows[row_id] = row
 
     def remove(row_ids):
@@ -383,14 +401,17 @@ def test_row_queue_stays_in_sync():
         assert res.status == "optimal"
         assert res.objective == pytest.approx(
             _fresh_objective(be, eq_rows, rows), rel=1e-7, abs=1e-9)
-        assert list(res.row_slack) == list(rows) == list(be.rows)
+        assert list(rows) == list(be.rows)
+        assert res.row_slack.tolist() == pytest.approx(
+            [np.dot(coeffs, res.primal[cols]) - b
+             for cols, coeffs, b in rows.values()], abs=1e-9)
         return res
 
     for step in range(60):
         op = rng.random()
         if op < 0.15:
-            be.add_column(len(be.objective), -1.0, 1.0,
-                          float(rng.standard_normal()))
+            _add_column(be, len(be.objective), -1.0, 1.0,
+                        float(rng.standard_normal()))
         elif op < 0.6 or len(rows) < 2:
             for _ in range(rng.integers(1, 4)):
                 add(next_id, random_row())
@@ -420,7 +441,7 @@ def test_certificate_covers_dropped_coefficients():
     """HiGHS drops the 1e-10 of x0 + 1e-10 x1 >= 1 and reports min x0 = 1;
     with x1 = 1e12 the optimum is -99, and the certificate must hold it."""
     be = _backend([1.0, 0.0], [-1000.0, 0.0], [1000.0, 1e12])
-    be.add_row("r", [0, 1], [1.0, 1e-10], 1.0)
+    _add_row(be, "r", [0, 1], [1.0, 1e-10], 1.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)  # the altered LP's optimum
@@ -450,13 +471,13 @@ def test_row_store_equals_highs_copy():
     for step in range(40):
         op = rng.random()
         if op < 0.2:
-            be.add_column(len(be.objective), -1.0, 1.0,
-                          float(rng.standard_normal()))
+            _add_column(be, len(be.objective), -1.0, 1.0,
+                        float(rng.standard_normal()))
         elif op < 0.7 or len(be.rows) < 2:
             n = len(be.objective)
             cols = rng.choice(n, size=min(n, 3), replace=False).tolist()
-            be.add_row(step, cols, rng.uniform(0.5, 2.0, len(cols)).tolist(),
-                       -rng.random())
+            _add_row(be, step, cols,
+                     rng.uniform(0.5, 2.0, len(cols)).tolist(), -rng.random())
         else:
             be.remove_rows(rng.choice(list(be.rows), size=2,
                                       replace=False).tolist())
@@ -487,7 +508,7 @@ def test_add_columns_names_a_block():
 
 
 def test_row_block_stores_like_its_rows():
-    """Rows added as a block, between queued cut rows, are stored as the
+    """Rows added as a block, between rows with ids, are stored as the
     same rows added one by one, in the order they came, and reach HiGHS."""
     rng = np.random.default_rng(34)
     # x = 0 is feasible: equality rows have rhs 0, the others rhs < 0
@@ -498,15 +519,15 @@ def test_row_block_stores_like_its_rows():
     one_by_one, block = (_backend([1.0] * 4, [-1.0] * 4, [1.0] * 4)
                          for _ in range(2))
     for be in (one_by_one, block):
-        be.add_row("first", [0], [1.0], -1.0)
+        _add_row(be, "first", [0], [1.0], -1.0)
     for cols, vals, rhs, ge in rows:
-        one_by_one.add_row(None, cols, vals, rhs, ge)
+        _add_row(one_by_one, None, cols, vals, rhs, ge)
     cols, vals, rhs, ge = zip(*rows)
     block.add_rows(np.concatenate(cols).astype(np.int32),
                    np.concatenate(vals), list(map(len, cols)),
                    np.array(rhs), np.array(ge))
     for be in (one_by_one, block):
-        be.add_row("last", [1], [1.0], -1.0)
+        _add_row(be, "last", [1], [1.0], -1.0)
         assert be.solve().status == "optimal"
     for name in ("cols", "vals", "row_of", "rhs", "ge"):
         a, b = getattr(one_by_one, name), getattr(block, name)
@@ -562,7 +583,8 @@ import opfcuts
 from opfcuts import lp_backend
 
 def scipy_loaded():
-    return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+    return [m for m in ("scipy.optimize", "scipy.sparse", "numpy.ma")
+            if m in sys.modules]
 
 out = {"import": scipy_loaded()}
 report = opfcuts.cutplane(opfcuts.parse_case_file(%r), opfcuts.RunConfig())
@@ -576,7 +598,9 @@ print(json.dumps(out))
 def test_import_and_hot_path_leave_scipy_optimize_out(case14_path):
     """`import opfcuts` loads HiGHS's bindings without the scipy.optimize
     and scipy.sparse packages, and the hot path of a case14 solve needs
-    neither; a later import through scipy.optimize gets the same module."""
+    neither, nor numpy.ma (about 1 MB, which numpy's `setdiff1d` and
+    `unique` import); a later import through scipy.optimize gets the same
+    module."""
     src = os.path.dirname(os.path.dirname(lp_backend.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _ISOLATION_RUN % case14_path],
@@ -614,6 +638,6 @@ def test_unmapped_model_status_raises(monkeypatch):
     backend failure."""
     report_model_status(monkeypatch, "kSolveError")
     be = _loaded()
-    be.add_row("r1", [0], [1.0], 1.0)
+    _add_row(be, "r1", [0], [1.0], 1.0)
     with pytest.raises(LpBackendError, match="Solve error"):
         be.solve()

@@ -13,6 +13,12 @@ from opfcuts.driver import RunConfig, cutplane
 from opfcuts.errors import LpBackendError, ModelError
 from opfcuts.network import branch_admittance, canonical_pair
 from opfcuts.relaxation import build_m0
+from opfcuts.separation import CutBlock
+
+
+def _cuts(*rows):
+    """The block of cuts (terms, rhs), each an eigen-cut on no tuple."""
+    return CutBlock.of([(terms, rhs, "eigen", (), 0.0) for terms, rhs in rows])
 
 TWO_BUS = """
 mpc.baseMVA = 1;
@@ -216,7 +222,7 @@ def test_case14_base_rows_store_no_zero_and_no_id(case14):
     assert res.status == "optimal"
     lp = model.backend
     assert len(lp.vals) and np.all(lp.vals != 0.0)
-    assert lp.rows == {} and res.row_slack == {}
+    assert lp.rows == {} and len(res.row_slack) == 0
 
 
 def test_extend_pairs_preserves_columns(case14):
@@ -224,7 +230,7 @@ def test_extend_pairs_preserves_columns(case14):
     before = dict(model.var_index)
     # t is minimized and only bounded below, so this row binds at the optimum
     t_key = ("t", model.gen_keys[0])
-    model.add_cut_row("r1", {t_key: 1.0}, 100.0)
+    model.add_cut_row(["r1"], _cuts(({t_key: 1.0}, 100.0)))
     model.extend_pairs([(4, 6), (6, 9)])
     for key, idx in before.items():
         assert model.var_index[key] == idx
@@ -232,43 +238,76 @@ def test_extend_pairs_preserves_columns(case14):
     assert "r1" in model.backend.rows
     res = model.solve()
     assert res.status == "optimal"
-    assert res.row_slack["r1"] == pytest.approx(0.0, abs=1e-9)
+    assert res.row_slack.tolist() == pytest.approx([0.0], abs=1e-9)
     assert model.value(t_key) == pytest.approx(100.0)
 
 
 def test_add_remove_cut_row(case14):
     model = build_m0(case14)
     base = model.solve().objective
-    model.add_cut_row("r1", {("v2", 1): 1.0}, 1.1)
+    model.add_cut_row(["r1"], _cuts(({("v2", 1): 1.0}, 1.1)))
     with pytest.raises(LpBackendError):
-        model.add_cut_row("r1", {("v2", 2): 1.0}, 1.1)
+        model.add_cut_row(["r1"], _cuts(({("v2", 2): 1.0}, 1.1)))
     with pytest.raises(ModelError):  # a zero coefficient is still checked
-        model.add_cut_row("r2", {("v2", 1): 1.0, ("v2", 999): 0.0}, 1.1)
+        model.add_cut_row(["r2"], _cuts(({("v2", 1): 1.0, ("v2", 999): 0.0},
+                                         1.1)))
     assert list(model.backend.rows) == ["r1"]
     higher = model.solve().objective
     assert higher >= base - 1e-9
-    model.remove_cut_row("r1")
+    model.remove_cut_row(["r1"])
     again = model.solve().objective
     assert again == pytest.approx(base, abs=1e-6)
     with pytest.raises(LpBackendError):
-        model.remove_cut_row("r1")
+        model.remove_cut_row(["r1"])
 
 
 def test_row_slack_matches_cut_violation(case14):
     """The LP's row slack, normalized, is the cut's own slack at the primal."""
     pool = cutplane(case14, RunConfig(max_rounds=4)).pool
     model = build_m0(case14)
-    cuts = {h: c for h, c in pool.cuts.items()
-            if model.has_variables(c.terms)}
-    assert cuts
-    for h, cut in cuts.items():
-        model.add_cut_row(h, cut.terms, cut.rhs)
+    keep = ~pool.cuts.naming(lambda key: not model.has_variables((key,)))
+    cuts = pool.cuts.take(keep)
+    assert len(cuts)
+    model.add_cut_row(pool.ids[keep], cuts)
     res = model.solve()
     assert res.status == "optimal"
-    for h, cut in cuts.items():
+    assert len(res.row_slack) == len(cuts)
+    for slack, cut in zip(res.row_slack.tolist(), cuts):
         values = {k: model.value(k) for k in cut.terms}
-        assert res.row_slack[h] / cut.inf_norm \
+        assert slack / cut.inf_norm \
             == pytest.approx(-cut.normalized_violation(values), abs=1e-9)
+
+
+def test_cut_block_rows_equal_one_by_one(case14, cold_report):
+    """A block's LP rows equal its cuts' rows added one at a time, entry
+    for entry, zero coefficients left out; so do those the formula gives,
+    a row per cut."""
+    pool = cold_report.pool
+    t_key, pg_key = ("t", (1, 0)), ("Pg", (1, 0))
+    zeros = _cuts(({t_key: 1.0, pg_key: 0.0}, 2.0),
+                  ({("v2", 1): 0.0, ("v2", 2): -1.0}, -1.5))
+    cuts = CutBlock.concat(pool.cuts, zeros)
+    ids = pool.ids.tolist() + [-1, -2]
+    block, one_by_one = build_m0(case14), build_m0(case14)
+    for model in (block, one_by_one):
+        model.extend_pairs(sorted({key[1:] for cut in cuts for key in cut.terms
+                                   if key[0] in ("c", "s")}))
+    block.add_cut_row(ids, cuts)
+    for i, row_id in enumerate(ids):
+        one_by_one.add_cut_row([row_id], cuts.take([i]))
+    a, b = block.backend, one_by_one.backend
+    for name in ("cols", "vals", "row_of", "rhs", "ge"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a.rows == b.rows
+    assert list(a.rows) == ids
+    for cut, row in zip(cuts, a.rows.values()):
+        kept = {k: w for k, w in cut.terms.items() if w != 0.0}
+        entries = a.row_of == row
+        assert a.cols[entries].tolist() == [block.var_index[k] for k in kept]
+        assert a.vals[entries].tolist() == list(kept.values())
+        assert (a.rhs[row], a.ge[row]) == (cut.rhs, True)
+    assert len(kept) == 1
 
 
 # -- the compiled network ---------------------------------------------------
@@ -344,7 +383,7 @@ def test_store_matches_the_formulas(which, request):
     model = build_m0(case)
     lp = model.backend
     rows = _formula_rows(model)
-    assert len(lp.rhs) == len(rows) and not lp._queue
+    assert len(lp.rhs) == len(rows)
     for i, (terms, rhs, ge) in enumerate(rows):
         kept = {k: w for k, w in terms.items() if w != 0.0}
         entries = lp.row_of == i

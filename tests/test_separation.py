@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,14 +10,37 @@ from opfcuts.case_io import CostFunction, Generator
 from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff
 from opfcuts.network import canonical_pair
 from opfcuts.separation import (COSINE_BOUND, PSD_TOL, VIOLATION_THRESHOLD,
-                                LinearCut, clique_cuts, cost_cut, cut_hashes,
+                                CutBlock, clique_cuts, cost_cut, cut_hashes,
                                 eigen_cut, jabr_cut, limit_cut, projection_cut)
+
+
+def block_of(*cuts):
+    """The block of the one-cut views `cuts`."""
+    return CutBlock.of([(c.terms, c.rhs, c.kind, c.provenance,
+                         c.violation_at_birth) for c in cuts])
+
+
+def one_cut(terms, rhs, kind, provenance, violation=0.0):
+    """The view of the one cut of a block built from these fields."""
+    return CutBlock.of([(terms, rhs, kind, provenance, violation)])[0]
 
 
 def _hash(cut):
     """The content hash of one cut, a `_content_hashes` batch of one."""
-    [h] = cut_hashes([cut])
+    [h] = cut_hashes(block_of(cut))
     return h
+
+
+def _cosine(a, b) -> float:
+    """Reference cosine of two cuts' coefficient vectors: a plain loop
+    over a's terms, reading b by key."""
+    dot = na = nb = 0.0
+    for key, x in a.terms.items():
+        dot += x * b.terms.get(key, 0.0)
+        na += x * x
+    for y in b.terms.values():
+        nb += y * y
+    return dot / math.sqrt(na * nb)
 
 
 def _one(cut_fn, x, clique):
@@ -112,7 +136,7 @@ def test_clique_cuts_leave_out_parallel_projection_cut(second, kinds):
     cuts = clique_cuts(x[None], [(1, 2, 3)])
     assert [cut.kind for cut in cuts] == kinds
     proj = _one(projection_cut, x, (1, 2, 3))
-    assert (abs(separation._cosine(proj, cuts[0])) > COSINE_BOUND) \
+    assert (abs(_cosine(proj, cuts[0])) > COSINE_BOUND) \
         == (len(kinds) == 1)
 
 
@@ -129,7 +153,7 @@ def test_more_violated_projection_cut_replaces_its_eigen_cut():
     eig = _one(eigen_cut, x, (1, 2, 3))
     assert cut.kind == "projection" and _hash(cut) == _hash(proj)
     assert proj.terms.keys() == eig.terms.keys()
-    assert abs(separation._cosine(proj, eig)) > COSINE_BOUND
+    assert abs(_cosine(proj, eig)) > COSINE_BOUND
     assert proj.violation_at_birth > eig.violation_at_birth
 
 
@@ -141,7 +165,7 @@ def test_parallel_cuts_on_other_keys_are_both_kept():
     assert [cut.kind for cut in cuts] == ["eigen", "projection"]
     eig, proj = cuts
     assert set(eig.terms) < set(proj.terms)
-    assert abs(separation._cosine(proj, eig)) > COSINE_BOUND
+    assert abs(_cosine(proj, eig)) > COSINE_BOUND
 
 
 def _fields(cut):
@@ -175,16 +199,16 @@ def test_tangent_batch_equals_one_by_one_cuts():
     for p_hat, q_hat, u, (bkey, d) in flows:
         norm = math.sqrt(p_hat * p_hat + q_hat * q_hat)
         if norm and (norm - u) / max(abs(p_hat), abs(q_hat)) >= t:
-            want.append(LinearCut(
+            want.append(one_cut(
                 {("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat},
                 -u * norm, "limit", (bkey, d), norm - u))
     for p_hat, t_hat, gen, gkey in points:
         f, slope = gen.cost.value(p_hat), gen.cost.derivative(p_hat)
         if gen.cost.coefficients[0] and (f - t_hat) / max(abs(slope),
                                                            1.0) >= t:
-            want.append(LinearCut({("t", gkey): 1.0, ("Pg", gkey): -slope},
-                                  f - slope * p_hat, "cost_tangent",
-                                  (gkey,), f - t_hat))
+            want.append(one_cut({("t", gkey): 1.0, ("Pg", gkey): -slope},
+                                f - slope * p_hat, "cost_tangent",
+                                (gkey,), f - t_hat))
     got = cost_cut(points, limit_cut(flows))
     assert list(map(_fields, got)) == list(map(_fields, want))
     provenances = {cut.provenance for cut in got}
@@ -192,7 +216,7 @@ def test_tangent_batch_equals_one_by_one_cuts():
             ((30, 0),), ((32, 0),)} <= provenances
     assert not {((3, 4, 0), "f"), ((3, 4, 3), "f"), ((31, 0),),
                 ((33, 0),)} & provenances
-    assert cost_cut([], []) == []
+    assert len(cost_cut([], [])) == 0
 
 
 def test_below_threshold_not_built():
@@ -266,7 +290,7 @@ def test_jabr_cut_examples():
     assert cut.kind == "jabr"
     assert cut.violation_at_birth == pytest.approx(0.2)
     assert cut.provenance == (4, 9)
-    assert _jabr(1.0, 1.0, 0.5, 0.5, (4, 9)) == []
+    assert len(_jabr(1.0, 1.0, 0.5, 0.5, (4, 9))) == 0
     [scut] = _jabr(1.0, 1.0, 0.0, 1.2, (9, 4))
     assert scut is not None
     assert scut.violation_at_birth == pytest.approx(0.2)
@@ -327,8 +351,8 @@ def test_jabr_cut_matches_pair_eigen_cuts():
     for m, pair in enumerate(pairs):
         ref = _one(eigen_cut, x[m], pair)
         if ref is not None:
-            want.append(LinearCut(dict(ref.terms), ref.rhs, "jabr",
-                                  ref.provenance, ref.violation_at_birth))
+            want.append(one_cut(dict(ref.terms), ref.rhs, "jabr",
+                                ref.provenance, ref.violation_at_birth))
             [one] = jabr_cut(x[m:m + 1], [pair])
             _assert_same_cut(one, want[-1])
     got = jabr_cut(x, pairs)
@@ -418,10 +442,10 @@ def test_cost_cut_is_supporting():
 
 
 def test_content_hash_scale_invariant():
-    a = LinearCut({("v2", 1): 1.0, ("c", 1, 2): -2.0}, 0.5, "eigen", (1, 2))
-    b = LinearCut({("v2", 1): 3.0, ("c", 1, 2): -6.0}, 1.5, "eigen", (1, 2))
-    c = LinearCut({("v2", 1): 1.0, ("c", 1, 2): -2.0}, 0.6, "eigen", (1, 2))
-    d = LinearCut({("v2", 1): 1.0, ("c", 1, 2): -2.0}, 0.5, "jabr", (1, 2))
+    a = one_cut({("v2", 1): 1.0, ("c", 1, 2): -2.0}, 0.5, "eigen", (1, 2))
+    b = one_cut({("v2", 1): 3.0, ("c", 1, 2): -6.0}, 1.5, "eigen", (1, 2))
+    c = one_cut({("v2", 1): 1.0, ("c", 1, 2): -2.0}, 0.6, "eigen", (1, 2))
+    d = one_cut({("v2", 1): 1.0, ("c", 1, 2): -2.0}, 0.5, "jabr", (1, 2))
     assert _hash(a) == _hash(b)
     assert _hash(a) != _hash(c)
     assert _hash(a) != _hash(d)
@@ -429,8 +453,8 @@ def test_content_hash_scale_invariant():
 
 def test_content_hash_golden_values():
     """Saved pools order their cuts by these hashes; they must not move."""
-    cut = LinearCut({("s", 1, 2): 0.25, ("v2", 2): 1.0, ("c", 1, 2): -2.0,
-                     ("v2", 1): 4.0}, 0.5, "eigen", (1, 2))
+    cut = one_cut({("s", 1, 2): 0.25, ("v2", 2): 1.0, ("c", 1, 2): -2.0,
+                   ("v2", 1): 4.0}, 0.5, "eigen", (1, 2))
     assert _hash(cut) == 11199671962411321844
     assert _hash(_jabr(1.0, 1.0, 1.2, 0.3, (4, 9))[0]) \
         == 11573129386543259869
@@ -442,8 +466,8 @@ def test_content_hash_ignores_integer_type_seen_first():
     must not depend on which form it met first.  Buses 9001 and 9002 occur
     in no other test, so each order really runs."""
     def cut(bus):
-        return LinearCut({("v2", bus): 1.0, ("P", (bus, 9, 0), "f"): 2.0},
-                         0.0, "eigen", (bus,))
+        return one_cut({("v2", bus): 1.0, ("P", (bus, 9, 0), "f"): 2.0},
+                       0.0, "eigen", (bus,))
 
     assert _hash(cut(np.int64(9001))) == _hash(cut(9001)) \
         == 6174716756211593512
@@ -453,12 +477,12 @@ def test_content_hash_ignores_integer_type_seen_first():
 
 def test_jabr_hash_equals_direct_jabr_cut():
     [cut] = _jabr(1.0, 1.0, 1.2, 0.3, (4, 9))
-    direct = LinearCut(dict(cut.terms), cut.rhs, "jabr", cut.provenance)
+    direct = one_cut(dict(cut.terms), cut.rhs, "jabr", cut.provenance)
     assert _hash(cut) == _hash(direct)
 
 
 def test_normalized_violation():
-    cut = LinearCut({("v2", 1): 2.0}, 1.0, "eigen", (1,))
+    cut = one_cut({("v2", 1): 2.0}, 1.0, "eigen", (1,))
     assert cut.normalized_violation({("v2", 1): 0.0}) == pytest.approx(0.5)
     assert cut.normalized_violation({("v2", 1): 1.0}) == pytest.approx(-0.5)
 
@@ -501,23 +525,22 @@ def test_batch_hashes_equal_single_hashes():
         assert len(cuts) > 10
         assert cut_hashes(cuts) == list(map(_hash, cuts))
         for cut in cuts:
-            assert LinearCut(dict(reversed(cut.terms.items())), cut.rhs,
-                             cut.kind, cut.provenance,
-                             cut.violation_at_birth) == cut
+            assert one_cut(dict(reversed(cut.terms.items())), cut.rhs,
+                           cut.kind, cut.provenance,
+                           cut.violation_at_birth) == cut
     # a real pair matrix gives an s coefficient of exactly zero
     [cut] = _jabr(1.0, 1.0, 1.2, 0.0, (4, 9))
     assert ("s", 4, 9) not in cut.terms
-    assert LinearCut(dict(cut.terms), 0.0, "jabr", (4, 9),
-                     cut.violation_at_birth) == cut
+    assert one_cut(dict(cut.terms), 0.0, "jabr", (4, 9),
+                   cut.violation_at_birth) == cut
 
 
 def test_content_hashes_of_many_cuts_in_one_call():
-    cuts = [LinearCut({("v2", 1): 4.0, ("c", 1, 2): -2.0}, 0.5, "eigen",
-                      (1, 2)),
-            LinearCut({("t", (1, 0)): 1.0}, -3.25, "cost_tangent",
-                      ((1, 0),)),
-            LinearCut({("P", (1, 2, 0), "f"): -0.6, ("Q", (1, 2, 0), "f"):
-                       0.8}, -1.0, "limit", ((1, 2, 0), "f"))]
+    cuts = CutBlock.of([
+        ({("v2", 1): 4.0, ("c", 1, 2): -2.0}, 0.5, "eigen", (1, 2), 0.0),
+        ({("t", (1, 0)): 1.0}, -3.25, "cost_tangent", ((1, 0),), 0.0),
+        ({("P", (1, 2, 0), "f"): -0.6, ("Q", (1, 2, 0), "f"): 0.8}, -1.0,
+         "limit", ((1, 2, 0), "f"), 0.0)])
     hashes = separation._content_hashes(
         [c.kind for c in cuts],
         [separation._KEY_BYTES[k] for c in cuts for k in c.terms],
@@ -525,3 +548,55 @@ def test_content_hashes_of_many_cuts_in_one_call():
         np.array([c.rhs for c in cuts]), [len(c.terms) for c in cuts],
         np.array([c.inf_norm for c in cuts]))
     assert hashes == cut_hashes(cuts) == list(map(_hash, cuts))
+
+
+def _random_block(rng, n):
+    """n random cuts of 1 to 25 terms, some coefficients zero."""
+    keys = [("v2", b) for b in range(1, 31)]
+    rows = []
+    for i in range(n):
+        size = int(rng.integers(1, 26))
+        chosen = rng.choice(len(keys), size, replace=False).tolist()
+        coeffs = rng.standard_normal(size) * (rng.random(size) > 0.2)
+        coeffs[0] = 1.0 + rng.random()
+        rows.append(({keys[j]: float(w) for j, w in zip(chosen, coeffs)},
+                     float(rng.standard_normal()), "eigen", (i,),
+                     float(rng.random())))
+    return CutBlock.of(rows)
+
+
+def _columns(block):
+    return [getattr(block, f.name).tolist()
+            for f in dataclasses.fields(CutBlock)]
+
+
+def test_block_take_concat_round_trip():
+    """Taking a block's cuts in any order and concatenating the parts
+    gives the cuts in that order, and taking them back gives the block,
+    column for column."""
+    rng = np.random.default_rng(91)
+    block = _random_block(rng, 40)
+    order = rng.permutation(40)
+    parts = [block.take(order[:13]), block.take(order[13:13]),
+             block.take(order[13:])]
+    joined = CutBlock.concat(*parts)
+    assert list(joined) == [block[i] for i in order.tolist()]
+    assert _columns(joined.take(np.argsort(order))) == _columns(block)
+    mask = rng.random(40) < 0.5
+    assert list(block.take(mask)) \
+        == [cut for cut, m in zip(block, mask.tolist()) if m]
+    assert _columns(CutBlock.concat(block.take(mask), block.take(~mask))) \
+        == _columns(block.take(np.concatenate([np.flatnonzero(mask),
+                                               np.flatnonzero(~mask)])))
+    assert len(block.take(np.zeros(40, bool))) == 0
+
+
+def test_cosines_equal_the_plain_loop():
+    """The block cosine of cuts on the same keys equals the plain-loop
+    reference bit for bit."""
+    rng = np.random.default_rng(92)
+    a = _random_block(rng, 50)
+    b = CutBlock.of([({k: float(rng.standard_normal()) for k in cut.terms},
+                      0.0, "eigen", (), 0.0) for cut in a])
+    got = separation._cosines(a.coeff, b.coeff, a.size).tolist()
+    assert got == [_cosine(x, y) for x, y in zip(a, b)]
