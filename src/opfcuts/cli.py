@@ -127,7 +127,7 @@ def main(argv=None) -> int:
             return _cmd_cliques(args)
         return _cmd_verify(args)
     except (CaseParseError, CaseValidationError, CutFileError, ModelError,
-            FileNotFoundError, IsADirectoryError) as exc:
+            OSError) as exc:  # a path that is missing, no file, or denied
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_DATA
     except LpBackendError as exc:

@@ -2,21 +2,21 @@
 
 A pool holds what a cut file holds, cuts and a simplex basis, and the
 ages a run counts.  Its cuts are one `separation.CutBlock`, which never
-changes in place: `admit` and `age_and_drop` replace it.  A pool names its
-cuts by serial int ids, `ids` in pool order: `admit` gives each cut it
-admits the pool's `next_id` and counts it up, so no id names two cuts of
-a pool's lineage.  The id names the cut's LP row and that row's basis
-letter.  Only a cut file names cuts by content hash.  `ages` counts each
-cut's consecutive slack rounds; a pool built from cuts starts them at 0.
-A run's pool holds its last basis as HiGHS gave it
+changes in place: `admit`, `age_and_drop` and `CutPool.take` replace it.
+A cut is named by its position in the pool; only a cut file names cuts by
+content hash.  `ages` counts each cut's consecutive slack rounds; a pool
+built from cuts starts them at 0.  The basis holds one letter per cut,
+in pool order, and the letters follow their cuts: a cut that `admit`
+appends has none (`-`), and a cut that a drop or `take` removes takes its
+letter along.  A run's pool holds its last basis as HiGHS gave it
 (`lp_backend.LastBasis`); its status letters are made when `pool.basis` is
 first read, by `save_cuts` or a warm start, so a pool that nobody saves
 never pays for them.
 
-A run's LP holds the pool's cuts as rows in pool order: a warm start
-injects its cuts first, `admit` appends, and a drop removes a cut from
-both.  So `LpSolveResult.row_slack` is in pool order, and `age_and_drop`
-reads it by position.
+A run's LP holds the pool's cuts as its cut rows in pool order, cut i as
+cut row i: a warm start injects its cuts first, `admit` appends, and a
+drop removes a cut from both.  So `LpSolveResult.row_slack` is in pool
+order, and `age_and_drop` reads it by position.
 
 The warm-start file is UTF-8 JSON; variable references are symbolic
 (bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
@@ -43,7 +43,7 @@ The basis is the simplex basis of the run's last LP solve, the
 `lp_backend.STATUS_LETTERS` per key (`-` for a key that is no column), per
 base row in row order and per cut (`-` for a cut without a row).  It is
 left out when the pool has no basis.  A version 3 load hashes nothing:
-cut i gets id i, and the i-th cut letter.
+the file's cuts and cut letters become the pool's, in the file's order.
 
 Versions 1 and 2 wrote one JSON line per cut, `{"kind": ..., "support":
 ..., "terms": [[key, w], ...], "rhs": ...}`, and version 2 a closing
@@ -51,8 +51,8 @@ Versions 1 and 2 wrote one JSON line per cut, `{"kind": ..., "support":
 [[content hash, s], ...]}}` record, in any place but once.  Both still
 load: their records are read into the same block, so one path validates
 the cuts of every version.  A version 1 or 2 load then hashes its cuts in
-one batch and numbers them in hash order, the order a version 3 file
-keeps, and gives a cut the letter of its hash.
+one batch and puts them in hash order, the order a version 3 file keeps,
+and gives a cut the letter of its hash.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -78,19 +79,19 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 @dataclass
 class CutPool:
     cuts: CutBlock = NO_CUTS
-    ids: np.ndarray | None = None  # serial id per cut; None: 0, 1, ...
     basis: SavedBasis | None = None  # of the last LP solve; a warm start hint
     ages: np.ndarray = field(init=False)  # consecutive slack rounds per cut
-    next_id: int = field(init=False)  # the id `admit` gives next
 
     def __post_init__(self):
-        self.ids = np.arange(len(self.cuts)) if self.ids is None \
-            else np.asarray(self.ids, np.int64)
         self.ages = np.zeros(len(self.cuts), int)
-        self.next_id = int(self.ids.max(initial=-1)) + 1
 
     def __len__(self):
         return len(self.cuts)
+
+    def take(self, mask) -> CutPool:
+        """The pool of the cuts `mask` picks, in order, with their basis
+        letters; its ages start at 0."""
+        return CutPool(self.cuts.take(mask), _picked(self.basis, mask))
 
 
 def _basis(pool: CutPool) -> SavedBasis | None:
@@ -109,27 +110,35 @@ def _set_basis(pool: CutPool, basis):
 CutPool.basis = property(_basis, _set_basis)
 
 
+def _picked(basis: SavedBasis | None, mask) -> SavedBasis | None:
+    """`basis` with the letters of the cuts `mask` picks."""
+    if basis is None:
+        return None
+    return replace(basis, cuts="".join(compress(basis.cuts, mask)))
+
+
 def admit(pool: CutPool, candidates: CutBlock) -> CutBlock:
     """Append the candidates to the pool by decreasing violation (a stable
-    sort), each under the pool's next id; returns them in that order, the
-    order of their LP rows.  Separation builds only admissible cuts."""
+    sort), without basis letters; returns them in that order, the order of
+    their LP rows.  Separation builds only admissible cuts."""
     n = len(candidates)
     if not n:
         return candidates
     admitted = candidates.take(np.argsort(-candidates.violation,
                                           kind="stable"))
     pool.cuts = CutBlock.concat(pool.cuts, admitted)
-    pool.ids = np.concatenate((pool.ids, np.arange(pool.next_id,
-                                                   pool.next_id + n)))
     pool.ages = np.concatenate((pool.ages, np.zeros(n, int)))
-    pool.next_id += n
+    basis = pool.basis
+    if basis is not None:
+        pool.basis = replace(basis, cuts=basis.cuts + "-" * n)
     return admitted
 
 
 def age_and_drop(pool: CutPool, slacks: np.ndarray) -> np.ndarray:
     """Count each cut's consecutive slack rounds in `pool.ages` (a tight
-    cut has none) and drop the cuts slack for `T_AGE` rounds; returns the
-    dropped cuts' ids.
+    cut has none) and drop the cuts slack for `T_AGE` rounds, with their
+    basis letters; returns the dropped cuts' positions, counted before the
+    drop.
 
     `slacks` holds the slack a.x - b of the LP rows of the pool's first
     len(slacks) cuts, here normalized; the cuts after them, admitted since
@@ -138,9 +147,9 @@ def age_and_drop(pool: CutPool, slacks: np.ndarray) -> np.ndarray:
     slack = np.concatenate((slacks, np.zeros(len(pool) - len(slacks))))
     ages = np.where(slack / pool.cuts.norm < EPS_SLACK, 0, pool.ages + 1)
     keep = ages < T_AGE
-    dropped = pool.ids[~keep]
+    dropped = np.flatnonzero(~keep)
     if len(dropped):
-        pool.cuts, pool.ids = pool.cuts.take(keep), pool.ids[keep]
+        pool.cuts, pool.basis = pool.cuts.take(keep), _picked(pool.basis, keep)
     pool.ages = ages[keep]
     return dropped
 
@@ -163,11 +172,11 @@ def save_cuts(pool: CutPool, stream):
     The cuts are hashed in one batch and written in hash order, by a
     stable sort.  Keys and provenance go through `_plain`, so a numpy
     integer is written as the int it equals; JSON writes a tuple as a list.
-    A basis letter of a cut the pool lacks is left out.
+    The basis's cut letters are written in the cuts' order.
     """
     hashes = cut_hashes(pool.cuts)
     order = sorted(range(len(hashes)), key=hashes.__getitem__)
-    cuts, ids = pool.cuts.take(order), pool.ids[order].tolist()
+    cuts = pool.cuts.take(order)
     terms = cuts.keys.tolist()
     basis = pool.basis
     named = dict.fromkeys(terms)
@@ -185,7 +194,7 @@ def save_cuts(pool: CutPool, stream):
         doc["basis"] = {
             "columns": "".join([basis.columns.get(k, "-") for k in keys]),
             "base_rows": basis.base_rows,
-            "cuts": "".join([basis.cuts.get(i, "-") for i in ids])}
+            "cuts": "".join(map(basis.cuts.__getitem__, order))}
     stream.write(json.dumps(FILE_HEADER) + "\n" + json.dumps(doc) + "\n")
 
 
@@ -203,9 +212,9 @@ def _letters(raw, allowed) -> str:
     return raw
 
 
-def _basis_from_json(raw) -> SavedBasis:
-    """A version 2 basis record's value; ValueError or TypeError when
-    malformed."""
+def _basis_from_json(raw):
+    """A version 2 basis record's value: (columns, base rows, letter by
+    content hash); ValueError or TypeError when malformed."""
     columns = {_key_from_json(k): s for k, s in raw["columns"]}
     cuts = dict(raw["cuts"])
     base = raw["base_rows"]
@@ -214,7 +223,7 @@ def _basis_from_json(raw) -> SavedBasis:
             or not _LETTERS.issuperset([*base, *columns.values(),
                                         *cuts.values()]):
         raise ValueError("malformed basis record")
-    return SavedBasis(columns=columns, base_rows=base, cuts=cuts)
+    return columns, base, cuts
 
 
 def _array(raw, dtype_kinds: str) -> np.ndarray:
@@ -259,16 +268,15 @@ def _read_v3(text: str):
             raise ValueError("basis letters of the wrong length")
         basis = SavedBasis(
             columns={k: s for k, s in zip(keys, columns) if s != "-"},
-            base_rows=_letters(basis["base_rows"], _LETTERS),
-            cuts={i: s for i, s in enumerate(letters) if s != "-"})
+            base_rows=_letters(basis["base_rows"], _LETTERS), cuts=letters)
     return keys, cuts, basis
 
 
 def _read_lines(stream, version: int):
-    """Version 1 or 2 records as a block: (keys, cuts, basis or None, the
-    record number of each cut, the number of the first malformed record or
-    None), the cuts' keys indices into `keys`.  Reading stops at the first
-    malformed record."""
+    """Version 1 or 2 records as a block: (keys, cuts, basis record or None
+    (see `_basis_from_json`), the record number of each cut, the number of
+    the first malformed record or None), the cuts' keys indices into
+    `keys`.  Reading stops at the first malformed record."""
     index: dict = {}  # key -> its position, in the order first seen
     kind, support, rhs, size, key, coeff, records = [], [], [], [], [], [], []
     basis = None
@@ -337,8 +345,9 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     Cuts naming a variable `model` neither has nor can add (see
     `RelaxationModel.has_variables`, asked once per distinct key by
     `CutBlock.naming`, as `cutplane` asks it) are skipped.  Without a model
-    every well-formed cut is kept.  Cut i of the file, in hash order, has
-    id i.  The pool carries the file's basis, if it has one, as saved.
+    every well-formed cut is kept, in the file's order, hash order.  The
+    pool carries the file's basis, if it has one, with the letters of the
+    cuts it keeps.
     """
     try:
         return _load(stream, model)
@@ -376,14 +385,15 @@ def _load(stream, model):
         raise malformed(stop)
 
     cuts = replace(cuts, keys=np.fromiter(keys, object)[cuts.keys], norm=norms)
-    if header["v"] != 3:  # number the cuts in hash order, as version 3 does
+    if header["v"] != 3:  # the cuts in hash order, as version 3 keeps them
         hashes = cut_hashes(cuts)
         cuts = cuts.take(sorted(range(len(cuts)), key=hashes.__getitem__))
         if basis is not None:
-            basis = replace(basis, cuts={
-                i: basis.cuts[h] for i, h in enumerate(sorted(hashes))
-                if h in basis.cuts})
-    keep = np.ones(len(cuts), bool) if model is None else ~cuts.naming(
-        lambda key: not model.has_variables((key,)))
-    return CutPool(cuts.take(keep), np.flatnonzero(keep), basis), \
-        int(len(cuts) - keep.sum())
+            columns, base_rows, by_hash = basis
+            basis = SavedBasis(columns, base_rows, "".join(
+                [by_hash.get(h, "-") for h in sorted(hashes)]))
+    pool = CutPool(cuts, basis)
+    if model is None:
+        return pool, 0
+    skip = cuts.naming(lambda key: not model.has_variables((key,)))
+    return pool.take(~skip), int(skip.sum())

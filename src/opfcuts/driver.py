@@ -21,13 +21,14 @@ cut rows stay in pool order and the solve's `row_slack` array is read by
 position.  Cuts never change once built: a run keeps a pool of its own,
 with its own ages, so a warm start shares the caller's cuts and leaves
 them, and the caller's pool, as they were.  A run names a cut, and its LP
-row, by the serial id that `admit` gives it.  A warm start injects the
-given pool in its own order under its own ids and numbers new cuts above
-them: a loaded pool is in content-hash order, a run's pool in admission
-order.  It skips the cuts naming a key the model neither has nor can add,
-asking once per distinct key (`CutBlock.naming`), and adds the (c, s)
-columns the others lack as one block.  The returned pool holds the last
-solve's basis as HiGHS gave it, turned into letters only when read.
+row, by its position: cut i of the pool is cut row i of the LP.  A warm
+start injects the given pool in its own order, so its cuts come first:
+a loaded pool is in content-hash order, a run's pool in admission order.
+It skips the cuts naming a key the model neither has nor can add, asking
+once per distinct key (`CutBlock.naming`), with their basis letters
+(`CutPool.take`), and adds the (c, s) columns the others lack as one
+block.  The returned pool holds the last solve's basis as HiGHS gave it,
+turned into letters only when read.
 
 Separation and the final eigenvalue ratio read the PSD matrices as stacks
 from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
@@ -131,10 +132,10 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
                        clique_counts=cliques.sizes())
     if warm is not None:
         skip = warm.cuts.naming(lambda key: not model.has_variables((key,)))
-        pool = CutPool(warm.cuts.take(~skip), warm.ids[~skip])
-        pool.next_id = warm.next_id
+        warm = warm.take(~skip)
+        pool = CutPool(warm.cuts)
         model.extend_pairs(_new_pairs(pool.cuts, model.var_index))
-        model.add_cut_row(pool.ids, pool.cuts)
+        model.add_cut_row(pool.cuts)
         if skip.any():
             log.info("warm start: skipped %d cuts with unknown variables",
                      skip.sum())
@@ -189,7 +190,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         candidates = _separate(model, cliques)
         admitted = admit(pool, candidates)
-        model.add_cut_row(pool.ids[len(pool) - len(admitted):], admitted)
+        model.add_cut_row(admitted)
 
         # cuts admitted this round are not in the solved LP and have no
         # slack there; age_and_drop counts the tail without one as tight

@@ -9,23 +9,26 @@ The relaxation model writes into it and never keeps a copy.
 Columns enter in blocks, `add_columns(keys, lower, upper, objective)`;
 `objective`, `lower` and `upper` are float arrays, grown by one concatenate
 per block.  Rows enter in blocks too, `add_rows(cols, vals, sizes, rhs, ge,
-ids)`, appended to the store with one concatenate per array.  Base rows
-have no ids and stay for the model's life.  A cut row has an id: it can be
-removed by `remove_rows`, and its slack a.x - rhs is reported in
-`LpSolveResult.row_slack`, in the order the rows with ids came; `rows`
-maps each id to its row.
+cut)`, appended to the store with one concatenate per array.  The first
+`n_base` rows are base rows, which stay for the model's life; every row
+after them is a cut row, and no base row may follow a cut row.  Cut row i,
+row `n_base + i`, is named by its position i: `remove_rows` removes cut
+rows by position, and `LpSolveResult.row_slack[i]` is the slack a.x - rhs
+of cut row i.
 
-HiGHS sees one persistent model, created at the first `solve()`.  Row
-removals are marked; `solve()` compacts the store over the removed rows
-with one mask, hands HiGHS the new columns, the removed rows and the new
-rows as slices of the store, and re-solves with the dual simplex method
-from the basis the model kept, presolve off.  It prices with Devex: HiGHS
-drops its dual steepest-edge weights at every addRows or deleteRows, so
-steepest edge would rebuild them, one BTRAN per row, at every hot
-re-solve.  Only the solution, the duals and the status are read back.  A
-solve with no edit since the last optimal one (no row added or removed,
-no column added, no start basis given) returns that result again, with 0
-iterations, and leaves HiGHS alone: HiGHS would return it bit for bit.
+HiGHS sees one persistent model, created at the first `solve()`, which
+holds the leading rows of the store; the rows after them came since the
+last sync.  `remove_rows` compacts the store with one mask and deletes the
+rows HiGHS holds from it at once.  `solve()` hands HiGHS the new columns
+and the new rows as slices of the store, and re-solves with the dual
+simplex method from the basis the model kept, presolve off.  It prices
+with Devex: HiGHS drops its dual steepest-edge weights at every addRows or
+deleteRows, so steepest edge would rebuild them, one BTRAN per row, at
+every hot re-solve.  Only the solution, the duals and the status are read
+back.  A solve with no edit since the last optimal one (no row added or
+removed, no column added, no start basis given) returns that result
+again, with 0 iterations, and leaves HiGHS alone: HiGHS would return it
+bit for bit.
 
 The backend loads only HiGHS's bindings, the extension module
 `scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
@@ -34,13 +37,15 @@ imported.  Without that module, importing this one raises ImportError.
 `linprog(highs)` is the one call that runs HiGHS.
 
 A solve can start from a given basis.  A `SavedBasis` states one by name:
-a status letter (`STATUS_LETTERS`) per column key, per base row in row
-order and per row id.  `last_basis()` keeps the basis of the last solve as
-HiGHS returns it, a copy, with the names it needs; its `saved()` turns it
+a status letter (`STATUS_LETTERS`) per column key, per base row and per
+cut row, in row order.  `last_basis()` keeps the basis of the last solve as
+HiGHS holds it, a copy, with the names it needs; its `saved()` turns it
 into letters, which take pybind a conversion per column and row, so only a
-reader pays for them.  `start_basis` maps a
-`SavedBasis` onto this model by its names and hands it to HiGHS.  A start
-basis only saves iterations; nothing it holds is trusted.
+reader pays for them.  Removing a basic row keeps HiGHS's basis; removing
+a nonbasic one leaves HiGHS no valid basis, and `last_basis()` None, until
+the next solve.  `start_basis` maps a `SavedBasis` onto this model, columns
+by key and rows by position, and hands it to HiGHS.  A start basis only
+saves iterations; nothing it holds is trusted.
 
 `time_limit`, when set, bounds the seconds HiGHS may spend in the next
 solve; the driver sets it to what is left of the run's time limit, and a
@@ -115,7 +120,7 @@ class SavedBasis:
     """A simplex basis by name, in `STATUS_LETTERS`."""
     columns: dict    # column key -> status letter
     base_rows: str   # one status letter per base row, in row order
-    cuts: dict       # row id -> status letter of the row
+    cuts: str        # one status letter per cut row, in row order; - none
 
 
 @dataclass(frozen=True)
@@ -123,21 +128,20 @@ class LastBasis:
     """HiGHS's basis of a solve, and the names `saved` reads it by."""
     highs: object    # the HighsBasis, a copy that holds no model
     columns: tuple   # column keys in index order
-    rows: dict       # row id -> its row in HiGHS
-    removed: frozenset  # rows removed since that solve
+    n_base: int      # base rows
+    n_cut: int       # cut rows when the basis was read
 
     def saved(self) -> SavedBasis:
-        """The basis by name; removed rows are left out, and columns and
-        rows added since have no letter."""
+        """The basis by name; columns and cut rows added since the solve
+        have no letter."""
         # keys in index order; zip stops at the columns HiGHS has
         columns = dict(zip(self.columns, [STATUS_LETTERS[s.value]
                                           for s in self.highs.col_status]))
-        rows = [STATUS_LETTERS[s.value] for s in self.highs.row_status]
-        by_id = {row_id: rows[row] for row_id, row in self.rows.items()
-                 if row < len(rows)}
-        cut = self.removed.union(self.rows.values())
-        base = "".join([s for i, s in enumerate(rows) if i not in cut])
-        return SavedBasis(columns=columns, base_rows=base, cuts=by_id)
+        rows = "".join([STATUS_LETTERS[s.value]
+                        for s in self.highs.row_status])
+        cuts = rows[self.n_base:]
+        return SavedBasis(columns=columns, base_rows=rows[:self.n_base],
+                          cuts=cuts + "-" * (self.n_cut - len(cuts)))
 
 
 @dataclass
@@ -148,7 +152,7 @@ class LpSolveResult:
     dual_infeasibility: float | None
     primal_residual: float = 0.0  # worst row/bound violation of the primal
     dual_bound: float = -np.inf   # certified lower bound, or -inf for none
-    # a.x - b of each row with an id, in the order those rows came
+    # a.x - b of each cut row, in row order
     row_slack: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0           # simplex iterations of this solve
 
@@ -167,8 +171,7 @@ class ScipyHighsBackend:
         self.row_of = np.zeros(0, np.intp)
         self.rhs = np.zeros(0)
         self.ge = np.zeros(0, bool)
-        self.rows: dict = {}   # row id -> its row
-        self._dead: list = []   # rows removed since the last solve
+        self.n_base = 0        # base rows, the leading rows of the store
         self._highs = None     # the persistent model, made at the first solve
         self._n_loaded = 0     # leading rows of the store that HiGHS holds
         self._last = None      # the last optimal result, while no edit came
@@ -177,8 +180,13 @@ class ScipyHighsBackend:
         """Append one column per key of `keys`, in order, with those bounds
         and objective coefficients; a key already named raises, adding
         none."""
-        self.columns.update(_names(keys, self.columns, len(self.objective),
-                                   "column key"))
+        n = len(self.objective)
+        index = dict(zip(keys, range(n, n + len(keys))))
+        if len(index) < len(keys) or not self.columns.keys().isdisjoint(index):
+            key = next(k for i, k in enumerate(keys)
+                       if k in self.columns or index[k] != n + i)
+            raise LpBackendError("duplicate column key %r" % (key,))
+        self.columns.update(index)
         self._last = None
         self.objective = np.concatenate((self.objective, objective))
         self.lower = np.concatenate((self.lower, lower))
@@ -186,16 +194,18 @@ class ScipyHighsBackend:
 
     def add_rows(self, cols: np.ndarray, vals: np.ndarray,
                  sizes: np.ndarray, rhs: np.ndarray, ge: np.ndarray,
-                 ids=None):
-        """Append a block of rows: row i reads a.x >= rhs[i] where ge[i],
-        a.x = rhs[i] elsewhere, over the next sizes[i] entries of `cols` and
-        `vals`.  Rows with `ids` can be removed by them; an id already
-        named raises, adding none."""
+                 cut: bool = False):
+        """Append a block of rows, cut rows if `cut`, else base rows: row i
+        reads a.x >= rhs[i] where ge[i], a.x = rhs[i] elsewhere, over the
+        next sizes[i] entries of `cols` and `vals`.  Base rows after a cut
+        row raise, adding none."""
         n, k = len(self.rhs), len(rhs)
         if not k:
             return
-        if ids is not None:
-            self.rows.update(_names(ids, self.rows, n, "row id"))
+        if not cut:
+            if n > self.n_base:
+                raise LpBackendError("a base row after a cut row")
+            self.n_base += k
         self._last = None
         self.cols = np.concatenate((self.cols, cols))
         self.vals = np.concatenate((self.vals, vals))
@@ -204,37 +214,50 @@ class ScipyHighsBackend:
         self.rhs = np.concatenate((self.rhs, rhs))
         self.ge = np.concatenate((self.ge, ge))
 
-    def remove_rows(self, row_ids):
-        if not len(row_ids):
+    def remove_rows(self, positions):
+        """Remove the cut rows at `positions` from the store and from
+        HiGHS; a position that names no cut row raises, removing none."""
+        if not len(positions):
             return
+        rows = self.n_base + np.asarray(positions, np.intp)
+        bad = (rows < self.n_base) | (rows >= len(self.rhs))
+        if bad.any():
+            raise LpBackendError("no cut row at position %d"
+                                 % positions[int(np.argmax(bad))])
         self._last = None
-        try:
-            self._dead.extend(map(self.rows.pop, row_ids))
-        except KeyError as exc:
-            raise LpBackendError("unknown row id %r" % (exc.args[0],)) \
-                from None
+        keep = np.ones(len(self.rhs), bool)
+        keep[rows] = False
+        entries, new_row = keep[self.row_of], np.cumsum(keep) - 1
+        self.cols, self.vals = self.cols[entries], self.vals[entries]
+        self.row_of = new_row[self.row_of[entries]]
+        self.rhs, self.ge = self.rhs[keep], self.ge[keep]
+        gone = np.flatnonzero(~keep[:self._n_loaded]).astype(np.int32)
+        if len(gone):
+            _check(self._highs.deleteRows(len(gone), gone), "deleteRows")
+            self._n_loaded -= len(gone)
 
     def start_basis(self, saved: SavedBasis) -> str | None:
         """Hand HiGHS `saved` as the start basis of the next solve; returns
         why it was refused, or None.
 
-        Columns are matched by key, base rows by position and other rows by
-        id.  A column `saved` lacks starts nonbasic at a bound, a row it
-        lacks starts basic.  A refused basis leaves the solve to start from
+        Columns are matched by key, rows by position.  A column `saved`
+        lacks starts nonbasic at a bound, a cut row without a letter
+        starts basic.  A basis whose base or cut rows are not as many as
+        the model's is refused, and so is one with the wrong number of
+        basic variables.  A refused basis leaves the solve to start from
         the slack basis.
         """
         self._last = None
-        highs = self._sync(self._store())
+        highs = self._sync()
         n_row = len(self.rhs)
-        base_rows = sorted(set(range(n_row)).difference(self.rows.values()))
-        if len(saved.base_rows) != len(base_rows):
+        n_cut = n_row - self.n_base
+        if len(saved.base_rows) != self.n_base:
             return "it has %d base rows, the model %d" % (
-                len(saved.base_rows), len(base_rows))
-        rows = ["B"] * n_row
-        for row, letter in zip(base_rows, saved.base_rows):
-            rows[row] = letter
-        for row_id, row in self.rows.items():
-            rows[row] = saved.cuts.get(row_id, "B")
+                len(saved.base_rows), self.n_base)
+        if len(saved.cuts) != n_cut:
+            return "it has %d cut rows, the model %d" % (len(saved.cuts),
+                                                         n_cut)
+        rows = (saved.base_rows + saved.cuts).replace("-", "B")
         at_bound = np.where(self.lower > -np.inf, "L",
                             np.where(self.upper < np.inf, "U", "Z")).tolist()
         col_status = [saved.columns.get(key) or letter
@@ -259,7 +282,8 @@ class ScipyHighsBackend:
         if not basis.valid:
             return None
         return LastBasis(highs=basis, columns=tuple(self.columns),
-                         rows=dict(self.rows), removed=frozenset(self._dead))
+                         n_base=self.n_base,
+                         n_cut=len(self.rhs) - self.n_base)
 
     def solve(self) -> LpSolveResult:
         """Re-solve the LP; certificate, residual and slacks read the store."""
@@ -267,7 +291,7 @@ class ScipyHighsBackend:
             raise LpBackendError("model has no variables")
         if self._last is not None:
             return replace(self._last, iterations=0)
-        highs = self._sync(self._store())
+        highs = self._sync()
         if self.time_limit is not None:
             # HiGHS compares its limit with the run time summed over every
             # run() of the model, so the budget starts from that sum
@@ -291,8 +315,7 @@ class ScipyHighsBackend:
             primal = np.asarray(sol.col_value)
             excess = np.bincount(self.row_of, self.vals * primal[self.cols],
                                  len(b)) - b
-            row_slack = excess[np.fromiter(self.rows.values(), np.intp,
-                                           len(self.rows))]
+            row_slack = excess[self.n_base:]
             residual = max(float(np.abs(excess[~ge]).max(initial=0.0)),
                            float((-excess[ge]).max(initial=0.0)),
                            float((lower - primal).max(initial=0.0)),
@@ -311,26 +334,9 @@ class ScipyHighsBackend:
             self._last = result
         return result
 
-    def _store(self) -> np.ndarray:
-        """Compact the store over the removed rows; returns their positions
-        in HiGHS."""
-        if not self._dead:
-            return np.zeros(0, np.int32)
-        keep = np.ones(len(self.rhs), bool)
-        keep[self._dead] = False
-        self._dead = []
-        gone = np.flatnonzero(~keep[:self._n_loaded]).astype(np.int32)
-        self._n_loaded -= len(gone)
-        entries, new_row = keep[self.row_of], np.cumsum(keep) - 1
-        self.cols, self.vals = self.cols[entries], self.vals[entries]
-        self.row_of = new_row[self.row_of[entries]]
-        self.rhs, self.ge = self.rhs[keep], self.ge[keep]
-        self.rows = dict(zip(self.rows, new_row[list(self.rows.values())]
-                             .tolist()))
-        return gone
-
-    def _sync(self, gone):
-        """Apply the stored edits to the persistent HiGHS model."""
+    def _sync(self):
+        """Hand the persistent HiGHS model the columns and rows added since
+        the last sync."""
         if self._highs is None:
             self._highs = _highs._Highs()
             # Devex pricing (1): every addRows / deleteRows makes HiGHS
@@ -350,8 +356,6 @@ class ScipyHighsBackend:
                 len(self.objective) - n_col, self.objective[n_col:],
                 self.lower[n_col:], self.upper[n_col:],
                 0, none_i, none_i, none_f), "addCols")
-        if len(gone):
-            _check(highs.deleteRows(len(gone), gone), "deleteRows")
         first, n_row = self._n_loaded, len(self.rhs)
         if n_row > first:
             starts = np.searchsorted(self.row_of, np.arange(first, n_row))
@@ -363,17 +367,6 @@ class ScipyHighsBackend:
                 self.cols[starts[0]:], self.vals[starts[0]:]), "addRows")
             self._n_loaded = n_row
         return highs
-
-
-def _names(names, taken: dict, start: int, what: str) -> dict:
-    """Each of `names` -> start, start + 1, ...; a name in `taken` or given
-    twice raises LpBackendError."""
-    index = dict(zip(names, range(start, start + len(names))))
-    if len(index) < len(names) or not taken.keys().isdisjoint(index):
-        name = next(k for i, k in enumerate(names)
-                    if k in taken or index[k] != start + i)
-        raise LpBackendError("duplicate %s %r" % (what, name))
-    return index
 
 
 def linprog(highs) -> str:

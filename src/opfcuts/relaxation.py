@@ -33,11 +33,12 @@ the base rows as one block with the balance rows' right-hand side set to
 and of its names, and `var_index` is the backend's own key map.  Cut rows
 come as a `separation.CutBlock`: one method, `add_cut_row`, maps the
 block's keys to columns in one pass, leaving zero coefficients out, and
-adds its rows as one row block under the cuts' serial ids (see
-`cut_manager`), by which `remove_cut_row` deletes them; the backend rejects
-a duplicate or unknown id.  The (c, s) columns are the one record of which
-bus pairs exist; `extend_pairs` adds to them, one block of columns per
-call.
+appends its rows as one block of cut rows.  Cut rows are named by their
+position among the cut rows, the position of their cut in the run's pool
+(see `cut_manager`); `remove_cut_row` deletes them by it, and the backend
+rejects a position that names no cut row.  The (c, s) columns are the one
+record of which bus pairs exist; `extend_pairs` adds to them, one block of
+columns per call.
 `clique_matrix` gathers the matrices of the pairs, or of the cliques of one
 size, as one stack, by index arrays cached per list of bus tuples.
 """
@@ -294,9 +295,9 @@ class RelaxationModel:
             and key[1] in bus and key[2] in bus and key[1] < key[2])
             for key in keys)
 
-    def add_cut_row(self, ids, cuts: CutBlock):
-        """Add the rows sum(coeff * column of key) >= rhs of the block
-        `cuts`, named by `ids`, as one row block.
+    def add_cut_row(self, cuts: CutBlock):
+        """Append the rows sum(coeff * column of key) >= rhs of the block
+        `cuts` as one block of cut rows.
 
         The one place where keys become columns.  Zero coefficients are
         left out; a key without a column raises ModelError, adding nothing.
@@ -311,10 +312,11 @@ class RelaxationModel:
         self.backend.add_rows(
             cols[nonzero], cuts.coeff[nonzero],
             np.bincount(cuts.cut_of[nonzero], minlength=len(cuts)),
-            cuts.rhs, np.ones(len(cuts), bool), np.asarray(ids).tolist())
+            cuts.rhs, np.ones(len(cuts), bool), cut=True)
 
-    def remove_cut_row(self, ids):
-        self.backend.remove_rows(ids)
+    def remove_cut_row(self, positions):
+        """Remove the cut rows at `positions` among the cut rows."""
+        self.backend.remove_rows(positions)
 
     # -- solving and solution access --------------------------------------
 

@@ -20,11 +20,11 @@ blocks, the pool is a block, the LP takes a block as one row block, and a
 cut file is written from and read into one.  `block[i]` is cut i as a
 `LinearCut`, a one-cut view for tests and `value_at`.
 
-A cut has no name of its own: a run names it by the serial id that
-`cut_manager.admit` gives it.  Its content hash, which `cut_hashes`
-computes for a block in one `_content_hashes` pass, names it only in a cut
-file: `cut_manager.save_cuts` orders a file by it, and a version 1 or 2
-load orders its cuts by it.
+A cut has no name of its own: a run names it by its position in the
+run's pool, which is its cut row's position in the LP.  Its content hash,
+which `cut_hashes` computes for a block in one `_content_hashes` pass,
+names it only in a cut file: `cut_manager.save_cuts` orders a file by it,
+and a version 1 or 2 load orders its cuts by it.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import logging
 
 import pytest
 
+from opfcuts import cli
 from opfcuts.cli import EXIT_BACKEND, EXIT_DATA, EXIT_FAIL, EXIT_OK, main
 from opfcuts.cut_manager import admit, load_cuts, save_cuts
 from test_cut_manager import V2_FIXTURE
@@ -31,6 +32,33 @@ def test_solve_command(case14_path, capsys):
 
 def test_solve_missing_file(capsys):
     assert main(["solve", "/no/such/case.m"]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("option", ["case", "--warm", "--save-cuts"])
+def test_path_under_a_regular_file_exits_2(case14_path, tmp_path, capsys,
+                                           option):
+    """A path whose parent is a regular file is bad input data: exit 2
+    with one error line, no traceback."""
+    bad = str(tmp_path / "file" / "x")
+    (tmp_path / "file").write_text("")
+    argv = ["solve", bad] if option == "case" \
+        else ["solve", case14_path, option, bad]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+
+
+def test_unreadable_cut_file_exits_2(case14_path, monkeypatch, capsys):
+    """A file that may not be opened is bad input data too; the error is
+    raised by hand, as a test may run with every permission."""
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    assert main(["solve", case14_path, "--warm", "pool.jsonl"]) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        "error: [Errno 13] Permission denied: 'pool.jsonl'\n"
 
 
 @pytest.mark.parametrize("option", [
@@ -207,10 +235,10 @@ def test_small_version_3_file_loads(case14_path, tmp_path):
     path.write_text(_v3(), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         pool, _ = load_cuts(fh)
-    [i], [cut] = pool.ids.tolist(), pool.cuts
+    [cut] = pool.cuts
     assert cut.terms == {("v2", 1): 1.0, ("v2", 2): 1.0}
     assert pool.basis.columns == {("v2", 1): "B", ("v2", 2): "L"}
-    assert pool.basis.cuts == {i: "L"} == {0: "L"}
+    assert pool.basis.cuts == "L"
     assert main(["solve", case14_path, "--warm", str(path)]) == EXIT_OK
 
 

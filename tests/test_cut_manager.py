@@ -23,43 +23,21 @@ def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
     return one_cut(dict(terms), rhs, kind, prov, viol)
 
 
-def by_id(pool) -> dict:
-    """The pool's cuts by id."""
-    return dict(zip(pool.ids.tolist(), pool.cuts))
-
-
 def _content(cut):
     """What a cut file keeps of a cut."""
     return cut.kind, cut.provenance, cut.rhs, list(cut.terms.items())
 
 
 def test_admit_keeps_cuts_of_equal_content():
-    """Admission numbers cuts and skips none: two cuts that are one cut
-    after normalization both enter, under ids of their own."""
+    """Admission skips no cut: two cuts that are one cut after
+    normalization both enter, at positions of their own."""
     pool = CutPool()
     a = _cut({("v2", 1): 1.0})
     b = _cut({("v2", 1): 2.0})
     assert cut_hashes(block_of(a)) == cut_hashes(block_of(b))
     assert list(admit(pool, block_of(a))) == [a]
     assert list(admit(pool, block_of(b))) == [b]
-    assert by_id(pool) == {0: a, 1: b}
-
-
-def test_ids_never_repeat_after_a_drop(monkeypatch):
-    """A dropped cut's id is never given again, not even when it was the
-    last one given; ids follow decreasing violation."""
-    monkeypatch.setattr(cut_manager, "T_AGE", 1)
-    pool = CutPool()
-    low, high = _cut({("v2", 1): 1.0}, viol=1.0), _cut({("v2", 2): 1.0},
-                                                         viol=2.0)
-    assert list(admit(pool, block_of(low, high))) == [high, low]
-    assert by_id(pool) == {0: high, 1: low}
-    assert age_and_drop(pool, np.array([0.0, 1.0])).tolist() == [1]
-    assert by_id(pool) == {0: high}
-    again = _cut({("v2", 3): 1.0})
-    assert list(admit(pool, block_of(again))) == [again]
-    assert by_id(pool) == {0: high, 2: again}
-    assert CutPool(block_of(low), [5]).next_id == 6
+    assert list(pool.cuts) == [a, b]
 
 
 def test_admit_nonparallel_same_support_coexist():
@@ -83,14 +61,12 @@ def test_age_and_drop(monkeypatch):
     tight = _cut({("v2", 1): 1.0})
     slack = _cut({("v2", 2): 1.0})
     admit(pool, block_of(tight, slack))
-    t, s = pool.ids.tolist()
     slacks = np.array([0.0, 1.0])
     for age in range(1, 5):
         assert len(age_and_drop(pool, slacks)) == 0
-        assert dict(zip(pool.ids.tolist(), pool.ages.tolist())) \
-            == {t: 0, s: age}
-    assert age_and_drop(pool, slacks).tolist() == [s]
-    assert by_id(pool) == {t: tight}
+        assert pool.ages.tolist() == [0, age]
+    assert age_and_drop(pool, slacks).tolist() == [1]
+    assert list(pool.cuts) == [tight]
     assert pool.ages.tolist() == [0]
 
 
@@ -99,60 +75,58 @@ def test_age_resets_on_tightness(monkeypatch):
     pool = CutPool()
     cut = _cut({("v2", 1): 1.0})
     admit(pool, block_of(cut))
-    [h] = pool.ids.tolist()
     for i in range(20):
         slack = 1.0 if i % 2 else 0.0
         assert len(age_and_drop(pool, np.array([slack]))) == 0
         assert pool.ages.tolist() == ([1] if i % 2 else [0])
-    assert by_id(pool) == {h: cut}
+    assert list(pool.cuts) == [cut]
 
 
 def test_admission_is_stable_on_equal_violations():
     """Admission orders by decreasing violation and keeps the candidates'
-    order among equal violations, under consecutive ids."""
+    order among equal violations, appending them in that order."""
     rng = np.random.default_rng(93)
     viols = rng.choice([0.5, 1.0, 2.0], 30).tolist()
     cuts = [_cut({("v2", i + 1): 1.0}, viol=v) for i, v in enumerate(viols)]
     pool = CutPool()
-    admit(pool, block_of(_cut({("v2", 99): 1.0})))
+    first = _cut({("v2", 99): 1.0})
+    admit(pool, block_of(first))
     admitted = admit(pool, block_of(*cuts))
     want = sorted(cuts, key=lambda c: -c.violation_at_birth)
     assert list(admitted) == want
-    assert by_id(pool) == dict(enumerate([pool.cuts[0]] + want))
+    assert list(pool.cuts) == [first] + want
 
 
 def test_age_and_drop_matches_a_reference_loop(monkeypatch):
     """Rounds of random slacks, each for the cuts of the last solve only,
     with cuts admitted in between: the ages, the drops and the pool equal
-    those of a per-cut loop over ids."""
+    those of a per-cut loop over a list of (cut, age) in pool order."""
     monkeypatch.setattr(cut_manager, "T_AGE", 3)
     rng = np.random.default_rng(94)
-    pool, ages, cuts = CutPool(), {}, {}
+    pool, ref, admitted = CutPool(), [], 0
     for step in range(40):
         solved = len(pool)
         new = [_cut({("v2", int(j)): float(rng.uniform(0.5, 4.0))},
                     viol=float(rng.random()))
                for j in rng.integers(1, 50, rng.integers(0, 6))]
-        admit(pool, block_of(*new))
-        cuts.update(by_id(pool))
+        ref += [(cut, 0) for cut in admit(pool, block_of(*new))]
+        admitted += len(new)
         slacks = rng.choice([0.0, 1e-7, 1e-4, 1.0], solved) \
             * (rng.random(solved) < 0.7)
-        slack_of = dict(zip(pool.ids.tolist(), slacks.tolist()))
-        want = []
-        for i, cut in by_id(pool).items():  # the reference, in pool order
-            if slack_of.get(i, 0.0) / cut.inf_norm < cut_manager.EPS_SLACK:
-                ages.pop(i, None)
+        want, kept = [], []
+        for i, (cut, age) in enumerate(ref):  # the reference, in pool order
+            slack = slacks[i] if i < solved else 0.0
+            age = 0 if slack / cut.inf_norm < cut_manager.EPS_SLACK \
+                else age + 1
+            if age >= cut_manager.T_AGE:
+                want.append(i)
             else:
-                ages[i] = ages.get(i, 0) + 1
-                if ages[i] >= cut_manager.T_AGE:
-                    want.append(i)
-                    del ages[i]
+                kept.append((cut, age))
+        ref = kept
         assert age_and_drop(pool, slacks).tolist() == want
-        assert by_id(pool) == {i: cuts[i] for i in pool.ids.tolist()}
-        assert set(want).isdisjoint(pool.ids.tolist())
-        assert {i: a for i, a in zip(pool.ids.tolist(), pool.ages.tolist())
-                if a} == ages
-    assert len(cuts) > len(pool) > 0
+        assert list(pool.cuts) == [cut for cut, _ in ref]
+        assert pool.ages.tolist() == [age for _, age in ref]
+    assert admitted > len(pool) > 0
 
 
 class _FakeModel:
@@ -252,7 +226,8 @@ def test_load_without_model_keeps_every_cut():
     buf.seek(0)
     again, skipped = load_cuts(buf)
     assert skipped == 0
-    assert set(again.ids.tolist()) == set(pool.ids.tolist())
+    assert sorted(map(_content, again.cuts)) \
+        == sorted(map(_content, pool.cuts))
 
 
 def test_load_bad_header():
@@ -291,7 +266,7 @@ def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
                for cut in cold_report.pool.cuts
                for key in cut.terms if key[0] in ("c", "s"))
     stray = _cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, prov=(1, 999))
-    pool = CutPool(cold_report.pool.cuts, cold_report.pool.ids)
+    pool = CutPool(cold_report.pool.cuts)
     admit(pool, block_of(stray))
     asked = []
     has_variables = model.has_variables
@@ -321,16 +296,16 @@ def _records(pool) -> str:
 
 
 def _in_hash_order(pool) -> list:
-    """The pool's ids in the order its file keeps its cuts."""
-    hashes = dict(zip(pool.ids.tolist(), cut_hashes(pool.cuts)))
-    return sorted(hashes, key=hashes.__getitem__)
+    """The pool's positions in the order its file keeps its cuts."""
+    hashes = cut_hashes(pool.cuts)
+    return sorted(range(len(hashes)), key=hashes.__getitem__)
 
 
 def test_saved_text_round_trips_with_its_basis(cold_report):
     """save -> load -> save gives the same text: a version 3 header and one
     document, its keys and basis in key and hash order whatever the order
-    of the basis dicts.  The loaded pool numbers its cuts in file order,
-    and each keeps its basis letter."""
+    of the basis's column dict.  The loaded pool keeps its cuts in file
+    order, and each keeps its basis letter."""
     text = _saved(cold_report.pool)
     lines = text.splitlines()
     assert json.loads(lines[0]) == {"fmt": "cutpool", "v": 3}
@@ -340,26 +315,70 @@ def test_saved_text_round_trips_with_its_basis(cold_report):
     assert skipped == 0
     basis = cold_report.pool.basis
     order = _in_hash_order(cold_report.pool)
-    cuts = by_id(cold_report.pool)
+    cuts = list(cold_report.pool.cuts)
     assert list(map(_content, loaded.cuts)) \
-        == [_content(cuts[h]) for h in order]
-    assert loaded.basis == dataclasses.replace(basis, cuts={
-        i: basis.cuts[h] for i, h in enumerate(order) if h in basis.cuts})
+        == [_content(cuts[i]) for i in order]
+    assert len(basis.cuts) == len(cuts)
+    assert loaded.basis == dataclasses.replace(
+        basis, cuts="".join([basis.cuts[i] for i in order]))
     assert _saved(loaded) == text
     shuffled = SavedBasis(
         columns=dict(reversed(basis.columns.items())),
-        base_rows=basis.base_rows, cuts=dict(reversed(basis.cuts.items())))
-    assert _saved(CutPool(cold_report.pool.cuts, cold_report.pool.ids,
-                          shuffled)) == text
+        base_rows=basis.base_rows, cuts=basis.cuts)
+    assert _saved(CutPool(cold_report.pool.cuts, shuffled)) == text
+
+
+def _lettered(text: str) -> list:
+    """(content, basis letter) of each cut of a saved version 3 pool, in
+    the file's order."""
+    loaded, _ = load_cuts(io.StringIO(text))
+    letters = json.loads(text.splitlines()[1])["basis"]["cuts"]
+    assert len(letters) == len(loaded)
+    return list(zip(map(_content, loaded.cuts), letters))
+
+
+def test_basis_letters_follow_their_cuts(cold_report, monkeypatch):
+    """A loaded pool that admits a cut and drops every third loaded cut
+    saves each surviving loaded cut with its letter, and the admitted cut
+    with none."""
+    monkeypatch.setattr(cut_manager, "T_AGE", 1)
+    text = _saved(cold_report.pool)
+    before = _lettered(text)
+    assert len({letter for _, letter in before}) > 1
+    pool, _ = load_cuts(io.StringIO(text))
+    new = _cut({("v2", 1): 1.0, ("v2", 2): -1.0}, rhs=-3.0)
+    admit(pool, block_of(new))
+    n = len(before)
+    slack = np.arange(n) % 3 == 0
+    dropped = age_and_drop(pool, np.where(slack, pool.cuts.norm[:n], 0.0))
+    assert dropped.tolist() == np.flatnonzero(slack).tolist()
+    want = [b for b, s in zip(before, slack) if not s] + [(_content(new), "-")]
+    assert sorted(_lettered(_saved(pool)), key=repr) == sorted(want, key=repr)
+
+
+def test_take_keeps_the_picked_cuts_letters(cold_report):
+    """`take` picks cuts with their letters, in order, and leaves the pool
+    it takes from as it was."""
+    text = _saved(cold_report.pool)
+    pool, _ = load_cuts(io.StringIO(text))
+    letters = pool.basis.cuts
+    mask = np.arange(len(pool)) % 2 == 1
+    taken = pool.take(mask)
+    assert list(zip(map(_content, taken.cuts), taken.basis.cuts)) == [
+        b for b, m in zip(_lettered(text), mask) if m]
+    assert taken.basis.base_rows == pool.basis.base_rows
+    assert taken.ages.tolist() == [0] * len(taken)
+    assert pool.basis.cuts == letters and len(letters) == len(pool)
+    assert CutPool(pool.cuts).take(mask).basis is None
 
 
 def test_v1_file_loads_without_basis(cold_report):
     v1 = '{"fmt": "cutpool", "v": 1}\n' + _records(cold_report.pool)
     loaded, _ = load_cuts(io.StringIO(v1))
     assert loaded.basis is None
-    cuts = by_id(cold_report.pool)
+    cuts = list(cold_report.pool.cuts)
     assert list(map(_content, loaded.cuts)) == [
-        _content(cuts[h]) for h in _in_hash_order(cold_report.pool)]
+        _content(cuts[i]) for i in _in_hash_order(cold_report.pool)]
     # a v1 file has no basis record; one there is a malformed cut record
     record = json.dumps({"basis": _BASIS}) + "\n"
     with pytest.raises(CutFileError,
@@ -398,10 +417,9 @@ def test_v2_file_loads_like_its_v3_save(case14):
                      cut_manager._key_from_json(rec["support"]))
              for rec in records]
     assert list(v2.cuts) == alone
-    assert len(v2.cuts) == 91 and v2.basis is not None
+    assert len(v2.cuts) == len(v2.basis.cuts) == 91
     v3, _ = load_cuts(io.StringIO(_saved(v2)))
-    assert v3.ids.tolist() == v2.ids.tolist() == sorted(v2.ids.tolist())
-    assert by_id(v3) == by_id(v2) and v3.basis == v2.basis
+    assert list(v3.cuts) == list(v2.cuts) and v3.basis == v2.basis
     pert = opfcuts.perturb_loads(case14, seed=3, mu_frac=0.0,
                                  sigma_frac=0.01)
     runs = [opfcuts.cutplane(pert, opfcuts.RunConfig(), warm=pool)
@@ -449,7 +467,7 @@ def test_second_basis_record_raises():
     text = '{"fmt": "cutpool", "v": 2}\n' + record + record
     # no cut hashes to 7, so its letter names no cut
     assert load_cuts(io.StringIO(text[:-len(record)]))[0].basis == \
-        SavedBasis({("v2", 1): "B"}, "LB", {})
+        SavedBasis({("v2", 1): "B"}, "LB", "")
     with pytest.raises(CutFileError, match="record 2"):
         load_cuts(io.StringIO(text))
 
@@ -493,7 +511,9 @@ def test_cold_run_and_version_3_load_hash_nothing(case14, cold_report,
     report = opfcuts.cutplane(case14, opfcuts.RunConfig())
     loaded, skipped = load_cuts(io.StringIO(text), build_m0(case14))
     assert skipped == 0 and len(loaded) == len(report.pool)
-    assert loaded.ids.tolist() == list(range(len(loaded)))
+    # the cut letters as the file keeps them, in its order
+    assert loaded.basis.cuts == json.loads(text.splitlines()[1])["basis"][
+        "cuts"]
 
 
 def test_save_and_line_loads_hash_in_one_batch(cold_report, monkeypatch):
@@ -515,23 +535,23 @@ def test_save_and_line_loads_hash_in_one_batch(cold_report, monkeypatch):
 
 
 def test_cuts_of_equal_content_round_trip(case14, cold_report):
-    """A pool may hold two cuts of one content, each under its own id.
-    Its file keeps both, the earlier id first, and saves again as the same
+    """A pool may hold two cuts of one content, each at its own position.
+    Its file keeps both, the earlier first, and saves again as the same
     text; loaded, both rows enter the LP and the first solve is
     certified."""
-    pool = CutPool(cold_report.pool.cuts, cold_report.pool.ids)
+    pool = CutPool(cold_report.pool.cuts)
     first = pool.cuts[0]
     twin = one_cut({k: 2.0 * w for k, w in first.terms.items()},
                    2.0 * first.rhs, first.kind, first.provenance)
     admit(pool, block_of(twin))
-    h = int(pool.ids[-1])
+    h = len(pool) - 1
     assert cut_hashes(block_of(twin)) == cut_hashes(block_of(first))
     text = _saved(pool)
     loaded, skipped = load_cuts(io.StringIO(text))
     assert skipped == 0 and len(loaded) == len(pool)
     order = _in_hash_order(pool)
-    assert order.index(h) == order.index(int(pool.ids[0])) + 1
-    cuts = by_id(pool)
+    assert order.index(h) == order.index(0) + 1
+    cuts = list(pool.cuts)
     assert list(map(_content, loaded.cuts)) \
         == [_content(cuts[i]) for i in order]
     assert _saved(loaded) == text

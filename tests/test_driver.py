@@ -19,7 +19,6 @@ from opfcuts.driver import RunConfig, RunReport, cutplane, report_table
 from opfcuts.errors import ModelError
 from opfcuts.relaxation import build_m0
 from opfcuts.separation import VIOLATION_THRESHOLD
-from test_cut_manager import by_id
 from test_lp_backend import report_model_status, use_highs_class
 from test_separation import block_of, one_cut
 
@@ -248,11 +247,12 @@ def test_warm_start_first_round_bound(case14, cold_report):
 
 def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
     """A warm run reads the given pool's cuts and changes none of them:
-    the pool keeps its block, ids and ages, and the block its arrays."""
+    the pool keeps its block and ages, and the block its arrays.  The run's
+    pool starts with the given cuts, in their order."""
     given = cold_report.pool
     block = given.cuts
     arrays = {name: a.copy() for name, a in vars(block).items()}
-    ids, ages = given.ids.copy(), given.ages.copy()
+    ages = given.ages.copy()
     text = io.StringIO()
     save_cuts(given, text)
     pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
@@ -260,31 +260,13 @@ def test_warm_start_leaves_callers_pool_unchanged(case14, cold_report):
     assert given.cuts is block
     assert all(np.array_equal(a, getattr(block, name))
                for name, a in arrays.items())
-    assert np.array_equal(given.ids, ids) and np.array_equal(given.ages, ages)
+    assert np.array_equal(given.ages, ages)
     again = io.StringIO()
     save_cuts(given, again)
     assert again.getvalue() == text.getvalue()
-    mine, theirs = by_id(warm.pool), by_id(given)
-    kept = mine.keys() & theirs.keys()
-    assert kept
-    assert all(mine[h] == theirs[h] for h in kept)
-
-
-def test_warm_ids_stay_above_the_given_pools(case14):
-    """A warm run keeps the given ids and cuts and numbers its new cuts
-    above every id the given pool gave, its dropped top one included."""
-    run = cutplane(case14, RunConfig()).pool
-    top = int(run.ids.max())
-    keep = run.ids != top
-    given = CutPool(run.cuts.take(keep), run.ids[keep])
-    given.next_id = top + 1  # it gave `top`, then dropped it
-    pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.01)
-    warm = cutplane(pert, RunConfig(max_rounds=4), warm=given)
-    mine, theirs = by_id(warm.pool), by_id(given)
-    new = mine.keys() - theirs.keys()
-    assert new and min(new) > top
-    kept = mine.keys() & theirs.keys()
-    assert kept and all(mine[h] == theirs[h] for h in kept)
+    # four rounds age no cut T_AGE times, so none of them is dropped
+    assert sum(st.cuts_dropped for st in warm.rounds) == 0
+    assert list(warm.pool.cuts)[:len(given)] == list(given.cuts)
 
 
 def test_warm_start_from_a_runs_last_basis(case14):
@@ -330,7 +312,7 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     in the column order a per-cut extension gives."""
     stray = one_cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
                     (1, 999))
-    warm = CutPool(cold_report.pool.cuts, cold_report.pool.ids)
+    warm = CutPool(cold_report.pool.cuts)
     admit(warm, block_of(stray))
     models, asked = [], []
 
@@ -346,9 +328,9 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     report = cutplane(case14, RunConfig(max_rounds=1), warm=warm)
     named = {key for cut in warm.cuts for key in cut.terms}
     assert sorted(asked, key=repr) == sorted(named, key=repr)
-    assert set(report.pool.ids.tolist()) == set(cold_report.pool.ids.tolist())
+    assert list(report.pool.cuts) == list(cold_report.pool.cuts)
     reference = build_m0(case14)
-    for _, cut in sorted(by_id(cold_report.pool).items()):
+    for cut in cold_report.pool.cuts:
         reference.extend_pairs(sorted({key[1:] for key in cut.terms
                                        if key[0] in ("c", "s")}))
     [model] = models

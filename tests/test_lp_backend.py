@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.machinery
 import importlib.util
 import json
@@ -17,12 +18,11 @@ from opfcuts.lp_backend import CERTIFY_TOL, SavedBasis, ScipyHighsBackend
 from test_acceptance import BAND_HI, BAND_LO
 
 
-def _add_row(be, row_id, cols, coeffs, rhs, ge=True):
+def _add_row(be, cols, coeffs, rhs, ge=True, cut=True):
     """Add the row a.x >= rhs, or a.x = rhs when not `ge`, as a block of
-    one, named `row_id` unless that is None."""
+    one: a cut row, or a base row when not `cut`."""
     be.add_rows(np.array(cols, np.int32), np.array(coeffs, float),
-                [len(cols)], np.array([rhs], float), np.array([ge]),
-                None if row_id is None else [row_id])
+                [len(cols)], np.array([rhs], float), np.array([ge]), cut)
 
 
 def _add_column(be, key, lower, upper, obj=0.0):
@@ -33,7 +33,7 @@ def _backend(objective, lower, upper, eq_rows=()):
     be = ScipyHighsBackend()
     be.add_columns(list(range(len(objective))), lower, upper, objective)
     for row in eq_rows:
-        _add_row(be, None, *row, ge=False)
+        _add_row(be, *row, ge=False, cut=False)
     return be
 
 
@@ -50,7 +50,7 @@ def test_duplicate_column_key_raises():
 
 def test_minimize_with_single_row():
     be = _loaded()
-    _add_row(be, "r1", [0], [1.0], 1.0)
+    _add_row(be, [0], [1.0], 1.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)
@@ -60,13 +60,13 @@ def test_minimize_with_single_row():
 
 def test_tighten_then_relax():
     be = _loaded()
-    _add_row(be, "r1", [0], [1.0], 1.0)
-    _add_row(be, "r2", [0], [1.0], 2.0)
+    _add_row(be, [0], [1.0], 1.0)
+    _add_row(be, [0], [1.0], 2.0)
     res = be.solve()
     assert res.objective == pytest.approx(2.0)
-    assert list(be.rows) == ["r1", "r2"]
+    assert (be.n_base, len(be.rhs)) == (0, 2)
     assert res.row_slack.tolist() == pytest.approx([1.0, 0.0])
-    be.remove_rows(["r2"])
+    be.remove_rows([1])
     assert be.solve().objective == pytest.approx(1.0)
 
 
@@ -74,9 +74,9 @@ def test_hot_resolve_prices_with_devex():
     """Row edits drop HiGHS's steepest-edge weights, so the persistent
     model prices with Devex (strategy 1) rather than rebuild them."""
     be = _loaded()
-    _add_row(be, "r1", [0], [1.0], 1.0)
+    _add_row(be, [0], [1.0], 1.0)
     be.solve()
-    _add_row(be, "r2", [0], [1.0], 2.0)
+    _add_row(be, [0], [1.0], 2.0)
     assert be.solve().objective == pytest.approx(2.0)
     status, strategy = be._highs.getOptionValue(
         "simplex_dual_edge_weight_strategy")
@@ -87,9 +87,9 @@ def _three_rows():
     """min x0 + 2 x1 over [0, 10]^2 with one base row and two cut rows;
     the slack basis is primal infeasible."""
     be = _backend([1.0, 2.0], [0.0, 0.0], [10.0, 10.0])
-    _add_row(be, None, [0, 1], [1.0, 1.0], 3.0)
-    _add_row(be, "a", [0], [1.0], 1.0)
-    _add_row(be, "b", [1], [1.0], 0.5)
+    _add_row(be, [0, 1], [1.0, 1.0], 3.0, cut=False)
+    _add_row(be, [0], [1.0], 1.0)
+    _add_row(be, [1], [1.0], 0.5)
     return be
 
 
@@ -98,10 +98,10 @@ def test_saved_basis_starts_a_twin_at_its_optimum():
     solved = first.solve()
     assert solved.iterations > 0
     saved = first.last_basis().saved()
-    assert (set(saved.columns), len(saved.base_rows), set(saved.cuts)) \
-        == ({0, 1}, 1, {"a", "b"})
+    assert (set(saved.columns), len(saved.base_rows), len(saved.cuts)) \
+        == ({0, 1}, 1, 2)
     assert "".join([*saved.columns.values(), saved.base_rows,
-                    *saved.cuts.values()]).count("B") == 3
+                    saved.cuts]).count("B") == 3
     twin = _three_rows()
     assert twin.start_basis(saved) is None
     res = twin.solve()
@@ -139,8 +139,8 @@ def test_unedited_lp_is_not_solved_again(monkeypatch):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda be: _add_row(be, "c", [0], [1.0], 2.0),
-    lambda be: be.remove_rows(["a"]),
+    lambda be: _add_row(be, [0], [1.0], 2.0),
+    lambda be: be.remove_rows([0]),
     lambda be: _add_column(be, "x2", 0.0, 1.0, 1.0),
     lambda be: be.start_basis(be.last_basis().saved()),
 ], ids=["add_row", "remove_rows", "add_column", "start_basis"])
@@ -158,24 +158,25 @@ def test_each_edit_solves_again(monkeypatch, edit):
 def test_result_short_of_optimal_is_solved_again(monkeypatch):
     calls = _count_linprog(monkeypatch)
     be = _loaded(upper=0.5)
-    _add_row(be, "r1", [0], [1.0], 1.0)
+    _add_row(be, [0], [1.0], 1.0)
     assert be.solve().status == be.solve().status == "infeasible"
     assert len(calls) == 2
 
 
 def test_start_basis_fills_what_it_lacks():
-    """A column the basis lacks starts nonbasic at a bound, a row it lacks
-    starts basic; here that is still optimal."""
+    """A column the basis lacks starts nonbasic at a bound, a cut row
+    without a letter starts basic; here that is still optimal."""
     first = _three_rows()
     first.solve()
     saved = first.last_basis().saved()
     twin = _three_rows()
     _add_column(twin, "new", -np.inf, 5.0)
-    _add_row(twin, "c", [0], [1.0], 0.0)
-    assert twin.start_basis(saved) is None
+    _add_row(twin, [0], [1.0], 0.0)
+    assert twin.start_basis(dataclasses.replace(
+        saved, cuts=saved.cuts + "-")) is None
     assert twin.solve().iterations == 0
     basis = twin.last_basis().saved()
-    assert (basis.columns["new"], basis.cuts["c"]) == ("U", "B")
+    assert (basis.columns["new"], basis.cuts[2]) == ("U", "B")
 
 
 def _named(order):
@@ -186,8 +187,8 @@ def _named(order):
     for key in order:
         _add_column(be, key, 0.0, 10.0, cost[key])
     x0, x1 = be.columns["x0"], be.columns["x1"]
-    _add_row(be, None, [x0, x1], [1.0, 1.0], 3.0)
-    _add_row(be, "a", [x0], [1.0], 1.0)
+    _add_row(be, [x0, x1], [1.0, 1.0], 3.0, cut=False)
+    _add_row(be, [x0], [1.0], 1.0)
     return be
 
 
@@ -209,30 +210,42 @@ def test_basis_restores_by_name_onto_a_reordered_twin():
 
 
 def test_basis_leaves_out_rows_edited_since_the_solve():
+    """At the optimum cut row 0 (x0 >= 1) is slack, so basic, and cut row
+    1 (x1 >= 0.5) tight.  Removing the slack row keeps HiGHS's basis, the
+    other row's letter moving up; a cut row and a column added since the
+    solve have no letter."""
     be = _three_rows()
     be.solve()
-    be.remove_rows(["b"])
-    _add_row(be, "c", [0], [1.0], 0.0)
+    assert be.last_basis().saved().cuts == "BL"
+    be.remove_rows([0])
+    _add_row(be, [0], [1.0], 0.0)
     _add_column(be, "new", 0.0, 1.0)
     saved = be.last_basis().saved()
-    assert len(saved.base_rows) == 1 and set(saved.cuts) == {"a"}
+    assert len(saved.base_rows) == 1 and saved.cuts == "L-"
     assert set(saved.columns) == {0, 1}
+    # removing a tight row leaves HiGHS no valid basis until the next solve
+    be.remove_rows([0])
+    assert be.last_basis() is None
+    assert be.solve().status == "optimal"
+    assert be.last_basis().saved().cuts == "B"
 
 
 def test_start_basis_refusals():
     """A basis of the wrong shape is refused before HiGHS sees it."""
     be = _three_rows()
     assert _three_rows().last_basis() is None  # no solve yet
-    assert "base rows" in be.start_basis(SavedBasis({}, "BB", {}))
+    assert "base rows" in be.start_basis(SavedBasis({}, "BB", "--"))
+    assert "cut rows" in be.start_basis(SavedBasis({}, "B", "-"))
     # every column basic, and every row but base rows: 2 + 2 for 3 rows
-    assert "basic" in be.start_basis(SavedBasis({0: "B", 1: "B"}, "L", {}))
+    assert "basic" in be.start_basis(SavedBasis({0: "B", 1: "B"}, "L",
+                                                "--"))
     res = be.solve()  # from the slack basis
     assert res.status == "optimal" and res.iterations > 0
 
 
 def test_infeasible():
     be = _loaded(upper=0.5)
-    _add_row(be, "r1", [0], [1.0], 1.0)
+    _add_row(be, [0], [1.0], 1.0)
     res = be.solve()
     assert res.status == "infeasible"
     assert res.objective is None
@@ -249,37 +262,45 @@ def test_equality_rows():
 def test_many_row_edits_idempotent():
     be = _loaded()
     base = be.solve().objective
-    ids = ["r%d" % i for i in range(1000)]
-    for i, rid in enumerate(ids):
-        _add_row(be, rid, [0], [1.0], 0.001 * i)
+    for i in range(1000):
+        _add_row(be, [0], [1.0], 0.001 * i)
     assert be.solve().objective == pytest.approx(0.999)
-    be.remove_rows(ids)
-    assert be.rows == {}
+    be.remove_rows(list(range(1000)))
+    assert len(be.rhs) == be.n_base == 0
     assert be.solve().objective == pytest.approx(base)
 
 
-def test_unknown_row_id():
+def test_position_out_of_range_rejected():
+    """A position names a cut row: one past the last cut row, a negative
+    one, or one left after a removal raises, before or after a solve,
+    and removes none."""
     be = _loaded()
-    with pytest.raises(LpBackendError):
-        be.remove_rows(["nope"])
+    _add_row(be, [0], [1.0], 0.0, cut=False)
+    _add_row(be, [0], [1.0], 1.0)
+    for positions in ([1], [-1], [0, 1]):
+        with pytest.raises(LpBackendError, match="no cut row at position"):
+            be.remove_rows(positions)
+        assert (be.n_base, len(be.rhs)) == (1, 2)
+    assert be.solve().status == "optimal"
+    with pytest.raises(LpBackendError, match="no cut row at position 1"):
+        be.remove_rows([0, 1])
+    be.remove_rows([0])
+    with pytest.raises(LpBackendError, match="no cut row at position 0"):
+        be.remove_rows([0])
+    assert (be.n_base, len(be.rhs)) == (1, 1)
 
 
-def test_duplicate_row_id_rejected():
-    """An id names one row: adding it again raises, before or after a
-    solve, and leaves the first row in place; so does a block naming one
-    id twice."""
+def test_base_row_after_a_cut_row_raises():
+    """Base rows come before every cut row: one after a cut row raises and
+    adds none."""
     be = _loaded()
-    _add_row(be, "r1", [0], [1.0], 1.0)
-    with pytest.raises(LpBackendError):
-        _add_row(be, "r1", [0], [1.0], 2.0)
+    _add_row(be, [0], [1.0], 0.0, cut=False)
+    _add_row(be, [0], [1.0], 0.5, cut=False)
+    _add_row(be, [0], [1.0], 1.0)
+    with pytest.raises(LpBackendError, match="a base row after a cut row"):
+        _add_row(be, [0], [1.0], 2.0, cut=False)
+    assert (be.n_base, len(be.rhs)) == (2, 3)
     assert be.solve().objective == pytest.approx(1.0)
-    with pytest.raises(LpBackendError):
-        _add_row(be, "r1", [0], [1.0], 2.0)
-    assert list(be.rows) == ["r1"] and len(be.rhs) == 1
-    with pytest.raises(LpBackendError, match="duplicate row id 'r2'"):
-        be.add_rows(np.zeros(2, np.int32), np.ones(2), [1, 1],
-                    np.zeros(2), np.ones(2, bool), ["r2", "r2"])
-    assert list(be.rows) == ["r1"] and len(be.rhs) == 1
 
 
 def test_empty_model_rejected():
@@ -296,7 +317,7 @@ def test_deterministic_repeat():
     def run():
         be = _backend(c, lo, up, [(list(range(n)), [1.0] * n, 0.5)])
         for i in range(5):
-            _add_row(be, "r%d" % i, list(range(n)),
+            _add_row(be, list(range(n)),
                      list(np.random.default_rng(i).standard_normal(n)), -1.0)
         return be.solve()
 
@@ -312,7 +333,7 @@ def test_dual_bound_matches_objective_on_clean_lp():
         n = 8
         be = _backend(rng.standard_normal(n), -np.ones(n), np.ones(n),
                       [(list(range(n)), list(rng.standard_normal(n)), 0.1)])
-        _add_row(be, "r", list(range(n)), list(rng.standard_normal(n)), -2.0)
+        _add_row(be, list(range(n)), list(rng.standard_normal(n)), -2.0)
         res = be.solve()
         if res.status != "optimal":
             continue
@@ -325,7 +346,7 @@ def test_dual_bound_with_free_variable():
     """Free columns with nonzero reduced cost lower the certificate safely."""
     be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
                   [([1], [1.0], 0.0)])
-    _add_row(be, "r", [0], [1.0], 2.0)
+    _add_row(be, [0], [1.0], 2.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.dual_bound <= res.objective + 1e-9
@@ -343,7 +364,7 @@ def test_dual_bound_certified_only_within_tolerance(monkeypatch, shift):
     # the free column absorbs no reduced cost, so the shift is clipped
     be = _backend([1.0, 0.0], [0.0, -np.inf], [10.0, np.inf],
                   [([1], [1.0], 0.0)])
-    _add_row(be, "r", [0], [1.0], 2.0)
+    _add_row(be, [0], [1.0], 2.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0)
@@ -361,10 +382,10 @@ def _fresh_objective(be, eq_rows, rows):
     for i, (cols, coeffs, _) in enumerate(eq_rows):
         a_eq[i, cols] = coeffs
     a_ge = np.zeros((len(rows), n))
-    for i, (cols, coeffs, _) in enumerate(rows.values()):
+    for i, (cols, coeffs, _) in enumerate(rows):
         a_ge[i, cols] = coeffs
     res = linprog(be.objective, A_ub=-a_ge if rows else None,
-                  b_ub=[-b for _, _, b in rows.values()] or None,
+                  b_ub=[-b for _, _, b in rows] or None,
                   A_eq=a_eq, b_eq=[b for _, _, b in eq_rows],
                   bounds=list(zip(be.lower, be.upper)), method="highs")
     assert res.status == 0
@@ -373,22 +394,21 @@ def _fresh_objective(be, eq_rows, rows):
 
 def test_row_queue_stays_in_sync():
     """Random edits between solves leave the LP HiGHS solves equal to the
-    rows added and not removed, kept here in `rows`."""
+    rows added and not removed, kept here in `rows` in row order."""
     rng = np.random.default_rng(32)
     eq_rows = [([0, 1, 2], [1.0, 1.0, 1.0], 0.0)]
     be = _backend(rng.standard_normal(6), -np.ones(6), np.ones(6), eq_rows)
     _add_column(be, 6, -1.0, 1.0, 1.0)  # column 6 wants its lower bound
-    rows = {}
-    next_id = 0
+    rows = []
 
-    def add(row_id, row):
-        _add_row(be, row_id, *row)
-        rows[row_id] = row
+    def add(row):
+        _add_row(be, *row)
+        rows.append(row)
 
-    def remove(row_ids):
-        be.remove_rows(row_ids)
-        for row_id in row_ids:
-            del rows[row_id]
+    def remove(positions):
+        be.remove_rows(positions)
+        for i in sorted(positions, reverse=True):
+            del rows[i]
 
     def random_row():
         n = len(be.objective)
@@ -401,12 +421,16 @@ def test_row_queue_stays_in_sync():
         assert res.status == "optimal"
         assert res.objective == pytest.approx(
             _fresh_objective(be, eq_rows, rows), rel=1e-7, abs=1e-9)
-        assert list(rows) == list(be.rows)
+        assert len(be.rhs) - be.n_base == len(rows)
         assert res.row_slack.tolist() == pytest.approx(
             [np.dot(coeffs, res.primal[cols]) - b
-             for cols, coeffs, b in rows.values()], abs=1e-9)
+             for cols, coeffs, b in rows], abs=1e-9)
         return res
 
+    # removals before the first solve, of rows HiGHS never held
+    for _ in range(4):
+        add(random_row())
+    remove([2, 0])
     for step in range(60):
         op = rng.random()
         if op < 0.15:
@@ -414,34 +438,33 @@ def test_row_queue_stays_in_sync():
                         float(rng.standard_normal()))
         elif op < 0.6 or len(rows) < 2:
             for _ in range(rng.integers(1, 4)):
-                add(next_id, random_row())
-                next_id += 1
+                add(random_row())
         else:
-            remove(rng.choice(list(rows), size=rng.integers(1, 3),
+            remove(rng.choice(len(rows), size=rng.integers(1, 3),
                               replace=False).tolist())
         if step % 3 == 2:
             check()
         if step % 10 == 9:
             # a row added after the last solve and removed before the next
-            add("late", random_row())
-            remove(["late"])
+            add(random_row())
+            remove([len(rows) - 1])
             check()
-            # an id removed and re-added with a new rhs before the next
+            # a row removed and another added in its place before the next
             # solve: the binding row must reach HiGHS with its new rhs
-            add("pin", ([6], [1.0], -0.9))
+            add(([6], [1.0], -0.9))
             check()
-            remove(["pin"])
-            add("pin", ([6], [1.0], 0.1 * step / 10))
+            remove([len(rows) - 1])
+            add(([6], [1.0], 0.1 * step / 10))
             res = check()
             assert res.primal[6] == pytest.approx(0.1 * step / 10)
-            remove(["pin"])
+            remove([len(rows) - 1])
 
 
 def test_certificate_covers_dropped_coefficients():
     """HiGHS drops the 1e-10 of x0 + 1e-10 x1 >= 1 and reports min x0 = 1;
     with x1 = 1e12 the optimum is -99, and the certificate must hold it."""
     be = _backend([1.0, 0.0], [-1000.0, 0.0], [1000.0, 1e12])
-    _add_row(be, "r", [0, 1], [1.0, 1e-10], 1.0)
+    _add_row(be, [0, 1], [1.0, 1e-10], 1.0)
     res = be.solve()
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)  # the altered LP's optimum
@@ -462,36 +485,50 @@ def _highs_rows(be):
             [list(lp.col_cost_), list(lp.col_lower_), list(lp.col_upper_)])
 
 
+def _store_is_highs_copy(be):
+    """HiGHS holds the leading rows of the store, entry for entry and in
+    the same order, and every column."""
+    a, lo, up, columns = _highs_rows(be)
+    n = len(lo)
+    held = be.row_of < n
+    stored = np.zeros_like(a)
+    np.add.at(stored, (be.row_of[held], be.cols[held]), be.vals[held])
+    assert np.array_equal(a, stored[:, :a.shape[1]])
+    assert np.array_equal(lo, be.rhs[:n])
+    assert np.array_equal(up, np.where(be.ge[:n], np.inf, be.rhs[:n]))
+    return n, columns
+
+
 def test_row_store_equals_highs_copy():
     """After add_row / remove_rows / add_column edits the row store is
-    HiGHS's copy of the rows, entry for entry and in the same order."""
+    HiGHS's copy of the rows, entry for entry and in the same order, plus
+    the rows added since the last solve; after a solve it is the copy."""
     rng = np.random.default_rng(33)
     be = _backend(rng.standard_normal(5), -np.ones(5), np.ones(5),
                   [([0, 1, 4], [1.0, -2.0, 0.5], 0.0)])
     for step in range(40):
         op = rng.random()
+        n_cut = len(be.rhs) - be.n_base
         if op < 0.2:
             _add_column(be, len(be.objective), -1.0, 1.0,
                         float(rng.standard_normal()))
-        elif op < 0.7 or len(be.rows) < 2:
+        elif op < 0.7 or n_cut < 2:
             n = len(be.objective)
             cols = rng.choice(n, size=min(n, 3), replace=False).tolist()
-            _add_row(be, step, cols,
+            _add_row(be, cols,
                      rng.uniform(0.5, 2.0, len(cols)).tolist(), -rng.random())
         else:
-            be.remove_rows(rng.choice(list(be.rows), size=2,
-                                      replace=False).tolist())
+            be.remove_rows(rng.choice(n_cut, size=2, replace=False).tolist())
+        if be._highs is not None:
+            _store_is_highs_copy(be)
         if step % 4 == 3:
             assert be.solve().status == "optimal"
-            a, lo, up, columns = _highs_rows(be)
-            stored = np.zeros_like(a)
-            np.add.at(stored, (be.row_of, be.cols), be.vals)
-            assert np.array_equal(a, stored)
-            assert np.array_equal(lo, be.rhs)
-            assert np.array_equal(up, np.where(be.ge, np.inf, be.rhs))
+            n, columns = _store_is_highs_copy(be)
+            assert n == len(be.rhs)
             assert columns == [be.objective.tolist(), be.lower.tolist(),
                                be.upper.tolist()]
-            assert list(be.rows.values()) == np.flatnonzero(be.ge).tolist()
+            assert np.flatnonzero(be.ge).tolist() \
+                == list(range(be.n_base, len(be.rhs)))
 
 
 def test_add_columns_names_a_block():
@@ -508,8 +545,9 @@ def test_add_columns_names_a_block():
 
 
 def test_row_block_stores_like_its_rows():
-    """Rows added as a block, between rows with ids, are stored as the
-    same rows added one by one, in the order they came, and reach HiGHS."""
+    """Rows added as a block, base rows and then cut rows, are stored as
+    the same rows added one by one, in the order they came, and reach
+    HiGHS."""
     rng = np.random.default_rng(34)
     # x = 0 is feasible: equality rows have rhs 0, the others rhs < 0
     rows = [(rng.choice(4, size=k, replace=False).tolist(),
@@ -518,25 +556,22 @@ def test_row_block_stores_like_its_rows():
                                (0, True))]
     one_by_one, block = (_backend([1.0] * 4, [-1.0] * 4, [1.0] * 4)
                          for _ in range(2))
-    for be in (one_by_one, block):
-        _add_row(be, "first", [0], [1.0], -1.0)
-    for cols, vals, rhs, ge in rows:
-        _add_row(one_by_one, None, cols, vals, rhs, ge)
     cols, vals, rhs, ge = zip(*rows)
-    block.add_rows(np.concatenate(cols).astype(np.int32),
-                   np.concatenate(vals), list(map(len, cols)),
-                   np.array(rhs), np.array(ge))
+    for cut in (False, True):
+        for c, v, b, g in rows:
+            _add_row(one_by_one, c, v, b, g, cut=cut)
+        block.add_rows(np.concatenate(cols).astype(np.int32),
+                       np.concatenate(vals), list(map(len, cols)),
+                       np.array(rhs), np.array(ge), cut=cut)
     for be in (one_by_one, block):
-        _add_row(be, "last", [1], [1.0], -1.0)
+        _add_row(be, [1], [1.0], -1.0)
         assert be.solve().status == "optimal"
     for name in ("cols", "vals", "row_of", "rhs", "ge"):
         a, b = getattr(one_by_one, name), getattr(block, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert block.rows == one_by_one.rows == {"first": 0, "last": 6}
-    a, lo, up, columns = _highs_rows(block)
-    stored = np.zeros_like(a)
-    np.add.at(stored, (block.row_of, block.cols), block.vals)
-    assert np.array_equal(a, stored) and np.array_equal(lo, block.rhs)
+    assert block.n_base == one_by_one.n_base == len(rows)
+    assert len(block.rhs) == 2 * len(rows) + 1
+    assert _store_is_highs_copy(block)[0] == len(block.rhs)
 
 
 def use_highs_class(monkeypatch, cls):
@@ -578,17 +613,29 @@ def test_case14_solve_reads_back_no_matrix(monkeypatch, case14):
 
 
 _ISOLATION_RUN = """
-import json, sys
+import io, json, sys
 import opfcuts
 from opfcuts import lp_backend
+from opfcuts.cut_manager import load_cuts, save_cuts
+from opfcuts.relaxation import build_m0
 
 def scipy_loaded():
     return [m for m in ("scipy.optimize", "scipy.sparse", "numpy.ma")
             if m in sys.modules]
 
 out = {"import": scipy_loaded()}
-report = opfcuts.cutplane(opfcuts.parse_case_file(%r), opfcuts.RunConfig())
+case = opfcuts.parse_case_file(%r)
+report = opfcuts.cutplane(case, opfcuts.RunConfig())
 out["solve"], out["bound"] = scipy_loaded(), report.best_bound
+# a warm run from the saved pool, on loads that make it drop cuts
+text = io.StringIO()
+save_cuts(report.pool, text)
+text.seek(0)
+pert = opfcuts.perturb_loads(case, seed=0, mu_frac=0.0, sigma_frac=0.1)
+pool, _ = load_cuts(text, build_m0(pert))
+warm = opfcuts.cutplane(pert, opfcuts.RunConfig(), warm=pool)
+out["warm"] = scipy_loaded()
+out["warm_dropped"] = sum(st.cuts_dropped for st in warm.rounds)
 from scipy.optimize._highspy import _core
 out["same"] = _core is lp_backend._highs
 print(json.dumps(out))
@@ -599,8 +646,8 @@ def test_import_and_hot_path_leave_scipy_optimize_out(case14_path):
     """`import opfcuts` loads HiGHS's bindings without the scipy.optimize
     and scipy.sparse packages, and the hot path of a case14 solve needs
     neither, nor numpy.ma (about 1 MB, which numpy's `setdiff1d` and
-    `unique` import); a later import through scipy.optimize gets the same
-    module."""
+    `unique` import); nor does a save, a load and a warm run that drops
+    cuts.  A later import through scipy.optimize gets the same module."""
     src = os.path.dirname(os.path.dirname(lp_backend.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _ISOLATION_RUN % case14_path],
@@ -608,7 +655,8 @@ def test_import_and_hot_path_leave_scipy_optimize_out(case14_path):
         check=True)
     out = json.loads(proc.stdout)
     assert out["import"] == []
-    assert out["solve"] == []
+    assert out["solve"] == [] and out["warm"] == []
+    assert out["warm_dropped"] > 0
     assert BAND_LO <= out["bound"] <= BAND_HI
     assert out["same"] is True
 
@@ -638,6 +686,6 @@ def test_unmapped_model_status_raises(monkeypatch):
     backend failure."""
     report_model_status(monkeypatch, "kSolveError")
     be = _loaded()
-    _add_row(be, "r1", [0], [1.0], 1.0)
+    _add_row(be, [0], [1.0], 1.0)
     with pytest.raises(LpBackendError, match="Solve error"):
         be.solve()

@@ -210,19 +210,19 @@ def test_m0_soundness_random_grids():
         for key, idx in model.var_index.items():
             assert lp.lower[idx] - 1e-9 <= x[idx] <= lp.upper[idx] + 1e-9
         assert lp.ge.any()  # the cost epigraph supports
-        assert lp.rows == {}  # base rows carry no id
+        assert lp.n_base == len(lp.rhs)  # every row is a base row
         assert np.all(excess[lp.ge] >= -1e-9)
 
 
 def test_case14_base_rows_store_no_zero_and_no_id(case14):
     """Lossless branches give zero flow coefficients; none is stored, and
-    no base row has an id, so the backend's ids are cut rows only."""
+    every row of the base model is a base row, so it has no cut row."""
     model = build_m0(case14)
     res = model.solve()
     assert res.status == "optimal"
     lp = model.backend
     assert len(lp.vals) and np.all(lp.vals != 0.0)
-    assert lp.rows == {} and len(res.row_slack) == 0
+    assert lp.n_base == len(lp.rhs) and len(res.row_slack) == 0
 
 
 def test_extend_pairs_preserves_columns(case14):
@@ -230,12 +230,12 @@ def test_extend_pairs_preserves_columns(case14):
     before = dict(model.var_index)
     # t is minimized and only bounded below, so this row binds at the optimum
     t_key = ("t", model.gen_keys[0])
-    model.add_cut_row(["r1"], _cuts(({t_key: 1.0}, 100.0)))
+    model.add_cut_row(_cuts(({t_key: 1.0}, 100.0)))
     model.extend_pairs([(4, 6), (6, 9)])
     for key, idx in before.items():
         assert model.var_index[key] == idx
     assert ("c", 4, 6) in model.var_index
-    assert "r1" in model.backend.rows
+    assert len(model.backend.rhs) == model.backend.n_base + 1
     res = model.solve()
     assert res.status == "optimal"
     assert res.row_slack.tolist() == pytest.approx([0.0], abs=1e-9)
@@ -245,20 +245,19 @@ def test_extend_pairs_preserves_columns(case14):
 def test_add_remove_cut_row(case14):
     model = build_m0(case14)
     base = model.solve().objective
-    model.add_cut_row(["r1"], _cuts(({("v2", 1): 1.0}, 1.1)))
-    with pytest.raises(LpBackendError):
-        model.add_cut_row(["r1"], _cuts(({("v2", 2): 1.0}, 1.1)))
+    model.add_cut_row(_cuts(({("v2", 1): 1.0}, 1.1)))
     with pytest.raises(ModelError):  # a zero coefficient is still checked
-        model.add_cut_row(["r2"], _cuts(({("v2", 1): 1.0, ("v2", 999): 0.0},
-                                         1.1)))
-    assert list(model.backend.rows) == ["r1"]
+        model.add_cut_row(_cuts(({("v2", 1): 1.0, ("v2", 999): 0.0}, 1.1)))
+    n_base = model.backend.n_base
+    assert len(model.backend.rhs) == n_base + 1
     higher = model.solve().objective
     assert higher >= base - 1e-9
-    model.remove_cut_row(["r1"])
+    model.remove_cut_row([0])
+    assert len(model.backend.rhs) == model.backend.n_base == n_base
     again = model.solve().objective
     assert again == pytest.approx(base, abs=1e-6)
     with pytest.raises(LpBackendError):
-        model.remove_cut_row(["r1"])
+        model.remove_cut_row([0])
 
 
 def test_row_slack_matches_cut_violation(case14):
@@ -268,7 +267,7 @@ def test_row_slack_matches_cut_violation(case14):
     keep = ~pool.cuts.naming(lambda key: not model.has_variables((key,)))
     cuts = pool.cuts.take(keep)
     assert len(cuts)
-    model.add_cut_row(pool.ids[keep], cuts)
+    model.add_cut_row(cuts)
     res = model.solve()
     assert res.status == "optimal"
     assert len(res.row_slack) == len(cuts)
@@ -287,21 +286,19 @@ def test_cut_block_rows_equal_one_by_one(case14, cold_report):
     zeros = _cuts(({t_key: 1.0, pg_key: 0.0}, 2.0),
                   ({("v2", 1): 0.0, ("v2", 2): -1.0}, -1.5))
     cuts = CutBlock.concat(pool.cuts, zeros)
-    ids = pool.ids.tolist() + [-1, -2]
     block, one_by_one = build_m0(case14), build_m0(case14)
     for model in (block, one_by_one):
         model.extend_pairs(sorted({key[1:] for cut in cuts for key in cut.terms
                                    if key[0] in ("c", "s")}))
-    block.add_cut_row(ids, cuts)
-    for i, row_id in enumerate(ids):
-        one_by_one.add_cut_row([row_id], cuts.take([i]))
+    block.add_cut_row(cuts)
+    for i in range(len(cuts)):
+        one_by_one.add_cut_row(cuts.take([i]))
     a, b = block.backend, one_by_one.backend
     for name in ("cols", "vals", "row_of", "rhs", "ge"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y)
-    assert a.rows == b.rows
-    assert list(a.rows) == ids
-    for cut, row in zip(cuts, a.rows.values()):
+    assert a.n_base == b.n_base == len(a.rhs) - len(cuts)
+    for cut, row in zip(cuts, range(a.n_base, len(a.rhs))):
         kept = {k: w for k, w in cut.terms.items() if w != 0.0}
         entries = a.row_of == row
         assert a.cols[entries].tolist() == [block.var_index[k] for k in kept]
