@@ -41,7 +41,8 @@ def _build_parser():
     ps.add_argument("case", help="MATPOWER .m case file")
     ps.add_argument("--time-limit", type=float, default=1200.0)
     ps.add_argument("--rstar", type=int, default=5,
-                    help="latest round after which cliques escalate")
+                    help="latest round after which a cold run's cliques "
+                    "escalate; a warm start begins escalated")
     ps.add_argument("--max-clique", type=int, choices=(3, 4, 5), default=5)
     ps.add_argument("--warm", metavar="CUTS.jsonl",
                     help="load a saved cut pool before round 0")

@@ -343,7 +343,7 @@ def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     """Read a cut file of any version; returns (pool, skipped count).
 
     Cuts naming a variable `model` neither has nor can add (see
-    `RelaxationModel.has_variables`, asked once per distinct key by
+    `RelaxationModel.has_variable`, asked once per distinct key by
     `CutBlock.naming`, as `cutplane` asks it) are skipped.  Without a model
     every well-formed cut is kept, in the file's order, hash order.  The
     pool carries the file's basis, if it has one, with the letters of the
@@ -395,5 +395,5 @@ def _load(stream, model):
     pool = CutPool(cuts, basis)
     if model is None:
         return pool, 0
-    skip = cuts.naming(lambda key: not model.has_variables((key,)))
+    skip = cuts.naming(lambda key: not model.has_variable(key))
     return pool.take(~skip), int(skip.sum())

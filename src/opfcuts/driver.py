@@ -3,8 +3,9 @@
 Each round solves the LP master, separates Jabr / limit / cost tangents and
 clique PSD cuts, admits and ages cuts, and tracks a stall counter on relative
 objective improvement.  The clique set is augmented once with chordal
-cliques, after the first round that admits no cut or the hierarchy round;
-a later round that admits nothing ends the run.  The 3-cycles and chordal
+cliques (`_escalate`): in a cold run after the first round that admits no
+cut or the hierarchy round, in a warm run before round 0.  A round that
+admits nothing after that ends the run.  The 3-cycles and chordal
 cliques are computed once per compiled network (see `relaxation`), so the
 load instances of one network share them.  Each round is credited the
 bound the LP backend certifies from its duals (-inf when it certifies none;
@@ -22,13 +23,17 @@ position.  Cuts never change once built: a run keeps a pool of its own,
 with its own ages, so a warm start shares the caller's cuts and leaves
 them, and the caller's pool, as they were.  A run names a cut, and its LP
 row, by its position: cut i of the pool is cut row i of the LP.  A warm
-start injects the given pool in its own order, so its cuts come first:
-a loaded pool is in content-hash order, a run's pool in admission order.
-It skips the cuts naming a key the model neither has nor can add, asking
-once per distinct key (`CutBlock.naming`), with their basis letters
+start escalates first, so its model has the columns of a cold run after
+escalation, in their order: the base columns, then the sorted block of
+chordal pairs.  The basis letters a cold run saved then all land, and
+the pool's cuts name no pair the model lacks when they come from the same
+network.  It injects the given pool in its own order, so its cuts come
+first: a loaded pool is in content-hash order, a run's pool in admission
+order.  It skips the cuts naming a key the model neither has nor can add,
+asking once per distinct key (`CutBlock.naming`), with their basis letters
 (`CutPool.take`), and adds the (c, s) columns the others lack as one
-block.  The returned pool holds the last solve's basis as HiGHS gave it,
-turned into letters only when read.
+sorted block.  The returned pool holds the last solve's basis as HiGHS
+gave it, turned into letters only when read.
 
 Separation and the final eigenvalue ratio read the PSD matrices as stacks
 from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
@@ -130,11 +135,14 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     pool = CutPool()
     report = RunReport(case_name=case.name, warm_started=warm is not None,
                        clique_counts=cliques.sizes())
+    escalated = warm is not None
     if warm is not None:
-        skip = warm.cuts.naming(lambda key: not model.has_variables((key,)))
+        cliques = _escalate(model, cliques, config)
+        skip = warm.cuts.naming(lambda key: not model.has_variable(key))
         warm = warm.take(~skip)
         pool = CutPool(warm.cuts)
-        model.extend_pairs(_new_pairs(pool.cuts, model.var_index))
+        model.extend_pairs(sorted({key[1:] for key in pool.cuts.keys.tolist()
+                                   if key not in model.var_index}))
         model.add_cut_row(pool.cuts)
         if skip.any():
             log.info("warm start: skipped %d cuts with unknown variables",
@@ -150,7 +158,6 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
     stall = 0
     z_prev = -math.inf
-    escalated = False
     termination = None
     last = None  # the last optimal solve and the cliques of its round
 
@@ -203,13 +210,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
 
         if not escalated and (not admitted
                               or round_idx + 1 >= config.hierarchy_round):
-            extra = model.network.cliques(chordal_cliques,
-                                          config.max_clique_size)
-            # the pairs of the chordal cliques are the edges plus the fill
-            model.extend_pairs(sorted({(a, b) for c in extra.cliques
-                                       for i, a in enumerate(c)
-                                       for b in c[i + 1:]}))
-            cliques = cliques.merged_with(extra)
+            cliques = _escalate(model, cliques, config)
             escalated = True
         elif not admitted:
             termination = "no_cuts"
@@ -244,14 +245,13 @@ def _log_round(stats: RoundStats, res, pool: CutPool, model):
              len(model.backend.rhs), stats.lp_iterations)
 
 
-def _new_pairs(cuts: CutBlock, columns) -> list:
-    """The pairs of the (c, s) keys of `cuts` that are not in `columns`:
-    cut by cut in block order, each cut's sorted."""
-    keys = cuts.keys.tolist()
-    new = np.flatnonzero(~np.fromiter(map(columns.__contains__, keys), bool,
-                                      len(keys)))
-    return [pair for _, pair in sorted(zip(cuts.cut_of[new].tolist(), [
-        keys[j][1:] for j in new.tolist()]))]
+def _escalate(model, cliques, config: RunConfig):
+    """`cliques` merged with the network's chordal cliques, whose pairs,
+    the edges plus the fill, `model` gets as one sorted block of columns."""
+    extra = model.network.cliques(chordal_cliques, config.max_clique_size)
+    model.extend_pairs(sorted({(a, b) for c in extra.cliques
+                               for i, a in enumerate(c) for b in c[i + 1:]}))
+    return cliques.merged_with(extra)
 
 
 def _separate(model, cliques) -> CutBlock:

@@ -24,8 +24,9 @@ reactive balance, then the epigraph supports), whose right-hand side is
 fixed but at the balance rows.  `compile_network` keeps the last
 `NETWORKS_KEPT` networks by content, every case field but the buses' loads
 and the case name, so the load instances of one network share one compiled
-network, and its cliques.  Nothing shared changes: its arrays are read-only,
-and each model copies the columns into a backend of its own.
+network, its cliques and its gather indices.  Nothing shared changes: its
+arrays, and the cached ones, are read-only, and each model copies the
+columns into a backend of its own.
 
 `RelaxationModel` writes the compiled network into its `ScipyHighsBackend`,
 the base rows as one block with the balance rows' right-hand side set to
@@ -40,7 +41,10 @@ rejects a position that names no cut row.  The (c, s) columns are the one
 record of which bus pairs exist; `extend_pairs` adds to them, one block of
 columns per call.
 `clique_matrix` gathers the matrices of the pairs, or of the cliques of one
-size, as one stack, by index arrays cached per list of bus tuples.
+size, as one stack, by read-only index arrays that the compiled network
+caches per list of bus tuples and per sequence of pairs its models added:
+models that added the same pairs in the same order have the same columns,
+so the load instances of a network share them.
 """
 
 from __future__ import annotations
@@ -93,6 +97,8 @@ class CompiledNetwork:
     pairs: PairGraph
     v_max: MappingProxyType        # bus id -> v_max
     _cliques: dict = field(default_factory=dict, init=False, repr=False)
+    # (pairs the model added, bus-tuple list) -> clique_matrix index arrays
+    gathers: dict = field(default_factory=dict, init=False, repr=False)
 
     def cliques(self, find, *args) -> CliqueSet:
         """`find(self.pairs, *args)`, computed once: a clique set depends
@@ -258,7 +264,7 @@ class RelaxationModel:
         self.backend = ScipyHighsBackend()
         self.var_index = self.backend.columns  # the backend's, not a copy
         self._solution: np.ndarray | None = None
-        self._gathers: dict = {}  # bus-tuple list -> clique_matrix indices
+        self._added = ()  # the pairs extend_pairs added, in column order
         self.backend.add_columns(net.keys, net.lower, net.upper,
                                  net.objective)
         rhs = net.rhs.copy()
@@ -281,19 +287,20 @@ class RelaxationModel:
             u = np.repeat([v_max[a] * v_max[b] for a, b in pairs], 2)
             keys = [(kind,) + p for p in pairs for kind in "cs"]
             self.backend.add_columns(keys, -u, u, np.zeros(len(keys)))
+            self._added += tuple(pairs)
 
     def cs_pairs(self):
         """Every pair with (c, s) columns, sorted."""
         return sorted(key[1:] for key in self.var_index if key[0] == "c")
 
-    def has_variables(self, keys) -> bool:
-        """Every key (of an iterable, such as a cut's terms) is a column or
-        a canonical (c|s, a, b) pair of buses."""
+    def has_variable(self, key) -> bool:
+        """`key` is a column or a canonical (c|s, a, b) pair of buses."""
+        if key in self.var_index:
+            return True
         bus = self.network.v_max
-        return all(key in self.var_index or (
-            isinstance(key, tuple) and len(key) == 3 and key[0] in ("c", "s")
-            and key[1] in bus and key[2] in bus and key[1] < key[2])
-            for key in keys)
+        return isinstance(key, tuple) and len(key) == 3 \
+            and key[0] in ("c", "s") and key[1] in bus and key[2] in bus \
+            and key[1] < key[2]
 
     def add_cut_row(self, cuts: CutBlock):
         """Append the rows sum(coeff * column of key) >= rhs of the block
@@ -337,10 +344,11 @@ class RelaxationModel:
         v2 on the diagonal, c + js off it, s signed by the tuple's order."""
         if self._solution is None:
             raise ModelError("no solution available")
-        cliques = tuple(cliques)
-        if cliques not in self._gathers:
-            self._gathers[cliques] = self._gather_index(cliques)
-        re_idx, im_idx, im_sign = self._gathers[cliques]
+        key = (self._added, tuple(cliques))
+        gathers = self.network.gathers
+        if key not in gathers:
+            gathers[key] = self._gather_index(key[1])
+        re_idx, im_idx, im_sign = gathers[key]
         y = self._solution
         x = np.empty(re_idx.shape, dtype=complex)
         x.real, x.imag = y[re_idx], y[im_idx] * im_sign
@@ -360,7 +368,10 @@ class RelaxationModel:
         im_idx = [column("s", a, b) for a, b in entries]
         sign = [0.0 if a == b else 1.0 if a < b else -1.0 for a, b in entries]
         shape = (len(cliques),) + (len(cliques[0]),) * 2
-        return tuple(np.reshape(v, shape) for v in (re_idx, im_idx, sign))
+        arrays = tuple(np.reshape(v, shape) for v in (re_idx, im_idx, sign))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def build_m0(case: CaseData) -> RelaxationModel:

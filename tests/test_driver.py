@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from opfcuts import driver, lp_backend
+from opfcuts import driver, lp_backend, network
 from opfcuts.case_io import parse_case, perturb_loads
 from opfcuts.cut_manager import (CutPool, admit, age_and_drop, load_cuts,
                                  save_cuts)
@@ -294,22 +294,53 @@ def test_candidates_reach_admission_admissible(case14, monkeypatch):
 
 
 def test_empty_round_escalates_at_once(case14, cold_report):
-    """An idle warm round escalates before the hierarchy round."""
-    warm = cutplane(case14, RunConfig(max_rounds=2), warm=cold_report.pool)
+    """An idle cold round escalates before the hierarchy round, and the
+    run goes on."""
+    report = cutplane(case14, RunConfig(hierarchy_round=50))
+    added = [st.cuts_added for st in report.rounds]
+    assert 0 in added[:-1] and len(added) < 50
+    assert report.final_clique_counts == cold_report.final_clique_counts
+    assert report.clique_counts != report.final_clique_counts
+
+
+def test_warm_start_begins_escalated(case14, cold_report):
+    """A warm start separates the chordal cliques from round 0 on."""
+    warm = cutplane(case14, RunConfig(max_rounds=1), warm=cold_report.pool)
     assert warm.final_clique_counts == cold_report.final_clique_counts
+    assert warm.clique_counts == cold_report.clique_counts
 
 
 def test_warm_start_from_own_pool_reaches_cold_bound(case14, cold_report):
     warm = cutplane(case14, RunConfig(), warm=cold_report.pool)
     assert len(warm.pool) >= len(cold_report.pool)
-    assert warm.num_rounds <= 3
+    assert warm.num_rounds == 1
     assert warm.best_bound == pytest.approx(cold_report.best_bound, rel=1e-5)
+
+
+def test_warm_start_is_one_round_on_the_cold_layout(case14, monkeypatch):
+    """Warm-started from its own pool, case14 ends after one round with the
+    cold bound, on a model whose columns are the cold model's, in order."""
+    models = []
+
+    def build(case):
+        models.append(build_m0(case))
+        return models[-1]
+
+    monkeypatch.setattr(driver, "build_m0", build)
+    cold = cutplane(case14, RunConfig())
+    warm = cutplane(case14, RunConfig(), warm=cold.pool)
+    assert (warm.termination, warm.num_rounds) == ("no_cuts", 1)
+    assert warm.best_bound == pytest.approx(cold.best_bound, rel=1e-12,
+                                            abs=0.0)
+    cold_model, warm_model = models
+    assert list(warm_model.var_index) == list(cold_model.var_index)
 
 
 def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     """The warm injection asks the model about each distinct key once,
     skips the cuts naming an unknown one, and adds the pairs of the others
-    in the column order a per-cut extension gives."""
+    after the chordal pairs: the base columns, then the sorted chordal
+    block, then the pool's other pairs, sorted."""
     stray = one_cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, 0.0, "eigen",
                     (1, 999))
     warm = CutPool(cold_report.pool.cuts)
@@ -318,9 +349,9 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
 
     def build(case):
         model = build_m0(case)
-        has_variables = model.has_variables
-        model.has_variables = lambda keys: asked.extend(keys) or \
-            has_variables(keys)
+        has_variable = model.has_variable
+        model.has_variable = lambda key: asked.append(key) or \
+            has_variable(key)
         models.append(model)
         return model
 
@@ -330,13 +361,15 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     assert sorted(asked, key=repr) == sorted(named, key=repr)
     assert list(report.pool.cuts) == list(cold_report.pool.cuts)
     reference = build_m0(case14)
-    for cut in cold_report.pool.cuts:
-        reference.extend_pairs(sorted({key[1:] for key in cut.terms
-                                       if key[0] in ("c", "s")}))
+    chordal = reference.network.cliques(network.chordal_cliques, 5)
+    reference.extend_pairs(sorted({(a, b) for c in chordal.cliques
+                                   for a in c for b in c if a < b}))
+    reference.extend_pairs(sorted({key[1:] for cut in cold_report.pool.cuts
+                                   for key in cut.terms
+                                   if key[0] in ("c", "s")}))
     [model] = models
     assert len(reference.var_index) > len(build_m0(case14).var_index)
-    assert list(model.var_index)[:len(reference.var_index)] \
-        == list(reference.var_index)
+    assert list(model.var_index) == list(reference.var_index)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -364,7 +397,7 @@ def test_cut_slacks_in_pool_order(case14, cold_report, monkeypatch, warm):
 
     monkeypatch.setattr(driver, "build_m0", build)
     monkeypatch.setattr(driver, "age_and_drop", aging)
-    pert = perturb_loads(case14, seed=0, mu_frac=0.0, sigma_frac=0.1)
+    pert = perturb_loads(case14, seed=2, mu_frac=0.0, sigma_frac=0.1)
     report = cutplane(pert, RunConfig(),
                       warm=cold_report.pool if warm else None)
     assert sum(st.cuts_dropped for st in report.rounds) > 0

@@ -631,7 +631,7 @@ out["solve"], out["bound"] = scipy_loaded(), report.best_bound
 text = io.StringIO()
 save_cuts(report.pool, text)
 text.seek(0)
-pert = opfcuts.perturb_loads(case, seed=0, mu_frac=0.0, sigma_frac=0.1)
+pert = opfcuts.perturb_loads(case, seed=2, mu_frac=0.0, sigma_frac=0.1)
 pool, _ = load_cuts(text, build_m0(pert))
 warm = opfcuts.cutplane(pert, opfcuts.RunConfig(), warm=pool)
 out["warm"] = scipy_loaded()

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opfcuts import relaxation
+from opfcuts import driver, relaxation
 from opfcuts.case_io import (Branch, Bus, CaseData, CostFunction, Generator,
                              parse_case, perturb_loads)
 from opfcuts.driver import RunConfig, cutplane
@@ -129,6 +129,96 @@ def test_clique_matrix_unknown_pair(case14):
     # (1, 4) is not a branch pair and has no c/s columns
     with pytest.raises(ModelError):
         model.clique_matrix([(1, 2, 4)])
+
+
+def test_has_variable_truth_table(case14):
+    """A key is a variable when it is a column, or a canonical (c|s, a, b)
+    pair, a < b, on buses of the case."""
+    model = build_m0(case14)
+    table = {
+        ("v2", 1): True, ("c", 1, 2): True, ("s", 4, 9): True,
+        ("Pg", (1, 0)): True, ("t", (2, 0)): True,
+        ("c", 1, 3): True, ("s", 1, 3): True,     # a fill pair
+        ("c", 3, 1): False, ("s", 3, 1): False,   # the same, reversed
+        ("c", 2, 1): False, ("c", 1, 1): False,
+        ("c", 1, 999): False, ("s", 999, 1000): False,  # an unknown bus
+        ("v2", 999): False,
+        ("P", (1, 2, 0), "f"): True, ("Q", (1, 2, 0), "t"): True,
+        ("P", (1, 2, 1), "f"): False, ("Q", (1, 999, 0), "t"): False,
+    }
+    assert {key: model.has_variable(key) for key in table} == table
+
+
+def _reference_gather(model, cliques):
+    """The clique_matrix index arrays of `cliques`, entry by entry."""
+    idx = model.var_index
+
+    def column(kind, a, b):
+        return idx[("v2", a) if a == b else (kind,) + canonical_pair(a, b)]
+
+    return ([[[column("c", a, b) for b in c] for a in c] for c in cliques],
+            [[[column("s", a, b) for b in c] for a in c] for c in cliques],
+            [[[float(np.sign(b - a)) for b in c] for a in c]
+             for c in cliques])
+
+
+@pytest.mark.parametrize("which", ["case14", "two_tile"])
+def test_gather_indices_shared_by_the_networks_models(which, request,
+                                                      monkeypatch):
+    """The index arrays of every list a cold and a warm run gather equal a
+    per-model build, and the warm run, on the cold run's columns, builds
+    none of its own."""
+    case = request.getfixturevalue(which)
+    models, built = [], []
+
+    def build(case):
+        models.append(build_m0(case))
+        return models[-1]
+
+    gather_index = relaxation.RelaxationModel._gather_index
+    monkeypatch.setattr(driver, "build_m0", build)
+    monkeypatch.setattr(relaxation.RelaxationModel, "_gather_index",
+                        lambda self, cliques: built.append(self) or
+                        gather_index(self, cliques))
+    relaxation._compile.cache_clear()
+    cold = cutplane(case, RunConfig())
+    warm = cutplane(perturb_loads(case, 3, 0.0, 0.01), RunConfig(),
+                    warm=cold.pool)
+    assert warm.num_rounds >= 1
+    cold_model, warm_model = models
+    assert warm_model.network is cold_model.network
+    assert built and warm_model not in built
+    gathers = cold_model.network.gathers
+    for model in models + [build_m0(case)]:  # the last added no pairs
+        mine = [key[1] for key in gathers if key[0] == model._added]
+        assert mine
+        for cliques in mine:
+            arrays = gathers[model._added, cliques]
+            assert [a.tolist() for a in arrays] \
+                == list(_reference_gather(model, cliques))
+            assert not any(a.flags.writeable for a in arrays)
+
+
+def test_gather_indices_follow_the_column_order(case14):
+    """Models that added the same pairs in another order get arrays of
+    their own; a missing pair raises ModelError and caches nothing."""
+    first, second = build_m0(case14), build_m0(case14)
+    first.extend_pairs([(1, 3), (1, 4)])
+    second.extend_pairs([(1, 4), (1, 3)])
+    cliques = [(1, 2, 3), (1, 2, 4)]
+    for model in (first, second):
+        _solved_with(model, {})
+        model.clique_matrix(cliques)
+    gathers = first.network.gathers
+    mine, theirs = (gathers[m._added, tuple(cliques)]
+                    for m in (first, second))
+    assert mine[0].tolist() != theirs[0].tolist()
+    assert [a.tolist() for a in theirs] \
+        == list(_reference_gather(second, cliques))
+    size = len(gathers)
+    with pytest.raises(ModelError):
+        first.clique_matrix([(1, 3, 6)])
+    assert len(gathers) == size
 
 
 def _random_case_and_point(rng, n_bus):
@@ -264,7 +354,7 @@ def test_row_slack_matches_cut_violation(case14):
     """The LP's row slack, normalized, is the cut's own slack at the primal."""
     pool = cutplane(case14, RunConfig(max_rounds=4)).pool
     model = build_m0(case14)
-    keep = ~pool.cuts.naming(lambda key: not model.has_variables((key,)))
+    keep = ~pool.cuts.naming(lambda key: not model.has_variable(key))
     cuts = pool.cuts.take(keep)
     assert len(cuts)
     model.add_cut_row(cuts)
