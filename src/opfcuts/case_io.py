@@ -126,9 +126,6 @@ class CaseData:
     generators: tuple[Generator, ...]
     name: str = "case"
 
-    def bus_by_id(self) -> dict[int, Bus]:
-        return {b.id: b for b in self.buses}
-
 
 _MAT_RE = re.compile(r"mpc\.(\w+)\s*=\s*\[(.*?)\];", re.S)
 _SCALAR_RE = re.compile(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)\s*;")
@@ -140,18 +137,18 @@ def _strip_comments(text: str) -> str:
 
 def _parse_matrix(body: str, name: str, first_line: int):
     rows = []
-    line_no = first_line
-    for chunk in body.replace(";", "\n").splitlines():
-        line_no += 1
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            rows.append([float(tok) for tok in chunk.split()])
-        except ValueError:
-            raise CaseParseError(
-                "malformed row in mpc.%s near line %d: %r"
-                % (name, line_no, chunk))
+    for line_no, line in enumerate(body.splitlines(), first_line + 1):
+        for chunk in filter(None, map(str.strip, line.split(";"))):
+            try:
+                row = [float(tok) for tok in chunk.split()]
+            except ValueError:
+                raise CaseParseError(
+                    "malformed row in mpc.%s near line %d: %r"
+                    % (name, line_no, chunk))
+            if any(map(math.isnan, row)):
+                raise CaseParseError("%s row near line %d holds a NaN: %r"
+                                     % (name, line_no, chunk))
+            rows.append(row)
     return rows
 
 
@@ -181,6 +178,7 @@ def parse_case(text: str, name: str = "case") -> CaseData:
         if len(row) < _BUS_COLS:
             raise CaseParseError("bus row too short: %r" % (row,))
         bus_id = _whole(row, 0, "bus")
+        _finite(row, (2, 3, 4, 5, 11, 12), "bus")
         v_min, v_max = row[12], row[11]
         if not (0 <= v_min <= v_max):
             raise CaseValidationError(
@@ -207,6 +205,7 @@ def parse_case(text: str, name: str = "case") -> CaseData:
         if bus_id not in id_set:
             raise CaseValidationError("generator references unknown bus %d" % bus_id)
         cost = _parse_cost(gencost[i], base)
+        _finite(row, (8, 9), "gen")  # Qmax and Qmin may be infinite
         p_min, p_max = row[9] / base, row[8] / base
         q_min, q_max = row[4] / base, row[3] / base
         if p_min > p_max or q_min > q_max:
@@ -223,13 +222,16 @@ def parse_case(text: str, name: str = "case") -> CaseData:
         if f not in id_set or t not in id_set:
             raise CaseValidationError("branch %d-%d references unknown bus" % (f, t))
         status = _whole(row, 10, "branch")
+        if row[5] == math.inf:
+            row[5] = 0.0  # 0 encodes +inf
+        _finite(row, (2, 3, 4, 5, 8, 9), "branch")
         r, x = row[2], row[3]
         if status and r * r + x * x <= 0.0:
             raise CaseValidationError("branch %d-%d has zero impedance" % (f, t))
         tap = row[8] if row[8] != 0.0 else 1.0
         if tap <= 0:
             raise CaseValidationError("branch %d-%d: nonpositive tap" % (f, t))
-        rate = row[5] / base if row[5] > 0.0 else None  # 0 encodes +inf
+        rate = row[5] / base if row[5] > 0.0 else None
         branches.append(Branch(from_bus=f, to_bus=t, r=r, x=x,
                                b_charge=row[4], tap=tap,
                                shift=math.radians(row[9]),
@@ -249,6 +251,14 @@ def _whole(row, col: int, what: str) -> int:
     return int(row[col])
 
 
+def _finite(row, cols, what: str):
+    """CaseValidationError unless row[c] is finite for each c of cols."""
+    for col in cols:
+        if not math.isfinite(row[col]):
+            raise CaseValidationError("%s row %r: column %d must be finite"
+                                      % (what, row, col + 1))
+
+
 def _parse_cost(row, base: float) -> CostFunction:
     if len(row) < 4:
         raise CaseParseError("gencost row too short: %r" % (row,))
@@ -258,6 +268,7 @@ def _parse_cost(row, base: float) -> CostFunction:
     if n < 0 or len(vals) < size:
         raise CaseParseError("gencost row %r declares %d values, has %d"
                              % (row, size, len(row) - 4))
+    _finite(row, range(4, 4 + size), "gencost")
     if model == 2:
         if n > 3:
             raise CaseValidationError(

@@ -35,9 +35,11 @@ asking once per distinct key (`CutBlock.naming`), with their basis letters
 sorted block.  The returned pool holds the last solve's basis as HiGHS
 gave it, turned into letters only when read.
 
-Separation and the final eigenvalue ratio read the PSD matrices as stacks
-from `RelaxationModel.clique_matrix`: one for the pairs and one per clique
-size, each with one `eigen` call.
+`_separate` and the final eigenvalue ratio read the PSD matrices as
+stacks from `RelaxationModel.clique_matrix`: one for the pairs and one
+per clique size, each with one `eigen` call.  The tangents come from the LP
+solution and the compiled network's tangent tables, so `_separate` builds
+no variable key.
 """
 
 from __future__ import annotations
@@ -255,20 +257,12 @@ def _escalate(model, cliques, config: RunConfig):
 
 
 def _separate(model, cliques) -> CutBlock:
-    case = model.case
     pairs = model.cs_pairs()
     blocks = [separation.jabr_cut(model.clique_matrix(pairs), pairs)] \
         if pairs else []
-
-    branches, gens = case.branches, case.generators
-    limits = separation.limit_cut([
-        (model.value(("P", bkey, d)), model.value(("Q", bkey, d)),
-         branches[idx].rate_a, (bkey, d))
-        for idx, bkey in model.branch_keys.items()
-        if branches[idx].rate_a is not None for d in ("f", "t")])
-    blocks.append(separation.cost_cut([
-        (model.value(("Pg", gkey)), model.value(("t", gkey)), gens[idx], gkey)
-        for idx, gkey in model.gen_keys.items()], limits))
+    net, y = model.network, model.solution
+    blocks += [separation.limit_cut(y, *net.limits),
+               separation.cost_cut(y, *net.costs)]
 
     for group in cliques.by_size:
         blocks.append(separation.clique_cuts(model.clique_matrix(group),

@@ -37,9 +37,6 @@ class HermitianMatrix:
     def n(self) -> int:
         return self.mat.shape[0]
 
-    def fro_norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
 
 def psd_cutoff(mats: np.ndarray, tol: float):
     """Eigenvalues below -tol * max(1, trace) count as negative, per matrix

@@ -25,10 +25,7 @@ simplex method from the basis the model kept, presolve off.  It prices
 with Devex: HiGHS drops its dual steepest-edge weights at every addRows or
 deleteRows, so steepest edge would rebuild them, one BTRAN per row, at
 every hot re-solve.  Only the solution, the duals and the status are read
-back.  A solve with no edit since the last optimal one (no row added or
-removed, no column added, no start basis given) returns that result
-again, with 0 iterations, and leaves HiGHS alone: HiGHS would return it
-bit for bit.
+back.
 
 The backend loads only HiGHS's bindings, the extension module
 `scipy.optimize._highspy._core` that scipy >= 1.15 ships, straight from its
@@ -66,7 +63,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,7 +171,6 @@ class ScipyHighsBackend:
         self.n_base = 0        # base rows, the leading rows of the store
         self._highs = None     # the persistent model, made at the first solve
         self._n_loaded = 0     # leading rows of the store that HiGHS holds
-        self._last = None      # the last optimal result, while no edit came
 
     def add_columns(self, keys, lower, upper, objective):
         """Append one column per key of `keys`, in order, with those bounds
@@ -187,7 +183,6 @@ class ScipyHighsBackend:
                        if k in self.columns or index[k] != n + i)
             raise LpBackendError("duplicate column key %r" % (key,))
         self.columns.update(index)
-        self._last = None
         self.objective = np.concatenate((self.objective, objective))
         self.lower = np.concatenate((self.lower, lower))
         self.upper = np.concatenate((self.upper, upper))
@@ -206,7 +201,6 @@ class ScipyHighsBackend:
             if n > self.n_base:
                 raise LpBackendError("a base row after a cut row")
             self.n_base += k
-        self._last = None
         self.cols = np.concatenate((self.cols, cols))
         self.vals = np.concatenate((self.vals, vals))
         self.row_of = np.concatenate((self.row_of, np.repeat(
@@ -224,7 +218,6 @@ class ScipyHighsBackend:
         if bad.any():
             raise LpBackendError("no cut row at position %d"
                                  % positions[int(np.argmax(bad))])
-        self._last = None
         keep = np.ones(len(self.rhs), bool)
         keep[rows] = False
         entries, new_row = keep[self.row_of], np.cumsum(keep) - 1
@@ -247,7 +240,6 @@ class ScipyHighsBackend:
         basic variables.  A refused basis leaves the solve to start from
         the slack basis.
         """
-        self._last = None
         highs = self._sync()
         n_row = len(self.rhs)
         n_cut = n_row - self.n_base
@@ -289,8 +281,6 @@ class ScipyHighsBackend:
         """Re-solve the LP; certificate, residual and slacks read the store."""
         if not len(self.objective):
             raise LpBackendError("model has no variables")
-        if self._last is not None:
-            return replace(self._last, iterations=0)
         highs = self._sync()
         if self.time_limit is not None:
             # HiGHS compares its limit with the run time summed over every
@@ -320,7 +310,7 @@ class ScipyHighsBackend:
                            float((-excess[ge]).max(initial=0.0)),
                            float((lower - primal).max(initial=0.0)),
                            float((primal - upper).max(initial=0.0)))
-        result = LpSolveResult(
+        return LpSolveResult(
             status=status,
             objective=highs.getObjectiveValue()
             if status == "optimal" else None,
@@ -330,9 +320,6 @@ class ScipyHighsBackend:
             dual_bound=dual_bound,
             row_slack=row_slack,
             iterations=iterations)
-        if status == "optimal":
-            self._last = result
-        return result
 
     def _sync(self):
         """Hand the persistent HiGHS model the columns and rows added since

@@ -21,12 +21,12 @@ A model is a compiled network plus the loads of its case.  The
 buses, branches and generators: the column keys, bounds and objective, and
 the base rows as one block (the flow definitions, then each bus's active and
 reactive balance, then the epigraph supports), whose right-hand side is
-fixed but at the balance rows.  `compile_network` keeps the last
-`NETWORKS_KEPT` networks by content, every case field but the buses' loads
-and the case name, so the load instances of one network share one compiled
-network, its cliques and its gather indices.  Nothing shared changes: its
-arrays, and the cached ones, are read-only, and each model copies the
-columns into a backend of its own.
+fixed but at the balance rows, and the tangent tables of separation.
+`compile_network` keeps the last `NETWORKS_KEPT` networks by content, every
+case field but the buses' loads and the case name, so the load instances of
+one network share one compiled network, its cliques and its gather indices.
+Nothing shared changes: its arrays, and the cached ones, are read-only, and
+each model copies the columns into a backend of its own.
 
 `RelaxationModel` writes the compiled network into its `ScipyHighsBackend`,
 the base rows as one block with the balance rows' right-hand side set to
@@ -67,11 +67,6 @@ INF = math.inf
 NETWORKS_KEPT = 8  # compiled networks that `compile_network` keeps
 
 
-def _quadratic_tangent(cost, p_hat):
-    slope = cost.derivative(p_hat)
-    return slope, cost.value(p_hat) - slope * p_hat
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
     """The load-independent base model of one network.
@@ -92,6 +87,8 @@ class CompiledNetwork:
     rhs: np.ndarray
     ge: np.ndarray
     balance: np.ndarray
+    limits: tuple  # limited branch ends, f then t: (P, Q) cols, rate_a, keys
+    costs: tuple   # quadratic costs: (Pg, t) cols, (c2, c1, c0), keys
     branch_keys: MappingProxyType  # branch index -> bkey, active ones
     gen_keys: MappingProxyType     # generator index -> gkey, active ones
     pairs: PairGraph
@@ -125,7 +122,8 @@ def _epigraph_supports(g) -> list:
         return g.cost.segment_supports()
     anchors = [0.0] if g.cost.coefficients[0] == 0.0 else sorted(
         {g.p_min, g.p_max, 0.5 * (g.p_min + g.p_max)})
-    return [_quadratic_tangent(g.cost, p) for p in anchors]
+    slopes = [g.cost.derivative(p) for p in anchors]
+    return [(s, g.cost.value(p) - s * p) for s, p in zip(slopes, anchors)]
 
 
 def _rows(cols, vals):
@@ -234,6 +232,17 @@ def _compile(base_mva, buses, branches, generators) -> CompiledNetwork:
     epigraph = _rows(np.stack([pg_col[gen] + 2, pg_col[gen]], axis=1),
                      np.stack([np.ones(len(gen)), -slope], axis=1))
 
+    limited = [j for j, br in enumerate(lines) if br.rate_a is not None]
+    quadratic = [j for j, g in enumerate(gens) if g.cost.kind == "polynomial"
+                 and g.cost.coefficients[0] != 0.0]
+    key_of = np.fromiter(keys, object, len(keys))
+    limits, costs = [(cols, values, key_of[cols]) for cols, values in (
+        ((p_col[limited, None] + [0, 2]).reshape(-1, 1) + [0, 1],
+         np.repeat([lines[j].rate_a for j in limited], 2)),
+        (pg_col[quadratic, None] + [0, 2], np.array(
+            [gens[j].cost.coefficients for j in quadratic],
+            float).reshape(-1, 3)))]
+
     n_eq = 4 * n_br + 2 * n_bus
     arrays = dict(
         cols=np.concatenate([flow[0], balance[0], epigraph[0]]).astype(
@@ -243,10 +252,11 @@ def _compile(base_mva, buses, branches, generators) -> CompiledNetwork:
         rhs=np.concatenate([np.zeros(n_eq), intercept]),
         ge=np.arange(n_eq + len(intercept)) >= n_eq,
         balance=4 * n_br + np.arange(2 * n_bus))
-    for a in arrays.values():
+    for a in [*arrays.values(), *limits, *costs]:
         a.flags.writeable = False
     return CompiledNetwork(
-        keys=tuple(keys), lower=lower, upper=upper,
+        keys=tuple(keys), lower=lower, upper=upper, limits=limits,
+        costs=costs,
         objective=tuple([1.0 if k[0] == "t" else 0.0 for k in keys]),
         branch_keys=MappingProxyType(branch_keys),
         gen_keys=MappingProxyType(gen_keys), pairs=pairs,
@@ -263,7 +273,7 @@ class RelaxationModel:
         self.branch_keys, self.gen_keys = net.branch_keys, net.gen_keys
         self.backend = ScipyHighsBackend()
         self.var_index = self.backend.columns  # the backend's, not a copy
-        self._solution: np.ndarray | None = None
+        self.solution: np.ndarray | None = None
         self._added = ()  # the pairs extend_pairs added, in column order
         self.backend.add_columns(net.keys, net.lower, net.upper,
                                  net.objective)
@@ -331,25 +341,20 @@ class RelaxationModel:
         """Solve the LP; a solve without a primal keeps the last one."""
         res = self.backend.solve()
         if res.primal is not None:
-            self._solution = res.primal
+            self.solution = res.primal
         return res
-
-    def value(self, key) -> float:
-        if self._solution is None:
-            raise ModelError("no solution available")
-        return float(self._solution[self.var_index[key]])
 
     def clique_matrix(self, cliques) -> np.ndarray:
         """Hermitian stack (M, n, n) of X_i(y) over M bus tuples of size n:
         v2 on the diagonal, c + js off it, s signed by the tuple's order."""
-        if self._solution is None:
+        if self.solution is None:
             raise ModelError("no solution available")
         key = (self._added, tuple(cliques))
         gathers = self.network.gathers
         if key not in gathers:
             gathers[key] = self._gather_index(key[1])
         re_idx, im_idx, im_sign = gathers[key]
-        y = self._solution
+        y = self.solution
         x = np.empty(re_idx.shape, dtype=complex)
         x.real, x.imag = y[re_idx], y[im_idx] * im_sign
         return x

@@ -11,10 +11,12 @@ There is one path from a stack of matrices of one size to such cuts:
 and `projection_cut` turn the stack's eigenpairs and PSD cutoffs into a
 coefficient stack, and `_matrix_cuts` maps that stack to a `CutBlock`.  A
 Jabr cut is the eigen cut of a 2 x 2 pair matrix.  No cut violated by less
-than `VIOLATION_THRESHOLD` per unit norm is built.
+than `VIOLATION_THRESHOLD` per unit norm is built.  `limit_cut` and
+`cost_cut` build a round's tangents in one array pass each over the LP
+solution, by the compiled network's tangent tables (see `relaxation`).
 
-Many cuts take one form, the `CutBlock`: the columns of a version 3 cut
-file (kind, provenance, size, rhs, and per term a key and a coefficient),
+Every cut is built as a `CutBlock`: the columns of a version 3 cut file
+(kind, provenance, size, rhs, and per term a key and a coefficient),
 plus each cut's infinity norm and violation at birth.  Separation returns
 blocks, the pool is a block, the LP takes a block as one row block, and a
 cut file is written from and read into one.  `block[i]` is cut i as a
@@ -30,10 +32,9 @@ and a version 1 or 2 load orders its cuts by it.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -164,22 +165,6 @@ class CutBlock:
     keys: np.ndarray
     coeff: np.ndarray
 
-    @classmethod
-    def of(cls, rows) -> CutBlock:
-        """The block of the sequence `rows`, each (terms, rhs, kind,
-        provenance, violation at birth) with `terms` a dict {key: coeff},
-        put in canonical order."""
-        terms, rhs, kinds, provenances, violations = zip(*rows) if rows \
-            else ((),) * 5
-        keys = [sorted(t, key=_KEY_BYTES.__getitem__) for t in terms]
-        return cls(
-            np.fromiter(kinds, object), np.fromiter(provenances, object),
-            np.array(list(map(len, keys)), np.intp), np.array(rhs, float),
-            np.array([max(map(abs, t.values())) for t in terms], float),
-            np.array(violations, float),
-            np.fromiter(chain.from_iterable(keys), object),
-            np.array([t[k] for t, ks in zip(terms, keys) for k in ks], float))
-
     @staticmethod
     def concat(*blocks) -> CutBlock:
         """The cuts of `blocks`, in order."""
@@ -223,7 +208,8 @@ class CutBlock:
         return np.bincount(self.cut_of[hit], minlength=len(self)) > 0
 
 
-NO_CUTS = CutBlock.of(())
+NO_CUTS = CutBlock(*[np.zeros(0, t) for t in (object, object, np.intp, float,
+                                                float, float, object, float)])
 
 
 class _TupleKeys(dict):
@@ -376,45 +362,52 @@ def jabr_cut(x: np.ndarray, pairs) -> CutBlock:
     return eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), pairs, "jabr")
 
 
-def limit_cut(flows) -> list:
-    """Tangents to the thermal circles, as rows for `cost_cut` to build.
-
-    Per (p_hat, q_hat, u, branch_dir) of `flows`, the tangent at the
-    projection of (p_hat, q_hat) onto the circle of radius u, unless it is
-    violated by less than `VIOLATION_THRESHOLD` per unit norm.
-    """
-    rows = []
-    for p_hat, q_hat, u, (bkey, d) in flows:
-        if not math.isfinite(u):
-            raise ValueError("limit_cut needs a finite thermal limit")
-        norm = math.sqrt(p_hat * p_hat + q_hat * q_hat)
-        violation = norm - u  # euclidean excess beyond the circle
-        if norm == 0.0 or violation / max(abs(p_hat), abs(q_hat)) \
-                < VIOLATION_THRESHOLD:
-            continue
-        rows.append(({("P", bkey, d): -p_hat, ("Q", bkey, d): -q_hat},
-                     -u * norm, "limit", (bkey, d), violation))
-    return rows
+def _tangents(kind, keys, hit, coeff, rhs, norm, violation) -> CutBlock:
+    """The tangents `hit` picks of table rows of two keys and two
+    coefficients, zeros kept; provenance is the first key's tail."""
+    if not hit.size:
+        return NO_CUTS
+    return CutBlock(
+        np.full(hit.size, kind, object), np.fromiter(
+            [key[1:] for key in keys[hit, 0].tolist()], object, hit.size),
+        np.full(hit.size, 2, np.intp), rhs[hit], norm[hit], violation[hit],
+        keys[hit].ravel(), coeff[hit].ravel())
 
 
-def cost_cut(points, limits=()) -> CutBlock:
-    """Epigraph tangents, after the limit tangents `limits`, as one block.
+def limit_cut(y, cols, rate, keys) -> CutBlock:
+    """Tangents to the thermal circles, as one block.
 
-    Per (p_hat, t_hat, gen, gkey) of `points` whose cost is quadratic (the
-    base model holds exact supports of the others), the tangent at p_hat,
+    Per table row i, with flow (p, q) = y[cols[i]], the tangent over
+    keys[i] at the projection of (p, q) onto the circle of radius rate[i],
     unless it is violated by less than `VIOLATION_THRESHOLD` per unit norm.
-    `limits` are rows from `limit_cut`; their cuts come first.  Zero
-    coefficients stay in the terms.
     """
-    rows = list(limits)
-    for p_hat, t_hat, gen, gkey in points:
-        cost = gen.cost
-        if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
-            continue
-        f = cost.value(p_hat)
-        slope = cost.derivative(p_hat)
-        if (f - t_hat) / max(abs(slope), 1.0) < VIOLATION_THRESHOLD:
-            continue
-        rows.append(({("t", gkey): 1.0, ("Pg", gkey): -slope},
-                     f - slope * p_hat, "cost_tangent", (gkey,), f - t_hat))
-    return CutBlock.of(rows)
+    if not len(rate):
+        return NO_CUTS
+    if not np.isfinite(rate).all():
+        raise ValueError("limit_cut needs a finite thermal limit")
+    flow = y[cols]
+    p, q = flow.T
+    norm = np.sqrt(p * p + q * q)
+    big = np.abs(flow).max(axis=1)
+    hit = np.flatnonzero(norm)
+    hit = hit[(norm - rate)[hit] / big[hit] >= VIOLATION_THRESHOLD]
+    return _tangents("limit", keys, hit, -flow, -rate * norm, big,
+                     norm - rate)
+
+
+def cost_cut(y, cols, coefficients, keys) -> CutBlock:
+    """Epigraph tangents of quadratic costs, as one block.
+
+    Per table row i, with (Pg, t) = y[cols[i]] and (c2, c1, c0) =
+    coefficients[i], the tangent over keys[i] at Pg, unless it is violated
+    by less than `VIOLATION_THRESHOLD` per unit norm.
+    """
+    p, t = y[cols].T
+    c2, c1, c0 = coefficients.T
+    f = c2 * p * p + c1 * p + c0
+    slope = 2.0 * c2 * p + c1
+    norm = np.maximum(np.abs(slope), 1.0)
+    hit = np.flatnonzero((f - t) / norm >= VIOLATION_THRESHOLD)
+    return _tangents("cost_tangent", keys, hit,
+                     np.stack([-slope, np.ones(len(p))], axis=1),
+                     f - slope * p, norm, f - t)

@@ -32,11 +32,11 @@ def test_case14_counts(case14):
 
 
 def test_per_unit_conversion(case14):
-    bus2 = case14.bus_by_id()[2]
-    assert bus2.p_load == pytest.approx(0.217)
-    assert bus2.q_load == pytest.approx(0.127)
+    bus = {b.id: b for b in case14.buses}
+    assert bus[2].p_load == pytest.approx(0.217)
+    assert bus[2].q_load == pytest.approx(0.127)
     # bus 9 shunt susceptance 19 MVAr at V=1 -> 0.19 pu
-    assert case14.bus_by_id()[9].shunt_b == pytest.approx(0.19)
+    assert bus[9].shunt_b == pytest.approx(0.19)
 
 
 def test_rate_a_zero_is_unlimited(case14):
@@ -158,6 +158,39 @@ def test_non_whole_integer_field_rejected(old, new, what):
     assert old in MINI
     with pytest.raises(CaseParseError, match="%s row" % what):
         parse_case(MINI.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("old, new, error, match", [
+    ("1 2 0.01 0.1", "1 2 nan 0.1", CaseParseError,
+     "branch row near line 11 holds a NaN"),
+    ("2 1 50.0 10", "2 1 NaN 10", CaseParseError,
+     "bus row near line 5 holds a NaN"),
+    ("3 0.25 20 0;", "3 nan 20 0;", CaseParseError,
+     "gencost row near line 14 holds a NaN"),
+    ("2 1 50.0 10", "2 1 inf 10", CaseValidationError, "bus row"),
+    ("1 100 1 200 0;", "1 100 1 Inf 0;", CaseValidationError, "gen row"),
+    ("1 2 0.01 0.1", "1 2 0.01 inf", CaseValidationError, "branch row"),
+    ("0.02 0 0 0 0", "0.02 -inf 0 0 0", CaseValidationError, "branch row"),
+    ("3 0.25 20 0;", "3 0.25 -inf 0;", CaseValidationError, "gencost row")],
+    ids=["nan-branch-r", "nan-bus-pd", "nan-gencost-c2", "inf-bus-pd",
+         "inf-gen-pmax", "inf-branch-x", "minus-inf-rate-a",
+         "minus-inf-gencost-c1"])
+def test_non_finite_value_rejected(old, new, error, match):
+    """A NaN anywhere is a parse error that names the matrix and the line;
+    an infinite value the model would read is a validation error."""
+    assert old in MINI
+    with pytest.raises(error, match=match):
+        parse_case(MINI.replace(old, new, 1))
+
+
+def test_infinite_rate_a_and_reactive_limits_accepted():
+    """rateA = +Inf is unlimited, as 0 is; Qmax and Qmin may be
+    infinite."""
+    case = parse_case(MINI.replace("0.02 0 0 0 0", "0.02 inf 0 0 0", 1)
+                      .replace("1 0 0 30 -30", "1 0 0 Inf -Inf", 1))
+    assert case.branches[0].rate_a is None
+    assert (case.generators[0].q_max, case.generators[0].q_min) \
+        == (math.inf, -math.inf)
 
 
 def test_pwl_cost_has_no_derivative():

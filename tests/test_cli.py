@@ -96,6 +96,37 @@ def test_solve_short_gencost_row_exits_2(case14_path, tmp_path, capsys, row):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("old, new, code", [
+    ("\t1\t2\t0.01938\t", "\t1\t2\tnan\t", EXIT_DATA),
+    ("\t1\t2\t0.01938\t0.05917\t0.0528\t0\t",
+     "\t1\t2\t0.01938\t0.05917\t0.0528\tInf\t", EXIT_OK),
+    ("\t1\t232.4\t-16.9\t10\t0\t1.06\t100\t1\t332.4\t",
+     "\t1\t232.4\t-16.9\t10\t0\t1.06\t100\t1\tInf\t", EXIT_DATA),
+    ("\t2\t2\t21.7\t", "\t2\t2\tInf\t", EXIT_DATA),
+    ("\t2\t2\t21.7\t", "\t2\t2\tNaN\t", EXIT_DATA),
+    ("\t2\t0\t0\t3\t0.0430293\t", "\t2\t0\t0\t3\tnan\t", EXIT_DATA),
+    ("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t0.01938\tinf\t", EXIT_DATA),
+    ("\t1\t232.4\t-16.9\t10\t", "\t1\t232.4\t-16.9\tInf\t", EXIT_OK),
+], ids=["branch-r-nan", "branch-rate-a-inf", "gen-pmax-inf", "bus-pd-inf",
+        "bus-pd-nan", "gencost-c2-nan", "branch-x-inf", "gen-qmax-inf"])
+def test_solve_non_finite_case_value(case14_path, tmp_path, capsys, old, new,
+                                     code):
+    """A NaN, or an infinite value other than rateA, Qmax or Qmin, is bad
+    case data: exit 2 with one error line, no traceback."""
+    text = open(case14_path, encoding="utf-8").read()
+    assert old in text
+    case = tmp_path / "edited.m"
+    case.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["solve", str(case)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_DATA:
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    else:
+        assert "best bound:" in captured.out
+
+
 def test_verify_command(capsys):
     assert main(["verify", "--trials", "30"]) == EXIT_OK
     out = capsys.readouterr().out

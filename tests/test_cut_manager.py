@@ -16,7 +16,7 @@ from opfcuts.errors import CutFileError
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
 from opfcuts.separation import PSD_TOL, CutBlock, cut_hashes, eigen_cut
-from test_separation import block_of, one_cut
+from test_separation import block_of, one_cut, rows_block
 
 
 def _cut(terms, rhs=0.0, kind="eigen", prov=(1, 2), viol=1.0):
@@ -194,7 +194,7 @@ def test_numpy_integer_keys_save_like_ints():
     back with the same content hash."""
     texts, hashes = [], set()
     for bus in (np.int64(4), 4):
-        cuts = CutBlock.of([({("v2", bus): 1.0}, 0.0, "eigen", (bus,), 0.0)])
+        cuts = rows_block([({("v2", bus): 1.0}, 0.0, "eigen", (bus,), 0.0)])
         buf = io.StringIO()
         save_cuts(CutPool(cuts), buf)
         texts.append(buf.getvalue())
@@ -473,7 +473,8 @@ def test_second_basis_record_raises():
 
 _COSINES = """
 import random
-from opfcuts.separation import CutBlock, _cosines
+from opfcuts.separation import _cosines
+from test_separation import rows_block
 
 rng = random.Random(0)
 clique = (1, 2, 3, 4, 5)
@@ -481,8 +482,8 @@ keys = [("v2", b) for b in clique] + [
     (k, a, b) for k in "cs" for i, a in enumerate(clique)
     for b in clique[i + 1:]]
 def cuts():
-    return CutBlock.of([({k: rng.uniform(-1, 1) for k in keys}, 0.0, "eigen",
-                         clique, 0.0) for _ in range(200)])
+    return rows_block([({k: rng.uniform(-1, 1) for k in keys}, 0.0, "eigen",
+                        clique, 0.0) for _ in range(200)])
 a, b = cuts(), cuts()
 print(" ".join(c.hex() for c in _cosines(a.coeff, b.coeff, a.size).tolist()))
 """
@@ -490,9 +491,10 @@ print(" ".join(c.hex() for c in _cosines(a.coeff, b.coeff, a.size).tolist()))
 
 def test_cosine_independent_of_hash_seed():
     src = os.path.dirname(os.path.dirname(opfcuts.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
     out = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         out.append(subprocess.run([sys.executable, "-c", _COSINES], env=env,
                                   capture_output=True, text=True,
                                   check=True).stdout)

@@ -386,7 +386,7 @@ def test_cut_slacks_in_pool_order(case14, cold_report, monkeypatch, warm):
 
     def aging(pool, slacks):
         [model] = models
-        x = model._solution
+        x = model.solution
         assert len(slacks) <= len(pool)
         assert slacks.tolist() == pytest.approx([
             sum(w * x[model.var_index[k]] for k, w in cut.terms.items())

@@ -1,12 +1,13 @@
 import cmath
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opfcuts import driver, relaxation
+from opfcuts import driver, relaxation, separation
 from opfcuts.case_io import (Branch, Bus, CaseData, CostFunction, Generator,
                              parse_case, perturb_loads)
 from opfcuts.driver import RunConfig, cutplane
@@ -14,11 +15,12 @@ from opfcuts.errors import LpBackendError, ModelError
 from opfcuts.network import branch_admittance, canonical_pair
 from opfcuts.relaxation import build_m0
 from opfcuts.separation import CutBlock
+from test_separation import rows_block
 
 
 def _cuts(*rows):
     """The block of cuts (terms, rhs), each an eigen-cut on no tuple."""
-    return CutBlock.of([(terms, rhs, "eigen", (), 0.0) for terms, rhs in rows])
+    return rows_block([(terms, rhs, "eigen", (), 0.0) for terms, rhs in rows])
 
 TWO_BUS = """
 mpc.baseMVA = 1;
@@ -60,9 +62,9 @@ def test_zero_load_zero_cost():
 
 
 def _solved_with(model, values):
-    model._solution = np.zeros(len(model.backend.objective))
+    model.solution = np.zeros(len(model.backend.objective))
     for key, val in values.items():
-        model._solution[model.var_index[key]] = val
+        model.solution[model.var_index[key]] = val
     return model
 
 
@@ -329,7 +331,7 @@ def test_extend_pairs_preserves_columns(case14):
     res = model.solve()
     assert res.status == "optimal"
     assert res.row_slack.tolist() == pytest.approx([0.0], abs=1e-9)
-    assert model.value(t_key) == pytest.approx(100.0)
+    assert model.solution[model.var_index[t_key]] == pytest.approx(100.0)
 
 
 def test_add_remove_cut_row(case14):
@@ -362,7 +364,8 @@ def test_row_slack_matches_cut_violation(case14):
     assert res.status == "optimal"
     assert len(res.row_slack) == len(cuts)
     for slack, cut in zip(res.row_slack.tolist(), cuts):
-        values = {k: model.value(k) for k in cut.terms}
+        values = {k: float(model.solution[model.var_index[k]])
+                  for k in cut.terms}
         assert slack / cut.inf_norm \
             == pytest.approx(-cut.normalized_violation(values), abs=1e-9)
 
@@ -552,7 +555,8 @@ def test_loads_and_name_share_the_network(case14):
 
 def test_shared_network_is_read_only_and_bounded(case14):
     net = build_m0(case14).network
-    for a in (net.cols, net.vals, net.sizes, net.rhs, net.ge, net.balance):
+    for a in (net.cols, net.vals, net.sizes, net.rhs, net.ge, net.balance,
+              *net.limits, *net.costs):
         with pytest.raises(ValueError):
             a[:1] = a[:1]
     with pytest.raises(TypeError):
@@ -566,3 +570,90 @@ def test_shared_network_is_read_only_and_bounded(case14):
     assert relaxation._compile.cache_info().currsize \
         == relaxation.NETWORKS_KEPT
     assert build_m0(case14).network is not net  # pushed out, built anew
+
+
+# -- the tangent tables ----------------------------------------------------
+
+def _tangent_rows(model):
+    """The round's limit, then cost tangents, one by one from lookups of
+    the flow and generation keys: (terms, rhs, kind, provenance,
+    violation) rows."""
+    case, t = model.case, separation.VIOLATION_THRESHOLD
+
+    def value(key):
+        return float(model.solution[model.var_index[key]])
+
+    rows = []
+    for idx, bkey in model.branch_keys.items():
+        u = case.branches[idx].rate_a
+        for d in ("f", "t") if u is not None else ():
+            p, q = value(("P", bkey, d)), value(("Q", bkey, d))
+            norm = math.sqrt(p * p + q * q)
+            if norm and (norm - u) / max(abs(p), abs(q)) >= t:
+                rows.append(({("P", bkey, d): -p, ("Q", bkey, d): -q},
+                             -u * norm, "limit", (bkey, d), norm - u))
+    for idx, gkey in model.gen_keys.items():
+        cost = case.generators[idx].cost
+        if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
+            continue
+        p, t_hat = value(("Pg", gkey)), value(("t", gkey))
+        f, slope = cost.value(p), cost.derivative(p)
+        if (f - t_hat) / max(abs(slope), 1.0) >= t:
+            rows.append(({("t", gkey): 1.0, ("Pg", gkey): -slope},
+                         f - slope * p, "cost_tangent", (gkey,), f - t_hat))
+    return rows
+
+
+def _bits(block):
+    """The columns of a block, floats by their bytes."""
+    return [a.tolist() if a.dtype == object else (a.dtype.str, a.tobytes())
+            for a in vars(block).values()]
+
+
+def test_tangents_from_the_tables_equal_the_key_lookups(two_tile,
+                                                        monkeypatch):
+    """At every round of a cold run, the tangents built from the network's
+    tables equal those built from the keys one by one, bit for bit."""
+    kinds = []
+    separate = driver._separate
+
+    def checked(model, cliques):
+        net, y = model.network, model.solution
+        got = CutBlock.concat(separation.limit_cut(y, *net.limits),
+                              separation.cost_cut(y, *net.costs))
+        assert _bits(got) == _bits(rows_block(_tangent_rows(model)))
+        kinds.extend(got.kind.tolist())
+        return separate(model, cliques)
+
+    monkeypatch.setattr(driver, "_separate", checked)
+    report = cutplane(two_tile, RunConfig())
+    assert len(kinds) and report.num_rounds > 1
+    assert "limit" in kinds and "cost_tangent" in kinds
+
+
+def test_tangent_tables_hold_the_limited_ends_and_quadratic_costs(case14):
+    """A pwl or linear cost, an out-of-service branch and a branch without
+    a limit add no table row; a limited branch adds its f row, then its t
+    row, and a quadratic cost its row, each with its columns' keys."""
+    pwl = CostFunction("pwl", breakpoints=((0.0, 0.0), (1.0, 10.0),
+                                           (2.0, 30.0)))
+    case = _generator(_generator(case14, 0, cost=pwl), 1,
+                      cost=CostFunction("polynomial", (0.0, 20.0, 0.0)))
+    case = _branch(_branch(_branch(case, 2, rate_a=1.5), 5, rate_a=2.0,
+                           status=0), 7, rate_a=None)
+    model = build_m0(case)
+    net, at = model.network, model.var_index
+    cols, rate, keys = net.limits
+    bkey = model.branch_keys[2]
+    assert keys.tolist() == [[("P", bkey, "f"), ("Q", bkey, "f")],
+                             [("P", bkey, "t"), ("Q", bkey, "t")]]
+    assert rate.tolist() == [1.5, 1.5]
+    assert cols.tolist() == [[at[k] for k in row] for row in keys.tolist()]
+    cols, coefficients, keys = net.costs
+    quadratic = [2, 3, 4]
+    assert keys.tolist() == [[("Pg", model.gen_keys[i]),
+                              ("t", model.gen_keys[i])] for i in quadratic]
+    assert coefficients.tolist() == [list(case.generators[i].cost.coefficients)
+                                     for i in quadratic]
+    assert cols.tolist() == [[at[k] for k in row] for row in keys.tolist()]
+    assert len(build_m0(case14).network.limits[0]) == 0  # case14 has none
