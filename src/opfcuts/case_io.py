@@ -1,10 +1,20 @@
 """MATPOWER case ingestion, per-unit normalization, and load perturbation.
 
-Parses the `.m` case format (matrices ``mpc.bus``, ``mpc.gen``, ``mpc.branch``,
-``mpc.gencost`` plus scalar ``mpc.baseMVA``) into immutable per-unit data.
-All MW/MVAr quantities are divided by baseMVA on ingestion; cost coefficients
-are rescaled so that they apply to per-unit power arguments while keeping the
-original cost units.
+The case records check themselves when they are made: each of `Bus`,
+`Branch`, `Generator` and `CostFunction` checks its own fields, and
+`CaseData` the rules that span records (base MVA, unique bus ids, known
+bus references, no branch from a bus to itself).  So a case built in code
+(by `perturb_loads`, a tiler or any caller) is checked as a parsed one is,
+and a violation is a `CaseValidationError`.
+
+`parse_case` reads the `.m` case format (matrices ``mpc.bus``, ``mpc.gen``,
+``mpc.branch``, ``mpc.gencost`` plus scalar ``mpc.baseMVA``) and applies the
+MATPOWER encodings: it rejects only what is wrong with the text, as a
+`CaseParseError`.  All MW/MVAr quantities are divided by baseMVA on
+ingestion; cost coefficients are rescaled so that they apply to per-unit
+power arguments while keeping the original cost units.  A rateA of 0, a
+negative one or +Inf means no thermal limit, a tap of 0 means 1, and angles
+turn from degrees into radians.
 """
 
 from __future__ import annotations
@@ -38,6 +48,14 @@ class CostFunction:
 
     def __post_init__(self):
         if self.kind == "polynomial":
+            if len(self.coefficients) != 3:
+                raise CaseValidationError(
+                    "polynomial cost of degree %d unsupported (max 2)"
+                    % (len(self.coefficients) - 1))
+            if not all(map(math.isfinite, self.coefficients)):
+                raise CaseValidationError(
+                    "polynomial cost coefficients %r must be finite"
+                    % (self.coefficients,))
             c2 = self.coefficients[0]
             if c2 < 0:
                 raise CaseValidationError(
@@ -46,6 +64,9 @@ class CostFunction:
             pts = self.breakpoints
             if len(pts) < 2:
                 raise CaseValidationError("pwl cost needs >= 2 breakpoints")
+            if not all(map(math.isfinite, (v for pt in pts for v in pt))):
+                raise CaseValidationError(
+                    "pwl cost breakpoints %r must be finite" % (pts,))
             prev_slope = -math.inf
             for (p0, f0), (p1, f1) in zip(pts, pts[1:]):
                 if p1 <= p0:
@@ -83,8 +104,22 @@ class CostFunction:
         return out
 
 
+def _require_finite(record, fields):
+    """CaseValidationError naming `record` and the first of its `fields`
+    whose value is not finite.  A record that checks many fields calls it
+    only when their sum is not finite: a sum of finite values is finite
+    unless it overflows."""
+    for field in fields:
+        value = getattr(record, field)
+        if not math.isfinite(value):
+            raise CaseValidationError("%s: %s must be finite, got %r"
+                                      % (record.label, field, value))
+
+
 @dataclass(frozen=True)
 class Bus:
+    """Finite loads, shunts and voltage limits, with 0 <= v_min <= v_max."""
+
     id: int
     p_load: float       # pu
     q_load: float       # pu
@@ -93,9 +128,25 @@ class Bus:
     shunt_g: float = 0.0
     shunt_b: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.p_load + self.q_load + self.shunt_g
+                             + self.shunt_b + self.v_min + self.v_max):
+            _require_finite(self, ("p_load", "q_load", "shunt_g", "shunt_b",
+                                   "v_min", "v_max"))
+        if not 0.0 <= self.v_min <= self.v_max:
+            raise CaseValidationError(
+                "%s: voltage limits 0 <= %g <= %g violated"
+                % (self.label, self.v_min, self.v_max))
+
+    label = property(lambda self: "bus %s" % self.id)
+
 
 @dataclass(frozen=True)
 class Branch:
+    """Finite r, x, b_charge, tap and shift with tap > 0; nonzero series
+    impedance when in service; a thermal limit that is None (unlimited) or
+    finite and positive."""
+
     from_bus: int
     to_bus: int
     r: float
@@ -106,9 +157,28 @@ class Branch:
     rate_a: float | None = None  # pu thermal limit, None = unlimited
     status: int = 1
 
+    def __post_init__(self):
+        if not math.isfinite(self.r + self.x + self.b_charge + self.tap
+                             + self.shift):
+            _require_finite(self, ("r", "x", "b_charge", "tap", "shift"))
+        if not self.tap > 0.0:
+            raise CaseValidationError("%s: nonpositive tap %g"
+                                      % (self.label, self.tap))
+        if self.status and self.r * self.r + self.x * self.x <= 0.0:
+            raise CaseValidationError("%s has zero impedance" % self.label)
+        if self.rate_a is not None and not 0.0 < self.rate_a < math.inf:
+            raise CaseValidationError("%s: rate_a %r is not finite and > 0"
+                                      % (self.label, self.rate_a))
+
+    label = property(lambda self: "branch %s-%s" % (self.from_bus,
+                                                    self.to_bus))
+
 
 @dataclass(frozen=True)
 class Generator:
+    """Finite p_min <= p_max and q_min <= q_max; Qmax and Qmin may be
+    infinite."""
+
     bus: int
     p_min: float
     p_max: float
@@ -117,14 +187,47 @@ class Generator:
     cost: CostFunction
     status: int = 1
 
+    def __post_init__(self):
+        _require_finite(self, ("p_min", "p_max"))
+        if not (self.p_min <= self.p_max and self.q_min <= self.q_max):
+            raise CaseValidationError("%s: empty box" % self.label)
+
+    label = property(lambda self: "generator at bus %s" % self.bus)
+
+
+def _require_base_mva(base: float):
+    if not 0.0 < base < math.inf:
+        raise CaseValidationError(
+            "baseMVA must be finite and positive, got %g" % base)
+
 
 @dataclass(frozen=True)
 class CaseData:
+    """A case whose records are joined consistently: a finite, positive
+    base MVA, unique bus ids, generators and branches at known buses, and
+    no branch from a bus to itself."""
+
     base_mva: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     name: str = "case"
+
+    def __post_init__(self):
+        _require_base_mva(self.base_mva)
+        ids = {b.id for b in self.buses}
+        if len(ids) != len(self.buses):
+            raise CaseValidationError("duplicate bus ids")
+        for g in self.generators:
+            if g.bus not in ids:
+                raise CaseValidationError("%s: unknown bus" % g.label)
+        for br in self.branches:
+            if br.from_bus not in ids or br.to_bus not in ids:
+                raise CaseValidationError(
+                    "%s references unknown bus" % br.label)
+            if br.from_bus == br.to_bus:
+                raise CaseValidationError(
+                    "%s joins a bus to itself" % br.label)
 
 
 _MAT_RE = re.compile(r"mpc\.(\w+)\s*=\s*\[(.*?)\];", re.S)
@@ -160,8 +263,7 @@ def parse_case(text: str, name: str = "case") -> CaseData:
     if m is None:
         raise CaseParseError("baseMVA scalar absent")
     base = float(m.group(1))
-    if base <= 0:
-        raise CaseValidationError("baseMVA must be positive, got %g" % base)
+    _require_base_mva(base)  # before any value is divided by it
 
     matrices = {}
     for match in _MAT_RE.finditer(clean):
@@ -177,21 +279,10 @@ def parse_case(text: str, name: str = "case") -> CaseData:
     for row in matrices["bus"]:
         if len(row) < _BUS_COLS:
             raise CaseParseError("bus row too short: %r" % (row,))
-        bus_id = _whole(row, 0, "bus")
-        _finite(row, (2, 3, 4, 5, 11, 12), "bus")
-        v_min, v_max = row[12], row[11]
-        if not (0 <= v_min <= v_max):
-            raise CaseValidationError(
-                "bus %d: voltage limits 0 <= %g <= %g violated"
-                % (bus_id, v_min, v_max))
-        buses.append(Bus(id=bus_id,
+        buses.append(Bus(id=_whole(row, 0, "bus"),
                          p_load=row[2] / base, q_load=row[3] / base,
-                         v_min=v_min, v_max=v_max,
+                         v_min=row[12], v_max=row[11],
                          shunt_g=row[4] / base, shunt_b=row[5] / base))
-    ids = [b.id for b in buses]
-    if len(set(ids)) != len(ids):
-        raise CaseValidationError("duplicate bus ids")
-    id_set = set(ids)
 
     gencost = matrices["gencost"]
     if len(gencost) < len(matrices["gen"]):
@@ -201,41 +292,25 @@ def parse_case(text: str, name: str = "case") -> CaseData:
     for i, row in enumerate(matrices["gen"]):
         if len(row) < _GEN_COLS:
             raise CaseParseError("gen row too short: %r" % (row,))
-        bus_id = _whole(row, 0, "gen")
-        if bus_id not in id_set:
-            raise CaseValidationError("generator references unknown bus %d" % bus_id)
-        cost = _parse_cost(gencost[i], base)
-        _finite(row, (8, 9), "gen")  # Qmax and Qmin may be infinite
-        p_min, p_max = row[9] / base, row[8] / base
-        q_min, q_max = row[4] / base, row[3] / base
-        if p_min > p_max or q_min > q_max:
-            raise CaseValidationError("generator at bus %d: empty box" % bus_id)
-        generators.append(Generator(bus=bus_id, p_min=p_min, p_max=p_max,
-                                    q_min=q_min, q_max=q_max,
-                                    cost=cost, status=_whole(row, 7, "gen")))
+        generators.append(Generator(
+            bus=_whole(row, 0, "gen"), p_min=row[9] / base,
+            p_max=row[8] / base, q_min=row[4] / base, q_max=row[3] / base,
+            cost=_parse_cost(gencost[i], base),
+            status=_whole(row, 7, "gen")))
 
     branches = []
     for row in matrices["branch"]:
         if len(row) < _BRANCH_COLS:
             raise CaseParseError("branch row too short: %r" % (row,))
-        f, t = _whole(row, 0, "branch"), _whole(row, 1, "branch")
-        if f not in id_set or t not in id_set:
-            raise CaseValidationError("branch %d-%d references unknown bus" % (f, t))
-        status = _whole(row, 10, "branch")
-        if row[5] == math.inf:
-            row[5] = 0.0  # 0 encodes +inf
-        _finite(row, (2, 3, 4, 5, 8, 9), "branch")
-        r, x = row[2], row[3]
-        if status and r * r + x * x <= 0.0:
-            raise CaseValidationError("branch %d-%d has zero impedance" % (f, t))
-        tap = row[8] if row[8] != 0.0 else 1.0
-        if tap <= 0:
-            raise CaseValidationError("branch %d-%d: nonpositive tap" % (f, t))
-        rate = row[5] / base if row[5] > 0.0 else None
-        branches.append(Branch(from_bus=f, to_bus=t, r=r, x=x,
-                               b_charge=row[4], tap=tap,
-                               shift=math.radians(row[9]),
-                               rate_a=rate, status=status))
+        rate = row[5]  # 0, negative or +Inf: no limit; -Inf is bad data
+        branches.append(Branch(
+            from_bus=_whole(row, 0, "branch"), to_bus=_whole(row, 1, "branch"),
+            r=row[2], x=row[3], b_charge=row[4],
+            tap=row[8] if row[8] != 0.0 else 1.0,
+            shift=math.radians(row[9]),
+            rate_a=None if rate == math.inf or -math.inf < rate <= 0.0
+            else rate / base,
+            status=_whole(row, 10, "branch")))
 
     return CaseData(base_mva=base, buses=tuple(buses),
                     branches=tuple(branches), generators=tuple(generators),
@@ -251,14 +326,6 @@ def _whole(row, col: int, what: str) -> int:
     return int(row[col])
 
 
-def _finite(row, cols, what: str):
-    """CaseValidationError unless row[c] is finite for each c of cols."""
-    for col in cols:
-        if not math.isfinite(row[col]):
-            raise CaseValidationError("%s row %r: column %d must be finite"
-                                      % (what, row, col + 1))
-
-
 def _parse_cost(row, base: float) -> CostFunction:
     if len(row) < 4:
         raise CaseParseError("gencost row too short: %r" % (row,))
@@ -268,16 +335,12 @@ def _parse_cost(row, base: float) -> CostFunction:
     if n < 0 or len(vals) < size:
         raise CaseParseError("gencost row %r declares %d values, has %d"
                              % (row, size, len(row) - 4))
-    _finite(row, range(4, 4 + size), "gencost")
     if model == 2:
-        if n > 3:
-            raise CaseValidationError(
-                "polynomial cost of degree %d unsupported (max 2)" % (n - 1))
-        # pad to quadratic, rescale MW-domain coefficients to pu domain
-        coeffs = [0.0] * (3 - n) + list(vals)
-        c2, c1, c0 = coeffs
-        return CostFunction(kind="polynomial",
-                            coefficients=(c2 * base * base, c1 * base, c0))
+        # pad to quadratic, rescale MW-domain coefficients to pu domain;
+        # CostFunction rejects the terms above c2 of a higher degree
+        *higher, c2, c1, c0 = [0.0] * (3 - n) + vals
+        return CostFunction(kind="polynomial", coefficients=(
+            *higher, c2 * base * base, c1 * base, c0))
     if model == 1:
         pts = tuple((vals[2 * i] / base, vals[2 * i + 1]) for i in range(n))
         return CostFunction(kind="pwl", breakpoints=pts)

@@ -10,11 +10,8 @@ class CaseParseError(OpfCutsError):
 
 
 class CaseValidationError(OpfCutsError):
-    """Raised when parsed case data violates structural invariants."""
-
-
-class SingularBranchError(OpfCutsError):
-    """Raised for a branch with zero series impedance."""
+    """Raised when case data, parsed or built in code, violates an
+    invariant of the case records."""
 
 
 class ModelError(OpfCutsError):

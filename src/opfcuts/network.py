@@ -1,5 +1,7 @@
 """Branch admittances, the bus-pair graph, 3-cycles, and chordal cliques.
 
+The records of `case_io` check themselves, so every branch here joins two
+different known buses and an in-service one has nonzero series impedance.
 The pair graph collapses parallel branches onto one canonical (low, high)
 edge.  It is never modified: the chordal extension only returns cliques, and
 the relaxation gives their chord pairs (c, s) variables.
@@ -12,72 +14,43 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .case_io import Branch, CaseData
-from .errors import SingularBranchError
 
 
-@dataclass(frozen=True)
-class BranchAdmittance:
-    """Real/imaginary parts of the 2x2 Pi-model admittance blocks."""
-
-    g_kk: float
-    b_kk: float
-    g_km: float
-    b_km: float
-    g_mk: float
-    b_mk: float
-    g_mm: float
-    b_mm: float
-
-
-def branch_admittance(branch: Branch) -> BranchAdmittance:
-    """Pi-model admittances with off-nominal tap and phase shift.
+def branch_admittance(branch: Branch):
+    """Pi-model admittances (Y_ff, Y_ft, Y_tf, Y_tt) of an in-service
+    branch, with off-nominal tap and phase shift.
 
     Y_ff = (y + y_sh)/tau^2, Y_ft = -y/(tau e^{-j shift}),
     Y_tf = -y/(tau e^{j shift}), Y_tt = y + y_sh.
     """
-    if branch.r == 0.0 and branch.x == 0.0:
-        raise SingularBranchError(
-            "branch %d-%d has r = x = 0" % (branch.from_bus, branch.to_bus))
     y = 1.0 / complex(branch.r, branch.x)
     y_sh = complex(0.0, branch.b_charge / 2.0)
     tau = branch.tap
     rot = cmath.exp(1j * branch.shift)
-    y_ff = (y + y_sh) / (tau * tau)
-    y_ft = -y / (tau / rot)      # -y / (tau e^{-j shift})
-    y_tf = -y / (tau * rot)
-    y_tt = y + y_sh
-    return BranchAdmittance(
-        g_kk=y_ff.real, b_kk=y_ff.imag,
-        g_km=y_ft.real, b_km=y_ft.imag,
-        g_mk=y_tf.real, b_mk=y_tf.imag,
-        g_mm=y_tt.real, b_mm=y_tt.imag)
+    return ((y + y_sh) / (tau * tau),
+            -y / (tau / rot),      # -y / (tau e^{-j shift})
+            -y / (tau * rot),
+            y + y_sh)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairGraph:
-    """Simple graph on bus ids with canonical (low, high) edge orientation."""
+    """Simple graph on bus ids: `edges` holds once, sorted, each canonical
+    (low, high) pair of buses that an in-service branch joins."""
 
     vertices: tuple[int, ...]
-    pair_branches: dict[tuple[int, int], list[int]]  # pair -> branch indices
+    edges: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_case(cls, case: CaseData) -> "PairGraph":
-        pairs: dict[tuple[int, int], list[int]] = {}
-        for idx, br in enumerate(case.branches):
-            if not br.status:
-                continue
-            pair = canonical_pair(br.from_bus, br.to_bus)
-            pairs.setdefault(pair, []).append(idx)
         return cls(vertices=tuple(b.id for b in case.buses),
-                   pair_branches=pairs)
-
-    @property
-    def edges(self):
-        return sorted(self.pair_branches)
+                   edges=tuple(sorted({canonical_pair(br.from_bus, br.to_bus)
+                                       for br in case.branches
+                                       if br.status})))
 
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for (a, b) in self.pair_branches:
+        for (a, b) in self.edges:
             adj[a].add(b)
             adj[b].add(a)
         return adj

@@ -186,9 +186,9 @@ def _compile(base_mva, buses, branches, generators) -> CompiledNetwork:
 
     # flow definitions: per branch the rows P f, P t, Q f, Q t, each the
     # flow, then v2 of its end, c and s
-    g_kk, b_kk, g_km, b_km, g_mk, b_mk, g_mm, b_mm = np.array(
-        [[a.g_kk, a.b_kk, a.g_km, a.b_km, a.g_mk, a.b_mk, a.g_mm, a.b_mm]
-         for a in map(branch_admittance, lines)], float).reshape(-1, 8).T
+    y = np.array([branch_admittance(br) for br in lines],
+                 complex).reshape(-1, 4).T
+    (g_kk, g_km, g_mk, g_mm), (b_kk, b_km, b_mk, b_mm) = y.real, y.imag
     orient = np.array([1.0 if br.from_bus < br.to_bus else -1.0
                        for br in lines])
     one = np.ones(n_br)
@@ -269,7 +269,6 @@ class RelaxationModel:
     def __init__(self, case: CaseData):
         self.case = case
         self.network = net = compile_network(case)
-        self.pairs = net.pairs
         self.branch_keys, self.gen_keys = net.branch_keys, net.gen_keys
         self.backend = ScipyHighsBackend()
         self.var_index = self.backend.columns  # the backend's, not a copy

@@ -383,8 +383,6 @@ def limit_cut(y, cols, rate, keys) -> CutBlock:
     """
     if not len(rate):
         return NO_CUTS
-    if not np.isfinite(rate).all():
-        raise ValueError("limit_cut needs a finite thermal limit")
     flow = y[cols]
     p, q = flow.T
     norm = np.sqrt(p * p + q * q)

@@ -1,4 +1,6 @@
 import importlib.resources
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,17 @@ def case14_path():
 @pytest.fixture(scope="session")
 def case14(case14_path):
     return parse_case_file(case14_path)
+
+
+@pytest.fixture(scope="session")
+def tiler():
+    """The benchmark's case tiler, perfbench/tiler.py."""
+    spec = importlib.util.spec_from_file_location(
+        "tiler", Path(__file__).resolve().parent.parent / "perfbench"
+        / "tiler.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -167,17 +168,21 @@ def test_non_whole_integer_field_rejected(old, new, what):
      "bus row near line 5 holds a NaN"),
     ("3 0.25 20 0;", "3 nan 20 0;", CaseParseError,
      "gencost row near line 14 holds a NaN"),
-    ("2 1 50.0 10", "2 1 inf 10", CaseValidationError, "bus row"),
-    ("1 100 1 200 0;", "1 100 1 Inf 0;", CaseValidationError, "gen row"),
-    ("1 2 0.01 0.1", "1 2 0.01 inf", CaseValidationError, "branch row"),
-    ("0.02 0 0 0 0", "0.02 -inf 0 0 0", CaseValidationError, "branch row"),
-    ("3 0.25 20 0;", "3 0.25 -inf 0;", CaseValidationError, "gencost row")],
+    ("2 1 50.0 10", "2 1 inf 10", CaseValidationError, "bus 2: p_load"),
+    ("1 100 1 200 0;", "1 100 1 Inf 0;", CaseValidationError,
+     "generator at bus 1: p_max"),
+    ("1 2 0.01 0.1", "1 2 0.01 inf", CaseValidationError, "branch 1-2: x"),
+    ("0.02 0 0 0 0", "0.02 -inf 0 0 0", CaseValidationError,
+     "branch 1-2: rate_a"),
+    ("3 0.25 20 0;", "3 0.25 -inf 0;", CaseValidationError,
+     "polynomial cost coefficients")],
     ids=["nan-branch-r", "nan-bus-pd", "nan-gencost-c2", "inf-bus-pd",
          "inf-gen-pmax", "inf-branch-x", "minus-inf-rate-a",
          "minus-inf-gencost-c1"])
 def test_non_finite_value_rejected(old, new, error, match):
     """A NaN anywhere is a parse error that names the matrix and the line;
-    an infinite value the model would read is a validation error."""
+    an infinite value the model would read is a validation error that
+    names the element."""
     assert old in MINI
     with pytest.raises(error, match=match):
         parse_case(MINI.replace(old, new, 1))
@@ -191,6 +196,66 @@ def test_infinite_rate_a_and_reactive_limits_accepted():
     assert case.branches[0].rate_a is None
     assert (case.generators[0].q_max, case.generators[0].q_min) \
         == (math.inf, -math.inf)
+
+
+def _with_branch_12(case, **changes):
+    first = case.branches[0]
+    assert (first.from_bus, first.to_bus) == (1, 2)
+    return replace(case, branches=(replace(first, **changes),)
+                   + case.branches[1:])
+
+
+def _with_bus_2(case, **changes):
+    assert case.buses[1].id == 2
+    return replace(case, buses=case.buses[:1]
+                   + (replace(case.buses[1], **changes),) + case.buses[2:])
+
+
+def _with_gen_1(case, **changes):
+    return replace(case, generators=(replace(case.generators[0], **changes),)
+                   + case.generators[1:])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda c: _with_branch_12(c, rate_a=math.inf), "branch 1-2: rate_a"),
+    (lambda c: _with_branch_12(c, rate_a=math.nan), "branch 1-2: rate_a"),
+    (lambda c: _with_branch_12(c, rate_a=-1.0), "branch 1-2: rate_a"),
+    (lambda c: _with_branch_12(c, r=0.0, x=0.0), "branch 1-2 has zero"),
+    (lambda c: _with_branch_12(c, to_bus=99), "branch 1-99 references"),
+    (lambda c: _with_branch_12(c, tap=0.0), "branch 1-2: nonpositive tap"),
+    (lambda c: _with_branch_12(c, to_bus=1), "branch 1-1 joins a bus"),
+    (lambda c: _with_bus_2(c, p_load=math.nan), "bus 2: p_load"),
+    (lambda c: _with_bus_2(c, v_min=1.2, v_max=0.9), "bus 2: voltage"),
+    (lambda c: _with_bus_2(c, id=1), "duplicate bus ids"),
+    (lambda c: _with_gen_1(c, p_max=math.inf), "generator at bus 1: p_max")],
+    ids=["rate-a-inf", "rate-a-nan", "rate-a-negative", "zero-impedance",
+         "unknown-to-bus", "zero-tap", "self-loop", "nan-load",
+         "crossed-voltage-limits", "duplicate-bus", "inf-pmax"])
+def test_bad_case_built_in_code_rejected(case14, build, match):
+    """A case built in code is checked as a parsed one is: each bad record
+    or case raises when it is made, before any model is built."""
+    with pytest.raises(CaseValidationError, match=match):
+        build(case14)
+
+
+def test_cases_built_by_tiler_and_perturbation_construct(case14, tiler):
+    """The benchmark's 8-tile chain and perturbed loads are valid cases."""
+    chain = tiler.tile_case(case14, 8, 1)
+    assert len(chain.buses) == 8 * len(case14.buses)
+    for seed in range(8):
+        pert = perturb_loads(chain if seed % 2 else case14, seed=seed,
+                             mu_frac=0.0, sigma_frac=0.5)
+        assert min(b.p_load for b in pert.buses) >= 0.0
+
+
+def test_case_rules_beyond_the_records(case14):
+    """base_mva must be finite and positive, a polynomial cost quadratic."""
+    for base in (0.0, -100.0, math.inf):
+        with pytest.raises(CaseValidationError, match="baseMVA"):
+            replace(case14, base_mva=base)
+    with pytest.raises(CaseValidationError, match="degree 3"):
+        parse_case(MINI.replace("2 0 0 3 0.25 20 0;",
+                                "2 0 0 4 1.0 0.25 20 0;"))
 
 
 def test_pwl_cost_has_no_derivative():

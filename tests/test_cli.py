@@ -96,6 +96,10 @@ def test_solve_short_gencost_row_exits_2(case14_path, tmp_path, capsys, row):
     assert captured.out == ""
 
 
+# branch 1-2 of case14 rewritten as a branch from bus 1 to itself
+SELF_LOOP_OLD, SELF_LOOP_NEW = "\t1\t2\t0.01938\t", "\t1\t1\t0.01938\t"
+
+
 @pytest.mark.parametrize("old, new, code", [
     ("\t1\t2\t0.01938\t", "\t1\t2\tnan\t", EXIT_DATA),
     ("\t1\t2\t0.01938\t0.05917\t0.0528\t0\t",
@@ -107,12 +111,15 @@ def test_solve_short_gencost_row_exits_2(case14_path, tmp_path, capsys, row):
     ("\t2\t0\t0\t3\t0.0430293\t", "\t2\t0\t0\t3\tnan\t", EXIT_DATA),
     ("\t1\t2\t0.01938\t0.05917\t", "\t1\t2\t0.01938\tinf\t", EXIT_DATA),
     ("\t1\t232.4\t-16.9\t10\t", "\t1\t232.4\t-16.9\tInf\t", EXIT_OK),
+    (SELF_LOOP_OLD, SELF_LOOP_NEW, EXIT_DATA),
 ], ids=["branch-r-nan", "branch-rate-a-inf", "gen-pmax-inf", "bus-pd-inf",
-        "bus-pd-nan", "gencost-c2-nan", "branch-x-inf", "gen-qmax-inf"])
+        "bus-pd-nan", "gencost-c2-nan", "branch-x-inf", "gen-qmax-inf",
+        "branch-self-loop"])
 def test_solve_non_finite_case_value(case14_path, tmp_path, capsys, old, new,
                                      code):
-    """A NaN, or an infinite value other than rateA, Qmax or Qmin, is bad
-    case data: exit 2 with one error line, no traceback."""
+    """A NaN, an infinite value other than rateA, Qmax or Qmin, or a branch
+    from a bus to itself is bad case data: exit 2 with one error line, no
+    traceback."""
     text = open(case14_path, encoding="utf-8").read()
     assert old in text
     case = tmp_path / "edited.m"
@@ -125,6 +132,19 @@ def test_solve_non_finite_case_value(case14_path, tmp_path, capsys, old, new,
         assert captured.out == ""
     else:
         assert "best bound:" in captured.out
+
+
+def test_cliques_self_loop_case(case14_path, tmp_path, capsys):
+    """The clique census rejects a branch from a bus to itself as bad case
+    data too."""
+    text = open(case14_path, encoding="utf-8").read()
+    case = tmp_path / "self-loop.m"
+    case.write_text(text.replace(SELF_LOOP_OLD, SELF_LOOP_NEW, 1),
+                    encoding="utf-8")
+    assert main(["cliques", str(case)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == "error: branch 1-1 joins a bus to itself\n"
+    assert captured.out == ""
 
 
 def test_verify_command(capsys):

@@ -262,7 +262,7 @@ def test_load_keeps_cuts_on_chord_pairs(case14, cold_report):
     """A cut on a pair with no branch loads; one on an unknown bus does not.
     The model is asked about each distinct key once."""
     model = build_m0(case14)
-    assert any(key[1:] not in model.pairs.pair_branches
+    assert any(key[1:] not in model.network.pairs.edges
                for cut in cold_report.pool.cuts
                for key in cut.terms if key[0] in ("c", "s"))
     stray = _cut({("v2", 1): 1.0, ("c", 1, 999): -1.0}, prov=(1, 999))

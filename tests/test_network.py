@@ -5,46 +5,46 @@ import numpy as np
 import pytest
 
 from opfcuts.case_io import Branch, Bus, CaseData, CostFunction, Generator
-from opfcuts.errors import SingularBranchError
+from opfcuts.errors import CaseValidationError
 from opfcuts.network import (PairGraph, _maximal_cliques, _min_degree_fill,
                              branch_admittance, canonical_pair,
                              chordal_cliques, enumerate_three_cycles)
 
 
 def _graph(edges):
-    pairs = {}
-    for i, (a, b) in enumerate(edges):
-        pairs.setdefault(canonical_pair(a, b), []).append(i)
     return PairGraph(vertices=tuple(sorted({v for e in edges for v in e})),
-                     pair_branches=pairs)
+                     edges=tuple(sorted({canonical_pair(a, b)
+                                         for a, b in edges})))
 
 
 def test_admittance_pure_reactance():
-    adm = branch_admittance(Branch(1, 2, 0.0, 0.1, 0.0))
-    assert adm.g_kk == pytest.approx(0.0)
-    assert adm.b_kk == pytest.approx(-10.0)
-    assert adm.g_km == pytest.approx(0.0)
-    assert adm.b_km == pytest.approx(10.0)
-    assert adm.b_mm == pytest.approx(-10.0)
+    y_ff, y_ft, _, y_tt = branch_admittance(Branch(1, 2, 0.0, 0.1, 0.0))
+    assert y_ff.real == pytest.approx(0.0)
+    assert y_ff.imag == pytest.approx(-10.0)
+    assert y_ft.real == pytest.approx(0.0)
+    assert y_ft.imag == pytest.approx(10.0)
+    assert y_tt.imag == pytest.approx(-10.0)
 
 
 def test_admittance_pure_resistance():
-    adm = branch_admittance(Branch(1, 2, 1.0, 0.0, 0.0))
-    assert adm.g_kk == pytest.approx(1.0)
-    assert adm.b_kk == pytest.approx(0.0)
-    assert adm.g_km == pytest.approx(-1.0)
-    assert adm.b_km == pytest.approx(0.0)
+    y_ff, y_ft, _, _ = branch_admittance(Branch(1, 2, 1.0, 0.0, 0.0))
+    assert y_ff.real == pytest.approx(1.0)
+    assert y_ff.imag == pytest.approx(0.0)
+    assert y_ft.real == pytest.approx(-1.0)
+    assert y_ft.imag == pytest.approx(0.0)
 
 
 def test_admittance_tap():
-    adm = branch_admittance(Branch(1, 2, 0.0, 0.1, 0.0, tap=2.0))
-    assert adm.b_kk == pytest.approx(-2.5)
-    assert adm.b_km == pytest.approx(5.0)
+    y_ff, y_ft, _, _ = branch_admittance(
+        Branch(1, 2, 0.0, 0.1, 0.0, tap=2.0))
+    assert y_ff.imag == pytest.approx(-2.5)
+    assert y_ft.imag == pytest.approx(5.0)
 
 
 def test_admittance_singular_branch():
-    with pytest.raises(SingularBranchError):
-        branch_admittance(Branch(1, 2, 0.0, 0.0, 0.0))
+    """An in-service branch with r = x = 0 is bad data when it is made."""
+    with pytest.raises(CaseValidationError, match="branch 1-2"):
+        Branch(1, 2, 0.0, 0.0, 0.0)
 
 
 def test_flow_identity_random_phasors():
@@ -56,16 +56,16 @@ def test_flow_identity_random_phasors():
                     float(rng.uniform(0.05, 0.5)), float(rng.uniform(0, 0.1)),
                     tap=float(rng.uniform(0.9, 1.1)),
                     shift=float(rng.uniform(-0.2, 0.2)))
-        a = branch_admittance(br)
+        y_ff, y_ft, y_tf, y_tt = branch_admittance(br)
         vk = rng.uniform(0.9, 1.1) * cmath.exp(1j * rng.uniform(-1, 1))
         vm = rng.uniform(0.9, 1.1) * cmath.exp(1j * rng.uniform(-1, 1))
         v2k, v2m = abs(vk) ** 2, abs(vm) ** 2
         w = vk * vm.conjugate()
         c, s = w.real, w.imag
-        p_f = a.g_kk * v2k + a.g_km * c + a.b_km * s
-        q_f = -a.b_kk * v2k - a.b_km * c + a.g_km * s
-        p_t = a.g_mm * v2m + a.g_mk * c - a.b_mk * s
-        q_t = -a.b_mm * v2m - a.b_mk * c - a.g_mk * s
+        p_f = y_ff.real * v2k + y_ft.real * c + y_ft.imag * s
+        q_f = -y_ff.imag * v2k - y_ft.imag * c + y_ft.real * s
+        p_t = y_tt.real * v2m + y_tf.real * c - y_tf.imag * s
+        q_t = -y_tt.imag * v2m - y_tf.imag * c - y_tf.real * s
         y = 1 / complex(br.r, br.x)
         ysh = 1j * br.b_charge / 2
         t = br.tap * cmath.exp(1j * br.shift)
@@ -178,8 +178,7 @@ def test_parallel_branches_one_edge():
                               CostFunction("polynomial", (0, 1, 0))),),
     )
     g = PairGraph.from_case(case)
-    assert g.edges == [(1, 2)]
-    assert len(g.pair_branches[(1, 2)]) == 2
+    assert g.edges == ((1, 2),)
 
 
 def test_canonical_pair():

@@ -1,8 +1,6 @@
 import cmath
-import importlib.util
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,16 +400,9 @@ def test_cut_block_rows_equal_one_by_one(case14, cold_report):
 
 # -- the compiled network ---------------------------------------------------
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
 @pytest.fixture(scope="module")
-def two_tile(case14):
+def two_tile(case14, tiler):
     """case14 tiled twice into a chain by the benchmark's tiler."""
-    spec = importlib.util.spec_from_file_location(
-        "tiler", ROOT / "perfbench" / "tiler.py")
-    tiler = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tiler)
     return tiler.tile_case(case14, 2, 1)
 
 
@@ -422,20 +413,20 @@ def _formula_rows(model):
     rows = []
     for idx, bkey in model.branch_keys.items():
         br = case.branches[idx]
-        a = branch_admittance(br)
+        y_ff, y_ft, y_tf, y_tt = branch_admittance(br)
         pair = canonical_pair(br.from_bus, br.to_bus)
         orient = 1.0 if br.from_bus < br.to_bus else -1.0
         c, s = ("c",) + pair, ("s",) + pair
         v2f, v2t = ("v2", br.from_bus), ("v2", br.to_bus)
         for flow, terms in (
-                (("P", bkey, "f"), {v2f: -a.g_kk, c: -a.g_km,
-                                    s: -a.b_km * orient}),
-                (("P", bkey, "t"), {v2t: -a.g_mm, c: -a.g_mk,
-                                    s: a.b_mk * orient}),
-                (("Q", bkey, "f"), {v2f: a.b_kk, c: a.b_km,
-                                    s: -a.g_km * orient}),
-                (("Q", bkey, "t"), {v2t: a.b_mm, c: a.b_mk,
-                                    s: a.g_mk * orient})):
+                (("P", bkey, "f"), {v2f: -y_ff.real, c: -y_ft.real,
+                                    s: -y_ft.imag * orient}),
+                (("P", bkey, "t"), {v2t: -y_tt.real, c: -y_tf.real,
+                                    s: y_tf.imag * orient}),
+                (("Q", bkey, "f"), {v2f: y_ff.imag, c: y_ft.imag,
+                                    s: -y_ft.real * orient}),
+                (("Q", bkey, "t"), {v2t: y_tt.imag, c: y_tf.imag,
+                                    s: y_tf.real * orient})):
             rows.append(({flow: 1.0, **terms}, 0.0, False))
     for b in case.buses:
         for flow, gen, shunt, load in (("P", "Pg", b.shunt_g, b.p_load),

@@ -429,8 +429,6 @@ def test_limit_cut_examples():
     axis = _limit(2.0, 0.0, 1.0, (3, "t"))
     assert axis.terms[("P", 3, "t")] == pytest.approx(-2.0)
     assert axis.rhs == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        _limit(1.0, 1.0, math.inf, (0, "f"))
 
 
 def test_limit_cut_valid_on_circle():
