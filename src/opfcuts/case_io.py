@@ -292,10 +292,15 @@ def parse_case(text: str, name: str = "case") -> CaseData:
     for i, row in enumerate(matrices["gen"]):
         if len(row) < _GEN_COLS:
             raise CaseParseError("gen row too short: %r" % (row,))
+        bus = _whole(row, 0, "gen")
+        try:
+            cost = _parse_cost(gencost[i], base)
+        except CaseValidationError as exc:  # raised before its generator
+            raise CaseValidationError("gencost row %d, generator at bus %d: "
+                                      "%s" % (i + 1, bus, exc)) from exc
         generators.append(Generator(
-            bus=_whole(row, 0, "gen"), p_min=row[9] / base,
-            p_max=row[8] / base, q_min=row[4] / base, q_max=row[3] / base,
-            cost=_parse_cost(gencost[i], base),
+            bus=bus, p_min=row[9] / base, p_max=row[8] / base,
+            q_min=row[4] / base, q_max=row[3] / base, cost=cost,
             status=_whole(row, 7, "gen")))
 
     branches = []
@@ -413,15 +418,16 @@ def perturb_loads(case: CaseData, seed: int, mu_frac: float,
     """
     if not (0.0 <= mu_frac < math.inf and 0.0 <= sigma_frac < math.inf):
         raise ValueError("perturbation fractions must be finite and >= 0")
-    rng = np.random.default_rng(seed)
+    # one draw per bus keeps the stream bus-aligned
+    draws = np.random.default_rng(seed).normal(size=len(case.buses)).tolist()
     buses = []
-    for b in case.buses:
-        draw = rng.normal()  # one draw per bus keeps the stream bus-aligned
+    for b, draw in zip(case.buses, draws):
         if b.p_load == 0.0:
             buses.append(b)
             continue
         new_p = max(0.0, b.p_load + mu_frac * b.p_load
                     + sigma_frac * abs(b.p_load) * draw)
         factor = new_p / b.p_load
-        buses.append(replace(b, p_load=new_p, q_load=b.q_load * factor))
+        buses.append(Bus(b.id, new_p, b.q_load * factor, b.v_min, b.v_max,
+                         b.shunt_g, b.shunt_b))
     return replace(case, buses=tuple(buses))

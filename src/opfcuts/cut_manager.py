@@ -32,11 +32,11 @@ line and one JSON document on the next, the pool as the columns of a
                "cuts": "B-L..."}}
 
 `keys` lists each variable key once, sorted by `repr`.  The cuts are in
-content-hash order (`separation.cut_hashes`; cuts of equal content keep
-their pool order): cut i has kind kind[i], support (its provenance)
-support[i], right-hand side rhs[i] and size[i] terms, the next size[i]
-entries of `key` (indices into `keys`, so strictly ascending within a cut)
-and of `coeff`.
+content-hash order (`cut_hashes`; cuts of equal content keep their pool
+order): cut i has kind kind[i], support (its provenance) support[i],
+right-hand side rhs[i] and size[i] terms, the next size[i] entries of
+`key` (indices into `keys`, so strictly ascending within a cut) and of
+`coeff`.
 
 The basis is the simplex basis of the run's last LP solve, the
 `lp_backend.SavedBasis` the backend reads by name: one status letter of
@@ -57,6 +57,7 @@ and gives a cut the letter of its hash.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import operator
 from dataclasses import dataclass, field, replace
@@ -66,11 +67,12 @@ import numpy as np
 
 from .errors import CutFileError
 from .lp_backend import STATUS_LETTERS, LastBasis, SavedBasis
-from .separation import _KEY_BYTES, NO_CUTS, CutBlock, _plain, cut_hashes
+from .separation import NO_CUTS, CutBlock
 
 T_AGE = 5
 EPS_SLACK = 1e-5
 FILE_HEADER = {"fmt": "cutpool", "v": 3}
+HASH_DIGITS = 12
 _LETTERS = frozenset(STATUS_LETTERS)
 _OR_NONE = _LETTERS | {"-"}  # a key that is no column, a cut without a row
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
@@ -155,6 +157,49 @@ def age_and_drop(pool: CutPool, slacks: np.ndarray) -> np.ndarray:
 
 
 # -- persistence ----------------------------------------------------------
+
+
+def _plain(key):
+    """`key` with its numpy integers as Python ints: they equal, and hash
+    like, each other, so both must give one `repr`."""
+    if isinstance(key, tuple):
+        return tuple(map(_plain, key))
+    return int(key) if isinstance(key, np.integer) else key
+
+
+class _KeyBytes(dict):
+    """repr(key).encode() per variable key, made once, from the key with
+    plain ints whichever form came first; UTF-8 keeps code point order, so
+    sorting by these bytes is sorting by `repr`."""
+
+    def __missing__(self, key):
+        self[key] = value = repr(_plain(key)).encode()
+        return value
+
+
+_KEY_BYTES = _KeyBytes()
+
+
+def cut_hashes(cuts: CutBlock) -> list:
+    """The content hashes of a block's cuts.
+
+    A cut's hash is the blake2b digest of its kind, then per term its key
+    bytes and its coefficient over its norm rounded to `HASH_DIGITS`
+    digits by `round`, then its rhs so scaled, each number as a
+    little-endian double.
+    """
+    scaled = np.concatenate((cuts.coeff / np.repeat(cuts.norm, cuts.size),
+                             cuts.rhs / cuts.norm))
+    packed = np.array([round(v, HASH_DIGITS) for v in scaled.tolist()],
+                      "<f8").view("V8").tolist()
+    # per term its key bytes and coefficient; map stops at the last key
+    terms = list(map(operator.add, map(_KEY_BYTES.__getitem__,
+                                       cuts.keys.tolist()), packed))
+    bounds = [0, *np.cumsum(cuts.size).tolist()]
+    return [int.from_bytes(hashlib.blake2b(
+        b"".join([kind.encode(), *terms[a:b], end]), digest_size=8).digest(),
+        "little") for kind, a, b, end in zip(cuts.kind.tolist(), bounds,
+                                             bounds[1:], packed[len(terms):])]
 
 
 def _key_from_json(raw):

@@ -23,18 +23,14 @@ cut file is written from and read into one.  `block[i]` is cut i as a
 `LinearCut`, a one-cut view for tests and `value_at`.
 
 A cut has no name of its own: a run names it by its position in the
-run's pool, which is its cut row's position in the LP.  Its content hash,
-which `cut_hashes` computes for a block in one `_content_hashes` pass,
-names it only in a cut file: `cut_manager.save_cuts` orders a file by it,
-and a version 1 or 2 load orders its cuts by it.
+run's pool, which is its cut row's position in the LP.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -44,86 +40,6 @@ from .network import canonical_pair
 PSD_TOL = 1e-8           # relative to max(1, trace)
 VIOLATION_THRESHOLD = 1e-5  # least violation per unit infinity norm
 COSINE_BOUND = 0.999
-HASH_DIGITS = 12
-
-_ROUND_SCALE = float(10 ** HASH_DIGITS)
-_CLIP = 2.0 ** 53 / _ROUND_SCALE  # beyond it, v * 1e12 has no fraction
-
-
-def _plain(key):
-    """`key` with its numpy integers as Python ints: they equal, and hash
-    like, each other, so both must give one `repr`."""
-    if isinstance(key, tuple):
-        return tuple(map(_plain, key))
-    return int(key) if isinstance(key, np.integer) else key
-
-
-class _KeyBytes(dict):
-    """repr(key).encode() per variable key, made once, from the key with
-    plain ints whichever form came first; UTF-8 keeps code point order, so
-    sorting by these bytes is sorting by `repr`."""
-
-    def __missing__(self, key):
-        self[key] = value = repr(_plain(key)).encode()
-        return value
-
-
-_KEY_BYTES = _KeyBytes()
-
-
-def _round_digits(x: np.ndarray) -> np.ndarray:
-    """round(v, HASH_DIGITS) of every v of `x`, bit for bit.
-
-    rint(v * 1e12) / 1e12 rounds v * 1e12 in floating point before it
-    rounds to an integer, and the division is exact to the nearest double,
-    as Python's round is.  So the two differ only where v * 1e12 is within
-    its own rounding error of a tie (|y - rint(y)| within |y| 2**-51 of
-    0.5, for y = v * 1e12), or too large for rint to be exact (|y| >=
-    2**52); those few values go through Python's round.  Clipping v first
-    keeps y finite.
-    """
-    y = np.minimum(np.maximum(x, -_CLIP), _CLIP) * _ROUND_SCALE
-    r = np.rint(y)
-    # |y - r| is exact; beyond 2**52, |y| * 2**-51 alone reaches 0.5
-    unsure = np.abs(y - r) + np.abs(y) * 2.0 ** -51 >= 0.5
-    out = r / _ROUND_SCALE
-    for i in unsure.nonzero()[0].tolist():
-        out[i] = round(float(x[i]), HASH_DIGITS)
-    return out
-
-
-def _content_hashes(kinds, key_bytes, coeffs: np.ndarray, rhs: np.ndarray,
-                    sizes: list, norms: np.ndarray) -> list:
-    """Content hashes of many cuts: cut i has kind kinds[i], right-hand side
-    rhs[i], infinity norm norms[i] and the next sizes[i] (>= 1) terms, in
-    canonical order, of the flat `key_bytes` (`_KEY_BYTES` of each key) and
-    `coeffs`.
-
-    A cut's hash is the blake2b digest of its kind, then per term its key
-    bytes and its coefficient over the norm rounded to `HASH_DIGITS`
-    digits, then its rhs so scaled, each number as a little-endian double.
-    """
-    n = len(key_bytes)
-    packed = _round_digits(np.concatenate((
-        coeffs / np.repeat(norms, sizes), rhs / norms))).astype(
-            "<f8", copy=False).view("V8").tolist()
-    parts = [b""] * (2 * n)
-    parts[::2] = key_bytes
-    parts[1::2] = packed[:n]
-    bounds = [0, *accumulate([2 * k for k in sizes])]
-    return [int.from_bytes(hashlib.blake2b(
-        b"".join([kind.encode(), *parts[a:b], end]), digest_size=8).digest(),
-        "little") for kind, a, b, end in zip(kinds, bounds, bounds[1:],
-                                             packed[n:])]
-
-
-def cut_hashes(cuts: CutBlock) -> list:
-    """The content hashes of a block's cuts, in one `_content_hashes`
-    pass."""
-    return _content_hashes(
-        cuts.kind.tolist(), list(map(_KEY_BYTES.__getitem__,
-                                     cuts.keys.tolist())),
-        cuts.coeff, cuts.rhs, cuts.size.tolist(), cuts.norm)
 
 
 @dataclass
@@ -220,7 +136,7 @@ class _TupleKeys(dict):
     order opposes the canonical pair's."""
 
     def __missing__(self, t):
-        buses = tuple(map(int, t))  # numpy integers equal, and hash like, ints
+        buses = tuple(map(int, t))  # plain ints, so repr gives key order
         n = len(buses)
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         pairs = [canonical_pair(buses[i], buses[j]) for i, j in upper]
@@ -230,7 +146,7 @@ class _TupleKeys(dict):
         picks = list(range(n + m)) + [
             n + m + k if buses[i] < buses[j] else n + 2 * m + k
             for k, (i, j) in enumerate(upper)]
-        order = sorted(range(len(keys)), key=lambda i: _KEY_BYTES[keys[i]])
+        order = sorted(range(len(keys)), key=lambda i: repr(keys[i]))
         self[t] = value = (np.fromiter([keys[i] for i in order], object),
                            np.array([picks[i] for i in order]))
         return value

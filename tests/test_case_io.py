@@ -175,7 +175,7 @@ def test_non_whole_integer_field_rejected(old, new, what):
     ("0.02 0 0 0 0", "0.02 -inf 0 0 0", CaseValidationError,
      "branch 1-2: rate_a"),
     ("3 0.25 20 0;", "3 0.25 -inf 0;", CaseValidationError,
-     "polynomial cost coefficients")],
+     "gencost row 1, generator at bus 1: polynomial cost coefficients")],
     ids=["nan-branch-r", "nan-bus-pd", "nan-gencost-c2", "inf-bus-pd",
          "inf-gen-pmax", "inf-branch-x", "minus-inf-rate-a",
          "minus-inf-gencost-c1"])

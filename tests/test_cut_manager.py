@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import opfcuts
-from opfcuts import cut_manager, separation
+from opfcuts import cut_manager
 from opfcuts.cut_manager import (CutPool, SavedBasis, admit, age_and_drop,
-                                 load_cuts, save_cuts)
+                                 cut_hashes, load_cuts, save_cuts)
 from opfcuts.errors import CutFileError
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import PSD_TOL, CutBlock, cut_hashes, eigen_cut
+from opfcuts.separation import PSD_TOL, CutBlock, eigen_cut
 from test_separation import block_of, one_cut, rows_block
 
 
@@ -508,7 +508,7 @@ def _raising(*args):
 def test_cold_run_and_version_3_load_hash_nothing(case14, cold_report,
                                                    monkeypatch):
     text = _saved(cold_report.pool)
-    monkeypatch.setattr(separation, "_content_hashes", _raising)
+    monkeypatch.setattr(cut_manager, "cut_hashes", _raising)
     report = opfcuts.cutplane(case14, opfcuts.RunConfig())
     loaded, skipped = load_cuts(io.StringIO(text), build_m0(case14))
     assert skipped == 0 and len(loaded) == len(report.pool)
@@ -519,13 +519,13 @@ def test_cold_run_and_version_3_load_hash_nothing(case14, cold_report,
 
 def test_save_and_line_loads_hash_in_one_batch(cold_report, monkeypatch):
     calls = []
-    batch = separation._content_hashes
+    batch = cut_manager.cut_hashes
 
-    def counting(kinds, *args):
-        calls.append(len(kinds))
-        return batch(kinds, *args)
+    def counting(cuts):
+        calls.append(len(cuts))
+        return batch(cuts)
 
-    monkeypatch.setattr(separation, "_content_hashes", counting)
+    monkeypatch.setattr(cut_manager, "cut_hashes", counting)
     _saved(cold_report.pool)
     assert calls == [len(cold_report.pool)]
     load_cuts(io.StringIO('{"fmt": "cutpool", "v": 1}\n'

@@ -1,17 +1,17 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from opfcuts import separation
+from opfcuts import cut_manager, separation
 from opfcuts.case_io import CostFunction, Generator
+from opfcuts.cut_manager import cut_hashes
 from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff
 from opfcuts.network import canonical_pair
 from opfcuts.separation import (COSINE_BOUND, PSD_TOL, VIOLATION_THRESHOLD,
-                                CutBlock, clique_cuts, cost_cut, cut_hashes,
-                                eigen_cut, jabr_cut, limit_cut, projection_cut)
+                                CutBlock, clique_cuts, cost_cut, eigen_cut,
+                                jabr_cut, limit_cut, projection_cut)
 
 
 def rows_block(rows):
@@ -21,7 +21,7 @@ def rows_block(rows):
     if not rows:
         return separation.NO_CUTS
     terms, rhs, kinds, provenances, violations = zip(*rows)
-    keys = [sorted(t, key=separation._KEY_BYTES.__getitem__) for t in terms]
+    keys = [sorted(t, key=cut_manager._KEY_BYTES.__getitem__) for t in terms]
     return CutBlock(
         np.fromiter(kinds, object), np.fromiter(provenances, object),
         np.array(list(map(len, keys)), np.intp), np.array(rhs, float),
@@ -43,7 +43,7 @@ def one_cut(terms, rhs, kind, provenance, violation=0.0):
 
 
 def _hash(cut):
-    """The content hash of one cut, a `_content_hashes` batch of one."""
+    """The content hash of one cut, a `cut_hashes` batch of one."""
     [h] = cut_hashes(block_of(cut))
     return h
 
@@ -498,6 +498,42 @@ def test_content_hash_golden_values():
         == 11573129386543259869
 
 
+def test_content_hash_golden_values_on_rounding_edges():
+    """Hashes of cuts whose scaled numbers sit where rounding to
+    `HASH_DIGITS` digits is delicate: exact ties of the 12th decimal (k /
+    8192 times 1e12 is a half-integer; a tie rounds to even), their
+    neighbouring doubles, signed zeros, and magnitudes near 1e-13 and
+    1e300."""
+    tie = 1 / 8192
+    above, below = (float(np.nextafter(tie, v)) for v in (1.0, 0.0))
+
+    def cut(c, rhs):
+        return one_cut({("v2", 1): 1.0, ("c", 1, 2): c, ("s", 1, 2): -3 * tie},
+                       rhs, "eigen", (1, 2))
+
+    assert _hash(cut(tie, 5 * tie)) == _hash(cut(below, 5 * tie)) \
+        == 712969952903432637
+    assert _hash(cut(above, 5 * tie)) == 17225088890736862982
+    rhs_above, rhs_below = (float(np.nextafter(5 * tie, v))
+                            for v in (1.0, 0.0))
+    assert _hash(one_cut({("v2", 1): 1.0}, rhs_above, "eigen", (1, 2))) \
+        == 652039021494370939
+    assert _hash(one_cut({("v2", 1): 1.0}, rhs_below, "eigen", (1, 2))) \
+        == 13335996805083127338
+    zeros = {("v2", 1): 1.0, ("c", 1, 2): 0.0, ("s", 1, 2): -0.0}
+    assert _hash(one_cut(zeros, 0.0, "eigen", (1, 2))) \
+        == 11880875162313524898
+    assert _hash(one_cut(zeros, -0.0, "eigen", (1, 2))) \
+        == 15866259000779034792
+    assert _hash(one_cut({("v2", 1): -1.0, ("c", 1, 2): 1e-13,
+                          ("s", 1, 2): -4e-13}, 5e-13, "eigen", (1, 2))) \
+        == 15118275784633568672
+    assert _hash(one_cut({("v2", 1): 1.0}, 1e300, "eigen", (1, 2))) \
+        == 6572536366904021994
+    assert _hash(one_cut({("v2", 1): 1.0}, -1e300, "eigen", (1, 2))) \
+        == 13768837182872731406
+
+
 def test_content_hash_ignores_integer_type_seen_first():
     """A key holding a numpy integer equals, and hashes like, the key with
     the Python int, so the process caches one key form for both: the hash
@@ -523,34 +559,6 @@ def test_normalized_violation():
     cut = one_cut({("v2", 1): 2.0}, 1.0, "eigen", (1,))
     assert cut.normalized_violation({("v2", 1): 0.0}) == pytest.approx(0.5)
     assert cut.normalized_violation({("v2", 1): 1.0}) == pytest.approx(-0.5)
-
-
-def _rounding_sample():
-    """Seeded values for `_round_digits`: exact and near ties of the 12th
-    decimal, random values over many magnitudes, and edge values."""
-    rng = np.random.default_rng(1212)
-    ties = np.arange(-20000, 20000) / 8192.0  # x * 1e12 is a half-integer
-    decimal_ties = (rng.integers(-10 ** 12, 10 ** 12, 40000) + 0.5) / 1e12
-    near = np.concatenate([np.nextafter(v, np.inf) for v in
-                           (ties, decimal_ties)] +
-                          [np.nextafter(v, -np.inf) for v in
-                           (ties, decimal_ties)])
-    spread = rng.uniform(-1.0, 1.0, 100000) * 10.0 ** rng.uniform(
-        -20.0, 8.0, 100000)
-    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                      -2.2250738585072014e-308, 1e-13, -4e-13, 5e-13,
-                      -5e-13, 4503.599627370496, 4503.599627370497, 1e300,
-                      -1e300, 1.7976931348623157e308, 1.0, -1.0])
-    return np.concatenate([ties, decimal_ties, near, spread, edges])
-
-
-def test_round_digits_is_python_round_bit_for_bit():
-    x = _rounding_sample()
-    with warnings.catch_warnings():  # 1e300 * 1e12 overflows, silently
-        warnings.simplefilter("error")
-        got = separation._round_digits(x)
-    want = np.array([round(v, 12) for v in x.tolist()])
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_batch_hashes_equal_single_hashes():
@@ -579,13 +587,7 @@ def test_content_hashes_of_many_cuts_in_one_call():
         ({("t", (1, 0)): 1.0}, -3.25, "cost_tangent", ((1, 0),), 0.0),
         ({("P", (1, 2, 0), "f"): -0.6, ("Q", (1, 2, 0), "f"): 0.8}, -1.0,
          "limit", ((1, 2, 0), "f"), 0.0)])
-    hashes = separation._content_hashes(
-        [c.kind for c in cuts],
-        [separation._KEY_BYTES[k] for c in cuts for k in c.terms],
-        np.array([w for c in cuts for w in c.terms.values()]),
-        np.array([c.rhs for c in cuts]), [len(c.terms) for c in cuts],
-        np.array([c.inf_norm for c in cuts]))
-    assert hashes == cut_hashes(cuts) == list(map(_hash, cuts))
+    assert cut_hashes(cuts) == list(map(_hash, cuts))
 
 
 def _random_block(rng, n):
