@@ -412,9 +412,11 @@ def perturb_loads(case: CaseData, seed: int, mu_frac: float,
                   sigma_frac: float) -> CaseData:
     """Gaussian load perturbation, clipped at zero, power factor preserved.
 
-    Each nonzero active load P is replaced by max(0, P + N(mu*P, (sigma*P)^2))
-    with a generator seeded deterministically; the reactive load is scaled by
-    the same multiplicative factor.  Zero loads are untouched.
+    Each nonzero active load P becomes P' = P + N(mu*P, (sigma*P)^2), with a
+    generator seeded deterministically, clipped toward zero without crossing
+    it: max(0, P') for a positive load, min(0, P') for a negative one (a net
+    injection).  The reactive load is scaled by the same factor P'/P.  Zero
+    loads are untouched, and mu = sigma = 0 leaves the case as it is.
     """
     if not (0.0 <= mu_frac < math.inf and 0.0 <= sigma_frac < math.inf):
         raise ValueError("perturbation fractions must be finite and >= 0")
@@ -425,8 +427,9 @@ def perturb_loads(case: CaseData, seed: int, mu_frac: float,
         if b.p_load == 0.0:
             buses.append(b)
             continue
-        new_p = max(0.0, b.p_load + mu_frac * b.p_load
-                    + sigma_frac * abs(b.p_load) * draw)
+        new_p = b.p_load + mu_frac * b.p_load \
+            + sigma_frac * abs(b.p_load) * draw
+        new_p = max(0.0, new_p) if b.p_load > 0.0 else min(0.0, new_p)
         factor = new_p / b.p_load
         buses.append(Bus(b.id, new_p, b.q_load * factor, b.v_min, b.v_max,
                          b.shunt_g, b.shunt_b))

@@ -15,8 +15,9 @@ never pays for them.
 
 A run's LP holds the pool's cuts as its cut rows in pool order, cut i as
 cut row i: a warm start injects its cuts first, `admit` appends, and a
-drop removes a cut from both.  So `LpSolveResult.row_slack` is in pool
-order, and `age_and_drop` reads it by position.
+drop removes a cut from both.  A round drops before it admits, so
+`LpSolveResult.row_slack` holds one slack per pool cut, in pool order, and
+`age_and_drop` reads it by position.
 
 The warm-start file is UTF-8 JSON; variable references are symbolic
 (bus / pair / branch ids), so saved cuts survive model rebuilds and transfer
@@ -142,12 +143,12 @@ def age_and_drop(pool: CutPool, slacks: np.ndarray) -> np.ndarray:
     basis letters; returns the dropped cuts' positions, counted before the
     drop.
 
-    `slacks` holds the slack a.x - b of the LP rows of the pool's first
-    len(slacks) cuts, here normalized; the cuts after them, admitted since
-    that solve, count as tight.
+    `slacks` holds the slack a.x - b of each cut's LP row, in pool order,
+    here normalized; a count other than the pool's raises ValueError.
     """
-    slack = np.concatenate((slacks, np.zeros(len(pool) - len(slacks))))
-    ages = np.where(slack / pool.cuts.norm < EPS_SLACK, 0, pool.ages + 1)
+    if len(slacks) != len(pool):
+        raise ValueError("%d slacks for %d cuts" % (len(slacks), len(pool)))
+    ages = np.where(slacks / pool.cuts.norm < EPS_SLACK, 0, pool.ages + 1)
     keep = ages < T_AGE
     dropped = np.flatnonzero(~keep)
     if len(dropped):

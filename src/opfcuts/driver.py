@@ -16,10 +16,14 @@ that runs out of it ends the run with `time`, like the check between rounds,
 and the report's dual infeasibility and eigenvalue ratio then come from the
 last optimal solve.
 
-A round's candidates are one `separation.CutBlock`; `admit` appends them
-to the pool and `add_cut_row` to the LP as one row block each, so the LP's
-cut rows stay in pool order and the solve's `row_slack` array is read by
-position.  Cuts never change once built: a run keeps a pool of its own,
+The loop owns a round's state: it solves the model's backend and keeps
+the last primal point HiGHS gave (a solve without one keeps the previous
+point), which `_separate` and the final eigenvalue ratio read.  Each round
+first ages and drops the pool's cuts by the solve's `row_slack`, one slack
+per cut in pool order, and removes their rows; then `admit` appends the
+round's candidates, one `separation.CutBlock`, to the pool and
+`add_cut_row` to the LP as one row block each, so the LP's cut rows stay in
+pool order.  Cuts never change once built: a run keeps a pool of its own,
 with its own ages, so a warm start shares the caller's cuts and leaves
 them, and the caller's pool, as they were.  A run names a cut, and its LP
 row, by its position: cut i of the pool is cut row i of the LP.  A warm
@@ -35,11 +39,11 @@ asking once per distinct key (`CutBlock.naming`), with their basis letters
 sorted block.  The returned pool holds the last solve's basis as HiGHS
 gave it, turned into letters only when read.
 
-`_separate` and the final eigenvalue ratio read the PSD matrices as
-stacks from `RelaxationModel.clique_matrix`: one for the pairs and one
-per clique size, each with one `eigen` call.  The tangents come from the LP
-solution and the compiled network's tangent tables, so `_separate` builds
-no variable key.
+`_separate` and the final eigenvalue ratio read the PSD matrices at the
+kept point as stacks from `RelaxationModel.clique_matrix`: one for the
+pairs and one per clique size, each with one `eigen` call.  The tangents
+come from the kept point and the compiled network's tangent tables, so
+`_separate` builds no variable key.
 """
 
 from __future__ import annotations
@@ -162,12 +166,15 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     z_prev = -math.inf
     termination = None
     last = None  # the last optimal solve and the cliques of its round
+    y = None     # the last primal point HiGHS gave
 
     while True:
         if report.rounds:  # round 0 runs unlimited, so a run has a round
             model.backend.time_limit = max(
                 0.0, config.time_limit - (time.perf_counter() - t_start))
-        res = model.solve()
+        res = model.backend.solve()
+        if res.primal is not None:
+            y = res.primal
         if res.status == "infeasible":
             raise ModelError(
                 "master LP infeasible; the base relaxation is feasible for "
@@ -197,14 +204,11 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             _log_round(stats, res, pool, model)
             break
 
-        candidates = _separate(model, cliques)
-        admitted = admit(pool, candidates)
-        model.add_cut_row(admitted)
-
-        # cuts admitted this round are not in the solved LP and have no
-        # slack there; age_and_drop counts the tail without one as tight
+        candidates = _separate(model, y, cliques)
         dropped = age_and_drop(pool, res.row_slack)
         model.remove_cut_row(dropped)
+        admitted = admit(pool, candidates)
+        model.add_cut_row(admitted)
 
         stats.cuts_added = len(admitted)
         stats.cuts_dropped = len(dropped)
@@ -232,7 +236,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     if last is not None:
         res, solved = last
         report.dual_inf = res.dual_infeasibility
-        report.eig_ratio = _final_eig_ratio(model, solved)
+        report.eig_ratio = _final_eig_ratio(model, y, solved)
     report.pool = pool
     return report
 
@@ -256,24 +260,24 @@ def _escalate(model, cliques, config: RunConfig):
     return cliques.merged_with(extra)
 
 
-def _separate(model, cliques) -> CutBlock:
+def _separate(model, y, cliques) -> CutBlock:
     pairs = model.cs_pairs()
-    blocks = [separation.jabr_cut(model.clique_matrix(pairs), pairs)] \
+    blocks = [separation.jabr_cut(model.clique_matrix(y, pairs), pairs)] \
         if pairs else []
-    net, y = model.network, model.solution
+    net = model.network
     blocks += [separation.limit_cut(y, *net.limits),
                separation.cost_cut(y, *net.costs)]
 
     for group in cliques.by_size:
-        blocks.append(separation.clique_cuts(model.clique_matrix(group),
+        blocks.append(separation.clique_cuts(model.clique_matrix(y, group),
                                              group))
     return CutBlock.concat(*blocks)
 
 
-def _final_eig_ratio(model, cliques) -> float:
+def _final_eig_ratio(model, y, cliques) -> float:
     ratio = math.inf
     for group in cliques.by_size:
-        vals = eigen(model.clique_matrix(group)).eigenvalues
+        vals = eigen(model.clique_matrix(y, group)).eigenvalues
         ratio = min(ratio, float(np.min(
             vals[:, 0] / np.maximum(vals[:, 1], EIG_RATIO_FLOOR))))
     return ratio

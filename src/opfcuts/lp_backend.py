@@ -14,7 +14,8 @@ cut)`, appended to the store with one concatenate per array.  The first
 after them is a cut row, and no base row may follow a cut row.  Cut row i,
 row `n_base + i`, is named by its position i: `remove_rows` removes cut
 rows by position, and `LpSolveResult.row_slack[i]` is the slack a.x - rhs
-of cut row i.
+of cut row i; a solve without a primal point gives every cut row the slack
+0.
 
 HiGHS sees one persistent model, created at the first `solve()`, which
 holds the leading rows of the store; the rows after them came since the
@@ -87,19 +88,16 @@ def _load_highs():
         raise ImportError(_NO_BINDINGS)
     folder = os.path.join(scipy.submodule_search_locations[0], "optimize",
                           "_highspy")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_core" + suffix)
-        if not os.path.isfile(path):
-            continue
-        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
-        try:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except ImportError as exc:
-            raise ImportError(_NO_BINDINGS) from exc
-        sys.modules[_HIGHS_MODULE] = module
-        return module
-    raise ImportError(_NO_BINDINGS)
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [folder])
+    if spec is None:
+        raise ImportError(_NO_BINDINGS)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError as exc:
+        raise ImportError(_NO_BINDINGS) from exc
+    sys.modules[_HIGHS_MODULE] = module
+    return module
 
 
 _highs = _load_highs()
@@ -149,7 +147,7 @@ class LpSolveResult:
     dual_infeasibility: float | None
     primal_residual: float = 0.0  # worst row/bound violation of the primal
     dual_bound: float = -np.inf   # certified lower bound, or -inf for none
-    # a.x - b of each cut row, in row order
+    # a.x - b of each cut row, in row order; 0 without a primal point
     row_slack: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0           # simplex iterations of this solve
 
@@ -298,7 +296,8 @@ class ScipyHighsBackend:
                 self.row_of, b, ge, np.asarray(sol.row_dual))
         else:
             dual_bound, dual_inf = -np.inf, None
-        primal, residual, row_slack = None, 0.0, np.zeros(0)
+        primal, residual = None, 0.0
+        row_slack = np.zeros(len(b) - self.n_base)
         if status == "optimal" and sol.value_valid:
             # observed only: on ill-conditioned instances HiGHS can report
             # an infeasible point as optimal; the bound never rests on it

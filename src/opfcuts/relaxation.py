@@ -40,11 +40,13 @@ position among the cut rows, the position of their cut in the run's pool
 rejects a position that names no cut row.  The (c, s) columns are the one
 record of which bus pairs exist; `extend_pairs` adds to them, one block of
 columns per call.
-`clique_matrix` gathers the matrices of the pairs, or of the cliques of one
-size, as one stack, by read-only index arrays that the compiled network
-caches per list of bus tuples and per sequence of pairs its models added:
-models that added the same pairs in the same order have the same columns,
-so the load instances of a network share them.
+The model keeps no solve state: the round loop solves its backend and keeps
+the point.  `clique_matrix(y, tuples)` gathers the matrices at the point
+`y` of the pairs, or of the cliques of one size, as one stack, by read-only
+index arrays that the compiled network caches per list of bus tuples and
+per sequence of pairs its models added: models that added the same pairs in
+the same order have the same columns, so the load instances of a network
+share them.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 
 from .case_io import Bus, CaseData
 from .errors import ModelError
-from .lp_backend import LpSolveResult, ScipyHighsBackend
+from .lp_backend import ScipyHighsBackend
 from .network import CliqueSet, PairGraph, branch_admittance, canonical_pair
 from .separation import CutBlock
 
@@ -267,12 +269,9 @@ class RelaxationModel:
     """Dynamic LP relaxation: base rows are immutable, cut rows come and go."""
 
     def __init__(self, case: CaseData):
-        self.case = case
         self.network = net = compile_network(case)
-        self.branch_keys, self.gen_keys = net.branch_keys, net.gen_keys
         self.backend = ScipyHighsBackend()
         self.var_index = self.backend.columns  # the backend's, not a copy
-        self.solution: np.ndarray | None = None
         self._added = ()  # the pairs extend_pairs added, in column order
         self.backend.add_columns(net.keys, net.lower, net.upper,
                                  net.objective)
@@ -334,26 +333,15 @@ class RelaxationModel:
         """Remove the cut rows at `positions` among the cut rows."""
         self.backend.remove_rows(positions)
 
-    # -- solving and solution access --------------------------------------
-
-    def solve(self) -> LpSolveResult:
-        """Solve the LP; a solve without a primal keeps the last one."""
-        res = self.backend.solve()
-        if res.primal is not None:
-            self.solution = res.primal
-        return res
-
-    def clique_matrix(self, cliques) -> np.ndarray:
-        """Hermitian stack (M, n, n) of X_i(y) over M bus tuples of size n:
-        v2 on the diagonal, c + js off it, s signed by the tuple's order."""
-        if self.solution is None:
-            raise ModelError("no solution available")
+    def clique_matrix(self, y: np.ndarray, cliques) -> np.ndarray:
+        """Hermitian stack (M, n, n) of X_i(y) over M bus tuples of size n
+        at the point `y`: v2 on the diagonal, c + js off it, s signed by the
+        tuple's order."""
         key = (self._added, tuple(cliques))
         gathers = self.network.gathers
         if key not in gathers:
             gathers[key] = self._gather_index(key[1])
         re_idx, im_idx, im_sign = gathers[key]
-        y = self.solution
         x = np.empty(re_idx.shape, dtype=complex)
         x.real, x.imag = y[re_idx], y[im_idx] * im_sign
         return x

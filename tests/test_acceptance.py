@@ -155,7 +155,7 @@ def test_criterion_09_cut_soundness(cold_report, case14, capsys):
     rng = np.random.default_rng(62)
     gens = {}
     model = build_m0(case14)
-    for idx, gkey in model.gen_keys.items():
+    for idx, gkey in model.network.gen_keys.items():
         gens[gkey] = case14.generators[idx]
     worst = 0.0
     matrix_cuts = tangents = 0

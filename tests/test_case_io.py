@@ -119,6 +119,19 @@ def test_perturb_preserves_power_factor(case14):
             assert a.q_load / a.p_load == pytest.approx(b.q_load / b.p_load)
 
 
+def test_perturb_keeps_a_net_injection_negative(case14):
+    """A negative load, a net injection, is clipped toward zero and never
+    across it: unchanged at sigma = mu = 0, and at sigma = 5 % still
+    negative with its power factor."""
+    buses = list(case14.buses)
+    buses[3] = replace(buses[3], p_load=-0.2, q_load=-0.05)
+    case = replace(case14, buses=tuple(buses))
+    assert perturb_loads(case, seed=0, mu_frac=0.0, sigma_frac=0.0) == case
+    bus = perturb_loads(case, seed=0, mu_frac=0.0, sigma_frac=0.05).buses[3]
+    assert bus.p_load < 0.0 and bus.p_load != -0.2
+    assert bus.q_load / bus.p_load == pytest.approx(0.25)
+
+
 def test_perturb_negative_fraction_rejected(case14):
     with pytest.raises(ValueError):
         perturb_loads(case14, seed=0, mu_frac=-0.1, sigma_frac=0.0)

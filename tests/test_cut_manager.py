@@ -98,25 +98,18 @@ def test_admission_is_stable_on_equal_violations():
 
 
 def test_age_and_drop_matches_a_reference_loop(monkeypatch):
-    """Rounds of random slacks, each for the cuts of the last solve only,
-    with cuts admitted in between: the ages, the drops and the pool equal
-    those of a per-cut loop over a list of (cut, age) in pool order."""
+    """Rounds of random slacks, one per cut, each followed by new cuts
+    admitted: the ages, the drops and the pool equal those of a per-cut
+    loop over a list of (cut, age) in pool order."""
     monkeypatch.setattr(cut_manager, "T_AGE", 3)
     rng = np.random.default_rng(94)
     pool, ref, admitted = CutPool(), [], 0
     for step in range(40):
-        solved = len(pool)
-        new = [_cut({("v2", int(j)): float(rng.uniform(0.5, 4.0))},
-                    viol=float(rng.random()))
-               for j in rng.integers(1, 50, rng.integers(0, 6))]
-        ref += [(cut, 0) for cut in admit(pool, block_of(*new))]
-        admitted += len(new)
-        slacks = rng.choice([0.0, 1e-7, 1e-4, 1.0], solved) \
-            * (rng.random(solved) < 0.7)
+        slacks = rng.choice([0.0, 1e-7, 1e-4, 1.0], len(pool)) \
+            * (rng.random(len(pool)) < 0.7)
         want, kept = [], []
         for i, (cut, age) in enumerate(ref):  # the reference, in pool order
-            slack = slacks[i] if i < solved else 0.0
-            age = 0 if slack / cut.inf_norm < cut_manager.EPS_SLACK \
+            age = 0 if slacks[i] / cut.inf_norm < cut_manager.EPS_SLACK \
                 else age + 1
             if age >= cut_manager.T_AGE:
                 want.append(i)
@@ -126,7 +119,23 @@ def test_age_and_drop_matches_a_reference_loop(monkeypatch):
         assert age_and_drop(pool, slacks).tolist() == want
         assert list(pool.cuts) == [cut for cut, _ in ref]
         assert pool.ages.tolist() == [age for _, age in ref]
+        new = [_cut({("v2", int(j)): float(rng.uniform(0.5, 4.0))},
+                    viol=float(rng.random()))
+               for j in rng.integers(1, 50, rng.integers(0, 6))]
+        ref += [(cut, 0) for cut in admit(pool, block_of(*new))]
+        admitted += len(new)
     assert admitted > len(pool) > 0
+
+
+def test_age_and_drop_takes_one_slack_per_cut():
+    """A slack count other than the pool's raises ValueError and leaves the
+    pool as it was; a single slack is not spread over every cut."""
+    pool = CutPool()
+    admit(pool, block_of(_cut({("v2", 1): 1.0}), _cut({("v2", 2): 1.0})))
+    for slacks in ([1.0], [], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="for 2 cuts"):
+            age_and_drop(pool, np.array(slacks))
+    assert len(pool) == 2 and pool.ages.tolist() == [0, 0]
 
 
 class _FakeModel:
@@ -337,7 +346,7 @@ def _lettered(text: str) -> list:
 
 
 def test_basis_letters_follow_their_cuts(cold_report, monkeypatch):
-    """A loaded pool that admits a cut and drops every third loaded cut
+    """A loaded pool that drops every third loaded cut and admits a cut
     saves each surviving loaded cut with its letter, and the admitted cut
     with none."""
     monkeypatch.setattr(cut_manager, "T_AGE", 1)
@@ -345,12 +354,11 @@ def test_basis_letters_follow_their_cuts(cold_report, monkeypatch):
     before = _lettered(text)
     assert len({letter for _, letter in before}) > 1
     pool, _ = load_cuts(io.StringIO(text))
+    slack = np.arange(len(before)) % 3 == 0
+    dropped = age_and_drop(pool, np.where(slack, pool.cuts.norm, 0.0))
+    assert dropped.tolist() == np.flatnonzero(slack).tolist()
     new = _cut({("v2", 1): 1.0, ("v2", 2): -1.0}, rhs=-3.0)
     admit(pool, block_of(new))
-    n = len(before)
-    slack = np.arange(n) % 3 == 0
-    dropped = age_and_drop(pool, np.where(slack, pool.cuts.norm[:n], 0.0))
-    assert dropped.tolist() == np.flatnonzero(slack).tolist()
     want = [b for b, s in zip(before, slack) if not s] + [(_content(new), "-")]
     assert sorted(_lettered(_saved(pool)), key=repr) == sorted(want, key=repr)
 

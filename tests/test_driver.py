@@ -374,28 +374,32 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_cut_slacks_in_pool_order(case14, cold_report, monkeypatch, warm):
-    """Each solve's row slacks are its pool's cuts', in pool order, after
-    drops and after a warm start: the i-th is a.x - b of the i-th cut of
-    the pool at the solve's primal point, and cuts admitted since have
-    none."""
-    models, seen = [], []
+    """Each solve's row slacks are its pool's cuts', one per cut in pool
+    order, after drops and after a warm start: the i-th is a.x - b of the
+    i-th cut of the pool at the solve's primal point."""
+    models, points, seen = [], [], []
+    solve = lp_backend.ScipyHighsBackend.solve
 
     def build(case):
         models.append(build_m0(case))
         return models[-1]
 
+    def solved(backend):
+        res = solve(backend)
+        points.append(res.primal)
+        return res
+
     def aging(pool, slacks):
-        [model] = models
-        x = model.solution
-        assert len(slacks) <= len(pool)
+        [model], x = models, points[-1]
+        assert len(slacks) == len(pool)
         assert slacks.tolist() == pytest.approx([
             sum(w * x[model.var_index[k]] for k, w in cut.terms.items())
-            - cut.rhs for cut in pool.cuts.take(np.arange(len(slacks)))],
-            rel=1e-9, abs=1e-9)
+            - cut.rhs for cut in pool.cuts], rel=1e-9, abs=1e-9)
         seen.append(len(slacks))
         return age_and_drop(pool, slacks)
 
     monkeypatch.setattr(driver, "build_m0", build)
+    monkeypatch.setattr(lp_backend.ScipyHighsBackend, "solve", solved)
     monkeypatch.setattr(driver, "age_and_drop", aging)
     pert = perturb_loads(case14, seed=2, mu_frac=0.0, sigma_frac=0.1)
     report = cutplane(pert, RunConfig(),

@@ -70,6 +70,25 @@ def test_tighten_then_relax():
     assert be.solve().objective == pytest.approx(1.0)
 
 
+def test_stopped_solve_gives_every_cut_row_a_zero_slack(monkeypatch):
+    """A solve stopped at a limit has no primal point, and still gives one
+    slack per cut row, 0, so every cut counts as tight."""
+    be = _backend([1.0, 1.0], [0.0, 0.0], [10.0, 10.0],
+                  eq_rows=[([0, 1], [1.0, -1.0], 0.0)])
+    _add_row(be, [0], [1.0], 1.0)
+    _add_row(be, [1], [1.0], 2.0)
+    run = lp_backend.linprog
+
+    def stopped(highs):
+        run(highs)
+        return "limit"
+
+    monkeypatch.setattr(lp_backend, "linprog", stopped)
+    res = be.solve()
+    assert (res.status, res.primal) == ("limit", None)
+    assert res.row_slack.tolist() == [0.0, 0.0]
+
+
 def test_hot_resolve_prices_with_devex():
     """Row edits drop HiGHS's steepest-edge weights, so the persistent
     model prices with Devex (strategy 1) rather than rebuild them."""
@@ -651,8 +670,10 @@ def test_load_highs_raises_without_a_loadable_core(monkeypatch, tmp_path):
         "_core" + importlib.machinery.EXTENSION_SUFFIXES[0])
     core.parent.mkdir(parents=True)
     core.write_bytes(b"not a shared object")
-    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+    importlib.invalidate_caches()  # the folder is new to the path finder
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15") as raised:
         lp_backend._load_highs()
+    assert raised.value.__cause__ is not None  # found, and failed to load
     assert lp_backend._HIGHS_MODULE not in sys.modules
 
 

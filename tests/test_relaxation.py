@@ -40,14 +40,14 @@ mpc.gencost = [
 
 def test_two_bus_lossless_bound():
     model = build_m0(parse_case(TWO_BUS))
-    res = model.solve()
+    res = model.backend.solve()
     assert res.status == "optimal"
     assert res.objective >= 0.5 - 1e-6
 
 
 def test_case14_m0_is_valid_bound(case14):
     model = build_m0(case14)
-    res = model.solve()
+    res = model.backend.solve()
     assert res.status == "optimal"
     assert res.objective <= 8081.18 * (1 + 1e-6)
 
@@ -55,15 +55,16 @@ def test_case14_m0_is_valid_bound(case14):
 def test_zero_load_zero_cost():
     text = TWO_BUS.replace("2 1 0.5 0", "2 1 0 0")
     model = build_m0(parse_case(text))
-    res = model.solve()
+    res = model.backend.solve()
     assert res.objective == pytest.approx(0.0, abs=1e-8)
 
 
-def _solved_with(model, values):
-    model.solution = np.zeros(len(model.backend.objective))
+def _point(model, values):
+    """The point with `values` at their keys' columns and 0 elsewhere."""
+    y = np.zeros(len(model.backend.objective))
     for key, val in values.items():
-        model.solution[model.var_index[key]] = val
-    return model
+        y[model.var_index[key]] = val
+    return y
 
 
 def _triangle_model():
@@ -95,8 +96,7 @@ def test_clique_matrix_rank_one_point():
     for p in [(1, 2), (2, 3), (1, 3)]:
         vals[("c",) + p] = 1.0
         vals[("s",) + p] = 0.0
-    _solved_with(model, vals)
-    x = model.clique_matrix([(1, 2, 3)])[0]
+    x = model.clique_matrix(_point(model, vals), [(1, 2, 3)])[0]
     assert np.allclose(x, np.ones((3, 3)))
 
 
@@ -106,8 +106,7 @@ def test_clique_matrix_indefinite_point():
     for p, c in zip([(1, 2), (2, 3), (1, 3)], [1.0, 1.0, -1.0]):
         vals[("c",) + p] = c
         vals[("s",) + p] = 0.0
-    _solved_with(model, vals)
-    x = model.clique_matrix([(1, 2, 3)])[0]
+    x = model.clique_matrix(_point(model, vals), [(1, 2, 3)])[0]
     assert np.linalg.eigvalsh(x)[0] < -0.5
 
 
@@ -117,18 +116,18 @@ def test_clique_matrix_orientation():
     for p in [(1, 2), (2, 3), (1, 3)]:
         vals[("c",) + p] = 0.9
         vals[("s",) + p] = 0.1
-    _solved_with(model, vals)
-    fwd, rev = model.clique_matrix([(1, 2, 3), (3, 2, 1)])
+    fwd, rev = model.clique_matrix(_point(model, vals),
+                                   [(1, 2, 3), (3, 2, 1)])
     assert np.allclose(rev, fwd[::-1, ::-1].conj().T)
     assert np.allclose(rev, rev.conj().T)
 
 
 def test_clique_matrix_unknown_pair(case14):
     model = build_m0(case14)
-    model.solve()
+    y = model.backend.solve().primal
     # (1, 4) is not a branch pair and has no c/s columns
     with pytest.raises(ModelError):
-        model.clique_matrix([(1, 2, 4)])
+        model.clique_matrix(y, [(1, 2, 4)])
 
 
 def test_has_variable_truth_table(case14):
@@ -207,8 +206,7 @@ def test_gather_indices_follow_the_column_order(case14):
     second.extend_pairs([(1, 4), (1, 3)])
     cliques = [(1, 2, 3), (1, 2, 4)]
     for model in (first, second):
-        _solved_with(model, {})
-        model.clique_matrix(cliques)
+        model.clique_matrix(_point(model, {}), cliques)
     gathers = first.network.gathers
     mine, theirs = (gathers[m._added, tuple(cliques)]
                     for m in (first, second))
@@ -217,7 +215,7 @@ def test_gather_indices_follow_the_column_order(case14):
         == list(_reference_gather(second, cliques))
     size = len(gathers)
     with pytest.raises(ModelError):
-        first.clique_matrix([(1, 3, 6)])
+        first.clique_matrix(_point(first, {}), [(1, 3, 6)])
     assert len(gathers) == size
 
 
@@ -267,13 +265,13 @@ def _random_case_and_point(rng, n_bus):
         w = volts[pair[0]] * volts[pair[1]].conjugate()
         vals[("c",) + pair] = w.real
         vals[("s",) + pair] = w.imag
-    for idx, bkey in model.branch_keys.items():
+    for idx, bkey in model.network.branch_keys.items():
         s_f, s_t = flows[idx]
         vals[("P", bkey, "f")] = s_f.real
         vals[("Q", bkey, "f")] = s_f.imag
         vals[("P", bkey, "t")] = s_t.real
         vals[("Q", bkey, "t")] = s_t.imag
-    for idx, gkey in model.gen_keys.items():
+    for idx, gkey in model.network.gen_keys.items():
         g = case.generators[idx]
         p = 0.5 * (g.p_min + g.p_max)
         vals[("Pg", gkey)] = p
@@ -291,7 +289,7 @@ def test_m0_soundness_random_grids():
         x = np.zeros(len(lp.objective))
         for key, val in vals.items():
             x[model.var_index[key]] = val
-        model.solve()  # moves the queued rows into the row store
+        model.backend.solve()  # moves the queued rows into the row store
         excess = np.array([
             sum(w * x[j] for j, w in zip(lp.cols[lp.row_of == i],
                                          lp.vals[lp.row_of == i])) - rhs
@@ -308,7 +306,7 @@ def test_case14_base_rows_store_no_zero_and_no_id(case14):
     """Lossless branches give zero flow coefficients; none is stored, and
     every row of the base model is a base row, so it has no cut row."""
     model = build_m0(case14)
-    res = model.solve()
+    res = model.backend.solve()
     assert res.status == "optimal"
     lp = model.backend
     assert len(lp.vals) and np.all(lp.vals != 0.0)
@@ -319,32 +317,32 @@ def test_extend_pairs_preserves_columns(case14):
     model = build_m0(case14)
     before = dict(model.var_index)
     # t is minimized and only bounded below, so this row binds at the optimum
-    t_key = ("t", model.gen_keys[0])
+    t_key = ("t", model.network.gen_keys[0])
     model.add_cut_row(_cuts(({t_key: 1.0}, 100.0)))
     model.extend_pairs([(4, 6), (6, 9)])
     for key, idx in before.items():
         assert model.var_index[key] == idx
     assert ("c", 4, 6) in model.var_index
     assert len(model.backend.rhs) == model.backend.n_base + 1
-    res = model.solve()
+    res = model.backend.solve()
     assert res.status == "optimal"
     assert res.row_slack.tolist() == pytest.approx([0.0], abs=1e-9)
-    assert model.solution[model.var_index[t_key]] == pytest.approx(100.0)
+    assert res.primal[model.var_index[t_key]] == pytest.approx(100.0)
 
 
 def test_add_remove_cut_row(case14):
     model = build_m0(case14)
-    base = model.solve().objective
+    base = model.backend.solve().objective
     model.add_cut_row(_cuts(({("v2", 1): 1.0}, 1.1)))
     with pytest.raises(ModelError):  # a zero coefficient is still checked
         model.add_cut_row(_cuts(({("v2", 1): 1.0, ("v2", 999): 0.0}, 1.1)))
     n_base = model.backend.n_base
     assert len(model.backend.rhs) == n_base + 1
-    higher = model.solve().objective
+    higher = model.backend.solve().objective
     assert higher >= base - 1e-9
     model.remove_cut_row([0])
     assert len(model.backend.rhs) == model.backend.n_base == n_base
-    again = model.solve().objective
+    again = model.backend.solve().objective
     assert again == pytest.approx(base, abs=1e-6)
     with pytest.raises(LpBackendError):
         model.remove_cut_row([0])
@@ -358,11 +356,11 @@ def test_row_slack_matches_cut_violation(case14):
     cuts = pool.cuts.take(keep)
     assert len(cuts)
     model.add_cut_row(cuts)
-    res = model.solve()
+    res = model.backend.solve()
     assert res.status == "optimal"
     assert len(res.row_slack) == len(cuts)
     for slack, cut in zip(res.row_slack.tolist(), cuts):
-        values = {k: float(model.solution[model.var_index[k]])
+        values = {k: float(res.primal[model.var_index[k]])
                   for k in cut.terms}
         assert slack / cut.inf_norm \
             == pytest.approx(-cut.normalized_violation(values), abs=1e-9)
@@ -406,12 +404,11 @@ def two_tile(case14, tiler):
     return tiler.tile_case(case14, 2, 1)
 
 
-def _formula_rows(model):
-    """The base rows as the flow, balance and epigraph formulas give them,
-    one dict {key: coeff} per row: (terms, rhs, ge)."""
-    case = model.case
+def _formula_rows(case, model):
+    """The base rows of `case` as the flow, balance and epigraph formulas
+    give them, one dict {key: coeff} per row: (terms, rhs, ge)."""
     rows = []
-    for idx, bkey in model.branch_keys.items():
+    for idx, bkey in model.network.branch_keys.items():
         br = case.branches[idx]
         y_ff, y_ft, y_tf, y_tt = branch_admittance(br)
         pair = canonical_pair(br.from_bus, br.to_bus)
@@ -432,18 +429,18 @@ def _formula_rows(model):
         for flow, gen, shunt, load in (("P", "Pg", b.shunt_g, b.p_load),
                                        ("Q", "Qg", -b.shunt_b, b.q_load)):
             terms = {}
-            for idx, bkey in model.branch_keys.items():
+            for idx, bkey in model.network.branch_keys.items():
                 br = case.branches[idx]
                 if br.from_bus == b.id:
                     terms[(flow, bkey, "f")] = 1.0
                 if br.to_bus == b.id:
                     terms[(flow, bkey, "t")] = 1.0
             terms[("v2", b.id)] = shunt
-            for idx, gkey in model.gen_keys.items():
+            for idx, gkey in model.network.gen_keys.items():
                 if case.generators[idx].bus == b.id:
                     terms[(gen, gkey)] = -1.0
             rows.append((terms, -load, False))
-    for idx, gkey in model.gen_keys.items():
+    for idx, gkey in model.network.gen_keys.items():
         cost = case.generators[idx].cost
         g = case.generators[idx]
         anchors = [0.0] if cost.coefficients[0] == 0.0 else sorted(
@@ -463,7 +460,7 @@ def test_store_matches_the_formulas(which, request):
     case = request.getfixturevalue(which)
     model = build_m0(case)
     lp = model.backend
-    rows = _formula_rows(model)
+    rows = _formula_rows(case, model)
     assert len(lp.rhs) == len(rows)
     for i, (terms, rhs, ge) in enumerate(rows):
         kept = {k: w for k, w in terms.items() if w != 0.0}
@@ -479,7 +476,7 @@ def _snapshot(model):
     return (list(lp.columns.items()),
             [a.tobytes() for a in (lp.lower, lp.upper, lp.objective, lp.cols,
                                    lp.vals, lp.row_of, lp.rhs, lp.ge)],
-            dict(model.branch_keys), dict(model.gen_keys))
+            dict(model.network.branch_keys), dict(model.network.gen_keys))
 
 
 def _trajectory(case):
@@ -565,17 +562,17 @@ def test_shared_network_is_read_only_and_bounded(case14):
 
 # -- the tangent tables ----------------------------------------------------
 
-def _tangent_rows(model):
-    """The round's limit, then cost tangents, one by one from lookups of
-    the flow and generation keys: (terms, rhs, kind, provenance,
-    violation) rows."""
-    case, t = model.case, separation.VIOLATION_THRESHOLD
+def _tangent_rows(case, model, y):
+    """The round's limit, then cost tangents at the point `y`, one by one
+    from lookups of the flow and generation keys: (terms, rhs, kind,
+    provenance, violation) rows."""
+    t = separation.VIOLATION_THRESHOLD
 
     def value(key):
-        return float(model.solution[model.var_index[key]])
+        return float(y[model.var_index[key]])
 
     rows = []
-    for idx, bkey in model.branch_keys.items():
+    for idx, bkey in model.network.branch_keys.items():
         u = case.branches[idx].rate_a
         for d in ("f", "t") if u is not None else ():
             p, q = value(("P", bkey, d)), value(("Q", bkey, d))
@@ -583,7 +580,7 @@ def _tangent_rows(model):
             if norm and (norm - u) / max(abs(p), abs(q)) >= t:
                 rows.append(({("P", bkey, d): -p, ("Q", bkey, d): -q},
                              -u * norm, "limit", (bkey, d), norm - u))
-    for idx, gkey in model.gen_keys.items():
+    for idx, gkey in model.network.gen_keys.items():
         cost = case.generators[idx].cost
         if cost.kind != "polynomial" or cost.coefficients[0] == 0.0:
             continue
@@ -608,13 +605,14 @@ def test_tangents_from_the_tables_equal_the_key_lookups(two_tile,
     kinds = []
     separate = driver._separate
 
-    def checked(model, cliques):
-        net, y = model.network, model.solution
+    def checked(model, y, cliques):
+        net = model.network
         got = CutBlock.concat(separation.limit_cut(y, *net.limits),
                               separation.cost_cut(y, *net.costs))
-        assert _bits(got) == _bits(rows_block(_tangent_rows(model)))
+        assert _bits(got) == _bits(rows_block(_tangent_rows(two_tile, model,
+                                                            y)))
         kinds.extend(got.kind.tolist())
-        return separate(model, cliques)
+        return separate(model, y, cliques)
 
     monkeypatch.setattr(driver, "_separate", checked)
     report = cutplane(two_tile, RunConfig())
@@ -635,15 +633,15 @@ def test_tangent_tables_hold_the_limited_ends_and_quadratic_costs(case14):
     model = build_m0(case)
     net, at = model.network, model.var_index
     cols, rate, keys = net.limits
-    bkey = model.branch_keys[2]
+    bkey = net.branch_keys[2]
     assert keys.tolist() == [[("P", bkey, "f"), ("Q", bkey, "f")],
                              [("P", bkey, "t"), ("Q", bkey, "t")]]
     assert rate.tolist() == [1.5, 1.5]
     assert cols.tolist() == [[at[k] for k in row] for row in keys.tolist()]
     cols, coefficients, keys = net.costs
     quadratic = [2, 3, 4]
-    assert keys.tolist() == [[("Pg", model.gen_keys[i]),
-                              ("t", model.gen_keys[i])] for i in quadratic]
+    assert keys.tolist() == [[("Pg", net.gen_keys[i]),
+                              ("t", net.gen_keys[i])] for i in quadratic]
     assert coefficients.tolist() == [list(case.generators[i].cost.coefficients)
                                      for i in quadratic]
     assert cols.tolist() == [[at[k] for k in row] for row in keys.tolist()]
