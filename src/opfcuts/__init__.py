@@ -10,7 +10,7 @@ from .case_io import CaseData, parse_case, parse_case_file, perturb_loads
 from .cut_manager import CutPool, load_cuts, save_cuts
 from .driver import RunConfig, RunReport, cutplane, report_table
 from .errors import OpfCutsError
-from .hermitian import HermitianMatrix, eigen, psd_project, realify, w_to_x
+from .hermitian import eigen, psd_project, realify, w_to_x
 from .network import PairGraph, chordal_cliques, enumerate_three_cycles
 from .relaxation import RelaxationModel, build_m0
 from .theory import TheoryCheckResult, run_all
@@ -22,7 +22,7 @@ __all__ = [
     "CutPool", "load_cuts", "save_cuts",
     "RunConfig", "RunReport", "cutplane", "report_table",
     "OpfCutsError",
-    "HermitianMatrix", "eigen", "psd_project", "realify", "w_to_x",
+    "eigen", "psd_project", "realify", "w_to_x",
     "PairGraph", "chordal_cliques", "enumerate_three_cycles",
     "RelaxationModel", "build_m0",
     "TheoryCheckResult", "run_all",

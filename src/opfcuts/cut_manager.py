@@ -54,6 +54,10 @@ load: their records are read into the same block, so one path validates
 the cuts of every version.  A version 1 or 2 load then hashes its cuts in
 one batch and puts them in hash order, the order a version 3 file keeps,
 and gives a cut the letter of its hash.
+
+Every version starts with the header `{"fmt": "cutpool", "v": N}`, N a
+JSON integer 1, 2 or 3.  Any other header, `"v": true`, `1.0` or `"3"`
+among them, is an unsupported cut file header, at record 0.
 """
 
 from __future__ import annotations
@@ -406,8 +410,10 @@ def _load(stream, model):
         header = json.loads(stream.readline())
     except json.JSONDecodeError:
         raise CutFileError("missing or malformed cut file header", record=0)
-    if not isinstance(header, dict) or header.get("fmt") != "cutpool" \
-            or header.get("v") not in (1, 2, 3):
+    version = header.get("v") if isinstance(header, dict) else None
+    # an int, not a bool or a float that equals one
+    if type(version) is not int or version not in (1, 2, 3) \
+            or header.get("fmt") != "cutpool":
         raise CutFileError("unsupported cut file header %r" % (header,),
                            record=0)
 
@@ -415,7 +421,7 @@ def _load(stream, model):
         return CutFileError("malformed cut record %d (last good record %d)"
                             % (num, num - 1), record=num)
 
-    if header["v"] == 3:
+    if version == 3:
         text = stream.read()  # a decode error is no malformed record
         try:
             keys, cuts, basis = _read_v3(text)
@@ -423,7 +429,7 @@ def _load(stream, model):
             raise malformed(1)
         records, stop = None, None
     else:
-        keys, cuts, basis, records, stop = _read_lines(stream, header["v"])
+        keys, cuts, basis, records, stop = _read_lines(stream, version)
     first, norms = _first_bad_cut(cuts, len(keys))
     if first is not None:
         raise malformed(1 if records is None else records[first])
@@ -431,7 +437,7 @@ def _load(stream, model):
         raise malformed(stop)
 
     cuts = replace(cuts, keys=np.fromiter(keys, object)[cuts.keys], norm=norms)
-    if header["v"] != 3:  # the cuts in hash order, as version 3 keeps them
+    if version != 3:  # the cuts in hash order, as version 3 keeps them
         hashes = cut_hashes(cuts)
         cuts = cuts.take(sorted(range(len(cuts)), key=hashes.__getitem__))
         if basis is not None:

@@ -1,14 +1,16 @@
 """Small dense Hermitian kernel: eigendecomposition, PSD tools, realification.
 
-Eigenpairs come straight from LAPACK's Hermitian solver on the complex
-matrix.  `eigen` takes a HermitianMatrix or a Hermitian stack (M, n, n), and
-`psd_cutoff` takes an array or a stack.  Separation passes only stacks: one
-`eigen` call, one `np.linalg.eigh`, serves all M matrices and gives each
-the bits of a call of its own, so the benchmark's `hermitian.eigen_calls`
-counts stacks, not matrices.  The 2n x 2n real realification L(X) and its
-inverse map from W are kept as references for the structural checks.  All
-tolerances scale with max(1, trace) or the Frobenius norm so they remain
-meaningful on per-unit data.
+The module has no matrix type: every function takes plain NumPy arrays,
+and a Hermitian matrix is a complex (n, n) array.  Eigenpairs come
+straight from LAPACK's Hermitian solver, which reads only the lower
+triangle: `eigen` and `psd_cutoff` take an (n, n) array or a stack
+(M, n, n).  Separation passes only stacks: one `eigen` call, one
+`np.linalg.eigh`, serves all M matrices and gives each the bits of a call
+of its own, so the benchmark's `hermitian.eigen_calls` counts stacks, not
+matrices.  The 2n x 2n real realification L(X) and its inverse map from W
+are kept as references for the structural checks.  All tolerances scale
+with max(1, trace) or the Frobenius norm so they remain meaningful on
+per-unit data.
 """
 
 from __future__ import annotations
@@ -16,26 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Dense Hermitian matrix; diagonal imaginary parts forced to zero."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix required")
-        # symmetrize: keeps Hermitian structure exact by storage
-        h = 0.5 * (a + a.conj().T)
-        np.fill_diagonal(h, h.diagonal().real)
-        object.__setattr__(self, "mat", h)
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
 
 
 def psd_cutoff(mats: np.ndarray, tol: float):
@@ -57,7 +39,7 @@ def realify(x) -> np.ndarray:
     For Hermitian input the result is real symmetric; the same block formula
     extends to general complex matrices (used by the rank identity checks).
     """
-    m = x.mat if isinstance(x, HermitianMatrix) else np.asarray(x, dtype=complex)
+    m = np.asarray(x, dtype=complex)
     re, im = m.real, m.imag
     top = np.hstack([re, -im])
     bot = np.hstack([im, re])
@@ -65,26 +47,20 @@ def realify(x) -> np.ndarray:
 
 
 def eigen(x) -> EigenDecomposition:
-    """Eigendecomposition of a HermitianMatrix or of a Hermitian stack
-    (M, n, n) by LAPACK, eigenvalues nonincreasing."""
-    vals, vecs = np.linalg.eigh(x.mat if isinstance(x, HermitianMatrix)
-                                else x)
+    """Eigendecomposition of a Hermitian (n, n) array or stack (M, n, n) by
+    LAPACK, eigenvalues nonincreasing."""
+    vals, vecs = np.linalg.eigh(x)
     return EigenDecomposition(eigenvalues=vals[..., ::-1],
                               eigenvectors=vecs[..., ::-1])
 
 
-def psd_project(x: HermitianMatrix) -> HermitianMatrix:
+def psd_project(x) -> np.ndarray:
     """Euclidean projection onto the PSD cone: keep the positive spectrum."""
-    dec = eigen(x)
-    n = x.n
-    out = np.zeros((n, n), dtype=complex)
-    for lam, q in zip(dec.eigenvalues, dec.eigenvectors.T):
-        if lam > 0:
-            out += lam * np.outer(q, q.conj())
-    return HermitianMatrix(out)
+    lam, q = np.linalg.eigh(x)
+    return (q * np.maximum(lam, 0.0)) @ q.conj().T
 
 
-def w_to_x(w: np.ndarray) -> HermitianMatrix:
+def w_to_x(w: np.ndarray) -> np.ndarray:
     """Map a real symmetric 2n x 2n matrix to its associated Hermitian matrix.
 
     With k' = k + n:  X_kk = W_kk + W_k'k',  Re X_km = W_km + W_k'm',
@@ -100,16 +76,16 @@ def w_to_x(w: np.ndarray) -> HermitianMatrix:
     b = w[:n, n:]  # rows k, cols m'
     re = a + d
     im = b.T - b   # Im X_km = W_mk' - W_km' = b[m,k] - b[k,m]
-    return HermitianMatrix(re + 1j * im)
+    return re + 1j * im
 
 
 def rank_of(x, tol: float) -> int:
     """Numerical rank: the count of singular values above
-    tol * max(1, Frobenius norm), of a HermitianMatrix or any array; for a
-    Hermitian matrix they are the absolute eigenvalues."""
-    if tol <= 0:
+    tol * max(1, Frobenius norm) of any array; for a Hermitian matrix they
+    are the absolute eigenvalues."""
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    a = x.mat if isinstance(x, HermitianMatrix) else np.asarray(x)
+    a = np.asarray(x)
     scale = max(1.0, float(np.linalg.norm(a)))
     return int(np.count_nonzero(np.linalg.svd(a, compute_uv=False)
                                 > tol * scale))

@@ -9,12 +9,13 @@ import numpy as np
 from opfcuts.case_io import parse_case_file, perturb_loads
 from opfcuts.cut_manager import load_cuts, save_cuts
 from opfcuts.driver import RunConfig, cutplane
-from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff, psd_project
+from opfcuts.hermitian import eigen, psd_cutoff, psd_project
 from opfcuts.network import PairGraph, enumerate_three_cycles
 from opfcuts.relaxation import build_m0
 from opfcuts.separation import PSD_TOL, eigen_cut, projection_cut
 from opfcuts.theory import (check_permuted_jabr, check_rank_lemma,
                             check_psd_transfer)
+from test_hermitian import hermitian
 
 # the upper edge of the accepted case14 bound band, not an AC value:
 # case14 has an AC-feasible point at 8081.5263
@@ -135,9 +136,9 @@ def test_criterion_07_robustness(capsys):
             e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             e = e + e.conj().T
             e *= 0.5 * eps / np.linalg.norm(e, 2)
-            x = HermitianMatrix(np.outer(v, v.conj()) + e)
-            assert np.linalg.eigvalsh(x.mat)[0] > -eps
-            dist = float(np.linalg.norm(psd_project(x).mat - x.mat))
+            x = hermitian(np.outer(v, v.conj()) + e)
+            assert np.linalg.eigvalsh(x)[0] > -eps
+            dist = float(np.linalg.norm(psd_project(x) - x))
             worst_ratio = max(worst_ratio, dist / (math.sqrt(2.0) * eps))
     ok = worst_ratio <= 1.0
     _report(capsys, 7, ok,

@@ -290,3 +290,28 @@ def test_pwl_cost_supports():
         assert math.isfinite(slope) and math.isfinite(intercept)
     # first segment: slope 2 through origin
     assert sup[0][0] == pytest.approx(2.0)
+
+
+def test_pwl_gencost_parses_per_unit(case14_pwl):
+    """A model 1 gencost row gives its breakpoints with power per unit."""
+    cost = case14_pwl.generators[0].cost
+    assert cost.kind == "pwl"
+    assert cost.breakpoints == ((0.0, 0.0), (1.0, 2500.0), (3.4, 12000.0))
+
+
+def test_pwl_cost_value(case14_pwl):
+    """The value is the breakpoint's cost at a breakpoint and the segment's
+    line between two."""
+    cost = case14_pwl.generators[0].cost
+    assert cost.value(0.0) == 0.0
+    assert cost.value(1.0) == 2500.0
+    assert cost.value(3.4) == pytest.approx(12000.0, rel=1e-12)
+    assert cost.value(0.5) == 1250.0
+    assert cost.value(2.2) == pytest.approx(2500.0 + 9500.0 / 2.4 * 1.2,
+                                            rel=1e-12)
+
+
+def test_pwl_serialize_round_trip(case14_pwl):
+    again = parse_case(serialize_case(case14_pwl), name=case14_pwl.name)
+    assert again.generators[0].cost == case14_pwl.generators[0].cost
+    assert again == case14_pwl

@@ -248,6 +248,20 @@ def test_load_bad_header():
         load_cuts(io.StringIO('["cutpool", 2]\n'), _FakeModel([]))
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", "3.0", '"3"'])
+def test_load_rejects_a_version_that_is_no_integer(version):
+    """The header's version is a JSON integer: true and 1.0 equal 1 in
+    Python and 3.0 equals 3, but each is an unsupported header, at record
+    0, before any cut record is read."""
+    text = ('{"fmt": "cutpool", "v": %s}\n'
+            '{"kind": "eigen", "support": [1, 2], '
+            '"terms": [[["v2", 1], 1.0]], "rhs": 0.0}\n' % version)
+    with pytest.raises(CutFileError,
+                       match="unsupported cut file header") as info:
+        load_cuts(io.StringIO(text), _FakeModel([("v2", 1)]))
+    assert info.value.record == 0
+
+
 def test_load_malformed_record_reports_position():
     text = ('{"fmt": "cutpool", "v": 1}\n'
             '{"kind": "eigen", "support": [1, 2], '

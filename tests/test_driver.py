@@ -120,6 +120,27 @@ def test_cold_run_shape(cold_report):
     assert math.isfinite(cold_report.best_bound)
 
 
+def test_pwl_cost_cold_run(case14_pwl, monkeypatch):
+    """A cold run on a case with a pwl cost ends with a finite certified
+    bound, and no cost tangent names the pwl generator: its epigraph is
+    exact in the base model."""
+    gkey = build_m0(case14_pwl).network.gen_keys[0]
+    named = []
+    separate = driver._separate
+
+    def watched(model, y, cliques):
+        cuts = separate(model, y, cliques)
+        tangents = cuts.take(cuts.kind == "cost_tangent")
+        named.extend(tangents.naming(lambda key: key[1:] == (gkey,)))
+        return cuts
+
+    monkeypatch.setattr(driver, "_separate", watched)
+    report = cutplane(case14_pwl, RunConfig())
+    assert report.termination == "no_cuts"
+    assert report.best_bound == pytest.approx(8640.8192, rel=1e-6)
+    assert len(named) and not any(named)
+
+
 def test_best_bound_is_max_over_rounds(cold_report):
     assert cold_report.best_bound == max(st.bound for st in cold_report.rounds)
     for st in cold_report.rounds:

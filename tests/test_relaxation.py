@@ -471,6 +471,24 @@ def test_store_matches_the_formulas(which, request):
         assert (lp.rhs[i], lp.ge[i]) == (rhs, ge)
 
 
+def test_pwl_epigraph_rows_are_its_segment_supports(case14_pwl):
+    """A pwl cost's epigraph rows t - slope Pg >= intercept are its
+    segment supports, in order."""
+    model = build_m0(case14_pwl)
+    lp, gkey = model.backend, model.network.gen_keys[0]
+    t_col = model.var_index[("t", gkey)]
+    pg_col = model.var_index[("Pg", gkey)]
+    rows = np.unique(lp.row_of[lp.cols == t_col])
+    got = []
+    for i in rows:
+        entries = lp.row_of == i
+        assert lp.ge[i]
+        assert lp.cols[entries].tolist() == [t_col, pg_col]
+        assert lp.vals[entries][0] == 1.0
+        got.append((-lp.vals[entries][1], lp.rhs[i]))
+    assert got == case14_pwl.generators[0].cost.segment_supports()
+
+
 def _snapshot(model):
     lp = model.backend
     return (list(lp.columns.items()),

@@ -7,11 +7,12 @@ import pytest
 from opfcuts import cut_manager, separation
 from opfcuts.case_io import CostFunction, Generator
 from opfcuts.cut_manager import cut_hashes
-from opfcuts.hermitian import HermitianMatrix, eigen, psd_cutoff
+from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.network import canonical_pair
 from opfcuts.separation import (COSINE_BOUND, PSD_TOL, VIOLATION_THRESHOLD,
                                 CutBlock, clique_cuts, cost_cut, eigen_cut,
                                 jabr_cut, limit_cut, projection_cut)
+from test_hermitian import hermitian
 
 
 def rows_block(rows):
@@ -62,7 +63,7 @@ def _cosine(a, b) -> float:
 
 def _one(cut_fn, x, clique):
     """`cut_fn`'s cut of the one-matrix stack of x, or None."""
-    x = np.asarray(x.mat if isinstance(x, HermitianMatrix) else x)[None]
+    x = np.asarray(x)[None]
     cuts = cut_fn(eigen(x), psd_cutoff(x, PSD_TOL), [clique])
     assert len(cuts) <= 1
     return cuts[0] if cuts else None
@@ -70,8 +71,8 @@ def _one(cut_fn, x, clique):
 
 def _jabr(v2_k, v2_m, c, s, pair):
     """jabr_cut on the one-pair stack of [[v2_k, c + js], [c - js, v2_m]]."""
-    x = HermitianMatrix(np.array([[v2_k, c + 1j * s], [c - 1j * s, v2_m]]))
-    return jabr_cut(x.mat[None], [pair])
+    x = hermitian(np.array([[v2_k, c + 1j * s], [c - 1j * s, v2_m]]))
+    return jabr_cut(x[None], [pair])
 
 
 def _values_for(x0, clique):
@@ -91,7 +92,7 @@ def _values_for(x0, clique):
 
 
 def test_eigen_cut_hand_example():
-    x0 = HermitianMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
+    x0 = hermitian(np.array([[0.5, 1.0], [1.0, 0.5]]))
     cut = _one(eigen_cut, x0, (1, 2))
     assert cut.kind == "eigen"
     assert cut.violation_at_birth == pytest.approx(0.5)
@@ -103,7 +104,7 @@ def test_eigen_cut_hand_example():
 
 def test_eigen_cut_psd_returns_none():
     assert _one(eigen_cut, np.eye(3), (1, 2, 3)) is None
-    near = HermitianMatrix(np.diag([1.0, 1e-12]))
+    near = hermitian(np.diag([1.0, 1e-12]))
     assert _one(eigen_cut, near, (1, 2)) is None
 
 
@@ -118,8 +119,8 @@ def test_projection_cut_single_negative_collinear():
     rng = np.random.default_rng(20)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(a)
-    x0 = HermitianMatrix(q @ np.diag([5.0, 2.0, -1.0]) @ q.conj().T)
-    vals = np.linalg.eigvalsh(x0.mat)
+    x0 = hermitian(q @ np.diag([5.0, 2.0, -1.0]) @ q.conj().T)
+    vals = np.linalg.eigvalsh(x0)
     e = _one(eigen_cut, x0, (1, 2, 3))
     p = _one(projection_cut, x0, (1, 2, 3))
     ratio = p.terms[("v2", 1)] / e.terms[("v2", 1)]
@@ -149,7 +150,7 @@ def test_clique_cuts_leave_out_parallel_projection_cut(second, kinds):
     rng = np.random.default_rng(25)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(a)
-    x = HermitianMatrix(q @ np.diag([1.0, -second, -0.1]) @ q.conj().T).mat
+    x = hermitian(q @ np.diag([1.0, -second, -0.1]) @ q.conj().T)
     cuts = clique_cuts(x[None], [(1, 2, 3)])
     assert [cut.kind for cut in cuts] == kinds
     proj = _one(projection_cut, x, (1, 2, 3))
@@ -164,7 +165,7 @@ def test_more_violated_projection_cut_replaces_its_eigen_cut():
     rng = np.random.default_rng(25)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(a)
-    x = HermitianMatrix(q @ np.diag([1.0, -1e-5, -2.0]) @ q.conj().T).mat
+    x = hermitian(q @ np.diag([1.0, -1e-5, -2.0]) @ q.conj().T)
     [cut] = clique_cuts(x[None], [(1, 2, 3)])
     proj = _one(projection_cut, x, (1, 2, 3))
     eig = _one(eigen_cut, x, (1, 2, 3))
@@ -317,11 +318,11 @@ def test_dense_clique_cuts(n):
     """A violated 4- or 5-clique yields its dense eigen cut: n^2 terms."""
     rng = np.random.default_rng(23)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x0 = HermitianMatrix(-np.outer(v, v.conj()))
+    x0 = hermitian(-np.outer(v, v.conj()))
     clique = tuple(range(1, n + 1))
     cut = _one(eigen_cut, x0, clique)
     assert cut is not None and len(cut.terms) == n * n
-    [got] = clique_cuts(x0.mat[None], [clique])
+    [got] = clique_cuts(x0[None], [clique])
     _assert_same_cut(got, cut)
     assert _one(projection_cut, x0, clique) is not None
 
@@ -344,7 +345,7 @@ def _with_negatives(rng, n, neg):
     q, _ = np.linalg.qr(a)
     lam = np.concatenate([rng.uniform(0.2, 2.0, n - neg),
                           -rng.uniform(0.05, 1.0, neg)])
-    return HermitianMatrix(q @ np.diag(lam) @ q.conj().T).mat
+    return hermitian(q @ np.diag(lam) @ q.conj().T)
 
 
 def _assert_same_cut(got, want):

@@ -1,11 +1,12 @@
 import numpy as np
 
-from opfcuts.hermitian import HermitianMatrix, realify, w_to_x
+from opfcuts.hermitian import realify, w_to_x
 from opfcuts.theory import (TheoryCheckResult, _jabr_forms, _random_complex,
                             check_feasibility_transfer,
                             check_no_orthogonal_similarity,
                             check_permuted_jabr, check_rank_lemma,
                             check_psd_transfer, run_all)
+from test_hermitian import hermitian
 
 
 def test_result_passed_logic():
@@ -22,11 +23,11 @@ def test_random_complex_plants_rank():
 
 def test_psd_transfer_named_examples():
     # the zero matrix and any realified Hermitian PSD matrix map inside
-    assert np.allclose(w_to_x(np.zeros((6, 6))).mat, 0.0)
+    assert np.allclose(w_to_x(np.zeros((6, 6))), 0.0)
     v = np.array([1.0 + 2.0j, -1.0j, 0.5])
-    x = HermitianMatrix(np.outer(v, v.conj()))
+    x = hermitian(np.outer(v, v.conj()))
     mapped = w_to_x(realify(x))
-    assert np.linalg.eigvalsh(mapped.mat)[0] >= -1e-12
+    assert np.linalg.eigvalsh(mapped)[0] >= -1e-12
 
 
 def test_jabr_forms_identity():
@@ -37,7 +38,7 @@ def test_jabr_forms_identity():
 
 def test_similarity_counterexample_n1():
     # L(vv*) for unit complex v has spectrum {1, 1}; rank-one W has {1, 0}
-    x = HermitianMatrix(np.array([[1.0 + 0j]]))
+    x = hermitian(np.array([[1.0 + 0j]]))
     spec = np.sort(np.linalg.eigvalsh(realify(x)))
     assert np.allclose(spec, [1.0, 1.0])
 
