@@ -131,8 +131,8 @@ def admit(pool: CutPool, candidates: CutBlock) -> CutBlock:
     n = len(candidates)
     if not n:
         return candidates
-    admitted = candidates.take(np.argsort(-candidates.violation,
-                                          kind="stable"))
+    admitted = candidates.take((-candidates.violation).argsort(
+        kind="stable"))
     pool.cuts = CutBlock.concat(pool.cuts, admitted)
     pool.ages = np.concatenate((pool.ages, np.zeros(n, int)))
     basis = pool.basis
@@ -154,7 +154,7 @@ def age_and_drop(pool: CutPool, slacks: np.ndarray) -> np.ndarray:
         raise ValueError("%d slacks for %d cuts" % (len(slacks), len(pool)))
     ages = np.where(slacks / pool.cuts.norm < EPS_SLACK, 0, pool.ages + 1)
     keep = ages < T_AGE
-    dropped = np.flatnonzero(~keep)
+    dropped = (~keep).nonzero()[0]
     if len(dropped):
         pool.cuts, pool.basis = pool.cuts.take(keep), _picked(pool.basis, keep)
     pool.ages = ages[keep]

@@ -41,9 +41,18 @@ gave it, turned into letters only when read.
 
 `_separate` and the final eigenvalue ratio read the PSD matrices at the
 kept point as stacks from `RelaxationModel.clique_matrix`: one for the
-pairs and one per clique size, each with one `eigen` call.  The tangents
-come from the kept point and the compiled network's tangent tables, so
-`_separate` builds no variable key.
+pairs and one per clique size, each with one `eigen` call, and map them
+to cuts by each stack's `RelaxationModel.stack_plan`.  `_separate`
+returns the round's cuts as one block, concatenated once per column in
+family order (Jabr, limit, cost, then each clique size), with the
+eigenvalues of its clique stacks.  A run that ends `no_cuts` ends where
+its last separation ran, at the same point on the same cliques, so its
+eigenvalue ratio comes from those eigenvalues; the other endings
+decompose the stacks again at the last point.  The tangents come from
+the kept point and the compiled network's tangent tables, so `_separate`
+builds no variable key.  The warm injection walks the pool's distinct
+keys once: the walk that finds the cuts to skip also collects the pairs
+the model still lacks.
 """
 
 from __future__ import annotations
@@ -144,15 +153,18 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     escalated = warm is not None
     if warm is not None:
         cliques = _escalate(model, cliques, config)
-        skip = warm.cuts.naming(lambda key: not model.has_variable(key))
-        warm = warm.take(~skip)
-        pool = CutPool(warm.cuts)
-        model.extend_pairs(sorted({key[1:] for key in pool.cuts.keys.tolist()
-                                   if key not in model.var_index}))
-        model.add_cut_row(pool.cuts)
+        known = {}  # per distinct key, whether the model has or can add it
+        skip = warm.cuts.naming(
+            lambda key: not known.setdefault(key, model.has_variable(key)))
         if skip.any():
+            warm = warm.take(~skip)
+            known = dict.fromkeys(warm.cuts.keys.tolist())
             log.info("warm start: skipped %d cuts with unknown variables",
                      skip.sum())
+        pool = CutPool(warm.cuts)
+        model.extend_pairs(sorted({key[1:] for key in known
+                                   if key not in model.var_index}))
+        model.add_cut_row(pool.cuts)
         if warm.basis is not None:
             # a refused basis costs only the iterations it would have saved
             refused = model.backend.start_basis(warm.basis)
@@ -204,7 +216,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
             _log_round(stats, res, pool, model)
             break
 
-        candidates = _separate(model, y, cliques)
+        candidates, spectra = _separate(model, y, cliques)
         dropped = age_and_drop(pool, res.row_slack)
         model.remove_cut_row(dropped)
         admitted = admit(pool, candidates)
@@ -234,9 +246,15 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     report.total_time = time.perf_counter() - t_start
     report.final_clique_counts = cliques.sizes()
     if last is not None:
-        res, solved = last
+        res, final = last
         report.dual_inf = res.dual_infeasibility
-        report.eig_ratio = _final_eig_ratio(model, y, solved)
+        # a run out of cuts ended at the point and on the cliques of its
+        # last separation, whose eigenpairs `spectra` holds
+        if termination != "no_cuts":
+            spectra = [eigen(model.clique_matrix(y, g)) for g in final.by_size]
+        report.eig_ratio = min((float(np.min(d.eigenvalues[:, 0] / np.maximum(
+            d.eigenvalues[:, 1], EIG_RATIO_FLOOR))) for d in spectra),
+            default=math.inf)
     report.pool = pool
     return report
 
@@ -260,27 +278,20 @@ def _escalate(model, cliques, config: RunConfig):
     return cliques.merged_with(extra)
 
 
-def _separate(model, y, cliques) -> CutBlock:
+def _separate(model, y, cliques):
+    """The round's cuts at the point `y`, as one block, and the eigenpairs
+    of each clique stack, by size."""
     pairs = model.cs_pairs()
-    blocks = [separation.jabr_cut(model.clique_matrix(y, pairs), pairs)] \
-        if pairs else []
+    blocks = [separation.jabr_cut(model.clique_matrix(y, pairs),
+                                  model.stack_plan(pairs))] if pairs else []
     net = model.network
     blocks += [separation.limit_cut(y, *net.limits),
                separation.cost_cut(y, *net.costs)]
-
-    for group in cliques.by_size:
-        blocks.append(separation.clique_cuts(model.clique_matrix(y, group),
-                                             group))
-    return CutBlock.concat(*blocks)
-
-
-def _final_eig_ratio(model, y, cliques) -> float:
-    ratio = math.inf
-    for group in cliques.by_size:
-        vals = eigen(model.clique_matrix(y, group)).eigenvalues
-        ratio = min(ratio, float(np.min(
-            vals[:, 0] / np.maximum(vals[:, 1], EIG_RATIO_FLOOR))))
-    return ratio
+    stacks = [model.clique_matrix(y, group) for group in cliques.by_size]
+    spectra = list(map(eigen, stacks))
+    blocks += map(separation.clique_cuts, stacks,
+                  map(model.stack_plan, cliques.by_size), spectra)
+    return CutBlock.concat(*blocks), spectra
 
 
 # -- reporting ------------------------------------------------------------

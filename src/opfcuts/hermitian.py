@@ -40,10 +40,7 @@ def realify(x) -> np.ndarray:
     extends to general complex matrices (used by the rank identity checks).
     """
     m = np.asarray(x, dtype=complex)
-    re, im = m.real, m.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 def eigen(x) -> EigenDecomposition:

@@ -55,13 +55,20 @@ is the weak-duality bound of the returned multipliers over the rows as
 built, or -inf when they need a reduced-cost repair above `CERTIFY_TOL`.
 HiGHS silently drops matrix entries of magnitude at most 1e-9; the store
 keeps them, so the certificate covers them too.  The primal objective and
-the primal residual are reported but never certify anything.
+the primal residual are reported but never certify anything.  The
+certificate takes one pass for the reduced costs (one `bincount` over the
+store) and one for the absorbed terms: each reduced cost times the bound
+its sign picks, 0 at a zero reduced cost.  Only when their sum is not
+finite, that is when an infinite bound meets a nonzero reduced cost, does
+it find those columns, clip them and measure the dual infeasibility.  The
+residual and the cut rows' slacks share one `bincount` of a.x.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -201,8 +208,8 @@ class ScipyHighsBackend:
             self.n_base += k
         self.cols = np.concatenate((self.cols, cols))
         self.vals = np.concatenate((self.vals, vals))
-        self.row_of = np.concatenate((self.row_of, np.repeat(
-            np.arange(n, n + k), sizes)))
+        self.row_of = np.concatenate((self.row_of,
+                                      np.arange(n, n + k).repeat(sizes)))
         self.rhs = np.concatenate((self.rhs, rhs))
         self.ge = np.concatenate((self.ge, ge))
 
@@ -218,11 +225,11 @@ class ScipyHighsBackend:
                                  % positions[int(np.argmax(bad))])
         keep = np.ones(len(self.rhs), bool)
         keep[rows] = False
-        entries, new_row = keep[self.row_of], np.cumsum(keep) - 1
+        entries, new_row = keep[self.row_of], keep.cumsum() - 1
         self.cols, self.vals = self.cols[entries], self.vals[entries]
         self.row_of = new_row[self.row_of[entries]]
         self.rhs, self.ge = self.rhs[keep], self.ge[keep]
-        gone = np.flatnonzero(~keep[:self._n_loaded]).astype(np.int32)
+        gone = (~keep[:self._n_loaded]).nonzero()[0].astype(np.int32)
         if len(gone):
             _check(self._highs.deleteRows(len(gone), gone), "deleteRows")
             self._n_loaded -= len(gone)
@@ -288,37 +295,30 @@ class ScipyHighsBackend:
                 "time_limit")
         status = linprog(highs)
         iterations = highs.getInfoValue("simplex_iteration_count")[1]
+        n_row = len(self.rhs)
+        row_slack = np.zeros(n_row - self.n_base)
+        if status != "optimal":
+            return LpSolveResult(status, None, None, None, row_slack=row_slack,
+                                 iterations=iterations)
         sol = highs.getSolution()
-        lower, upper, ge, b = self.lower, self.upper, self.ge, self.rhs
-        if status == "optimal":
-            dual_bound, dual_inf = _safe_dual_bound(
-                self.objective, lower, upper, self.cols, self.vals,
-                self.row_of, b, ge, np.asarray(sol.row_dual))
-        else:
-            dual_bound, dual_inf = -np.inf, None
+        dual_bound, dual_inf = _safe_dual_bound(
+            self.objective, self.lower, self.upper, self.cols, self.vals,
+            self.row_of, self.rhs, self.ge,
+            np.fromiter(sol.row_dual, float, n_row))
         primal, residual = None, 0.0
-        row_slack = np.zeros(len(b) - self.n_base)
-        if status == "optimal" and sol.value_valid:
+        if sol.value_valid:
             # observed only: on ill-conditioned instances HiGHS can report
             # an infeasible point as optimal; the bound never rests on it
-            primal = np.asarray(sol.col_value)
+            primal = np.fromiter(sol.col_value, float, len(self.objective))
             excess = np.bincount(self.row_of, self.vals * primal[self.cols],
-                                 len(b)) - b
+                                 n_row) - self.rhs
             row_slack = excess[self.n_base:]
-            residual = max(float(np.abs(excess[~ge]).max(initial=0.0)),
-                           float((-excess[ge]).max(initial=0.0)),
-                           float((lower - primal).max(initial=0.0)),
-                           float((primal - upper).max(initial=0.0)))
-        return LpSolveResult(
-            status=status,
-            objective=highs.getObjectiveValue()
-            if status == "optimal" else None,
-            primal=primal,
-            dual_infeasibility=dual_inf,
-            primal_residual=residual,
-            dual_bound=dual_bound,
-            row_slack=row_slack,
-            iterations=iterations)
+            residual = float(np.maximum.reduce(np.concatenate((
+                np.where(self.ge, -excess, np.abs(excess)),
+                self.lower - primal, primal - self.upper)), initial=0.0))
+        return LpSolveResult(status, highs.getObjectiveValue(), primal,
+                             dual_inf, residual, dual_bound, row_slack,
+                             iterations)
 
     def _sync(self):
         """Hand the persistent HiGHS model the columns and rows added since
@@ -344,7 +344,7 @@ class ScipyHighsBackend:
                 0, none_i, none_i, none_f), "addCols")
         first, n_row = self._n_loaded, len(self.rhs)
         if n_row > first:
-            starts = np.searchsorted(self.row_of, np.arange(first, n_row))
+            starts = self.row_of.searchsorted(np.arange(first, n_row))
             rhs = self.rhs[first:]
             _check(highs.addRows(
                 n_row - first, rhs, np.where(self.ge[first:], np.inf, rhs),
@@ -389,19 +389,22 @@ def _safe_dual_bound(objective, lower, upper, cols, vals, row_of, b, ge, y):
     Reduced costs on unbounded coordinates cannot be
     absorbed and are clipped; their magnitude is the dual infeasibility.
     A repair above `CERTIFY_TOL` certifies nothing, and the bound is -inf.
+    A zero reduced cost absorbs 0 at either bound, so only a nonzero one
+    at an infinite bound makes a product, and the sum, infinite.
     """
     y = np.where(ge, np.maximum(y, 0.0), y)
-    bound = float(y @ b)
     rc = objective - np.bincount(cols, vals * y[row_of], len(objective))
-    pos, neg = rc > 0.0, rc < 0.0
-    absorbed = np.zeros_like(rc)
-    absorbed[pos] = np.where(np.isfinite(lower[pos]),
-                             rc[pos] * lower[pos], np.nan)
-    absorbed[neg] = np.where(np.isfinite(upper[neg]),
-                             rc[neg] * upper[neg], np.nan)
-    clipped = np.isnan(absorbed)
-    dual_inf = float(np.abs(rc[clipped]).max()) if clipped.any() else 0.0
-    if dual_inf > CERTIFY_TOL:
-        return -np.inf, dual_inf
-    absorbed[clipped] = 0.0
-    return bound + float(absorbed.sum()), dual_inf
+    # each column at the bound its reduced cost's sign picks, so that
+    # only an infinite bound there makes a product infinite
+    absorbed = rc * np.where(rc > 0.0, lower,
+                             np.where(rc < 0.0, upper, 0.0))
+    total = float(absorbed.sum())
+    dual_inf = 0.0
+    if not math.isfinite(total):
+        clipped = ~np.isfinite(absorbed)
+        dual_inf = float(np.abs(rc[clipped]).max())
+        if dual_inf > CERTIFY_TOL:
+            return -np.inf, dual_inf
+        absorbed[clipped] = 0.0
+        total = float(absorbed.sum())
+    return float(y @ b) + total, dual_inf

@@ -46,7 +46,10 @@ the point.  `clique_matrix(y, tuples)` gathers the matrices at the point
 index arrays that the compiled network caches per list of bus tuples and
 per sequence of pairs its models added: models that added the same pairs in
 the same order have the same columns, so the load instances of a network
-share them.
+share them.  Beside them the compiled network keeps, per list of bus
+tuples, its `separation.StackPlan` (`stack_plan`), which maps the list's
+coefficient stacks to cuts.  `cs_pairs` returns the sorted pairs as a
+tuple that `extend_pairs` keeps up to date.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .case_io import Bus, CaseData
 from .errors import ModelError
 from .lp_backend import ScipyHighsBackend
 from .network import CliqueSet, PairGraph, branch_admittance, canonical_pair
-from .separation import CutBlock
+from .separation import CutBlock, StackPlan
 
 INF = math.inf
 NETWORKS_KEPT = 8  # compiled networks that `compile_network` keeps
@@ -98,6 +101,8 @@ class CompiledNetwork:
     _cliques: dict = field(default_factory=dict, init=False, repr=False)
     # (pairs the model added, bus-tuple list) -> clique_matrix index arrays
     gathers: dict = field(default_factory=dict, init=False, repr=False)
+    # bus-tuple list -> its separation.StackPlan
+    plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def cliques(self, find, *args) -> CliqueSet:
         """`find(self.pairs, *args)`, computed once: a clique set depends
@@ -273,6 +278,7 @@ class RelaxationModel:
         self.backend = ScipyHighsBackend()
         self.var_index = self.backend.columns  # the backend's, not a copy
         self._added = ()  # the pairs extend_pairs added, in column order
+        self._pairs = net.pairs.edges  # every pair with columns, sorted
         self.backend.add_columns(net.keys, net.lower, net.upper,
                                  net.objective)
         rhs = net.rhs.copy()
@@ -296,10 +302,11 @@ class RelaxationModel:
             keys = [(kind,) + p for p in pairs for kind in "cs"]
             self.backend.add_columns(keys, -u, u, np.zeros(len(keys)))
             self._added += tuple(pairs)
+            self._pairs = tuple(sorted(self._pairs + tuple(pairs)))
 
-    def cs_pairs(self):
+    def cs_pairs(self) -> tuple:
         """Every pair with (c, s) columns, sorted."""
-        return sorted(key[1:] for key in self.var_index if key[0] == "c")
+        return self._pairs
 
     def has_variable(self, key) -> bool:
         """`key` is a column or a canonical (c|s, a, b) pair of buses."""
@@ -345,6 +352,12 @@ class RelaxationModel:
         x = np.empty(re_idx.shape, dtype=complex)
         x.real, x.imag = y[re_idx], y[im_idx] * im_sign
         return x
+
+    def stack_plan(self, cliques: tuple) -> StackPlan:
+        """The `separation.StackPlan` of the bus tuples `cliques`, made
+        once per network and tuple."""
+        plan = self.network.plans.get(cliques) or StackPlan.of(cliques)
+        return self.network.plans.setdefault(cliques, plan)
 
     def _gather_index(self, cliques):
         """Per tuple and entry (a, b): the column of the real part, and the

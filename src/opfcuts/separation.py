@@ -7,11 +7,18 @@ matrix X, mapped onto model variables as
 
 with the s coefficient sign adjusted to the canonical pair orientation.
 There is one path from a stack of matrices of one size to such cuts:
-`jabr_cut` and `clique_cuts` make one `eigen` call per stack, `eigen_cut`
-and `projection_cut` turn the stack's eigenpairs and PSD cutoffs into a
-coefficient stack, and `_matrix_cuts` maps that stack to a `CutBlock`.  A
-Jabr cut is the eigen cut of a 2 x 2 pair matrix.  No cut violated by less
-than `VIOLATION_THRESHOLD` per unit norm is built.  `limit_cut` and
+`jabr_cut` and `clique_cuts` make one `eigen` call per stack (or take the
+caller's), the eigenpairs and PSD cutoffs give a coefficient stack, and
+the stack's `StackPlan` maps it to coefficient rows in key order and to a
+`CutBlock`.  Every function of a stack takes its plan, `StackPlan.of`
+the list of bus tuples, made once per list (the relaxation keeps the
+plans with the compiled network): each tuple's canonical keys as one
+(M, n * n) object array, the places and factors of their coefficients in
+the stack as arrays of that shape, and the tuples; a round only indexes
+it with the rows it keeps.  A Jabr cut is the eigen cut of a 2 x 2 pair matrix.  No cut
+violated by less than `VIOLATION_THRESHOLD` per unit norm is built.
+`clique_cuts` pairs each projection cut with its clique's eigen-cut on
+the coefficient rows, before it builds its one block.  `limit_cut` and
 `cost_cut` build a round's tangents in one array pass each over the LP
 solution, by the compiled network's tangent tables (see `relaxation`).
 
@@ -29,8 +36,7 @@ run's pool, which is its cut row's position in the LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import compress, repeat
+from itertools import combinations
 
 import numpy as np
 
@@ -102,18 +108,22 @@ class CutBlock:
     @property
     def cut_of(self) -> np.ndarray:
         """The cut of each term."""
-        return np.repeat(np.arange(len(self)), self.size)
+        return np.arange(len(self)).repeat(self.size)
 
     def take(self, which) -> CutBlock:
         """The cuts that `which`, a bool mask or an index array, picks, in
         its order."""
-        cuts = np.arange(len(self))[which]
-        run, place = _runs(self.size[cuts])
-        terms = (np.cumsum(self.size) - self.size)[cuts][run] + place
-        return CutBlock(self.kind[cuts], self.provenance[cuts],
-                        self.size[cuts], self.rhs[cuts], self.norm[cuts],
-                        self.violation[cuts], self.keys[terms],
-                        self.coeff[terms])
+        which = np.asarray(which)
+        if which.dtype == bool:
+            terms = which.repeat(self.size)
+        else:
+            which = which.astype(np.intp, copy=False)
+            size = self.size[which]
+            start = (self.size.cumsum() - self.size)[which]
+            terms = (start - (size.cumsum() - size)).repeat(size) \
+                + np.arange(size.sum())
+        *cuts, keys, coeff = vars(self).values()
+        return CutBlock(*[a[which] for a in cuts], keys[terms], coeff[terms])
 
     def naming(self, test) -> np.ndarray:
         """Per cut, whether `test(key)` holds for one of its keys; `test`
@@ -128,166 +138,181 @@ NO_CUTS = CutBlock(*[np.zeros(0, t) for t in (object, object, np.intp, float,
                                                 float, float, object, float)])
 
 
-class _TupleKeys(dict):
-    """Per bus tuple, made once: the variable keys of its matrix entries in
-    canonical order, and the positions of their coefficients in a
-    `_matrix_cuts` row.  v2 takes the diagonal and c the upper triangle's
-    real parts; s takes its imaginary parts, negated where the tuple's
-    order opposes the canonical pair's."""
+@dataclass(frozen=True, eq=False)
+class StackPlan:
+    """What maps the coefficient stacks of a list of M bus tuples of one
+    size n to cuts, made once per list by `of`.
 
-    def __missing__(self, t):
-        buses = tuple(map(int, t))  # plain ints, so repr gives key order
-        n = len(buses)
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        pairs = [canonical_pair(buses[i], buses[j]) for i, j in upper]
-        m = len(pairs)
-        keys = ([("v2", b) for b in buses] + [("c",) + p for p in pairs]
-                + [("s",) + p for p in pairs])
-        picks = list(range(n + m)) + [
-            n + m + k if buses[i] < buses[j] else n + 2 * m + k
-            for k, (i, j) in enumerate(upper)]
-        order = sorted(range(len(keys)), key=lambda i: repr(keys[i]))
-        self[t] = value = (np.fromiter([keys[i] for i in order], object),
-                           np.array([picks[i] for i in order]))
-        return value
+    Row m of the (M, n * n) arrays is tuple m's: `keys` holds the variable
+    keys of its matrix entries in canonical order, v2 per bus and c and s
+    per pair; `picks` the place of each key's coefficient in the flat real
+    view of an n x n coefficient matrix, and `scale` its factor.  v2 takes
+    the real part of its diagonal entry, c twice the real part of the
+    pair's upper-triangle entry, and s twice its imaginary part, negated
+    where the tuple's order opposes the canonical pair's.  `provenance`
+    holds the tuples.  The arrays are read-only.
+    """
+    provenance: np.ndarray
+    keys: np.ndarray
+    picks: np.ndarray
+    scale: np.ndarray
 
-
-_TUPLE_KEYS = _TupleKeys()
-
-
-@cache
-def _upper(n: int) -> tuple:
-    """Row and column indices of the strict upper triangle of n x n, made
-    once per n: `np.triu_indices` takes tens of microseconds a call."""
-    return np.triu_indices(n, 1)
-
-
-def _matrix_cuts(a: np.ndarray, tuples, kind: str,
-                 violations: np.ndarray) -> CutBlock:
-    """The block of cuts <A_k, X_k> >= 0 of a coefficient stack `a`
-    (K, n, n) over K bus tuples, zero coefficients left out."""
-    iu, ju = _upper(a.shape[-1])
-    off = 2.0 * a[:, iu, ju]
-    rows = np.concatenate((a.diagonal(0, -2, -1).real, off.real, off.imag,
-                           -off.imag), axis=1)
-    norms = np.abs(rows).max(axis=1)
-    keep = violations / norms >= VIOLATION_THRESHOLD
-    if not keep.any():
-        return NO_CUTS
-    kept = list(compress(tuples, keep))
-    keys, picks = zip(*map(_TUPLE_KEYS.__getitem__, kept))
-    coeffs = np.take_along_axis(
-        rows[keep], np.concatenate(picks).reshape(len(kept), -1), axis=1)
-    nonzero = coeffs != 0.0
-    return CutBlock(
-        np.full(len(kept), kind, object), np.fromiter(kept, object),
-        nonzero.sum(axis=1), np.zeros(len(kept)), norms[keep],
-        violations[keep], np.concatenate(keys)[nonzero.ravel()],
-        coeffs[nonzero])
+    @classmethod
+    def of(cls, tuples) -> StackPlan:
+        m = len(tuples)
+        n = len(tuples[0]) if m else 0
+        terms = []
+        for t in tuples:
+            buses = tuple(map(int, t))  # plain ints, so repr gives key order
+            row = [(("v2", b), 2 * (n + 1) * i, 1.0)
+                   for i, b in enumerate(buses)]
+            for i, j in combinations(range(n), 2):
+                pair = canonical_pair(buses[i], buses[j])
+                row += [(("c",) + pair, 2 * (n * i + j), 2.0),
+                        (("s",) + pair, 2 * (n * i + j) + 1,
+                         2.0 if buses[i] < buses[j] else -2.0)]
+            terms += sorted(row, key=lambda term: repr(term[0]))
+        keys, picks, scale = zip(*terms) if terms else ((), (), ())
+        plan = cls(np.fromiter(tuples, object, m),
+                   np.fromiter(keys, object, len(keys)).reshape(m, n * n),
+                   np.array(picks, np.intp).reshape(m, n * n),
+                   np.array(scale, float).reshape(m, n * n))
+        for a in vars(plan).values():
+            a.flags.writeable = False
+        return plan
 
 
-def eigen_cut(dec: EigenDecomposition, cutoff: np.ndarray, tuples,
+def _rows(a: np.ndarray, plan: StackPlan, which: np.ndarray,
+          violation: np.ndarray):
+    """The cuts <A_k, X_k> >= 0 of a coefficient stack `a` (K, n, n) on
+    the plan's tuples `which`, as rows: (coefficients (K, n * n) in key
+    order, infinity norms, violations, and whether each is violated by at
+    least `VIOLATION_THRESHOLD` per unit norm)."""
+    k, n = len(a), a.shape[-1]
+    flat = np.ascontiguousarray(a, complex).reshape(k, n * n).view(float)
+    coeff = flat[np.arange(k)[:, None], plan.picks[which]] * plan.scale[which]
+    norm = np.maximum.reduce(np.abs(coeff), axis=1)
+    return coeff, norm, violation, violation / norm >= VIOLATION_THRESHOLD
+
+
+def _block(plan: StackPlan, kind, which, coeff, norm, violation,
+           keep) -> CutBlock:
+    """The block of the rows `keep` picks, on the plan's tuples `which`,
+    of one kind or of the kinds of an object array; zero coefficients are
+    left out."""
+    if isinstance(kind, str):
+        kind = np.array([kind] * len(which), object)
+    if not keep.all():
+        kind, which, coeff, norm, violation = (
+            kind[keep], which[keep], coeff[keep], norm[keep], violation[keep])
+    nonzero = coeff != 0.0
+    return CutBlock(kind, plan.provenance[which], nonzero.sum(axis=1),
+                    np.zeros(len(which)), norm, violation,
+                    plan.keys[which][nonzero], coeff[nonzero])
+
+
+def _eigen(dec: EigenDecomposition, hit: np.ndarray):
+    """q q^H of the most negative eigenvector q of each matrix `hit`, and
+    its violation -lambda_min."""
+    q = dec.eigenvectors[hit, :, -1]
+    return q[:, :, None] * q[:, None, :].conj(), -dec.eigenvalues[hit, -1]
+
+
+def _projection(w: np.ndarray, q: np.ndarray):
+    """Per stack of weights w (K, r) and vectors q (K, n, r): the sum of
+    w_i q_i q_i^H and the sum of w_i^2, each summed over i left to right;
+    a zero weight adds nothing."""
+    a = np.add.accumulate(w[:, None, None, :] * (
+        q[:, :, None, :] * q[:, None, :, :].conj()), axis=3)[..., -1]
+    return a, np.add.accumulate(w * w, axis=1)[:, -1]
+
+
+def eigen_cut(dec: EigenDecomposition, cutoff: np.ndarray, plan: StackPlan,
               kind: str = "eigen") -> CutBlock:
     """Most-negative-eigenvector cuts of the stack whose eigenpairs are
-    `dec`, one per matrix whose lambda_min is below its `cutoff`."""
-    lam = dec.eigenvalues[:, -1]
-    hit = np.flatnonzero(lam < cutoff)
-    q = dec.eigenvectors[hit, :, -1]
-    a = q[:, :, None] * q[:, None, :].conj()
-    return _matrix_cuts(a, [tuples[m] for m in hit.tolist()], kind, -lam[hit])
+    `dec`, one per matrix whose lambda_min is below its `cutoff`, on the
+    tuples of `plan`."""
+    hit = (dec.eigenvalues[:, -1] < cutoff).nonzero()[0]
+    a, violation = _eigen(dec, hit)
+    return _block(plan, kind, hit, *_rows(a, plan, hit, violation))
 
 
 def projection_cut(dec: EigenDecomposition, cutoff: np.ndarray,
-                   tuples) -> CutBlock:
+                   plan: StackPlan) -> CutBlock:
     """Maximum-distance cuts from the PSD projection, one per matrix of the
-    stack with an eigenvalue below its `cutoff`: A = sum of -lambda q q^H
-    over those eigenvalues, violation the sum of their squares."""
+    stack with an eigenvalue below its `cutoff`, on the tuples of `plan`:
+    A = sum of -lambda q q^H over those eigenvalues, violation the sum of
+    their squares."""
     w = np.where(dec.eigenvalues < cutoff[:, None], -dec.eigenvalues, 0.0)
-    hit = np.flatnonzero(w.any(axis=1))
-    w, q = w[hit], dec.eigenvectors[hit]
-    a = np.zeros(q.shape, dtype=complex)
-    violation = np.zeros(len(hit))
-    for i in range(q.shape[-1]):  # a zero weight adds nothing
-        qi = q[:, :, i]
-        a += w[:, i, None, None] * (qi[:, :, None] * qi[:, None, :].conj())
-        violation += w[:, i] * w[:, i]
-    return _matrix_cuts(a, [tuples[m] for m in hit.tolist()], "projection",
-                        violation)
+    hit = w.any(axis=1).nonzero()[0]
+    a, violation = _projection(w[hit], dec.eigenvectors[hit])
+    return _block(plan, "projection", hit, *_rows(a, plan, hit, violation))
 
 
-def _runs(size: np.ndarray):
-    """Per term of runs of `size` consecutive terms: its run, and its place
-    in the run."""
-    run = np.repeat(np.arange(len(size)), size)
-    return run, np.arange(len(run)) - (np.cumsum(size) - size)[run]
-
-
-def _cosines(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Per run of `size` terms, the cosine of the angle between the
-    coefficients x and y of two cuts on the same keys.  Each sum runs left
-    to right over the terms, as a plain loop would: numpy's `sum` pairs
-    them up."""
-    run, place = _runs(size)
-    rows = np.zeros((3, len(size), size.max(initial=1)))
-    rows[:, run, place] = (x * y, x * x, y * y)
-    dot, na, nb = np.add.accumulate(rows, axis=2)[:, :, -1]
+def _cosines(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row, the cosine of the angle between the coefficient rows x and
+    y of two cuts on the same keys.  Each sum runs left to right, as a
+    plain loop over the terms would: numpy's `sum` pairs them up, and the
+    zeros of both rows add nothing."""
+    dot, na, nb = np.add.accumulate(np.array((x * y, x * x, y * y)),
+                                    axis=2)[:, :, -1]
     return dot / np.sqrt(na * nb)
 
 
-def clique_cuts(x: np.ndarray, cliques) -> CutBlock:
-    """Eigen-cuts of a stack (M, n, n) of cliques, then projection cuts.
+def clique_cuts(x: np.ndarray, plan: StackPlan, dec=None) -> CutBlock:
+    """Eigen-cuts of a stack (M, n, n) on the cliques of `plan`, then
+    projection cuts; `dec` is the stack's eigenpairs when the caller has
+    them.
 
     Only a matrix with exactly two negative eigenvalues gets a projection
     cut: with one, it would be collinear with the eigen-cut.  When the two
-    cuts of a clique have the same keys and are near-parallel (|cos| >
-    `COSINE_BOUND`, as with a tiny second eigenvalue), only the more
-    violated one is kept, the eigen-cut on a tie.
+    cuts of a clique have the same keys, that is the same nonzero
+    coefficients, and are near-parallel (|cos| > `COSINE_BOUND`, as with a
+    tiny second eigenvalue), only the more violated one is kept, the
+    eigen-cut on a tie.  Both kinds are rows of one coefficient stack, and
+    the pairs are settled on its rows before the block is built.
     """
-    dec = eigen(x)
+    dec = eigen(x) if dec is None else dec
     cutoff = psd_cutoff(x, PSD_TOL)
-    cuts = eigen_cut(dec, cutoff, cliques)
-    two = np.flatnonzero((dec.eigenvalues < cutoff[:, None]).sum(axis=1) == 2)
+    negative = dec.eigenvalues < cutoff[:, None]
+    hit = negative[:, -1].nonzero()[0]
+    two = (negative.sum(axis=1) == 2).nonzero()[0]
+    a, violation = _eigen(dec, hit)
     if not two.size:
-        return cuts
-    proj = projection_cut(
-        EigenDecomposition(dec.eigenvalues[two], dec.eigenvectors[two]),
-        cutoff[two], [cliques[m] for m in two.tolist()])
-    # each projection cut beside its clique's eigen-cut, when one has as
-    # many terms
-    at = dict(zip(cuts.provenance.tolist(), range(len(cuts))))
-    other = np.fromiter(map(at.get, proj.provenance.tolist(),
-                            repeat(-1)), np.intp, len(proj))
-    pair = np.flatnonzero(other >= 0)
-    pair = pair[proj.size[pair] == cuts.size[other[pair]]]
-    p, e = proj.take(pair), cuts.take(other[pair])
-    same = np.bincount(p.cut_of[p.keys != e.keys], minlength=len(pair)) == 0
-    near = pair[same & (np.abs(_cosines(p.coeff, e.coeff, p.size))
-                        > COSINE_BOUND)]
-    if not near.size:
-        return CutBlock.concat(cuts, proj)
-    wins = proj.violation[near] > cuts.violation[other[near]]
-    return CutBlock.concat(
-        cuts.take(np.delete(np.arange(len(cuts)), other[near[wins]])),
-        proj.take(np.delete(np.arange(len(proj)), near[~wins])))
+        return _block(plan, "eigen", hit, *_rows(a, plan, hit, violation))
+    # the two negative eigenvalues are the last two; a matrix with them
+    # has an eigen-cut row too, at its place in `hit`
+    b, squares = _projection(-dec.eigenvalues[two, -2:],
+                             dec.eigenvectors[two, :, -2:])
+    which = np.concatenate((hit, two))
+    coeff, norm, violation, keep = _rows(
+        np.concatenate((a, b)), plan, which,
+        np.concatenate((violation, squares)))
+    e, p = np.searchsorted(hit, two), np.arange(len(hit), len(which))
+    near = keep[e] & keep[p] \
+        & ((coeff[p] != 0.0) == (coeff[e] != 0.0)).all(axis=1) \
+        & (np.abs(_cosines(coeff[p], coeff[e])) > COSINE_BOUND)
+    wins = violation[p] > violation[e]
+    keep[e[near & wins]] = keep[p[near & ~wins]] = False
+    return _block(plan, np.array(["eigen", "projection"], object).repeat(
+        (len(hit), len(two))), which, coeff, norm, violation, keep)
 
 
-def jabr_cut(x: np.ndarray, pairs) -> CutBlock:
-    """Eigen-cuts of a stack (P, 2, 2) of pair matrices, each in its pair's
-    order as `clique_matrix` builds it; a cut separates c^2 + s^2 <=
-    v2_k v2_m."""
-    return eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), pairs, "jabr")
+def jabr_cut(x: np.ndarray, plan: StackPlan) -> CutBlock:
+    """Eigen-cuts of a stack (P, 2, 2) of pair matrices on the pairs of
+    `plan`, each in its pair's order as `clique_matrix` builds it; a cut
+    separates c^2 + s^2 <= v2_k v2_m."""
+    return eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), plan, "jabr")
 
 
-def _tangents(kind, keys, hit, coeff, rhs, norm, violation) -> CutBlock:
-    """The tangents `hit` picks of table rows of two keys and two
-    coefficients, zeros kept; provenance is the first key's tail."""
-    if not hit.size:
-        return NO_CUTS
+def _tangents(kind, keys, coeff, rhs, norm, violation) -> CutBlock:
+    """The tangents over table rows of two keys, `keys`, with two
+    coefficients each, zeros kept; provenance is the first key's tail."""
     return CutBlock(
-        np.full(hit.size, kind, object), np.fromiter(
-            [key[1:] for key in keys[hit, 0].tolist()], object, hit.size),
-        np.full(hit.size, 2, np.intp), rhs[hit], norm[hit], violation[hit],
-        keys[hit].ravel(), coeff[hit].ravel())
+        np.array([kind] * len(keys), object), np.fromiter(
+            [key[1:] for key in keys[:, 0].tolist()], object, len(keys)),
+        np.full(len(keys), 2, np.intp), rhs, norm, violation, keys.ravel(),
+        coeff.ravel())
 
 
 def limit_cut(y, cols, rate, keys) -> CutBlock:
@@ -303,10 +328,10 @@ def limit_cut(y, cols, rate, keys) -> CutBlock:
     p, q = flow.T
     norm = np.sqrt(p * p + q * q)
     big = np.abs(flow).max(axis=1)
-    hit = np.flatnonzero(norm)
+    hit = norm.nonzero()[0]
     hit = hit[(norm - rate)[hit] / big[hit] >= VIOLATION_THRESHOLD]
-    return _tangents("limit", keys, hit, -flow, -rate * norm, big,
-                     norm - rate)
+    return _tangents("limit", keys[hit], -flow[hit], (-rate * norm)[hit],
+                     big[hit], (norm - rate)[hit])
 
 
 def cost_cut(y, cols, coefficients, keys) -> CutBlock:
@@ -321,7 +346,11 @@ def cost_cut(y, cols, coefficients, keys) -> CutBlock:
     f = c2 * p * p + c1 * p + c0
     slope = 2.0 * c2 * p + c1
     norm = np.maximum(np.abs(slope), 1.0)
-    hit = np.flatnonzero((f - t) / norm >= VIOLATION_THRESHOLD)
-    return _tangents("cost_tangent", keys, hit,
-                     np.stack([-slope, np.ones(len(p))], axis=1),
-                     f - slope * p, norm, f - t)
+    violation = f - t
+    hit = (violation / norm >= VIOLATION_THRESHOLD).nonzero()[0]
+    if not hit.size:
+        return NO_CUTS
+    coeff = np.ones((hit.size, 2))
+    coeff[:, 0] = -slope[hit]
+    return _tangents("cost_tangent", keys[hit], coeff, (f - slope * p)[hit],
+                     norm[hit], violation[hit])

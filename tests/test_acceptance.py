@@ -12,7 +12,8 @@ from opfcuts.driver import RunConfig, cutplane
 from opfcuts.hermitian import eigen, psd_cutoff, psd_project
 from opfcuts.network import PairGraph, enumerate_three_cycles
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import PSD_TOL, eigen_cut, projection_cut
+from opfcuts.separation import (PSD_TOL, StackPlan, eigen_cut,
+                                projection_cut)
 from opfcuts.theory import (check_permuted_jabr, check_rank_lemma,
                             check_psd_transfer)
 from test_hermitian import hermitian
@@ -111,10 +112,10 @@ def test_criterion_06_cut_identities(capsys):
         clique = tuple(range(1, n + 1))
         dec, cutoff = eigen(x[None]), psd_cutoff(x[None], PSD_TOL)
         vals = _clique_values(x, clique)
-        [ecut] = eigen_cut(dec, cutoff, [clique])
+        [ecut] = eigen_cut(dec, cutoff, StackPlan.of([clique]))
         worst = max(worst, abs(ecut.violation_at_birth + lam[0]),
                     abs((ecut.rhs - ecut.value_at(vals)) + lam[0]))
-        [pcut] = projection_cut(dec, cutoff, [clique])
+        [pcut] = projection_cut(dec, cutoff, StackPlan.of([clique]))
         neg = lam[lam < -1e-8 * max(1.0, float(np.trace(x).real))]
         expect = float((neg * neg).sum())
         worst = max(worst, abs(pcut.violation_at_birth - expect))

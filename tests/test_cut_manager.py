@@ -15,7 +15,7 @@ from opfcuts.cut_manager import (CutPool, SavedBasis, admit, age_and_drop,
 from opfcuts.errors import CutFileError
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.relaxation import build_m0
-from opfcuts.separation import PSD_TOL, CutBlock, eigen_cut
+from opfcuts.separation import PSD_TOL, CutBlock, StackPlan, eigen_cut
 from test_separation import block_of, one_cut, rows_block
 
 
@@ -185,7 +185,8 @@ def test_born_cut_hashes_like_its_reloaded_copy(case14):
     rng = np.random.default_rng(8078)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     x = (a + a.conj().T)[None]
-    cuts = eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(9, 4, 7)])
+    cuts = eigen_cut(eigen(x), psd_cutoff(x, PSD_TOL),
+                     StackPlan.of([(9, 4, 7)]))
     [cut] = cuts
     assert all(type(w) is float for w in cut.terms.values())
     assert any(round(np.float64(w / cut.inf_norm), 12)
@@ -507,7 +508,8 @@ def cuts():
     return rows_block([({k: rng.uniform(-1, 1) for k in keys}, 0.0, "eigen",
                         clique, 0.0) for _ in range(200)])
 a, b = cuts(), cuts()
-print(" ".join(c.hex() for c in _cosines(a.coeff, b.coeff, a.size).tolist()))
+print(" ".join(c.hex() for c in _cosines(a.coeff.reshape(200, -1),
+                                          b.coeff.reshape(200, -1)).tolist()))
 """
 
 

@@ -129,10 +129,10 @@ def test_pwl_cost_cold_run(case14_pwl, monkeypatch):
     separate = driver._separate
 
     def watched(model, y, cliques):
-        cuts = separate(model, y, cliques)
+        cuts, spectra = separate(model, y, cliques)
         tangents = cuts.take(cuts.kind == "cost_tangent")
         named.extend(tangents.naming(lambda key: key[1:] == (gkey,)))
-        return cuts
+        return cuts, spectra
 
     monkeypatch.setattr(driver, "_separate", watched)
     report = cutplane(case14_pwl, RunConfig())
@@ -587,3 +587,61 @@ def test_report_table_csv(cold_report):
     assert rows[1][2] == "(5,0,0)"
     assert (rows[2][3], rows[2][6]) == ("-", "-")
     assert float(rows[1][1]) == pytest.approx(cold_report.best_bound, abs=0.01)
+
+
+@pytest.mark.parametrize("which", ["cold", "warm", "rounds"])
+def test_eig_ratio_equals_a_decomposition_at_the_last_point(
+        which, case14, cold_report, monkeypatch):
+    """The report's eigenvalue ratio equals, bit for bit, the least ratio
+    of the two largest eigenvalues over one `np.linalg.eigh` call per
+    clique stack at the last solve's point.  A run that ends `no_cuts`
+    reads it from its last separation and decomposes nothing again."""
+    models, points, escalated, stacks, decomposed = [], [], [], [], []
+
+    def build(case):
+        models.append(build_m0(case))
+        return models[-1]
+
+    def solve(backend):
+        res = solve_(backend)
+        if res.primal is not None:
+            points.append(res.primal)
+        return res
+
+    def escalate(*args):
+        escalated.append(escalate_(*args))
+        return escalated[-1]
+
+    def separate(model, y, cliques):
+        stacks.append(len(cliques.by_size))
+        return separate_(model, y, cliques)
+
+    def counted(x):
+        decomposed.append(1)
+        return eigen_(x)
+
+    solve_, escalate_ = lp_backend.ScipyHighsBackend.solve, driver._escalate
+    separate_, eigen_ = driver._separate, driver.eigen
+    monkeypatch.setattr(driver, "build_m0", build)
+    monkeypatch.setattr(lp_backend.ScipyHighsBackend, "solve", solve)
+    monkeypatch.setattr(driver, "_escalate", escalate)
+    monkeypatch.setattr(driver, "_separate", separate)
+    monkeypatch.setattr(driver, "eigen", counted)
+    config = RunConfig(max_rounds=3) if which == "rounds" else RunConfig()
+    report = cutplane(case14, config, warm=cold_report.pool
+                      if which == "warm" else None)
+    assert report.termination == ("rounds" if which == "rounds"
+                                  else "no_cuts")
+    [model] = models
+    cliques = escalated[-1] if escalated \
+        else model.network.cliques(network.enumerate_three_cycles)
+    # one decomposition per clique stack per separation, and one per stack
+    # at the end unless the run is out of cuts
+    assert len(decomposed) == sum(stacks) + (
+        len(cliques.by_size) if which == "rounds" else 0)
+    ratio = math.inf
+    for group in cliques.by_size:
+        vals = np.linalg.eigh(model.clique_matrix(points[-1], group))[0]
+        ratio = min(ratio, float(np.min(vals[:, -1] / np.maximum(
+            vals[:, -2], driver.EIG_RATIO_FLOOR))))
+    assert report.eig_ratio.hex() == ratio.hex()

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -463,6 +464,79 @@ def test_certificate_covers_dropped_coefficients():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)  # the altered LP's optimum
     assert -99.0 - 1e-6 <= res.dual_bound <= -99.0
+
+
+def _reference_certificate(objective, lower, upper, cols, vals, row_of, b,
+                           ge, y):
+    """The certificate one column at a time: the `>=` rows' duals clipped
+    to y >= 0, each column's reduced cost summed entry by entry in store
+    order, and absorbed at the bound its sign picks, or clipped when that
+    bound is infinite.  The two totals are taken as the certificate takes
+    them, by numpy's dot and its pairwise sum."""
+    y = np.array([max(v, 0.0) if g else v
+                  for v, g in zip(y.tolist(), ge.tolist())])
+    acc = [0.0] * len(objective)
+    for j, w, i in zip(cols.tolist(), vals.tolist(), row_of.tolist()):
+        acc[j] += w * y[i]
+    absorbed, dual_inf = [], 0.0
+    for c, a, lo, up in zip(objective.tolist(), acc, lower.tolist(),
+                            upper.tolist()):
+        rc = c - a
+        at = lo if rc > 0.0 else up if rc < 0.0 else None
+        if at is None:
+            absorbed.append(0.0)
+        elif math.isfinite(at):
+            absorbed.append(rc * at)
+        else:
+            absorbed.append(0.0)
+            dual_inf = max(dual_inf, abs(rc))
+    if dual_inf > CERTIFY_TOL:
+        return -np.inf, dual_inf
+    return float(y @ b) + float(np.array(absorbed).sum()), dual_inf
+
+
+def _random_certificate_input(rng):
+    """A seeded random row store, bounds, objective and duals.  Columns
+    past the matrix have no entry, so their reduced cost is their
+    objective coefficient: exactly 0, -0.0, 1e-300, or a repair at, just
+    below or just above `CERTIFY_TOL`, each beside an infinite bound on
+    either side.  Some matrix columns get the objective that makes their
+    reduced cost exactly 0."""
+    n, m = int(rng.integers(3, 15)), int(rng.integers(1, 10))
+    sizes = rng.integers(1, n + 1, m)
+    cols = np.concatenate([rng.choice(n, s, replace=False) for s in sizes])
+    vals = rng.standard_normal(len(cols))
+    row_of = np.repeat(np.arange(m), sizes)
+    ge = rng.random(m) < 0.6
+    y = rng.standard_normal(m)
+    edge = np.nextafter(CERTIFY_TOL, [0.0, 1.0])
+    special = rng.choice([0.0, -0.0, 1e-300, -1e-300, CERTIFY_TOL, *edge,
+                          -edge[1]], int(rng.integers(0, 4)))
+    objective = np.concatenate([rng.standard_normal(n), special])
+    exact = np.flatnonzero(rng.random(n) < 0.3)
+    acc = np.bincount(cols, vals * np.where(ge, np.maximum(y, 0.0), y)[
+        row_of], n + len(special))
+    objective[exact] = acc[exact]
+    k = len(objective)
+    lower, upper = rng.uniform(-5.0, 0.0, k), rng.uniform(0.0, 5.0, k)
+    lower[rng.random(k) < 0.3] = -np.inf
+    upper[rng.random(k) < 0.3] = np.inf
+    return (objective, lower, upper, cols.astype(np.int32), vals, row_of,
+            rng.standard_normal(m), ge, y)
+
+
+def test_certificate_equals_the_per_column_reference():
+    """`_safe_dual_bound` gives the bound and the dual infeasibility of the
+    per-column reference bit for bit, certified or not."""
+    rng = np.random.default_rng(2013)
+    outcomes = set()
+    for _ in range(400):
+        args = _random_certificate_input(rng)
+        got = lp_backend._safe_dual_bound(*args)
+        want = _reference_certificate(*args)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+        outcomes.add((got[0] == -np.inf, got[1] > 0.0))
+    assert outcomes == {(False, False), (False, True), (True, True)}
 
 
 def _highs_rows(be):

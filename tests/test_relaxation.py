@@ -664,3 +664,109 @@ def test_tangent_tables_hold_the_limited_ends_and_quadratic_costs(case14):
                                      for i in quadratic]
     assert cols.tolist() == [[at[k] for k in row] for row in keys.tolist()]
     assert len(build_m0(case14).network.limits[0]) == 0  # case14 has none
+
+
+# -- the round's separation against a per-matrix reference -----------------
+
+def _reference_matrix_rows(model, y, tuples, kind):
+    """The round's matrix cuts of one list of bus tuples, one matrix at a
+    time: one `np.linalg.eigh` call per matrix, and the eigen (or Jabr),
+    projection and pairing rules written out.  Rows as `_tangent_rows`
+    gives them, eigen-cuts first, then projection cuts."""
+    t = separation.VIOLATION_THRESHOLD
+
+    def value(key):
+        return float(y[model.var_index[key]])
+
+    def entry(a, b):
+        if a == b:
+            return complex(value(("v2", a)), 0.0)
+        pair = canonical_pair(a, b)
+        c, s = value(("c",) + pair), value(("s",) + pair)
+        return complex(c, s if a < b else -s)
+
+    def row(buses, a, violation, kind):
+        """The cut <a, X> >= 0 on `buses`, unless too little violated."""
+        n = len(buses)
+        terms, entries = {}, []
+        for i in range(n):
+            terms[("v2", buses[i])] = a[i, i].real
+            entries.append(a[i, i].real)
+        for i in range(n):
+            for j in range(i + 1, n):
+                off = 2.0 * a[i, j]
+                pair = canonical_pair(buses[i], buses[j])
+                terms[("c",) + pair] = off.real
+                terms[("s",) + pair] = off.imag if buses[i] < buses[j] \
+                    else -off.imag
+                entries += [off.real, off.imag]
+        norm = max(abs(v) for v in entries)
+        if violation / norm < t:
+            return None
+        return ({k: float(w) for k, w in terms.items() if w != 0.0}, 0.0,
+                kind, buses, float(violation))
+
+    eigen_rows, projection_rows = [], []
+    for buses in tuples:
+        n = len(buses)
+        x = np.array([[entry(a, b) for b in buses] for a in buses])
+        lam, q = np.linalg.eigh(x)
+        lam, q = lam[::-1], q[:, ::-1]  # nonincreasing
+        trace = 0.0
+        for i in range(n):
+            trace += x[i, i].real
+        cutoff = -separation.PSD_TOL * max(1.0, trace)
+        e = p = None
+        if lam[-1] < cutoff:
+            e = row(buses, np.outer(q[:, -1], q[:, -1].conj()), -lam[-1],
+                    kind)
+        if kind != "jabr" and sum(v < cutoff for v in lam) == 2:
+            a, violation = np.zeros((n, n), complex), 0.0
+            for i in range(n):
+                w = -lam[i] if lam[i] < cutoff else 0.0
+                a = a + w * np.outer(q[:, i], q[:, i].conj())
+                violation += w * w
+            p = row(buses, a, violation, "projection")
+        if e is not None and p is not None and set(e[0]) == set(p[0]):
+            dot = na = nb = 0.0
+            for key, w in p[0].items():
+                dot += w * e[0][key]
+                na += w * w
+            for w in e[0].values():
+                nb += w * w
+            if abs(dot / math.sqrt(na * nb)) > separation.COSINE_BOUND:
+                if p[4] > e[4]:
+                    e = None
+                else:
+                    p = None
+        eigen_rows += [e] if e is not None else []
+        projection_rows += [p] if p is not None else []
+    return eigen_rows + projection_rows
+
+
+@pytest.mark.parametrize("which", ["case14", "two_tile"])
+def test_separation_equals_the_per_matrix_reference(which, request,
+                                                   monkeypatch):
+    """At every round of a cold run, `_separate` gives the Jabr cuts, the
+    tangents and each clique size's eigen and projection cuts of the
+    per-matrix reference, in that order: kinds, provenance, sizes, keys,
+    coefficients and numbers bit for bit."""
+    case = request.getfixturevalue(which)
+    seen = []
+    separate = driver._separate
+
+    def checked(model, y, cliques):
+        cuts, spectra = separate(model, y, cliques)
+        pairs = sorted(key[1:] for key in model.var_index if key[0] == "c")
+        rows = _reference_matrix_rows(model, y, pairs, "jabr") \
+            + _tangent_rows(case, model, y)
+        for group in cliques.by_size:
+            rows += _reference_matrix_rows(model, y, group, "eigen")
+        assert _bits(cuts) == _bits(rows_block(rows))
+        seen.extend(cuts.kind.tolist())
+        return cuts, spectra
+
+    monkeypatch.setattr(driver, "_separate", checked)
+    report = cutplane(case, RunConfig())
+    assert report.num_rounds > 1
+    assert {"jabr", "eigen", "projection", "cost_tangent"} <= set(seen)

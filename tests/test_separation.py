@@ -10,8 +10,9 @@ from opfcuts.cut_manager import cut_hashes
 from opfcuts.hermitian import eigen, psd_cutoff
 from opfcuts.network import canonical_pair
 from opfcuts.separation import (COSINE_BOUND, PSD_TOL, VIOLATION_THRESHOLD,
-                                CutBlock, clique_cuts, cost_cut, eigen_cut,
-                                jabr_cut, limit_cut, projection_cut)
+                                CutBlock, StackPlan, clique_cuts, cost_cut,
+                                eigen_cut, jabr_cut, limit_cut,
+                                projection_cut)
 from test_hermitian import hermitian
 
 
@@ -64,7 +65,7 @@ def _cosine(a, b) -> float:
 def _one(cut_fn, x, clique):
     """`cut_fn`'s cut of the one-matrix stack of x, or None."""
     x = np.asarray(x)[None]
-    cuts = cut_fn(eigen(x), psd_cutoff(x, PSD_TOL), [clique])
+    cuts = cut_fn(eigen(x), psd_cutoff(x, PSD_TOL), StackPlan.of([clique]))
     assert len(cuts) <= 1
     return cuts[0] if cuts else None
 
@@ -72,7 +73,7 @@ def _one(cut_fn, x, clique):
 def _jabr(v2_k, v2_m, c, s, pair):
     """jabr_cut on the one-pair stack of [[v2_k, c + js], [c - js, v2_m]]."""
     x = hermitian(np.array([[v2_k, c + 1j * s], [c - 1j * s, v2_m]]))
-    return jabr_cut(x[None], [pair])
+    return jabr_cut(x[None], StackPlan.of([pair]))
 
 
 def _values_for(x0, clique):
@@ -133,9 +134,10 @@ def test_projection_cut_too_many_negatives():
     """clique_cuts gives a matrix with three negative eigenvalues its
     eigen-cut and no projection cut; projection_cut itself sums all three."""
     x = -np.eye(3)[None]
-    [cut] = clique_cuts(x, [(1, 2, 3)])
+    [cut] = clique_cuts(x, StackPlan.of([(1, 2, 3)]))
     assert cut.kind == "eigen"
-    [proj] = projection_cut(eigen(x), psd_cutoff(x, PSD_TOL), [(1, 2, 3)])
+    [proj] = projection_cut(eigen(x), psd_cutoff(x, PSD_TOL),
+                            StackPlan.of([(1, 2, 3)]))
     assert proj.violation_at_birth == pytest.approx(3.0)
     assert proj.terms == {("v2", b): pytest.approx(1.0) for b in (1, 2, 3)}
 
@@ -151,7 +153,7 @@ def test_clique_cuts_leave_out_parallel_projection_cut(second, kinds):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(a)
     x = hermitian(q @ np.diag([1.0, -second, -0.1]) @ q.conj().T)
-    cuts = clique_cuts(x[None], [(1, 2, 3)])
+    cuts = clique_cuts(x[None], StackPlan.of([(1, 2, 3)]))
     assert [cut.kind for cut in cuts] == kinds
     proj = _one(projection_cut, x, (1, 2, 3))
     assert (abs(_cosine(proj, cuts[0])) > COSINE_BOUND) \
@@ -166,7 +168,7 @@ def test_more_violated_projection_cut_replaces_its_eigen_cut():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(a)
     x = hermitian(q @ np.diag([1.0, -1e-5, -2.0]) @ q.conj().T)
-    [cut] = clique_cuts(x[None], [(1, 2, 3)])
+    [cut] = clique_cuts(x[None], StackPlan.of([(1, 2, 3)]))
     proj = _one(projection_cut, x, (1, 2, 3))
     eig = _one(eigen_cut, x, (1, 2, 3))
     assert cut.kind == "projection" and _hash(cut) == _hash(proj)
@@ -179,7 +181,7 @@ def test_parallel_cuts_on_other_keys_are_both_kept():
     """A projection cut near-parallel to its eigen-cut but on more keys is
     kept beside it."""
     x = np.diag([-2.0, -1e-5, 1.0]).astype(complex)
-    cuts = clique_cuts(x[None], [(1, 2, 3)])
+    cuts = clique_cuts(x[None], StackPlan.of([(1, 2, 3)]))
     assert [cut.kind for cut in cuts] == ["eigen", "projection"]
     eig, proj = cuts
     assert set(eig.terms) < set(proj.terms)
@@ -322,7 +324,7 @@ def test_dense_clique_cuts(n):
     clique = tuple(range(1, n + 1))
     cut = _one(eigen_cut, x0, clique)
     assert cut is not None and len(cut.terms) == n * n
-    [got] = clique_cuts(x0[None], [clique])
+    [got] = clique_cuts(x0[None], StackPlan.of([clique]))
     _assert_same_cut(got, cut)
     assert _one(projection_cut, x0, clique) is not None
 
@@ -372,10 +374,11 @@ def test_clique_cuts_match_per_matrix_cuts(n):
     rng = np.random.default_rng(40 + n)
     negs = [k % (min(n, 3) + 1) for k in range(24)]  # PSD, 1, 2 (, 3)
     x, cliques = _stack(rng, n, negs)
-    one = [clique_cuts(x[m:m + 1], [c]) for m, c in enumerate(cliques)]
+    one = [clique_cuts(x[m:m + 1], StackPlan.of([c]))
+           for m, c in enumerate(cliques)]
     want = [cut for cuts in one for cut in cuts if cut.kind == "eigen"] \
         + [cut for cuts in one for cut in cuts if cut.kind == "projection"]
-    got = clique_cuts(x, cliques)
+    got = clique_cuts(x, StackPlan.of(cliques))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         _assert_same_cut(g, w)
@@ -395,9 +398,9 @@ def test_jabr_cut_matches_pair_eigen_cuts():
         if ref is not None:
             want.append(one_cut(dict(ref.terms), ref.rhs, "jabr",
                                 ref.provenance, ref.violation_at_birth))
-            [one] = jabr_cut(x[m:m + 1], [pair])
+            [one] = jabr_cut(x[m:m + 1], StackPlan.of([pair]))
             _assert_same_cut(one, want[-1])
-    got = jabr_cut(x, pairs)
+    got = jabr_cut(x, StackPlan.of(pairs))
     assert len(got) == len(want) == sum(k > 0 for k in negs)
     for g, w in zip(got, want):
         _assert_same_cut(g, w)
@@ -416,7 +419,7 @@ def test_one_eigen_call_per_stack(monkeypatch, separate, n):
 
     monkeypatch.setattr(separation, "eigen", counted)
     x, tuples = _stack(np.random.default_rng(60 + n), n, [0, 1, 2] * 5)
-    assert separate(x, tuples)
+    assert separate(x, StackPlan.of(tuples))
     assert calls == [x.shape]
 
 
@@ -568,7 +571,7 @@ def test_batch_hashes_equal_single_hashes():
     rng = np.random.default_rng(77)
     for n in (2, 3, 4):
         x, tuples = _stack(rng, n, [1, 2, 0, 1, 2] * 4)
-        cuts = clique_cuts(x, tuples)
+        cuts = clique_cuts(x, StackPlan.of(tuples))
         assert len(cuts) > 10
         assert cut_hashes(cuts) == list(map(_hash, cuts))
         for cut in cuts:
@@ -633,11 +636,15 @@ def test_block_take_concat_round_trip():
 
 
 def test_cosines_equal_the_plain_loop():
-    """The block cosine of cuts on the same keys equals the plain-loop
-    reference bit for bit."""
+    """The row cosine of cuts on the same keys equals the plain-loop
+    reference bit for bit, with zeros in both rows between the terms."""
     rng = np.random.default_rng(92)
     a = _random_block(rng, 50)
     b = rows_block([({k: float(rng.standard_normal()) for k in cut.terms},
                       0.0, "eigen", (), 0.0) for cut in a])
-    got = separation._cosines(a.coeff, b.coeff, a.size).tolist()
-    assert got == [_cosine(x, y) for x, y in zip(a, b)]
+    x, y = np.zeros((2, 50, int(a.size.max()) + 3))
+    for i, (p, q) in enumerate(zip(a, b)):
+        at = np.sort(rng.choice(x.shape[1], len(p.terms), replace=False))
+        x[i, at], y[i, at] = list(p.terms.values()), list(q.terms.values())
+    got = separation._cosines(x, y).tolist()
+    assert got == [_cosine(p, q) for p, q in zip(a, b)]
