@@ -11,7 +11,11 @@ appends has none (`-`), and a cut that a drop or `take` removes takes its
 letter along.  A run's pool holds its last basis as HiGHS gave it
 (`lp_backend.LastBasis`); its status letters are made when `pool.basis` is
 first read, by `save_cuts` or a warm start, so a pool that nobody saves
-never pays for them.
+never pays for them.  A pool may record the compiled network on which
+every key of its cuts was checked (`checked_on`): `load_cuts` given a
+model records the model's network, and a run its own.  `CutPool.take`
+keeps the record and `admit` drops it, so a warm start on that network
+need not check the keys again (see `driver`).
 
 A run's LP holds the pool's cuts as its cut rows in pool order, cut i as
 cut row i: a warm start injects its cuts first, `admit` appends, and a
@@ -87,6 +91,8 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 class CutPool:
     cuts: CutBlock = NO_CUTS
     basis: SavedBasis | None = None  # of the last LP solve; a warm start hint
+    # the compiled network every key of the cuts was checked on, or None
+    checked_on: object = field(default=None, repr=False, compare=False)
     ages: np.ndarray = field(init=False)  # consecutive slack rounds per cut
 
     def __post_init__(self):
@@ -97,8 +103,10 @@ class CutPool:
 
     def take(self, mask) -> CutPool:
         """The pool of the cuts `mask` picks, in order, with their basis
-        letters; its ages start at 0."""
-        return CutPool(self.cuts.take(mask), _picked(self.basis, mask))
+        letters and the network their keys were checked on; its ages start
+        at 0."""
+        return CutPool(self.cuts.take(mask), _picked(self.basis, mask),
+                       self.checked_on)
 
 
 def _basis(pool: CutPool) -> SavedBasis | None:
@@ -127,10 +135,12 @@ def _picked(basis: SavedBasis | None, mask) -> SavedBasis | None:
 def admit(pool: CutPool, candidates: CutBlock) -> CutBlock:
     """Append the candidates to the pool by decreasing violation (a stable
     sort), without basis letters; returns them in that order, the order of
-    their LP rows.  Separation builds only admissible cuts."""
+    their LP rows.  Separation builds only admissible cuts.  The pool's
+    keys are no longer known to be checked on a network."""
     n = len(candidates)
     if not n:
         return candidates
+    pool.checked_on = None
     admitted = candidates.take((-candidates.violation).argsort(
         kind="stable"))
     pool.cuts = CutBlock.concat(pool.cuts, admitted)
@@ -215,6 +225,23 @@ def _key_from_json(raw):
     return tuple([_key_from_json(v) if type(v) is list else v for v in raw])
 
 
+def _all_from_json(raw: list) -> list:
+    """`_key_from_json` of each item of `raw`.
+
+    Every key and provenance the library writes nests lists two deep at
+    most, so one pass turns the lists of two levels into tuples.  A list
+    deeper down stays a list and makes the result unhashable, as a JSON
+    object in it does; then the recursion decodes every item again.
+    """
+    out = [tuple([tuple(v) if type(v) is list else v for v in k])
+           if type(k) is list else k for k in raw]
+    try:
+        hash(tuple(out))
+    except TypeError:
+        return list(map(_key_from_json, raw))
+    return out
+
+
 def save_cuts(pool: CutPool, stream):
     """Write the pool as a version 3 cut file: the header line, then the
     pool as columns on one line.
@@ -248,14 +275,6 @@ def save_cuts(pool: CutPool, stream):
     stream.write(json.dumps(FILE_HEADER) + "\n" + json.dumps(doc) + "\n")
 
 
-def _block(kind, support, size, rhs, key, coeff) -> CutBlock:
-    """A cut file's columns as a block whose keys are still indices into
-    the file's key list, and whose norms are not yet set."""
-    return CutBlock(np.fromiter(kind, object),
-                    np.fromiter(map(_key_from_json, support), object), size,
-                    rhs, np.zeros(len(size)), np.zeros(len(size)), key, coeff)
-
-
 def _letters(raw, allowed) -> str:
     if not isinstance(raw, str) or not allowed.issuperset(raw):
         raise ValueError("malformed basis letters")
@@ -287,28 +306,28 @@ def _array(raw, dtype_kinds: str) -> np.ndarray:
 
 
 def _read_v3(text: str):
-    """The version 3 body: (keys, cuts, basis or None), the cuts' keys
-    indices into `keys`; one of the errors of `_MALFORMED` when it is not
-    one."""
+    """The version 3 body: (keys, columns, basis or None), the columns
+    those of `_first_bad_cut`; one of the errors of `_MALFORMED` when it
+    is not one."""
     doc = json.loads(text)
     cols = doc["cuts"]
-    kind, support = cols["kind"], cols["support"]
-    if type(doc["keys"]) is not list or type(kind) is not list \
+    raw, kind, support = doc["keys"], cols["kind"], cols["support"]
+    if type(raw) is not list or type(kind) is not list \
             or type(support) is not list:
         raise TypeError("a column must be a list")
-    keys = [_key_from_json(k) for k in doc["keys"]]
-    cuts = _block(kind, support, _array(cols["size"], "iu").astype(np.intp),
-                  _array(cols["rhs"], "iuf").astype(float),
-                  _array(cols["key"], "iu"),
-                  _array(cols["coeff"], "iuf").astype(float))
-    k_bytes = list(map(_KEY_BYTES.__getitem__, keys))  # hashable keys
-    if not all(map(operator.lt, k_bytes, k_bytes[1:])) \
-            or len(set(keys)) != len(keys):
+    keys = _all_from_json(raw)
+    # strictly ascending bytes are distinct, and equal keys share their
+    # bytes (`_KEY_BYTES` finds the first one's), so the keys are distinct
+    k_bytes = list(map(_KEY_BYTES.__getitem__, keys))
+    if not all(map(operator.lt, k_bytes, k_bytes[1:])):
         raise ValueError("keys not distinct and sorted by repr")
+    size = _array(cols["size"], "iu").astype(np.intp)
+    rhs = _array(cols["rhs"], "iuf").astype(float)
+    key = _array(cols["key"], "iu")
+    coeff = _array(cols["coeff"], "iuf").astype(float)
     n = len(kind)
-    if not len(support) == len(cuts.rhs) == len(cuts.size) == n \
-            or (cuts.size < 0).any() \
-            or not len(cuts.keys) == len(cuts.coeff) == cuts.size.sum():
+    if not len(support) == len(rhs) == len(size) == n or (size < 0).any() \
+            or not len(key) == len(coeff) == size.sum():
         raise ValueError("columns of unequal lengths")
     basis = doc.get("basis")
     if basis is not None:  # letter strings by key and by cut
@@ -317,16 +336,18 @@ def _read_v3(text: str):
         if len(columns) != len(keys) or len(letters) != n:
             raise ValueError("basis letters of the wrong length")
         basis = SavedBasis(
-            columns={k: s for k, s in zip(keys, columns) if s != "-"},
+            columns=dict(zip(keys, columns)) if "-" not in columns else
+            {k: s for k, s in zip(keys, columns) if s != "-"},
             base_rows=_letters(basis["base_rows"], _LETTERS), cuts=letters)
-    return keys, cuts, basis
+    return keys, (kind, _all_from_json(support), size, rhs, key, coeff), \
+        basis
 
 
 def _read_lines(stream, version: int):
-    """Version 1 or 2 records as a block: (keys, cuts, basis record or None
-    (see `_basis_from_json`), the record number of each cut, the number of
-    the first malformed record or None), the cuts' keys indices into
-    `keys`.  Reading stops at the first malformed record."""
+    """Version 1 or 2 records: (keys, columns (see `_first_bad_cut`),
+    basis record or None (see `_basis_from_json`), the record number of
+    each cut, the number of the first malformed record or None).  Reading
+    stops at the first malformed record."""
     index: dict = {}  # key -> its position, in the order first seen
     kind, support, rhs, size, key, coeff, records = [], [], [], [], [], [], []
     basis = None
@@ -359,42 +380,56 @@ def _read_lines(stream, version: int):
     rank[[index[k] for k in keys]] = np.arange(len(keys))
     key = rank[np.array(key, np.intp)]
     order = np.lexsort((key, np.repeat(np.arange(len(size)), size)))
-    cuts = _block(kind, support, np.array(size, np.intp),
-                  np.array(rhs, float), key[order],
-                  np.array(coeff, float)[order])
-    return keys, cuts, basis, records, num
+    cols = (kind, list(map(_key_from_json, support)), np.array(size, np.intp),
+            np.array(rhs, float), key[order], np.array(coeff, float)[order])
+    return keys, cols, basis, records, num
 
 
-def _first_bad_cut(cuts: CutBlock, n_keys: int):
+def _first_bad_cut(cols, n_keys: int):
     """The index of the first malformed cut, or None, and the largest
-    coefficient magnitude of each cut, of a block whose keys are indices
-    into a list of `n_keys` keys.  A cut is malformed when its kind is no
-    string, it has no term, a key index is out of range or not above the
-    one before, a number is not finite, or no coefficient is nonzero.
+    coefficient magnitude of each cut, of a cut file's columns: (kind,
+    provenance, size, rhs, key, coeff), the kinds and provenance lists,
+    the terms' keys indices into a list of `n_keys` keys.  A cut is
+    malformed when its kind is no string, it has no term, a key index is
+    out of range or not above the one before, a number is not finite, or
+    no coefficient is nonzero.
     """
-    size, key, coeff = cuts.size, cuts.keys, cuts.coeff
-    bad = np.array([type(k) is not str for k in cuts.kind.tolist()], bool) \
-        | (size < 1) | ~np.isfinite(cuts.rhs)
-    cut_of = cuts.cut_of
+    kind, _, size, rhs, key, coeff = cols
+    # a cut without terms keeps the norm 0, so it is bad below
+    bad = np.array([type(k) is not str for k in kind], bool) \
+        | ~np.isfinite(rhs)
+    cut_of = np.arange(len(size)).repeat(size)
     term_bad = ~np.isfinite(coeff) | (key < 0) | (key >= n_keys)
     term_bad[1:] |= (key[1:] <= key[:-1]) & (cut_of[1:] == cut_of[:-1])
     bad[cut_of[term_bad]] = True
-    norms = np.zeros(len(cuts))
+    norms = np.zeros(len(size))
     some = size > 0
     if some.any():
-        starts = np.cumsum(size) - size
+        starts = size.cumsum() - size
         norms[some] = np.maximum.reduceat(np.abs(coeff), starts[some])
     bad |= ~(norms > 0.0)
-    first = np.flatnonzero(bad)
+    first = bad.nonzero()[0]
     return (int(first[0]) if first.size else None), norms
+
+
+def _unknown(keys: list, key: np.ndarray, model) -> np.ndarray:
+    """Per key of `keys`, whether a cut names it (by the indices `key`)
+    and `model` neither has nor can add it; `model` is asked once about
+    each key a cut names."""
+    named = np.zeros(len(keys), bool)
+    named[key] = True
+    has = model.has_variable
+    return np.array([used and not has(k)
+                     for k, used in zip(keys, named.tolist())], bool)
 
 
 def load_cuts(stream, model=None) -> tuple[CutPool, int]:
     """Read a cut file of any version; returns (pool, skipped count).
 
     Cuts naming a variable `model` neither has nor can add (see
-    `RelaxationModel.has_variable`, asked once per distinct key by
-    `CutBlock.naming`, as `cutplane` asks it) are skipped.  Without a model
+    `RelaxationModel.has_variable`) are skipped.  `model` is asked once
+    about each key of the file's key table that a cut names, and the pool
+    records its network, if it has one, as `checked_on`.  Without a model
     every well-formed cut is kept, in the file's order, hash order.  The
     pool carries the file's basis, if it has one, with the letters of the
     cuts it keeps.
@@ -424,28 +459,40 @@ def _load(stream, model):
     if version == 3:
         text = stream.read()  # a decode error is no malformed record
         try:
-            keys, cuts, basis = _read_v3(text)
+            keys, cols, basis = _read_v3(text)
         except _MALFORMED:
             raise malformed(1)
         records, stop = None, None
     else:
-        keys, cuts, basis, records, stop = _read_lines(stream, version)
-    first, norms = _first_bad_cut(cuts, len(keys))
+        keys, cols, basis, records, stop = _read_lines(stream, version)
+    first, norms = _first_bad_cut(cols, len(keys))
     if first is not None:
         raise malformed(1 if records is None else records[first])
     if stop is not None:
         raise malformed(stop)
 
-    cuts = replace(cuts, keys=np.fromiter(keys, object)[cuts.keys], norm=norms)
+    kind, provenance, size, rhs, key, coeff = cols
+    n = len(size)
+    table = np.fromiter(keys, object, len(keys))
+    cuts = CutBlock(np.fromiter(kind, object, n),
+                    np.fromiter(provenance, object, n), size, rhs, norms,
+                    np.zeros(n), table[key], coeff)
+    skip = None
+    if model is not None:
+        unknown = _unknown(keys, key, model)
+        if unknown.any():
+            skip = np.bincount(cuts.cut_of[unknown[key]], minlength=n) > 0
     if version != 3:  # the cuts in hash order, as version 3 keeps them
         hashes = cut_hashes(cuts)
-        cuts = cuts.take(sorted(range(len(cuts)), key=hashes.__getitem__))
+        order = sorted(range(n), key=hashes.__getitem__)
+        cuts = cuts.take(order)
+        if skip is not None:
+            skip = skip[order]
         if basis is not None:
             columns, base_rows, by_hash = basis
             basis = SavedBasis(columns, base_rows, "".join(
                 [by_hash.get(h, "-") for h in sorted(hashes)]))
-    pool = CutPool(cuts, basis)
-    if model is None:
+    pool = CutPool(cuts, basis, getattr(model, "network", None))
+    if skip is None:
         return pool, 0
-    skip = cuts.naming(lambda key: not model.has_variable(key))
     return pool.take(~skip), int(skip.sum())

@@ -34,10 +34,15 @@ the pool's cuts name no pair the model lacks when they come from the same
 network.  It injects the given pool in its own order, so its cuts come
 first: a loaded pool is in content-hash order, a run's pool in admission
 order.  It skips the cuts naming a key the model neither has nor can add,
-asking once per distinct key (`CutBlock.naming`), with their basis letters
-(`CutPool.take`), and adds the (c, s) columns the others lack as one
-sorted block.  The returned pool holds the last solve's basis as HiGHS
-gave it, turned into letters only when read.
+with their basis letters (`CutPool.take`).  `has_variable` depends on the
+compiled network alone, so a pool whose `checked_on` is the model's
+network is injected as it is: `load_cuts` given a model of that network,
+or a run on it, checked its keys.  Any other pool is walked, the model
+asked once per distinct key (`CutBlock.naming`).  When the kept cuts name
+pairs without columns, the model gets those (c, s) columns as one sorted
+block.  The returned pool holds the last solve's basis as HiGHS gave it,
+turned into letters only when read, and records the run's network as
+the one its keys were checked on.
 
 `_separate` and the final eigenvalue ratio read the PSD matrices at the
 kept point as stacks from `RelaxationModel.clique_matrix`: one for the
@@ -50,9 +55,7 @@ its last separation ran, at the same point on the same cliques, so its
 eigenvalue ratio comes from those eigenvalues; the other endings
 decompose the stacks again at the last point.  The tangents come from
 the kept point and the compiled network's tangent tables, so `_separate`
-builds no variable key.  The warm injection walks the pool's distinct
-keys once: the walk that finds the cuts to skip also collects the pairs
-the model still lacks.
+builds no variable key.
 """
 
 from __future__ import annotations
@@ -153,18 +156,22 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
     escalated = warm is not None
     if warm is not None:
         cliques = _escalate(model, cliques, config)
-        known = {}  # per distinct key, whether the model has or can add it
-        skip = warm.cuts.naming(
-            lambda key: not known.setdefault(key, model.has_variable(key)))
-        if skip.any():
-            warm = warm.take(~skip)
-            known = dict.fromkeys(warm.cuts.keys.tolist())
-            log.info("warm start: skipped %d cuts with unknown variables",
-                     skip.sum())
+        # `has_variable` depends on the network alone, so a pool checked
+        # on this one needs no walk
+        if warm.checked_on is not model.network:
+            skip = warm.cuts.naming(lambda key: not model.has_variable(key))
+            if skip.any():
+                warm = warm.take(~skip)
+                log.info("warm start: skipped %d cuts with unknown "
+                         "variables", skip.sum())
         pool = CutPool(warm.cuts)
-        model.extend_pairs(sorted({key[1:] for key in known
-                                   if key not in model.var_index}))
-        model.add_cut_row(pool.cuts)
+        try:
+            model.add_cut_row(pool.cuts)
+        except ModelError:  # the cuts name pairs without columns yet
+            keys = pool.cuts.keys.tolist()
+            model.extend_pairs(sorted({key[1:] for key in keys
+                                       if key not in model.var_index}))
+            model.add_cut_row(pool.cuts)
         if warm.basis is not None:
             # a refused basis costs only the iterations it would have saved
             refused = model.backend.start_basis(warm.basis)
@@ -240,6 +247,7 @@ def cutplane(case: CaseData, config: RunConfig | None = None,
         z_prev = z
 
     pool.basis = model.backend.last_basis()  # letters when first read
+    pool.checked_on = model.network  # its cuts name the model's columns
     report.termination = termination
     report.best_bound = max((st.bound for st in report.rounds),
                             default=-math.inf)
@@ -271,10 +279,10 @@ def _log_round(stats: RoundStats, res, pool: CutPool, model):
 
 def _escalate(model, cliques, config: RunConfig):
     """`cliques` merged with the network's chordal cliques, whose pairs,
-    the edges plus the fill, `model` gets as one sorted block of columns."""
+    the edges plus the fill, `model` gets as one sorted block of columns;
+    the network keeps both, per clique size cap."""
     extra = model.network.cliques(chordal_cliques, config.max_clique_size)
-    model.extend_pairs(sorted({(a, b) for c in extra.cliques
-                               for i, a in enumerate(c) for b in c[i + 1:]}))
+    model.extend_pairs(extra.pairs)
     return cliques.merged_with(extra)
 
 

@@ -6,10 +6,12 @@ store in HiGHS row order.  Entry k is `vals[k]` in row `row_of[k]`, column
 `cols[k]`; row i reads a.x >= rhs[i] where `ge[i]`, a.x = rhs[i] elsewhere.
 The relaxation model writes into it and never keeps a copy.
 
-Columns enter in blocks, `add_columns(keys, lower, upper, objective)`;
-`objective`, `lower` and `upper` are float arrays, grown by one concatenate
-per block.  Rows enter in blocks too, `add_rows(cols, vals, sizes, rhs, ge,
-cut)`, appended to the store with one concatenate per array.  The first
+Columns enter in blocks, `add_columns(keys, lower, upper, objective)`, or
+as the first block of a new backend, `of_columns`; `objective`, `lower`
+and `upper` are float arrays, grown by one concatenate per block and
+never written into, so a first block's arrays may be shared.  Rows enter
+in blocks too, `add_rows(cols, vals, sizes, rhs, ge, cut)`, appended to
+the store with one concatenate per array.  The first
 `n_base` rows are base rows, which stay for the model's life; every row
 after them is a cut row, and no base row may follow a cut row.  Cut row i,
 row `n_base + i`, is named by its position i: `remove_rows` removes cut
@@ -177,6 +179,18 @@ class ScipyHighsBackend:
         self._highs = None     # the persistent model, made at the first solve
         self._n_loaded = 0     # leading rows of the store that HiGHS holds
 
+    @classmethod
+    def of_columns(cls, columns, lower, upper, objective):
+        """A backend of the given columns and no row.  `columns` maps each
+        key to its index, from 0, and is copied; the arrays are kept as
+        they are: the backend replaces its arrays and never writes into
+        them, so read-only ones can be shared."""
+        backend = cls()
+        backend.columns = columns.copy()
+        backend.lower, backend.upper = lower, upper
+        backend.objective = objective
+        return backend
+
     def add_columns(self, keys, lower, upper, objective):
         """Append one column per key of `keys`, in order, with those bounds
         and objective coefficients; a key already named raises, adding
@@ -257,14 +271,14 @@ class ScipyHighsBackend:
         rows = (saved.base_rows + saved.cuts).replace("-", "B")
         at_bound = np.where(self.lower > -np.inf, "L",
                             np.where(self.upper < np.inf, "U", "Z")).tolist()
-        col_status = [saved.columns.get(key) or letter
-                      for key, letter in zip(self.columns, at_bound)]
+        # keys in index order; a key `saved` lacks takes its bound's letter
+        col_status = list(map(saved.columns.get, self.columns, at_bound))
         basic = col_status.count("B") + rows.count("B")
         if basic != n_row:
             return "it has %d basic variables for %d rows" % (basic, n_row)
         basis = _highs.HighsBasis()
-        basis.col_status = [_STATUS[s] for s in col_status]
-        basis.row_status = [_STATUS[s] for s in rows]
+        basis.col_status = list(map(_STATUS.__getitem__, col_status))
+        basis.row_status = list(map(_STATUS.__getitem__, rows))
         basis.valid, basis.alien = True, False
         if highs.setBasis(basis) == _highs.HighsStatus.kError:
             return "HiGHS rejected it"

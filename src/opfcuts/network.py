@@ -81,6 +81,12 @@ class CliqueSet:
         return tuple(tuple(c for c in self.cliques if len(c) == n)
                      for n in sizes)
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """Every pair of buses inside a clique, once, sorted."""
+        return tuple(sorted({(a, b) for c in self.cliques
+                             for i, a in enumerate(c) for b in c[i + 1:]}))
+
     def merged_with(self, other: "CliqueSet") -> "CliqueSet":
         return CliqueSet(tuple(dict.fromkeys(self.cliques + other.cliques)))
 

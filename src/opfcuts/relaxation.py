@@ -25,8 +25,10 @@ fixed but at the balance rows, and the tangent tables of separation.
 `compile_network` keeps the last `NETWORKS_KEPT` networks by content, every
 case field but the buses' loads and the case name, so the load instances of
 one network share one compiled network, its cliques and its gather indices.
-Nothing shared changes: its arrays, and the cached ones, are read-only, and
-each model copies the columns into a backend of its own.
+Nothing shared changes: its arrays, and the cached ones, are read-only.
+Each model's backend starts from a copy of the network's key -> index map
+and shares its bound and objective arrays, which it replaces, never
+writes, when columns are added.
 
 `RelaxationModel` writes the compiled network into its `ScipyHighsBackend`,
 the base rows as one block with the balance rows' right-hand side set to
@@ -76,16 +78,17 @@ NETWORKS_KEPT = 8  # compiled networks that `compile_network` keeps
 class CompiledNetwork:
     """The load-independent base model of one network.
 
-    Column j is named keys[j], with bounds lower[j], upper[j] and objective
-    coefficient objective[j].  Base row i reads a.x >= rhs[i] where ge[i],
-    a.x = rhs[i] elsewhere, over the next sizes[i] entries of `cols` and
-    `vals`.  `balance` holds each bus's active and reactive balance row, in
-    bus order; their right-hand side is the case's, 0 here.
+    Column j is the key that `keys` maps to j, with bounds lower[j],
+    upper[j] and objective coefficient objective[j].  Base row i reads
+    a.x >= rhs[i] where ge[i], a.x = rhs[i] elsewhere, over the next
+    sizes[i] entries of `cols` and `vals`.  `balance` holds each bus's
+    active and reactive balance row, in bus order; their right-hand side
+    is the case's, 0 here.
     """
-    keys: tuple
-    lower: tuple
-    upper: tuple
-    objective: tuple
+    keys: MappingProxyType  # column key -> its index
+    lower: np.ndarray
+    upper: np.ndarray
+    objective: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     sizes: np.ndarray
@@ -178,7 +181,7 @@ def _compile(base_mva, buses, branches, generators) -> CompiledNetwork:
               + [(-u, u) for u in rate for _ in range(4)]
               + [bound for g in gens for bound in (
                   (g.p_min, g.p_max), (g.q_min, g.q_max), (-INF, INF))])
-    lower, upper = map(tuple, zip(*bounds)) if bounds else ((), ())
+    lower, upper = np.array(bounds, float).reshape(-1, 2).T.copy()
 
     n_bus, n_br, n_gen = len(case.buses), len(lines), len(gens)
     bus_at = {b.id: i for i, b in enumerate(case.buses)}
@@ -258,14 +261,13 @@ def _compile(base_mva, buses, branches, generators) -> CompiledNetwork:
         sizes=np.concatenate([flow[2], balance[2], epigraph[2]]),
         rhs=np.concatenate([np.zeros(n_eq), intercept]),
         ge=np.arange(n_eq + len(intercept)) >= n_eq,
-        balance=4 * n_br + np.arange(2 * n_bus))
+        balance=4 * n_br + np.arange(2 * n_bus), lower=lower, upper=upper,
+        objective=np.array([k[0] == "t" for k in keys], float))
     for a in [*arrays.values(), *limits, *costs]:
         a.flags.writeable = False
     return CompiledNetwork(
-        keys=tuple(keys), lower=lower, upper=upper, limits=limits,
-        costs=costs,
-        objective=tuple([1.0 if k[0] == "t" else 0.0 for k in keys]),
-        branch_keys=MappingProxyType(branch_keys),
+        keys=MappingProxyType(dict(zip(keys, range(len(keys))))),
+        limits=limits, costs=costs, branch_keys=MappingProxyType(branch_keys),
         gen_keys=MappingProxyType(gen_keys), pairs=pairs,
         v_max=MappingProxyType(v_max), **arrays)
 
@@ -275,12 +277,11 @@ class RelaxationModel:
 
     def __init__(self, case: CaseData):
         self.network = net = compile_network(case)
-        self.backend = ScipyHighsBackend()
+        self.backend = ScipyHighsBackend.of_columns(
+            net.keys, net.lower, net.upper, net.objective)
         self.var_index = self.backend.columns  # the backend's, not a copy
         self._added = ()  # the pairs extend_pairs added, in column order
         self._pairs = net.pairs.edges  # every pair with columns, sorted
-        self.backend.add_columns(net.keys, net.lower, net.upper,
-                                 net.objective)
         rhs = net.rhs.copy()
         rhs[net.balance] = [-load for b in case.buses
                             for load in (b.p_load, b.q_load)]
@@ -324,6 +325,8 @@ class RelaxationModel:
         The one place where keys become columns.  Zero coefficients are
         left out; a key without a column raises ModelError, adding nothing.
         """
+        if not len(cuts):  # a round that admits nothing
+            return
         keys = cuts.keys.tolist()
         try:
             cols = np.fromiter(map(self.var_index.__getitem__, keys),

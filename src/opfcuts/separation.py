@@ -200,6 +200,8 @@ def _block(plan: StackPlan, kind, which, coeff, norm, violation,
     """The block of the rows `keep` picks, on the plan's tuples `which`,
     of one kind or of the kinds of an object array; zero coefficients are
     left out."""
+    if not keep.any():  # at a converged point, the common case
+        return NO_CUTS
     if isinstance(kind, str):
         kind = np.array([kind] * len(which), object)
     if not keep.all():

@@ -583,3 +583,53 @@ def test_cuts_of_equal_content_round_trip(case14, cold_report):
     report = opfcuts.cutplane(case14, opfcuts.RunConfig(max_rounds=1),
                               warm=loaded)
     assert np.isfinite(report.rounds[0].bound)
+
+
+# every shape of key and provenance the library writes, as JSON reads it
+_WRITTEN_SHAPES = [
+    ["v2", 4], ["c", 1, 2], ["s", 4, 7],               # bus and pair keys
+    ["P", [1, 2, 0], "f"], ["Q", [4, 7, 1], "t"],      # flows: a branch key
+    ["Pg", [1, 0]], ["Qg", [2, 1]], ["t", [3, 0]],     # a generator key
+    [[1, 2, 0], "f"],                                  # limit provenance
+    [[1, 0]],                                          # cost provenance
+    [1, 2], [4, 5, 6], [2, 3, 4, 5], [6, 11, 12, 13, 9]]  # pairs, cliques
+
+
+def test_two_level_decode_is_the_recursive_one(cold_report):
+    """The one-pass decode of a key table or provenance column gives what
+    `_key_from_json` gives for each item: on every shape written, and on a
+    saved run's own columns."""
+    doc = json.loads(_saved(cold_report.pool).split("\n")[1])
+    for raw in (_WRITTEN_SHAPES, doc["keys"], doc["cuts"]["support"]):
+        decoded = cut_manager._all_from_json(raw)
+        assert decoded == list(map(cut_manager._key_from_json, raw))
+        assert list(map(repr, decoded)) \
+            == [repr(cut_manager._key_from_json(k)) for k in raw]
+
+
+def _v3_text(keys, support) -> str:
+    """A version 3 file of one cut, 1 * key 0 - 1 * key 1 >= 0, its keys
+    sorted as a file keeps them."""
+    keys = sorted(keys, key=lambda k: repr(cut_manager._key_from_json(k)))
+    doc = {"keys": keys, "cuts": {"kind": ["eigen"], "support": [support],
+                                  "rhs": [0.0], "size": [2], "key": [0, 1],
+                                  "coeff": [1.0, -1.0]}}
+    return json.dumps(cut_manager.FILE_HEADER) + "\n" + json.dumps(doc) + "\n"
+
+
+def test_three_level_keys_load_as_the_recursive_decode():
+    """A key or provenance nested three lists deep, which the library never
+    writes, loads as `_key_from_json` decodes it, and a model is asked
+    about that key; a key holding a JSON object is a malformed record."""
+    deep = ["P", [[1, 2], 0], "f"]
+    text = _v3_text([deep, ["v2", 1]], [[[1, 2]], [0, [1, [2]]]])
+    loaded, _ = load_cuts(io.StringIO(text))
+    [cut] = loaded.cuts
+    assert list(cut.terms) == [("P", ((1, 2), 0), "f"), ("v2", 1)]
+    assert cut.provenance == (((1, 2),), (0, (1, (2,))))
+    skipped = load_cuts(io.StringIO(text), _FakeModel([("v2", 1)]))[1]
+    assert skipped == 1
+    with pytest.raises(CutFileError, match="malformed cut record 1") as err:
+        load_cuts(io.StringIO(_v3_text([["P", {"a": 1}, "f"], ["v2", 1]],
+                                       [1, 2])))
+    assert err.value.record == 1

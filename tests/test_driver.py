@@ -393,6 +393,88 @@ def test_warm_start_checks_each_key_once(case14, cold_report, monkeypatch):
     assert list(model.var_index) == list(reference.var_index)
 
 
+def _asked(monkeypatch) -> list:
+    """The keys that the models `cutplane` builds are asked about, from
+    now on, in order."""
+    asked = []
+
+    def build(case):
+        model = build_m0(case)
+        has_variable = model.has_variable
+        model.has_variable = lambda key: asked.append(key) or \
+            has_variable(key)
+        return model
+
+    monkeypatch.setattr(driver, "build_m0", build)
+    return asked
+
+
+def _bits(report):
+    """A run as bits: per round its objective and bound as float hex, its
+    cuts added and dropped and its simplex iterations; the termination;
+    the saved text of its pool."""
+    buf = io.StringIO()
+    save_cuts(report.pool, buf)
+    return ([(st.objective.hex(), st.bound.hex(), st.cuts_added,
+              st.cuts_dropped, st.lp_iterations) for st in report.rounds],
+            report.termination, buf.getvalue())
+
+
+@pytest.mark.parametrize("source", ["load_cuts", "run"])
+def test_warm_start_checks_no_key_of_a_checked_pool(case14, perturbed,
+                                                    monkeypatch, source):
+    """A pool whose keys were checked on the run's network, by `load_cuts`
+    given a model of it or by the run that made the pool, is injected
+    without asking the model about a key, and the run is bit for bit the
+    one that walks the same pool's keys."""
+    pool = cutplane(case14, RunConfig()).pool
+    if source == "load_cuts":
+        buf = io.StringIO()
+        save_cuts(pool, buf)
+        pool, _ = load_cuts(io.StringIO(buf.getvalue()), build_m0(perturbed))
+    assert pool.checked_on is build_m0(perturbed).network
+    asked = _asked(monkeypatch)
+    walked = cutplane(perturbed, RunConfig(),
+                      warm=CutPool(pool.cuts, pool.basis))
+    assert asked
+    asked.clear()
+    report = cutplane(perturbed, RunConfig(), warm=pool)
+    assert asked == []
+    assert _bits(report) == _bits(walked)
+    assert report.pool.checked_on is pool.checked_on
+
+
+def test_admitting_into_a_checked_pool_drops_the_mark(case14, monkeypatch):
+    """`admit` drops a pool's record of a checked network, so a warm start
+    walks its keys again and skips the admitted cut on an unknown bus."""
+    pool = cutplane(case14, RunConfig()).pool
+    cuts = pool.cuts
+    assert pool.checked_on is not None
+    admit(pool, block_of(one_cut({("v2", 1): 1.0, ("c", 1, 999): -1.0},
+                                 0.0, "eigen", (1, 999))))
+    assert pool.checked_on is None
+    asked = _asked(monkeypatch)
+    report = cutplane(case14, RunConfig(max_rounds=1), warm=pool)
+    assert ("c", 1, 999) in asked
+    assert list(report.pool.cuts) == list(cuts)
+
+
+def test_pool_checked_on_another_network_is_walked(case14, tiler,
+                                                   monkeypatch):
+    """A pool checked on the 2-tile chain has its keys walked again when it
+    warm-starts case14, which skips the cuts on the second tile."""
+    chain = tiler.tile_case(case14, 2, 1)
+    pool = cutplane(chain, RunConfig()).pool
+    assert pool.checked_on is build_m0(chain).network
+    asked = _asked(monkeypatch)
+    report = cutplane(case14, RunConfig(max_rounds=1), warm=pool)
+    assert asked
+    assert 0 < len(report.pool) < len(pool)
+    walked = cutplane(case14, RunConfig(max_rounds=1),
+                      warm=CutPool(pool.cuts, pool.basis))
+    assert _bits(report) == _bits(walked)
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_cut_slacks_in_pool_order(case14, cold_report, monkeypatch, warm):
     """Each solve's row slacks are its pool's cuts', one per cut in pool

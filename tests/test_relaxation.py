@@ -578,6 +578,37 @@ def test_shared_network_is_read_only_and_bounded(case14):
     assert build_m0(case14).network is not net  # pushed out, built anew
 
 
+def test_models_of_one_network_share_its_columns_read_only(case14):
+    """Two models of one network start from its key map, bounds and
+    objective.  Extending and editing the first leaves the second's
+    columns, bounds and objective as built, and each model's key map is
+    its backend's own."""
+    first = build_m0(case14)
+    second = build_m0(perturb_loads(case14, 3, 0.0, 0.01))
+    net = second.network
+    assert first.network is net
+    lp = second.backend
+    built = [list(second.var_index.items()),
+             *(a.copy() for a in (lp.lower, lp.upper, lp.objective))]
+    assert built[0] == list(net.keys.items())
+    for a in (lp.lower, lp.upper, lp.objective):
+        with pytest.raises(ValueError):
+            a[:1] = 0.0
+    first.extend_pairs([(1, 3)])
+    first.add_cut_row(rows_block([({("v2", 1): 1.0, ("c", 1, 3): -1.0},
+                                   0.0, "eigen", (1, 3), 0.0)]))
+    first.backend.solve()
+    first.remove_cut_row([0])
+    assert ("c", 1, 3) in first.var_index
+    for model in (first, second):
+        assert model.var_index is model.backend.columns
+        assert model.var_index is not net.keys
+    assert list(second.var_index.items()) == built[0]
+    for a, b in zip((lp.lower, lp.upper, lp.objective), built[1:]):
+        assert np.array_equal(a, b)
+    assert list(net.keys.items()) == built[0]
+
+
 # -- the tangent tables ----------------------------------------------------
 
 def _tangent_rows(case, model, y):
